@@ -409,13 +409,17 @@ mod tests {
 
     #[test]
     fn governed_plans_respect_the_cap_and_the_paper_caps() {
-        use mrs_core::tree::tree_schedule_capped;
+        use mrs_core::tree::{tree_schedule_with, PlanOptions};
         let problem = join_problem();
         let sys = SystemSpec::homogeneous(8);
         let comm = CommModel::paper_defaults();
         let model = OverlapModel::new(0.5).unwrap();
         for cap in [1usize, 2, 4] {
-            let r = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, Some(cap)).unwrap();
+            let opts = PlanOptions {
+                cap: Some(cap),
+                ..PlanOptions::default()
+            };
+            let r = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, opts).unwrap();
             let v = audit_governed_degrees(&problem, &r, cap);
             assert!(v.is_empty(), "cap {cap}: governed plan violates it: {v:?}");
             // The governor only lowers degrees, so the paper's own CG_f

@@ -187,26 +187,14 @@ fn bench_serve_stream(b: &mut Bench) {
         // many. On a single-core host expect s1 to win; record the
         // numbers honestly either way.
         if sites == 140 {
-            // (shards, batched barriers): the trailing (8, false) entry
-            // re-runs the widest sweep point on the reference
-            // two-broadcast protocol, so the recorded JSON shows what
-            // epoch batching buys at the same shard count.
-            for (n_shards, batching) in
-                [(1usize, true), (2, true), (4, true), (8, true), (8, false)]
-            {
-                let id = if batching {
-                    format!("p{sites}_s{n_shards}")
-                } else {
-                    format!("p{sites}_s{n_shards}_nobatch")
-                };
+            for n_shards in [1usize, 2, 4, 8] {
                 g.bench_batched(
-                    &id,
+                    &format!("p{sites}_s{n_shards}"),
                     || {
                         let cfg = RuntimeConfig {
                             f,
                             max_in_flight: mpl,
                             shards: n_shards,
-                            epoch_batching: batching,
                             recovery: RecoveryConfig {
                                 backoff_base: 0.1 * mean_standalone,
                                 backoff_cap: 2.0 * mean_standalone,

@@ -108,9 +108,8 @@ pub mod prelude {
     };
     pub use crate::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
     pub use crate::tree::{
-        coupled_degree, malleable_tree_schedule, tree_schedule, tree_schedule_capped,
-        tree_schedule_full, tree_schedule_governed, tree_schedule_with_order, PhasePolicy,
-        PhaseResult, TreeProblem, TreeScheduleResult,
+        coupled_degree, malleable_tree_schedule, tree_schedule, tree_schedule_with, PhasePolicy,
+        PhaseResult, PlanOptions, TreeProblem, TreeScheduleResult,
     };
     pub use crate::vector::WorkVector;
 }

@@ -24,8 +24,8 @@
 //! ## Relation to `tree_schedule`
 //!
 //! The shared planner is a *different deterministic strategy*, not a
-//! drop-in replay of [`crate::tree::tree_schedule_governed`]: the
-//! governed scheduler packs all tasks of a shelf level together (one
+//! drop-in replay of [`crate::tree::tree_schedule_with`]: the
+//! phased scheduler packs all tasks of a shelf level together (one
 //! list-scheduling pass over the concatenated operator list), so a
 //! subtree's packing depends on its siblings and cannot be reused
 //! across queries. The shared planner instead packs each task's
@@ -627,7 +627,7 @@ mod tests {
     use crate::operator::{OperatorKind, OperatorSpec};
     use crate::rng::DetRng;
     use crate::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
-    use crate::tree::tree_schedule_capped;
+    use crate::tree::tree_schedule;
     use crate::vector::WorkVector;
 
     fn op(id: usize, kind: OperatorKind, w: &[f64], data: f64) -> OperatorSpec {
@@ -869,7 +869,7 @@ mod tests {
         // per-task composition cannot be wildly off the phase packing.
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
-        let governed = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, None).unwrap();
+        let governed = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
         let mut cache = MapFragmentCache::new();
         let (shared, _) =
             tree_schedule_shared(&problem, 0.7, &sys, &comm, &model, None, &mut cache).unwrap();

@@ -16,6 +16,7 @@
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
+use crate::list::ListOrder;
 use crate::model::ResponseModel;
 use crate::operator::{OperatorId, OperatorSpec, Placement};
 
@@ -134,14 +135,7 @@ pub fn tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_with_order(
-        problem,
-        f,
-        sys,
-        comm,
-        model,
-        crate::list::ListOrder::LongestFirst,
-    )
+    tree_schedule_with(problem, f, sys, comm, model, PlanOptions::default())
 }
 
 /// Degree of parallelism for a floating operator within a task tree.
@@ -191,79 +185,53 @@ pub enum PhasePolicy {
     Asap,
 }
 
-/// [`tree_schedule`] with an explicit list order for each phase's packing
-/// (ablation experiment X2).
-pub fn tree_schedule_with_order<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_full(problem, f, sys, comm, model, order, PhasePolicy::Alap)
+/// TREESCHEDULE's knobs beyond the granularity `f`.
+/// [`PlanOptions::default`] is the paper's setting.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanOptions {
+    /// List order for each phase's packing (ablation X2 varies it).
+    pub order: ListOrder,
+    /// How tasks are grouped into shelves (ablation X11 varies it).
+    pub policy: PhasePolicy,
+    /// Governed clone-degree cap for every *floating* operator:
+    /// `degree = min(coupled_degree, cap)` (clamped to at least 1). The
+    /// cap only ever lowers degrees, so the paper's coarse-grain
+    /// speed-down constraint stays satisfied; rooted operators keep their
+    /// pinned homes untouched (data placement is a correctness
+    /// constraint, not a parallelism choice). `None` reproduces
+    /// [`tree_schedule`] bit for bit.
+    ///
+    /// This is the seam the runtime's overload controller actuates: each
+    /// governor level shrinks the cap, trading intra-query parallelism
+    /// (and its per-clone EA1 startup overhead) for inter-query capacity.
+    pub cap: Option<usize>,
 }
 
-/// [`tree_schedule_full`] with the default order and policy plus an
-/// optional governed clone-degree cap.
+impl Default for PlanOptions {
+    /// `LongestFirst`, `Alap`, no cap.
+    fn default() -> Self {
+        PlanOptions {
+            order: ListOrder::LongestFirst,
+            policy: PhasePolicy::Alap,
+            cap: None,
+        }
+    }
+}
+
+/// [`tree_schedule`] with explicit [`PlanOptions`]: list order, shelf
+/// policy and governed degree cap.
 ///
-/// `cap` bounds the degree chosen for every *floating* operator:
-/// `degree = min(coupled_degree, cap)` (clamped to at least 1). The cap
-/// only ever lowers degrees, so the paper's coarse-grain speed-down
-/// constraint stays satisfied; rooted operators keep their pinned homes
-/// untouched (data placement is a correctness constraint, not a
-/// parallelism choice). `None` reproduces [`tree_schedule`] bit for bit.
-///
-/// This is the seam the runtime's overload controller actuates: each
-/// governor level shrinks the cap, trading intra-query parallelism (and
-/// its per-clone EA1 startup overhead) for inter-query capacity.
-pub fn tree_schedule_capped<M: ResponseModel>(
+/// # Errors
+/// As [`tree_schedule`].
+pub fn tree_schedule_with<M: ResponseModel>(
     problem: &TreeProblem,
     f: f64,
     sys: &SystemSpec,
     comm: &CommModel,
     model: &M,
-    cap: Option<usize>,
+    opts: PlanOptions,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_governed(
-        problem,
-        f,
-        sys,
-        comm,
-        model,
-        crate::list::ListOrder::LongestFirst,
-        PhasePolicy::Alap,
-        cap,
-    )
-}
-
-/// The most general *ungoverned* TREESCHEDULE entry point: explicit list
-/// order *and* shelf policy (ablation X11).
-pub fn tree_schedule_full<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-    policy: PhasePolicy,
-) -> Result<TreeScheduleResult, ScheduleError> {
-    tree_schedule_governed(problem, f, sys, comm, model, order, policy, None)
-}
-
-/// The fully general TREESCHEDULE: explicit list order, shelf policy,
-/// and governed degree cap (see [`tree_schedule_capped`]).
-#[allow(clippy::too_many_arguments)]
-pub fn tree_schedule_governed<M: ResponseModel>(
-    problem: &TreeProblem,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: crate::list::ListOrder,
-    policy: PhasePolicy,
-    cap: Option<usize>,
-) -> Result<TreeScheduleResult, ScheduleError> {
+    let PlanOptions { order, policy, cap } = opts;
     problem.validate()?;
     // binding lookups: dependent -> source and source -> dependent.
     let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
@@ -486,6 +454,25 @@ mod tests {
         )
     }
 
+    fn asap() -> PlanOptions {
+        PlanOptions {
+            policy: PhasePolicy::Asap,
+            ..PlanOptions::default()
+        }
+    }
+
+    fn with_cap(
+        problem: &TreeProblem,
+        cap: Option<usize>,
+    ) -> Result<TreeScheduleResult, ScheduleError> {
+        let (sys, comm, model) = setup();
+        let opts = PlanOptions {
+            cap,
+            ..PlanOptions::default()
+        };
+        tree_schedule_with(problem, 0.7, &sys, &comm, &model, opts)
+    }
+
     /// A single hash join: scan(outer) + scan(inner)+build in one phase
     /// group, probe rooted at the build.
     ///
@@ -706,16 +693,7 @@ mod tests {
     fn asap_policy_schedules_validly() {
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
-        let r = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let r = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         for p in &r.phases {
             p.schedule.validate(&sys).unwrap();
         }
@@ -733,16 +711,7 @@ mod tests {
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
         let alap = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
-        let asap = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let asap = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         assert!((alap.response_time - asap.response_time).abs() < 1e-9);
     }
 
@@ -780,16 +749,7 @@ mod tests {
         };
         let heights = problem.tasks.heights_from_leaves();
         assert_eq!(heights, vec![2, 1, 0, 0]);
-        let asap = tree_schedule_full(
-            &problem,
-            0.7,
-            &sys,
-            &comm,
-            &model,
-            crate::list::ListOrder::LongestFirst,
-            PhasePolicy::Asap,
-        )
-        .unwrap();
+        let asap = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, asap()).unwrap();
         // ASAP: shelf 0 holds T2 and T3 (two ops), shelf 1 holds T1,
         // shelf 2 holds T0.
         assert_eq!(asap.phases[0].schedule.ops.len(), 2);
@@ -812,7 +772,7 @@ mod tests {
         let (sys, comm, model) = setup();
         let problem = one_join_problem();
         let base = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
-        let governed = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, None).unwrap();
+        let governed = with_cap(&problem, None).unwrap();
         assert_eq!(
             base.response_time.to_bits(),
             governed.response_time.to_bits()
@@ -824,8 +784,7 @@ mod tests {
         }
         // A cap at the full site count also changes nothing (degrees
         // never exceed P to begin with).
-        let wide =
-            tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, Some(sys.sites)).unwrap();
+        let wide = with_cap(&problem, Some(sys.sites)).unwrap();
         assert_eq!(base.response_time.to_bits(), wide.response_time.to_bits());
     }
 
@@ -836,7 +795,7 @@ mod tests {
         let base = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
         // The outer scan parallelizes wide at f=0.7 over 8 sites; cap it
         // to 2 and every floating operator must obey.
-        let capped = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, Some(2)).unwrap();
+        let capped = with_cap(&problem, Some(2)).unwrap();
         for id in 0..4 {
             let d = capped.degree_of(OperatorId(id)).unwrap();
             assert!(d <= 2, "op {id} got degree {d} past the cap");
@@ -849,7 +808,7 @@ mod tests {
             capped.homes_of(OperatorId(1))
         );
         // A degenerate cap of 0 clamps to 1, never to an empty plan.
-        let serial = tree_schedule_capped(&problem, 0.7, &sys, &comm, &model, Some(0)).unwrap();
+        let serial = with_cap(&problem, Some(0)).unwrap();
         for id in 0..4 {
             assert_eq!(serial.degree_of(OperatorId(id)), Some(1));
         }

@@ -69,7 +69,7 @@ use mrs_core::list::ListOrder;
 use mrs_core::model::OverlapModel;
 use mrs_core::resource::SystemSpec;
 use mrs_core::tree::{
-    malleable_tree_schedule, tree_schedule, tree_schedule_capped, tree_schedule_full, PhasePolicy,
+    malleable_tree_schedule, tree_schedule, tree_schedule_with, PhasePolicy, PlanOptions,
     TreeProblem,
 };
 use mrs_cost::prelude::CostModel;
@@ -149,16 +149,12 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let sys = SystemSpec::homogeneous(sweep[sweep.len() / 2]);
         let mut violations = Vec::new();
         for problem in &problems {
-            let r = tree_schedule_full(
-                problem,
-                f,
-                &sys,
-                &comm,
-                &model,
-                ListOrder::Arbitrary,
-                PhasePolicy::Alap,
-            )
-            .expect("paper workload always schedules");
+            let opts = PlanOptions {
+                order: ListOrder::Arbitrary,
+                ..PlanOptions::default()
+            };
+            let r = tree_schedule_with(problem, f, &sys, &comm, &model, opts)
+                .expect("paper workload always schedules");
             violations.extend(audit_tree(
                 problem,
                 &r,
@@ -181,16 +177,12 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let sys = SystemSpec::homogeneous(sweep[0]);
         let mut violations = Vec::new();
         for problem in &problems {
-            let r = tree_schedule_full(
-                problem,
-                f,
-                &sys,
-                &comm,
-                &model,
-                ListOrder::LongestFirst,
-                PhasePolicy::Asap,
-            )
-            .expect("paper workload always schedules");
+            let opts = PlanOptions {
+                policy: PhasePolicy::Asap,
+                ..PlanOptions::default()
+            };
+            let r = tree_schedule_with(problem, f, &sys, &comm, &model, opts)
+                .expect("paper workload always schedules");
             violations.extend(audit_tree(
                 problem,
                 &r,
@@ -543,7 +535,11 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         // paper caps instead of replacing them.
         for cap in [2usize, 4] {
             for q in &stream {
-                let r = tree_schedule_capped(&q.problem, f, &sys, &comm, &model, Some(cap))
+                let opts = PlanOptions {
+                    cap: Some(cap),
+                    ..PlanOptions::default()
+                };
+                let r = tree_schedule_with(&q.problem, f, &sys, &comm, &model, opts)
                     .expect("stream plans always schedule");
                 violations.extend(audit_governed_degrees(&q.problem, &r, cap));
                 violations.extend(audit_tree(

@@ -6,8 +6,13 @@
 //! mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M]
 //!                 [--load X] [--policy fcfs|svf|rr-fair]
 //!                 [--mtbf T] [--deadline D] [--templates K] [--shards S]
-//!                 [--no-batch] [--adaptive] [--batch W] [--no-share]
+//!                 [--adaptive] [--batch W] [--no-share]
 //! ```
+//!
+//! Counts and seeds (`--seed`, `--queries`, `--sites`, `--mpl`,
+//! `--templates`, `--shards`, `--batch`, `--joins`) must be non-negative
+//! integers; `--load`, `--mtbf`, `--deadline`, `--eps` and `--f` take
+//! decimals.
 //!
 //! Experiments: table2, fig5a, fig5b, fig6a, fig6b, ablation-dims,
 //! ablation-order, malleable, planopt, pipecheck, memcheck, optgap,
@@ -22,15 +27,13 @@
 //! `--shards S` partitions the sites over `S` parallel shard executors;
 //! the output is byte-identical for every `S` (that is the sharded
 //! fabric's contract — see the `shards` experiment), so the report
-//! deliberately never echoes the shard count. `--no-batch` disables
-//! batched epoch barriers and runs the reference two-broadcast protocol
-//! instead — same bytes, more coordination; it exists for measurement
-//! and cross-checking. `--adaptive` turns on the feedback overload
-//! controller ([`ControllerConfig::adaptive`]): a backpressure gate
-//! defers admissions while the fabric is saturated and a parallelism
-//! governor caps clone degrees under backlog; off (the default) the
-//! controller is never consulted and the output is byte-identical to a
-//! build without it. `--batch W` switches admission to batched (MQO)
+//! deliberately never echoes the shard count. `--adaptive` turns on the
+//! feedback overload controller ([`ControllerConfig::adaptive`]): a
+//! backpressure gate defers admissions while the fabric is saturated and
+//! a parallelism governor caps clone degrees under backlog; off (the
+//! default) the controller is never consulted and the output is
+//! byte-identical to a build without it. `--batch W` switches admission
+//! to batched (MQO)
 //! mode: arrivals are released in windows of `W`, each window is planned
 //! up front with cross-query subtree sharing (common rooted subtrees are
 //! packed once and spliced into every later member — "build once, probe
@@ -46,16 +49,29 @@ use mrs_exp::config::ExpConfig;
 use mrs_exp::{all_experiments, experiment_by_id};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn usage() -> &'static str {
     "usage: mrs-repro [--seed N] [--fast] [--jobs N] [--csv DIR] <experiment>... | all | list\n\
        or: mrs-repro schedule [--seed N] [--joins J] [--sites P] [--eps E] [--f F]\n\
        or: mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M] [--load X] \
      [--policy fcfs|svf|rr-fair] [--mtbf T] [--deadline D] [--templates K] [--shards S] \
-     [--no-batch] [--adaptive] [--batch W] [--no-share]\n\
+     [--adaptive] [--batch W] [--no-share]\n\
      experiments: table2 fig5a fig5b fig6a fig6b ablation-dims ablation-order \
      malleable planopt pipecheck memcheck dimcheck shelfcheck optgap simcheck skew throughput \
      faults saturation shards mqo audit"
+}
+
+/// Parses the argument after a flag into `target`. `false` when it is
+/// missing or not a `T`, leaving `target` unchanged.
+fn grab<T: FromStr>(it: &mut std::slice::Iter<'_, String>, target: &mut T) -> bool {
+    match it.next().and_then(|v| v.parse().ok()) {
+        Some(v) => {
+            *target = v;
+            true
+        }
+        None => false,
+    }
 }
 
 /// `mrs-repro serve`: run a Poisson stream of generated queries through
@@ -82,7 +98,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
     let mut deadline = 0.0f64;
     let mut templates = 0usize;
     let mut shards = 1usize;
-    let mut batching = true;
     let mut adaptive = false;
     let mut batch = 0usize;
     let mut share = true;
@@ -100,14 +115,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             share = false;
             continue;
         }
-        if arg == "--no-batch" {
-            // Fall back to the reference two-broadcast epoch protocol
-            // (one NextTime and one AdvanceDue round per epoch); the
-            // trajectory is bit-identical either way, so this exists to
-            // measure and to cross-check the batched fast path.
-            batching = false;
-            continue;
-        }
         if arg == "--policy" {
             policy = match it.next().map(String::as_str) {
                 Some("fcfs") => AdmissionPolicy::Fcfs,
@@ -121,25 +128,25 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             };
             continue;
         }
-        let Some(value) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-            eprintln!("{arg} needs a numeric argument\n{}", usage());
-            return ExitCode::FAILURE;
-        };
-        match arg.as_str() {
-            "--seed" => seed = value as u64,
-            "--queries" => queries = value as usize,
-            "--sites" => sites = value as usize,
-            "--mpl" => mpl = value as usize,
-            "--load" => load = value,
-            "--mtbf" => mtbf = value,
-            "--deadline" => deadline = value,
-            "--templates" => templates = value as usize,
-            "--shards" => shards = value as usize,
-            "--batch" => batch = value as usize,
+        let ok = match arg.as_str() {
+            "--seed" => grab(&mut it, &mut seed),
+            "--queries" => grab(&mut it, &mut queries),
+            "--sites" => grab(&mut it, &mut sites),
+            "--mpl" => grab(&mut it, &mut mpl),
+            "--load" => grab(&mut it, &mut load),
+            "--mtbf" => grab(&mut it, &mut mtbf),
+            "--deadline" => grab(&mut it, &mut deadline),
+            "--templates" => grab(&mut it, &mut templates),
+            "--shards" => grab(&mut it, &mut shards),
+            "--batch" => grab(&mut it, &mut batch),
             other => {
                 eprintln!("unknown serve option {other:?}\n{}", usage());
                 return ExitCode::FAILURE;
             }
+        };
+        if !ok {
+            eprintln!("{arg} needs a numeric argument\n{}", usage());
+            return ExitCode::FAILURE;
         }
     }
     if queries == 0 || sites == 0 || mpl == 0 || !(load.is_finite() && load > 0.0) {
@@ -202,7 +209,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         faults,
         deadline: (deadline > 0.0).then_some(deadline),
         shards,
-        epoch_batching: batching,
         batch_window: batch,
         plan_sharing: batch > 0 && share,
         controller: if adaptive {
@@ -344,36 +350,12 @@ fn run_schedule_demo(args: &[String]) -> ExitCode {
     let mut f = 0.7f64;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut grab = |target: &mut f64| -> bool {
-            match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(v) => {
-                    *target = v;
-                    true
-                }
-                None => false,
-            }
-        };
         let ok = match arg.as_str() {
-            "--seed" => {
-                let mut v = seed as f64;
-                let ok = grab(&mut v);
-                seed = v as u64;
-                ok
-            }
-            "--joins" => {
-                let mut v = joins as f64;
-                let ok = grab(&mut v);
-                joins = v as usize;
-                ok
-            }
-            "--sites" => {
-                let mut v = sites as f64;
-                let ok = grab(&mut v);
-                sites = v as usize;
-                ok
-            }
-            "--eps" => grab(&mut eps),
-            "--f" => grab(&mut f),
+            "--seed" => grab(&mut it, &mut seed),
+            "--joins" => grab(&mut it, &mut joins),
+            "--sites" => grab(&mut it, &mut sites),
+            "--eps" => grab(&mut it, &mut eps),
+            "--f" => grab(&mut it, &mut f),
             other => {
                 eprintln!("unknown schedule option {other:?}\n{}", usage());
                 return ExitCode::FAILURE;

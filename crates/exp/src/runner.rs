@@ -8,7 +8,7 @@ use mrs_core::list::ListOrder;
 use mrs_core::model::OverlapModel;
 use mrs_core::resource::SystemSpec;
 use mrs_core::tree::{
-    malleable_tree_schedule, tree_schedule, tree_schedule_with_order, TreeProblem,
+    malleable_tree_schedule, tree_schedule, tree_schedule_with, PlanOptions, TreeProblem,
 };
 use mrs_cost::prelude::{problem_from_plan, CostModel, ScanPlacement};
 use mrs_plan::cardinality::KeyJoinMax;
@@ -99,7 +99,11 @@ pub fn problem_response(
                 .response_time
         }
         Algo::TreeArbitraryOrder { f } => {
-            tree_schedule_with_order(problem, *f, sys, &comm, &model, ListOrder::Arbitrary)
+            let opts = PlanOptions {
+                order: ListOrder::Arbitrary,
+                ..PlanOptions::default()
+            };
+            tree_schedule_with(problem, *f, sys, &comm, &model, opts)
                 .expect("valid problem")
                 .response_time
         }

@@ -10,10 +10,9 @@ use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::query_problem;
 use crate::tablefmt::{ratio, secs, Table};
-use mrs_core::list::ListOrder;
 use mrs_core::model::OverlapModel;
 use mrs_core::resource::SystemSpec;
-use mrs_core::tree::{tree_schedule_full, PhasePolicy};
+use mrs_core::tree::{tree_schedule_with, PhasePolicy, PlanOptions};
 use mrs_cost::prelude::CostModel;
 use mrs_workload::suite::suite;
 
@@ -24,6 +23,10 @@ pub fn shelfcheck(cfg: &ExpConfig) -> Report {
     let cost = CostModel::paper_defaults();
     let comm = cost.params().comm_model();
     let model = OverlapModel::new(eps).expect("paper epsilon is valid");
+    let asap_opts = PlanOptions {
+        policy: PhasePolicy::Asap,
+        ..PlanOptions::default()
+    };
 
     let mut table = Table::new(vec![
         "joins".to_owned(),
@@ -39,28 +42,13 @@ pub fn shelfcheck(cfg: &ExpConfig) -> Report {
             let (mut alap, mut asap) = (0.0f64, 0.0f64);
             for q in &s.queries {
                 let problem = query_problem(q, &cost);
-                alap += tree_schedule_full(
-                    &problem,
-                    f,
-                    &sys,
-                    &comm,
-                    &model,
-                    ListOrder::LongestFirst,
-                    PhasePolicy::Alap,
-                )
-                .expect("paper workload always schedules")
-                .response_time;
-                asap += tree_schedule_full(
-                    &problem,
-                    f,
-                    &sys,
-                    &comm,
-                    &model,
-                    ListOrder::LongestFirst,
-                    PhasePolicy::Asap,
-                )
-                .expect("paper workload always schedules")
-                .response_time;
+                alap +=
+                    tree_schedule_with(&problem, f, &sys, &comm, &model, PlanOptions::default())
+                        .expect("paper workload always schedules")
+                        .response_time;
+                asap += tree_schedule_with(&problem, f, &sys, &comm, &model, asap_opts)
+                    .expect("paper workload always schedules")
+                    .response_time;
             }
             let n = s.queries.len() as f64;
             table.push_row(vec![

@@ -1,9 +1,7 @@
 //! End-to-end shard-invariance of the serving runtime: `--shards N`
 //! must reproduce the single-threaded loop bit-for-bit for every `N`,
-//! under clean plans and under seeded crash/recovery plans, with epoch
-//! batching on (the default fast path) *and* off (the reference
-//! two-broadcast protocol), and every run's trace evidence must audit
-//! clean.
+//! under clean plans and under seeded crash/recovery plans, and every
+//! run's trace evidence must audit clean.
 //!
 //! Identity is asserted three ways per run pair:
 //!
@@ -45,9 +43,9 @@ fn stream() -> Vec<TreeProblem> {
         .collect()
 }
 
-/// Runs the stream at `shards` with the requested barrier protocol,
-/// returning the summary and the canonical merged shard trace.
-fn run(shards: usize, faulty: bool, batching: bool) -> (RunSummary, Vec<ShardEvent>) {
+/// Runs the stream at `shards`, returning the summary and the canonical
+/// merged shard trace.
+fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
     let cost = CostModel::paper_defaults();
     let comm = cost.params().comm_model();
     let model = OverlapModel::new(0.5).expect("paper epsilon is valid");
@@ -88,7 +86,6 @@ fn run(shards: usize, faulty: bool, batching: bool) -> (RunSummary, Vec<ShardEve
             degrade_threshold: 0.25,
         },
         shards,
-        epoch_batching: batching,
         util_series: true,
         ..RuntimeConfig::default()
     };
@@ -103,18 +100,18 @@ fn run(shards: usize, faulty: bool, batching: bool) -> (RunSummary, Vec<ShardEve
     let violations = audit_shard_segments(&segments, SITES);
     assert!(
         violations.is_empty(),
-        "shards={shards} faulty={faulty} batching={batching}: {violations:?}"
+        "shards={shards} faulty={faulty}: {violations:?}"
     );
     let violations = audit_run(&summary);
     assert!(
         violations.is_empty(),
-        "shards={shards} faulty={faulty} batching={batching}: {violations:?}"
+        "shards={shards} faulty={faulty}: {violations:?}"
     );
     (summary, merge_segments(&segments))
 }
 
 fn assert_shard_invariant(faulty: bool) {
-    let (base_summary, base_trace) = run(1, faulty, true);
+    let (base_summary, base_trace) = run(1, faulty);
     assert!(base_summary.completed() > 0, "stream must make progress");
     assert!(
         !base_trace.is_empty(),
@@ -122,32 +119,24 @@ fn assert_shard_invariant(faulty: bool) {
     );
     let base_digest = base_summary.digest();
     let base_debug = format!("{base_summary:?}");
-    // Both barrier protocols at every shard count must reproduce the
-    // batched single-shard run exactly.
-    for batching in [true, false] {
-        for shards in [2usize, 4, 8] {
-            let (summary, trace) = run(shards, faulty, batching);
-            assert_eq!(
-                summary.digest(),
-                base_digest,
-                "digest diverged at shards={shards} faulty={faulty} batching={batching}"
-            );
-            assert_eq!(
-                format!("{summary:?}"),
-                base_debug,
-                "summary fields diverged at shards={shards} faulty={faulty} batching={batching}"
-            );
-            assert_eq!(
-                trace, base_trace,
-                "canonical merged trace diverged at shards={shards} faulty={faulty} \
-                 batching={batching}"
-            );
-        }
+    // Every shard count must reproduce the single-shard run exactly.
+    for shards in [2usize, 4, 8] {
+        let (summary, trace) = run(shards, faulty);
+        assert_eq!(
+            summary.digest(),
+            base_digest,
+            "digest diverged at shards={shards} faulty={faulty}"
+        );
+        assert_eq!(
+            format!("{summary:?}"),
+            base_debug,
+            "summary fields diverged at shards={shards} faulty={faulty}"
+        );
+        assert_eq!(
+            trace, base_trace,
+            "canonical merged trace diverged at shards={shards} faulty={faulty}"
+        );
     }
-    // The reference protocol on one shard is the pre-batching loop.
-    let (summary, trace) = run(1, faulty, false);
-    assert_eq!(summary.digest(), base_digest);
-    assert_eq!(trace, base_trace);
 }
 
 #[test]
@@ -162,13 +151,10 @@ fn faulty_runs_are_byte_identical_across_shard_counts() {
 
 #[test]
 fn oversharding_clamps_to_one_site_per_shard() {
-    let (base_summary, base_trace) = run(1, false, true);
+    let (base_summary, base_trace) = run(1, false);
     // More shards than sites: the plan clamps to SITES single-site
-    // shards and the run is still bit-identical — with batched barriers
-    // on and off.
-    for batching in [true, false] {
-        let (summary, trace) = run(64, false, batching);
-        assert_eq!(summary.digest(), base_summary.digest());
-        assert_eq!(trace, base_trace);
-    }
+    // shards and the run is still bit-identical.
+    let (summary, trace) = run(64, false);
+    assert_eq!(summary.digest(), base_summary.digest());
+    assert_eq!(trace, base_trace);
 }

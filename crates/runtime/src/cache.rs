@@ -19,9 +19,10 @@
 //!   graph, bindings). Signature equality therefore implies the fresh
 //!   computation would be *bit-identical*, never merely similar: a lossy
 //!   signature could collide two nearby problems and serve one of them a
-//!   wrong schedule. The shadow-compute test (`verify` in
-//!   [`RuntimeConfig`](crate::runtime::RuntimeConfig)) enforces this by
-//!   re-planning on hits and comparing [`schedule_digest`]s.
+//!   wrong schedule. The shadow-compute test
+//!   ([`RuntimeConfig::verify_cache`](crate::runtime::RuntimeConfig::verify_cache))
+//!   enforces this by re-planning on hits and comparing
+//!   [`schedule_digest`]s.
 //! * **Footprint invalidation.** `tree_schedule` plans against the full
 //!   site set; the runtime's recovery layer reacts to crashes by
 //!   re-packing *around* dead sites at dispatch. A cached schedule is
@@ -44,6 +45,7 @@ use mrs_core::operator::Placement;
 use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig};
 use mrs_core::tree::{TreeProblem, TreeScheduleResult};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Counters describing how a run's admissions hit the schedule cache.
@@ -51,8 +53,7 @@ use std::sync::Arc;
 pub struct CacheStats {
     /// Admissions served from the cache (no `tree_schedule` call).
     pub hits: u64,
-    /// Admissions that computed a fresh plan (includes every admission
-    /// when the cache is disabled) — the run's re-plan count.
+    /// Admissions that computed a fresh plan — the run's re-plan count.
     pub misses: u64,
     /// Epoch bumps: per-site environment changes (site crash or
     /// restore).
@@ -108,7 +109,7 @@ impl PlanSignature {
 
     /// Canonicalizes `(problem, f, cap)` into a signature, where `cap` is
     /// the overload controller's governed clone-degree cap (see
-    /// [`tree_schedule_capped`](mrs_core::tree::tree_schedule_capped)).
+    /// [`PlanOptions::cap`](mrs_core::tree::PlanOptions::cap)).
     /// The cap is part of the plan's identity: a template planned
     /// degraded and the same template planned at full parallelism get
     /// distinct signatures and coexist in the cache.
@@ -156,41 +157,50 @@ impl PlanSignature {
     }
 }
 
-/// One memoized schedule with its coherence metadata.
-#[derive(Debug)]
-struct CacheEntry {
-    /// The memoized schedule.
-    schedule: Arc<TreeScheduleResult>,
-    /// Global epoch at insertion time.
+/// One memoized value stamped with the global epoch it was inserted
+/// under and the sorted, deduplicated set of sites it touches. The
+/// whole-plan table and the subtree-fragment memo both store these and
+/// share [`lookup`], so they share one stale check and one eviction.
+#[derive(Clone, Debug)]
+struct Entry<V> {
+    value: V,
     insert_epoch: u64,
-    /// Sorted, deduplicated site footprint (see [`schedule_footprint`]).
     touched: Vec<usize>,
 }
 
-/// One memoized subtree fragment with its coherence metadata — the
-/// subtree-grained analogue of [`CacheEntry`], validated against its own
-/// per-fragment footprint at lookup.
-#[derive(Debug)]
-struct FragmentEntry {
-    /// The memoized sub-schedule in canonical id space.
-    frag: Arc<ScheduleFragment>,
-    /// Global epoch at insertion time.
-    insert_epoch: u64,
-    /// Sorted, deduplicated site footprint of the fragment.
-    touched: Vec<usize>,
-    /// Bit-level digest of the fragment at insertion (see
-    /// [`fragment_digest`]), replayed by the sharing-coherence audit.
-    digest: u64,
+/// Looks up `key` against the per-site change epochs. An entry whose
+/// footprint shifted (some touched site changed after insertion) is
+/// evicted, counted in `stale_evictions`, and reported as absent.
+fn lookup<K: Eq + Hash, V: Clone>(
+    table: &mut HashMap<K, Entry<V>>,
+    key: &K,
+    site_epoch: &[u64],
+    stale_evictions: &mut u64,
+) -> Option<Entry<V>> {
+    let entry = table.get(key)?;
+    let fresh = entry
+        .touched
+        .iter()
+        .all(|&s| site_epoch.get(s).copied().unwrap_or(0) <= entry.insert_epoch);
+    if fresh {
+        return Some(entry.clone());
+    }
+    table.remove(key);
+    *stale_evictions += 1;
+    None
 }
 
-/// An epoch-guarded memo table from [`PlanSignature`] to the schedule,
-/// with per-site invalidation. See the [module docs](self).
+/// The whole-plan table from [`PlanSignature`] to the schedule plus the
+/// subtree-fragment memo, both with per-site invalidation. See the
+/// [module docs](self).
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: HashMap<PlanSignature, CacheEntry>,
-    /// Subtree-grained memo for the shared planner, same invalidation
-    /// discipline as `entries` but with per-fragment footprints.
-    subtree: HashMap<SubtreeSig, FragmentEntry>,
+    entries: HashMap<PlanSignature, Entry<Arc<TreeScheduleResult>>>,
+    /// Subtree-grained memo for the shared planner, keyed by canonical
+    /// subtree signature; each fragment carries its bit-level digest
+    /// (see [`fragment_digest`]), replayed by the sharing-coherence
+    /// audit.
+    subtree: HashMap<SubtreeSig, Entry<(Arc<ScheduleFragment>, u64)>>,
     /// Global epoch: incremented on every environment change.
     epoch: u64,
     /// Per site, the global epoch of its last availability change (`0` =
@@ -243,24 +253,17 @@ impl ScheduleCache {
         &mut self,
         sig: &PlanSignature,
     ) -> Option<(Arc<TreeScheduleResult>, u64, Vec<usize>)> {
-        if let Some(entry) = self.entries.get(sig) {
-            let fresh = entry
-                .touched
-                .iter()
-                .all(|&s| self.site_epoch(s) <= entry.insert_epoch);
-            if fresh {
-                self.stats.hits += 1;
-                return Some((
-                    Arc::clone(&entry.schedule),
-                    entry.insert_epoch,
-                    entry.touched.clone(),
-                ));
-            }
-            self.entries.remove(sig);
-            self.stats.stale_evictions += 1;
-        }
-        self.stats.misses += 1;
-        None
+        let Some(entry) = lookup(
+            &mut self.entries,
+            sig,
+            &self.site_epoch,
+            &mut self.stats.stale_evictions,
+        ) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        Some((entry.value, entry.insert_epoch, entry.touched))
     }
 
     /// Records a freshly computed schedule under `sig`, stamped with the
@@ -274,23 +277,12 @@ impl ScheduleCache {
     ) {
         touched.sort_unstable();
         touched.dedup();
-        self.entries.insert(
-            sig,
-            CacheEntry {
-                schedule,
-                insert_epoch: self.epoch,
-                touched,
-            },
-        );
-    }
-
-    /// Counts a plan computed while the cache is disabled, so the re-plan
-    /// metric stays meaningful either way. `tasks` is the plan's task
-    /// count, charged to [`CacheStats::tasks_planned`] so shared and
-    /// unshared runs report planning work on the same scale.
-    pub fn count_uncached_plan(&mut self, tasks: usize) {
-        self.stats.misses += 1;
-        self.stats.tasks_planned += tasks as u64;
+        let entry = Entry {
+            value: schedule,
+            insert_epoch: self.epoch,
+            touched,
+        };
+        self.entries.insert(sig, entry);
     }
 
     /// Number of memoized subtree fragments.
@@ -310,23 +302,17 @@ impl ScheduleCache {
         &mut self,
         sig: &SubtreeSig,
     ) -> Option<(Arc<ScheduleFragment>, u64, Vec<usize>, u64)> {
-        if let Some(entry) = self.subtree.get(sig) {
-            let fresh = entry
-                .touched
-                .iter()
-                .all(|&s| self.site_epoch(s) <= entry.insert_epoch);
-            if fresh {
-                return Some((
-                    Arc::clone(&entry.frag),
-                    entry.insert_epoch,
-                    entry.touched.clone(),
-                    entry.digest,
-                ));
-            }
-            self.subtree.remove(sig);
-            self.stats.stale_evictions += 1;
-        }
-        None
+        let Entry {
+            value: (frag, digest),
+            insert_epoch,
+            touched,
+        } = lookup(
+            &mut self.subtree,
+            sig,
+            &self.site_epoch,
+            &mut self.stats.stale_evictions,
+        )?;
+        Some((frag, insert_epoch, touched, digest))
     }
 
     /// Memoizes a freshly computed subtree fragment, stamped with the
@@ -334,32 +320,21 @@ impl ScheduleCache {
     /// Returns the digest so the caller can log it.
     pub fn fragment_insert(&mut self, sig: SubtreeSig, frag: Arc<ScheduleFragment>) -> u64 {
         let digest = fragment_digest(&frag);
-        let touched = frag.footprint();
-        self.subtree.insert(
-            sig,
-            FragmentEntry {
-                frag,
-                insert_epoch: self.epoch,
-                touched,
-                digest,
-            },
-        );
+        let entry = Entry {
+            touched: frag.footprint(),
+            value: (frag, digest),
+            insert_epoch: self.epoch,
+        };
+        self.subtree.insert(sig, entry);
         digest
     }
 
-    /// Folds one `tree_schedule_shared` call's counters into the run's
-    /// cache statistics.
+    /// Folds one cold plan's counters into the run's cache statistics.
     pub fn absorb_shared(&mut self, shared: &SharedStats) {
         self.stats.subtree_hits += shared.subtree_hits;
         self.stats.subtree_misses += shared.subtree_misses;
         self.stats.fragments_spliced += shared.fragments_spliced;
         self.stats.tasks_planned += shared.tasks_planned;
-    }
-
-    /// Charges an unshared (whole-plan) computation's packing work, so
-    /// [`CacheStats::tasks_planned`] is comparable across modes.
-    pub fn count_planned_tasks(&mut self, tasks: usize) {
-        self.stats.tasks_planned += tasks as u64;
     }
 
     /// `site`'s availability changed (crash or restore): advance the
@@ -670,13 +645,12 @@ mod tests {
             fragments_spliced: 5,
             tasks_planned: 3,
         });
-        cache.count_uncached_plan(4);
         let stats = cache.stats();
         assert_eq!(stats.subtree_hits, 2);
         assert_eq!(stats.subtree_misses, 1);
         assert_eq!(stats.fragments_spliced, 5);
-        assert_eq!(stats.tasks_planned, 7);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.tasks_planned, 3);
+        assert_eq!(stats.misses, 0, "planner counters never count admissions");
     }
 
     #[test]

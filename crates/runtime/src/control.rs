@@ -13,7 +13,7 @@
 //! * a **parallelism governor**: a per-admission cap on clone degrees,
 //!   applied *below* the paper-optimal `N_max(op, f)` knob before
 //!   `schedule_with_degrees` runs (see
-//!   [`tree_schedule_capped`](mrs_core::tree::tree_schedule_capped)).
+//!   [`PlanOptions::cap`](mrs_core::tree::PlanOptions::cap)).
 //!   Each governor level halves the cap, so degraded plans spend less of
 //!   the EA1 per-clone startup overhead and leave capacity for
 //!   concurrent queries. The schedule cache keys on the governed cap, so

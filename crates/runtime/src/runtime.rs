@@ -59,9 +59,10 @@ use mrs_core::error::ScheduleError;
 use mrs_core::model::ResponseModel;
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::shared::{
-    tree_schedule_shared, FragmentCache, MapFragmentCache, ScheduleFragment, SubtreeSig,
+    tree_schedule_shared, FragmentCache, MapFragmentCache, ScheduleFragment, SharedStats,
+    SubtreeSig,
 };
-use mrs_core::tree::{tree_schedule_capped, TreeProblem, TreeScheduleResult};
+use mrs_core::tree::{tree_schedule_with, PlanOptions, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
 use mrs_shardexec::fabric::Fabric;
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
@@ -148,26 +149,16 @@ pub struct RuntimeConfig {
     pub deadline: Option<f64>,
     /// Recovery-loop knobs (rebuild surcharge, retry backoff, shedding).
     pub recovery: RecoveryConfig,
-    /// Memoize admission TreeSchedules by plan signature (see
-    /// [`crate::cache`]). Bit-exact: toggling this changes planning cost,
-    /// never any output. Default `true`.
-    pub schedule_cache: bool,
-    /// Shadow-compute every cache hit and panic if the served schedule is
-    /// not bit-identical to a fresh plan — the cache's correctness
-    /// harness. Default `false` (it defeats the cache's purpose).
+    /// Re-plan every hit of the admission schedule cache (see
+    /// [`crate::cache`]) from scratch and panic if the served schedule is
+    /// not bit-identical — the cache's correctness harness. Default
+    /// `false` (it defeats the cache's purpose).
     pub verify_cache: bool,
     /// Shard executors for the site layer: `1` (the default) runs the
     /// single-threaded loop inline; `N ≥ 2` partitions the sites over
     /// `N` pinned worker threads. Bit-exact: the [`RunSummary`] is
     /// byte-identical for any value (clamped to the site count).
     pub shards: usize,
-    /// Batched epoch barriers (default `true`): the fabric caches
-    /// per-shard next-event times, skips shards with nothing due, runs
-    /// single-shard epochs inline, and fuses the next-time refresh into
-    /// the advance round. `false` restores the reference protocol (one
-    /// NextTime plus one AdvanceDue broadcast per epoch). Bit-exact:
-    /// toggling changes coordination cost, never any output.
-    pub epoch_batching: bool,
     /// Record each site's full per-step utilization time series on the
     /// summary ([`RunSummary::site_util_series`]). Bit-exact but
     /// memory-proportional to the event count; the exact utilization
@@ -191,10 +182,8 @@ pub struct RuntimeConfig {
     /// `tree_schedule_shared` against a subtree-fragment memo keyed by
     /// canonical signature: subtrees already planned for another query
     /// of the window (or any earlier arrival) are spliced instead of
-    /// re-packed. Requires [`Self::schedule_cache`]; ignored (with the
-    /// unshared planner used) when the cache is disabled. Off by
-    /// default — and with it off, runs are byte-identical to the
-    /// pre-MQO runtime.
+    /// re-packed. Off by default — and with it off, runs are
+    /// byte-identical to the pre-MQO runtime.
     pub plan_sharing: bool,
 }
 
@@ -209,10 +198,8 @@ impl Default for RuntimeConfig {
             faults: FaultPlan::none(),
             deadline: None,
             recovery: RecoveryConfig::default(),
-            schedule_cache: true,
             verify_cache: false,
             shards: 1,
-            epoch_batching: true,
             util_series: false,
             controller: ControllerConfig::default(),
             batch_window: 0,
@@ -286,7 +273,7 @@ pub struct Runtime<M: ResponseModel> {
     retries: Vec<RetryEvent>,
     fault_trace: Vec<FaultRecord>,
     /// Plan-signature memo table for admission TreeSchedules.
-    schedule_cache: ScheduleCache,
+    cache: ScheduleCache,
     /// Scratch for epsilon-completions swept while catching a lazily
     /// advanced site up to the clock (see [`Runtime::touch_site`]).
     touch_buf: Vec<Completion>,
@@ -387,13 +374,12 @@ impl<M: ResponseModel> Runtime<M> {
             assert!(ev.site < sys.sites, "fault site {} out of range", ev.site);
         }
         let mut fabric = Fabric::new(sims, d, cfg.shards);
-        fabric.set_batching(cfg.epoch_batching);
         if cfg.util_series {
             fabric.enable_util_series();
         }
         let queue = AdmissionQueue::new(cfg.policy);
         let faults = FaultTimeline::new(&cfg.faults);
-        let schedule_cache = ScheduleCache::new(sys.sites);
+        let cache = ScheduleCache::new(sys.sites);
         let controller = Controller::new(cfg.controller.clone());
         Runtime {
             sys,
@@ -413,7 +399,7 @@ impl<M: ResponseModel> Runtime<M> {
             faults,
             retries: Vec::new(),
             fault_trace: Vec::new(),
-            schedule_cache,
+            cache,
             touch_buf: Vec::new(),
             arrivals_next: 0,
             deadline_cursor: 0,
@@ -497,7 +483,7 @@ impl<M: ResponseModel> Runtime<M> {
 
     /// Schedule-cache counters so far (hits, fresh plans, epoch bumps).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.schedule_cache.stats()
+        self.cache.stats()
     }
 
     /// Runs the event loop until every submitted query has reached a
@@ -738,10 +724,10 @@ impl<M: ResponseModel> Runtime<M> {
                 // Evicts the residents, invalidates the calendar entry,
                 // and releases the site from its ledger slice.
                 let lost = self.fabric.fail_site(site);
-                self.schedule_cache.bump_epoch(site);
+                self.cache.bump_epoch(site);
                 self.audit_trace.push(AuditEvent::EpochBump {
                     time: self.clock,
-                    epoch: self.schedule_cache.epoch(),
+                    epoch: self.cache.epoch(),
                     site,
                 });
                 self.fault_trace.push(FaultRecord {
@@ -789,10 +775,10 @@ impl<M: ResponseModel> Runtime<M> {
                 // restore needs no catch-up; the site's clock fast-forwards
                 // at its next touch.
                 self.fabric.restore_site(site);
-                self.schedule_cache.bump_epoch(site);
+                self.cache.bump_epoch(site);
                 self.audit_trace.push(AuditEvent::EpochBump {
                     time: self.clock,
-                    epoch: self.schedule_cache.epoch(),
+                    epoch: self.cache.epoch(),
                     site,
                 });
                 self.fault_trace.push(FaultRecord {
@@ -1233,10 +1219,10 @@ impl<M: ResponseModel> Runtime<M> {
         }
     }
 
-    /// Produces the admission TreeSchedule for `problem` — from the
-    /// plan-signature cache when enabled, computing (and memoizing) a
-    /// fresh plan otherwise. With `verify_cache` set, every hit is
-    /// shadow-computed and compared bit-for-bit.
+    /// Produces the admission TreeSchedule for `problem`: a hit from the
+    /// plan-signature cache, or a [`cold_plan`] that is then memoized.
+    /// With `verify_cache` set, every hit is re-planned cold against an
+    /// empty fragment memo and compared bit-for-bit.
     ///
     /// The controller's governed degree cap is part of the plan's
     /// identity: signatures key on the cap, so a template planned at
@@ -1248,114 +1234,69 @@ impl<M: ResponseModel> Runtime<M> {
         problem: &TreeProblem,
     ) -> Result<Arc<TreeScheduleResult>, RuntimeError> {
         let cap = self.controller.degree_cap(self.sys.sites);
-        if !self.cfg.schedule_cache {
-            self.schedule_cache.count_uncached_plan(problem.tasks.len());
-            let fresh =
-                tree_schedule_capped(problem, self.cfg.f, &self.sys, &self.comm, &self.model, cap)
-                    .map_err(|source| RuntimeError::Schedule { query: id, source })?;
-            return Ok(Arc::new(fresh));
-        }
         let sig = PlanSignature::of_capped(problem, self.cfg.f, cap);
-        match self.schedule_cache.get(&sig) {
-            Some((hit, insert_epoch, touched)) => {
-                let hit_epoch = self.schedule_cache.epoch();
-                debug_assert!(
-                    audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                        self.schedule_cache.site_epoch(s)
-                    }),
-                    "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
-                     despite a footprint change"
+        let schedule_error = |source| RuntimeError::Schedule { query: id, source };
+        if let Some((hit, insert_epoch, touched)) = self.cache.get(&sig) {
+            let hit_epoch = self.cache.epoch();
+            debug_assert!(
+                audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
+                    self.cache.site_epoch(s)
+                }),
+                "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
+                 despite a footprint change"
+            );
+            self.audit_trace.push(AuditEvent::CacheHit {
+                time: self.clock,
+                query: id,
+                insert_epoch,
+                hit_epoch,
+                touched,
+            });
+            if self.cfg.verify_cache {
+                let (fresh, _) = cold_plan(
+                    problem,
+                    &self.cfg,
+                    &self.sys,
+                    &self.comm,
+                    &self.model,
+                    cap,
+                    &mut MapFragmentCache::new(),
+                )
+                .map_err(schedule_error)?;
+                assert_eq!(
+                    schedule_digest(&hit),
+                    schedule_digest(&fresh),
+                    "schedule cache served a non-identical plan for {id}"
                 );
-                self.audit_trace.push(AuditEvent::CacheHit {
-                    time: self.clock,
-                    query: id,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
-                });
-                if self.cfg.verify_cache {
-                    // The shadow replans with the same strategy that
-                    // produced the cached entry: shared-mode plans come
-                    // from the per-task shared packer, singleton plans
-                    // from the joint per-level packer. Either way the
-                    // hit must be bit-identical to a cold recompute.
-                    let fresh = if self.cfg.plan_sharing {
-                        let mut shadow = MapFragmentCache::new();
-                        tree_schedule_shared(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                            &mut shadow,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?
-                        .0
-                    } else {
-                        tree_schedule_capped(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?
-                    };
-                    assert_eq!(
-                        schedule_digest(&hit),
-                        schedule_digest(&fresh),
-                        "schedule cache served a non-identical plan for {id}"
-                    );
-                }
-                Ok(hit)
             }
-            None => {
-                let fresh = if self.cfg.plan_sharing {
-                    let time = self.clock;
-                    let mut adapter = TracedFragmentCache {
-                        cache: &mut self.schedule_cache,
-                        trace: &mut self.audit_trace,
-                        time,
-                        query: id,
-                    };
-                    let (result, stats) = tree_schedule_shared(
-                        problem,
-                        self.cfg.f,
-                        &self.sys,
-                        &self.comm,
-                        &self.model,
-                        cap,
-                        &mut adapter,
-                    )
-                    .map_err(|source| RuntimeError::Schedule { query: id, source })?;
-                    self.schedule_cache.absorb_shared(&stats);
-                    Arc::new(result)
-                } else {
-                    self.schedule_cache.count_planned_tasks(problem.tasks.len());
-                    Arc::new(
-                        tree_schedule_capped(
-                            problem,
-                            self.cfg.f,
-                            &self.sys,
-                            &self.comm,
-                            &self.model,
-                            cap,
-                        )
-                        .map_err(|source| RuntimeError::Schedule { query: id, source })?,
-                    )
-                };
-                self.schedule_cache
-                    .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
-                self.audit_trace.push(AuditEvent::CacheInsert {
-                    time: self.clock,
-                    query: id,
-                    epoch: self.schedule_cache.epoch(),
-                });
-                Ok(fresh)
-            }
+            return Ok(hit);
         }
+        let mut memo = TracedFragmentCache {
+            cache: &mut self.cache,
+            trace: &mut self.audit_trace,
+            time: self.clock,
+            query: id,
+        };
+        let (fresh, stats) = cold_plan(
+            problem,
+            &self.cfg,
+            &self.sys,
+            &self.comm,
+            &self.model,
+            cap,
+            &mut memo,
+        )
+        .map_err(schedule_error)?;
+        let fresh = Arc::new(fresh);
+        self.cache.absorb_shared(&stats);
+        self.cache
+            .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
+        self.audit_trace.push(AuditEvent::CacheInsert {
+            time: self.clock,
+            query: id,
+            epoch: self.cache.epoch(),
+        });
+        Ok(fresh)
     }
 
     fn summary(&mut self) -> RunSummary {
@@ -1368,7 +1309,7 @@ impl<M: ResponseModel> Runtime<M> {
             self.depth_trace.clone(),
             self.fault_trace.clone(),
         );
-        s.cache = self.schedule_cache.stats();
+        s.cache = self.cache.stats();
         s.cache.batches_released = self.batches_released;
         s.cache.batch_members = self.batch_members;
         s.trace = self.audit_trace.clone();
@@ -1379,6 +1320,36 @@ impl<M: ResponseModel> Runtime<M> {
         }
         s
     }
+}
+
+/// Plans `problem` from scratch under the governed degree `cap`: the
+/// shared planner over `memo` with [`RuntimeConfig::plan_sharing`] on,
+/// the joint per-level packer otherwise (`memo` unused). The stats count
+/// the packing work either way, so shared and unshared runs compare.
+fn cold_plan<M: ResponseModel>(
+    problem: &TreeProblem,
+    cfg: &RuntimeConfig,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    cap: Option<usize>,
+    memo: &mut impl FragmentCache,
+) -> Result<(TreeScheduleResult, SharedStats), ScheduleError> {
+    if cfg.plan_sharing {
+        return tree_schedule_shared(problem, cfg.f, sys, comm, model, cap, memo);
+    }
+    let opts = PlanOptions {
+        cap,
+        ..PlanOptions::default()
+    };
+    let stats = SharedStats {
+        tasks_planned: problem.tasks.len() as u64,
+        ..SharedStats::default()
+    };
+    Ok((
+        tree_schedule_with(problem, cfg.f, sys, comm, model, opts)?,
+        stats,
+    ))
 }
 
 #[cfg(test)]
@@ -1648,16 +1619,15 @@ mod tests {
         // Stage 2: a scripted crash on the long query's site and the
         // long query's deadline both land on that exact instant, so a
         // single coalesced barrier round carries a completion, a
-        // fault, and a deadline expiry at once. The PR4 ordering must
-        // survive batching: the completion retires first, then the
-        // crash and the deadline kill the survivor — at every shard
-        // count, with batched barriers on and off.
-        let run = |shards: usize, batching: bool| {
+        // fault, and a deadline expiry at once. The recovery ordering
+        // must survive the batched barrier: the completion retires
+        // first, then the crash and the deadline kill the survivor — at
+        // every shard count.
+        let run = |shards: usize| {
             let cfg = RuntimeConfig {
                 faults: FaultPlan::scripted(vec![crash(t, 1)]),
                 deadline: Some(t),
                 shards,
-                epoch_batching: batching,
                 ..RuntimeConfig::default()
             };
             let mut rt = runtime_with(cfg);
@@ -1665,7 +1635,7 @@ mod tests {
             rt.submit_at(0.0, 0, rooted(40.0, 1));
             rt.run_to_completion().unwrap()
         };
-        let base = run(1, true);
+        let base = run(1);
         assert_eq!(
             base.queries[short.0].finish,
             Some(t),
@@ -1682,15 +1652,12 @@ mod tests {
         // All three events share one barrier instant: the run ends there.
         assert_eq!(base.horizon.to_bits(), t.to_bits());
         let base_digest = base.digest();
-        for batching in [true, false] {
-            for shards in [1usize, 2, 4] {
-                let summary = run(shards, batching);
-                assert_eq!(
-                    summary.digest(),
-                    base_digest,
-                    "diverged at shards={shards} batching={batching}"
-                );
-            }
+        for shards in [2usize, 4] {
+            assert_eq!(
+                run(shards).digest(),
+                base_digest,
+                "diverged at shards={shards}"
+            );
         }
     }
 
@@ -2102,37 +2069,6 @@ mod tests {
         let summary = rt.run_to_completion().unwrap();
         assert_eq!(summary.completed(), 5);
         assert!(summary.cache.hits >= 1, "shadow check needs hits to check");
-    }
-
-    #[test]
-    fn caching_never_changes_the_trajectory() {
-        let run = |cache: bool| {
-            let cfg = RuntimeConfig {
-                schedule_cache: cache,
-                faults: FaultPlan::seeded(4, 400.0, 20.0, 5.0, 7),
-                ..RuntimeConfig::default()
-            };
-            let mut rt = runtime_with(cfg);
-            for q in 0..10 {
-                rt.submit_at(q as f64 * 4.0, q % 3, one_op_problem(6.0 + (q % 4) as f64));
-            }
-            rt.run_to_completion().unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.horizon.to_bits(), off.horizon.to_bits());
-        for (a, b) in on.queries.iter().zip(&off.queries) {
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(
-                a.finish.map(f64::to_bits),
-                b.finish.map(f64::to_bits),
-                "{} finish drifted with caching",
-                a.id
-            );
-        }
-        // Only the planning counters differ.
-        assert_eq!(off.cache.hits, 0);
-        assert_eq!(off.plans_computed(), on.cache.hits + on.cache.misses);
     }
 
     #[test]

@@ -24,17 +24,14 @@
 //!   in shard order, since a broadcast there would only time-slice one
 //!   CPU through N park/unpark pairs. Either way each shard refreshes
 //!   its own
-//!   next-event time inside the same round (the fused min-fold), so a
-//!   batched epoch pays *one* handshake where the old protocol paid two
-//!   condvar broadcasts per event.
+//!   next-event time inside the same round (the fused min-fold), so an
+//!   epoch pays at most *one* handshake.
 //! * Workers return buffers pre-sorted in the runtime's `(time, tag)`
 //!   retirement order; the coordinator k-way merges them
 //!   ([`crate::merge`]) instead of re-sorting globally.
 //!
-//! [`Fabric::set_batching`]`(false)` restores the reference protocol —
-//! a NextTime broadcast per [`Fabric::next_time`] and an AdvanceDue
-//! broadcast per [`Fabric::advance_due`] — as a byte-identical
-//! cross-check for the batched fast path.
+//! The reference for all of this is the one-shard layout: any shard
+//! count must reproduce it bit for bit.
 
 use crate::merge::merge_sorted_completions;
 use crate::plan::ShardPlan;
@@ -73,9 +70,6 @@ pub struct Fabric {
     dirty: Vec<bool>,
     /// Cached alive-site count (crashes decrement, restores increment).
     alive: usize,
-    /// Batched-barrier mode (default). `false` selects the reference
-    /// two-broadcast protocol.
-    batching: bool,
     /// Scratch: indices of shards due at the current epoch.
     due: Vec<usize>,
     /// Scratch: due shards' completion buffers, swapped out of the cells
@@ -89,8 +83,7 @@ fn due_at(next: Option<f64>, t: f64) -> bool {
 
 impl Fabric {
     /// Builds the fabric over `sims` (global site-index order) with the
-    /// requested shard count (clamped by [`ShardPlan::new`]). Epoch
-    /// batching starts enabled; see [`Fabric::set_batching`].
+    /// requested shard count (clamped by [`ShardPlan::new`]).
     pub fn new(sims: Vec<SiteSim>, dim: usize, shards: usize) -> Self {
         let sites = sims.len();
         let plan = ShardPlan::new(sites, shards);
@@ -116,22 +109,9 @@ impl Fabric {
             next: vec![None; n],
             dirty: vec![true; n],
             alive: sites,
-            batching: true,
             due: Vec::new(),
             bufs: (0..n).map(|_| Vec::new()).collect(),
         }
-    }
-
-    /// Switches between batched barriers (default) and the reference
-    /// two-broadcast protocol. Bit-exact: toggling changes coordination
-    /// cost, never any output.
-    pub fn set_batching(&mut self, batching: bool) {
-        self.batching = batching;
-    }
-
-    /// Whether batched barriers are active.
-    pub fn batching(&self) -> bool {
-        self.batching
     }
 
     /// Number of shards actually running.
@@ -173,15 +153,6 @@ impl Fabric {
         }
     }
 
-    /// Runs `f` against the shard owning `site`. Conservatively marks
-    /// the shard's cached next-event time stale, since `f` may mutate
-    /// simulator state the cache depends on; the fabric's own wrappers
-    /// use finer-grained routing.
-    pub fn with_site<R>(&mut self, site: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        self.mark_dirty(site);
-        self.route(site, f)
-    }
-
     fn fold<A>(&mut self, mut acc: A, mut f: impl FnMut(&mut A, &mut ShardState)) -> A {
         match &mut self.layout {
             Layout::Single(st) => f(&mut acc, st),
@@ -194,10 +165,9 @@ impl Fabric {
         acc
     }
 
-    /// Brings every dirty shard's cached next-event time up to date.
-    /// Batched mode recomputes inline (the dirty shards are exactly the
-    /// ones the coordinator just touched); reference mode broadcasts a
-    /// NextTime round like the original protocol.
+    /// Brings every dirty shard's cached next-event time up to date,
+    /// inline: the dirty shards are exactly the ones the coordinator
+    /// just touched.
     fn refresh_next(&mut self) {
         match &mut self.layout {
             Layout::Single(st) => {
@@ -208,20 +178,12 @@ impl Fabric {
                 }
             }
             Layout::Sharded { pool, .. } => {
-                if self.batching {
-                    for s in 0..self.next.len() {
-                        if self.dirty[s] {
-                            self.next[s] = pool.with_cell(s, |st| {
-                                st.compute_next();
-                                st.next
-                            });
-                            self.dirty[s] = false;
-                        }
-                    }
-                } else {
-                    pool.run(Command::NextTime);
-                    for s in 0..self.next.len() {
-                        self.next[s] = pool.with_cell(s, |st| st.next);
+                for s in 0..self.next.len() {
+                    if self.dirty[s] {
+                        self.next[s] = pool.with_cell(s, |st| {
+                            st.compute_next();
+                            st.next
+                        });
                         self.dirty[s] = false;
                     }
                 }
@@ -248,15 +210,13 @@ impl Fabric {
     /// surfaced completions to `out` in `(time, tag)` order (per-shard
     /// pre-sorted buffers, k-way merged in shard order — bit-identical
     /// to the serial loop's post-concatenation sort because the key is
-    /// total). In batched mode shards with no completion due at `t` are
-    /// never woken; a single due shard advances inline.
+    /// total). Shards with no completion due at `t` are never woken; a
+    /// single due shard advances inline.
     pub fn advance_due(&mut self, t: f64, out: &mut Vec<Completion>) {
-        if self.batching {
-            self.refresh_next();
-        }
+        self.refresh_next();
         match &mut self.layout {
             Layout::Single(st) => {
-                if self.batching && !due_at(self.next[0], t) {
+                if !due_at(self.next[0], t) {
                     return;
                 }
                 st.advance_due(t);
@@ -265,19 +225,6 @@ impl Fabric {
                 out.extend_from_slice(&st.buf);
             }
             Layout::Sharded { pool, .. } => {
-                if !self.batching {
-                    pool.run(Command::AdvanceDue(t));
-                    for s in 0..pool.shards() {
-                        self.next[s] = pool.with_cell(s, |st| {
-                            std::mem::swap(&mut st.buf, &mut self.bufs[s]);
-                            st.next
-                        });
-                        self.dirty[s] = false;
-                    }
-                    let runs: Vec<&[Completion]> = self.bufs.iter().map(Vec::as_slice).collect();
-                    merge_sorted_completions(&runs, out);
-                    return;
-                }
                 self.due.clear();
                 for (s, &next) in self.next.iter().enumerate() {
                     if due_at(next, t) {
@@ -333,23 +280,10 @@ impl Fabric {
         }
     }
 
-    /// Inserts a clone on `site` (see [`ShardState::add_clone`]).
-    pub fn add_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
-        let done = self.route(site, |st| st.add_clone(site, clone));
-        if done.is_none() {
-            // The clone entered the simulator (a zero-duration clone
-            // completes inline and leaves the site untouched).
-            self.mark_dirty(site);
-        }
-        done
-    }
-
-    /// Fused dispatch: inserts a clone on `site` and — unless it
-    /// completed inline — commits `demand` to the owning ledger slice,
-    /// all under one cell lock. Byte-identical to
-    /// [`Fabric::add_clone`] followed by [`Fabric::commit`]; exists so
-    /// the coordinator's per-placement critical path pays one shard
-    /// round-trip instead of two.
+    /// Dispatch: inserts a clone on `site` (see [`ShardState::add_clone`])
+    /// and — unless it completed inline — commits `demand` to the owning
+    /// ledger slice, all under one cell lock. A zero-duration clone
+    /// completes inline, leaves the site untouched and is returned.
     pub fn place_clone(
         &mut self,
         site: usize,
@@ -405,11 +339,6 @@ impl Fabric {
     pub fn set_rate(&mut self, site: usize, rate: f64) {
         self.mark_dirty(site);
         self.route(site, |st| st.set_rate(site, rate));
-    }
-
-    /// Commits a clone's demand at `site` in the owning ledger slice.
-    pub fn commit(&mut self, site: usize, demand: &[f64]) {
-        self.route(site, |st| st.commit(site, demand));
     }
 
     /// Releases a completed clone's demand at `site`.
@@ -533,10 +462,9 @@ mod tests {
 
     /// Drives the same workload through a 1-shard and an N-shard fabric
     /// and asserts every observable is bit-identical.
-    fn assert_fabrics_agree_with(shards: usize, batching: bool) {
+    fn assert_fabrics_agree(shards: usize) {
         let mut single = Fabric::new(sims(7), 2, 1);
         let mut multi = Fabric::new(sims(7), 2, shards);
-        multi.set_batching(batching);
         assert_eq!(multi.shards(), shards.clamp(1, 7));
         let work = [
             (0usize, 0usize, [3.0, 1.0], 3.0),
@@ -572,11 +500,6 @@ mod tests {
         );
     }
 
-    fn assert_fabrics_agree(shards: usize) {
-        assert_fabrics_agree_with(shards, true);
-        assert_fabrics_agree_with(shards, false);
-    }
-
     #[test]
     fn two_shards_match_single() {
         assert_fabrics_agree(2);
@@ -595,8 +518,7 @@ mod tests {
     #[test]
     fn faults_and_aggregates_route_to_owning_shards() {
         let mut f = Fabric::new(sims(6), 2, 3);
-        f.add_clone(4, &clone(0, &[2.0, 0.0], 2.0));
-        f.commit(4, &[1.0, 0.0]);
+        f.place_clone(4, &clone(0, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
         let lost = f.fail_site(4);
         assert_eq!(lost.len(), 1);
         assert!(f.is_down(4));
@@ -615,7 +537,7 @@ mod tests {
         // no-op that surfaces nothing (the fast path returns before any
         // worker wake; this asserts the semantics, not the syscalls).
         let mut f = Fabric::new(sims(4), 2, 2);
-        f.add_clone(0, &clone(0, &[4.0, 0.0], 4.0));
+        f.place_clone(0, &clone(0, &[4.0, 0.0], 4.0), &[1.0, 0.0]);
         assert_eq!(f.next_time(), Some(4.0));
         let mut out = Vec::new();
         f.advance_due(1.0, &mut out);
@@ -631,8 +553,8 @@ mod tests {
         // the same instant: the batched barrier must surface both, in
         // tag order, and leave the cached next-times coherent.
         let mut f = Fabric::new(sims(4), 2, 2);
-        f.add_clone(0, &clone(1, &[2.0, 0.0], 2.0));
-        f.add_clone(3, &clone(0, &[2.0, 0.0], 2.0));
+        f.place_clone(0, &clone(1, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
+        f.place_clone(3, &clone(0, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
         let t = f.next_time().expect("two clones pending");
         let mut out = Vec::new();
         f.advance_due(t, &mut out);

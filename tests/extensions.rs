@@ -77,7 +77,7 @@ fn aggregated_and_sorted_plans_simulate_correctly() {
 
 #[test]
 fn shelf_policies_agree_on_shape_constraints() {
-    use mrs_core::tree::{tree_schedule_full, PhasePolicy};
+    use mrs_core::tree::{tree_schedule_with, PhasePolicy, PlanOptions};
     let (sys, _, model, cost) = scheduling_env(24);
     let comm = cost.params().comm_model();
     for seed in 0..4u64 {
@@ -91,16 +91,11 @@ fn shelf_policies_agree_on_shape_constraints() {
         )
         .unwrap();
         for policy in [PhasePolicy::Alap, PhasePolicy::Asap] {
-            let r = tree_schedule_full(
-                &problem,
-                0.7,
-                &sys,
-                &comm,
-                &model,
-                ListOrder::LongestFirst,
+            let opts = PlanOptions {
                 policy,
-            )
-            .unwrap();
+                ..PlanOptions::default()
+            };
+            let r = tree_schedule_with(&problem, 0.7, &sys, &comm, &model, opts).unwrap();
             // Same shelf count either way; all bindings honoured.
             assert_eq!(r.phases.len(), problem.tasks.height() + 1);
             for b in &problem.bindings {
