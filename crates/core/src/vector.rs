@@ -243,6 +243,37 @@ impl WorkVector {
         out
     }
 
+    /// The full-speed demand rates `W[i] / duration` of a clone that runs
+    /// for `duration`: each component is the one IEEE division
+    /// `w / duration`, bit-identical to dividing the components one by
+    /// one. Inline vectors stay inline (no allocation) and their padding
+    /// lanes stay `0.0`.
+    ///
+    /// # Panics
+    /// Panics unless `duration > 0`.
+    #[inline]
+    pub fn rates(&self, duration: f64) -> WorkVector {
+        assert!(
+            duration > 0.0,
+            "demand rates need a positive duration, got {duration}"
+        );
+        let mut out = self.clone();
+        match &mut out.repr {
+            // All lanes: 0 / duration = 0 keeps the unused-lane invariant.
+            Repr::Inline { data, .. } => {
+                for c in data {
+                    *c /= duration;
+                }
+            }
+            Repr::Spill(v) => {
+                for c in v {
+                    *c /= duration;
+                }
+            }
+        }
+        out
+    }
+
     /// Adds `value` to component `dim` in place.
     pub fn add_at(&mut self, dim: usize, value: f64) {
         assert!(
@@ -559,6 +590,30 @@ mod tests {
             v.set_zero();
             assert!(v.inline_padding_is_zero(), "set_zero at d={d}");
         }
+    }
+
+    #[test]
+    fn rates_match_per_component_division_bit_for_bit() {
+        let mut rng = crate::rng::DetRng::seed_from_u64(0x5EED);
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        // d = 5 spills to the heap; the rest stay inline.
+        for d in [2usize, 3, 4, 5] {
+            for _ in 0..16 {
+                let xs: Vec<f64> = (0..d).map(|_| rng.gen_range(0.0..50.0)).collect();
+                let duration = rng.gen_range(0.01..20.0);
+                let reference: Vec<f64> = xs.iter().map(|w| w / duration).collect();
+                let r = WorkVector::from_slice(&xs).rates(duration);
+                assert_eq!(bits(r.components()), bits(&reference), "d={d}");
+                assert_eq!(r.is_inline(), d <= INLINE_DIM, "d={d}");
+                assert!(r.inline_padding_is_zero(), "padding at d={d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive duration")]
+    fn rates_reject_a_zero_duration() {
+        let _ = WorkVector::from_slice(&[1.0, 2.0]).rates(0.0);
     }
 
     /// Naive `Vec<f64>` reference implementation of the kernel operations,

@@ -58,6 +58,7 @@ pub use mrs_shardexec::ledger;
 pub mod metrics;
 pub mod recovery;
 pub mod runtime;
+mod slots;
 pub mod trace;
 
 /// One-stop imports.

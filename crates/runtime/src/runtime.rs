@@ -35,7 +35,11 @@
 //! cached plans whose footprint includes the changed site. Retries stay
 //! sorted by `(time, query)` and pending deadlines are tracked by a
 //! cursor over the time-sorted arrivals, so picking the next event costs
-//! O(1) instead of a fold per epoch.
+//! O(1) instead of a fold per epoch. Per-clone and per-query state sits
+//! in dense slot tables indexed by clone tag and query id (`slots.rs`),
+//! and demand vectors are inline, so a clone's whole lifecycle —
+//! dispatch, placement, retirement, loss, eviction — neither hashes nor
+//! (for `d ≤ 4`) allocates.
 //!
 //! The site layer itself lives behind an `mrs-shardexec`
 //! [`Fabric`]: with [`RuntimeConfig::shards`] `== 1` (the default) it is
@@ -51,6 +55,7 @@ use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
 use crate::recovery::{backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig};
+use crate::slots::{CloneWindow, QueryTable};
 use crate::trace::{
     audit_cache_hit_coherent, audit_placements_valid, audit_repack_conserves, AuditEvent,
 };
@@ -69,7 +74,7 @@ use mrs_shardexec::merge::{completions_sorted, sort_completions};
 use mrs_shardexec::segment::ShardSegment;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -231,7 +236,9 @@ struct RunningQuery {
 struct CloneInfo {
     query: QueryId,
     site: SiteId,
-    demand: Vec<f64>,
+    /// Full-speed demand rates (`work / duration`), committed to the
+    /// site's ledger while the clone runs.
+    demand: WorkVector,
     /// The clone's work vector (to scale by the unfinished fraction on
     /// loss).
     work: WorkVector,
@@ -257,13 +264,16 @@ pub struct Runtime<M: ResponseModel> {
     clock: f64,
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
-    pending: HashMap<QueryId, TreeProblem>,
+    pending: QueryTable<TreeProblem>,
     /// The site layer: simulators, calendar, ledger, and audit segments,
     /// single-threaded or sharded (see the [module docs](self)).
     fabric: Fabric,
-    running: HashMap<QueryId, RunningQuery>,
-    clones: HashMap<usize, CloneInfo>,
-    next_tag: usize,
+    running: QueryTable<RunningQuery>,
+    /// The executing clones by tag; also mints the tags.
+    clones: CloneWindow<CloneInfo>,
+    /// Scratch reused across phases: the live placements of the phase
+    /// being dispatched (see [`Runtime::advance_query`]).
+    live_buf: Vec<(SiteId, WorkVector)>,
     records: Vec<QueryRecord>,
     depth_trace: Vec<(f64, usize)>,
     faults: FaultTimeline,
@@ -389,11 +399,11 @@ impl<M: ResponseModel> Runtime<M> {
             clock: 0.0,
             queue,
             arrivals: Vec::new(),
-            pending: HashMap::new(),
+            pending: QueryTable::new(),
             fabric,
-            running: HashMap::new(),
-            clones: HashMap::new(),
-            next_tag: 0,
+            running: QueryTable::new(),
+            clones: CloneWindow::new(),
+            live_buf: Vec::new(),
             records: Vec::new(),
             depth_trace: Vec::new(),
             faults,
@@ -665,6 +675,10 @@ impl<M: ResponseModel> Runtime<M> {
                 .push((t, self.queue.len() + self.released.len()));
         }
 
+        debug_assert!(
+            self.clones.is_empty() && self.running.is_empty(),
+            "run drained with clones or queries still tracked"
+        );
         Ok(self.summary())
     }
 
@@ -673,12 +687,12 @@ impl<M: ResponseModel> Runtime<M> {
     fn retire(&mut self, done: Completion) {
         let info = self
             .clones
-            .remove(&done.tag)
+            .remove(done.tag)
             .expect("completion for unknown clone tag");
-        self.fabric.release(info.site.0, &info.demand);
+        self.fabric.release(info.site.0, info.demand.components());
         let rq = self
             .running
-            .get_mut(&info.query)
+            .get_mut(info.query)
             .expect("completion for query not running");
         rq.outstanding -= 1;
         if rq.outstanding == 0 && rq.parked == 0 {
@@ -744,7 +758,7 @@ impl<M: ResponseModel> Runtime<M> {
                 for lc in lost {
                     let info = self
                         .clones
-                        .remove(&lc.tag)
+                        .remove(lc.tag)
                         .expect("lost clone was not tracked");
                     let frac = lc.remaining / info.duration;
                     let rem = info.work.scaled(frac);
@@ -760,7 +774,7 @@ impl<M: ResponseModel> Runtime<M> {
                 for (query, works) in by_query {
                     let rq = self
                         .running
-                        .get_mut(&query)
+                        .get_mut(query)
                         .expect("lost clones belong to a running query");
                     rq.outstanding -= works.len();
                     self.handle_lost(query, works, 0);
@@ -803,7 +817,7 @@ impl<M: ResponseModel> Runtime<M> {
             // purges its retries, so reaching here means it still runs.
             let rq = self
                 .running
-                .get_mut(&ev.query)
+                .get_mut(ev.query)
                 .expect("retry for query not running");
             rq.parked -= 1;
             self.handle_lost(ev.query, ev.works, ev.attempt);
@@ -862,13 +876,13 @@ impl<M: ResponseModel> Runtime<M> {
                 // would advance the phase before the re-packed work is
                 // counted.
                 self.running
-                    .get_mut(&query)
+                    .get_mut(query)
                     .expect("re-pack for query not running")
                     .parked += 1;
                 let dispatched = self.dispatch_placements(query, &placements);
                 let rq = self
                     .running
-                    .get_mut(&query)
+                    .get_mut(query)
                     .expect("re-pack for query not running");
                 rq.parked -= 1;
                 rq.outstanding += dispatched;
@@ -902,7 +916,7 @@ impl<M: ResponseModel> Runtime<M> {
                         },
                     );
                     self.running
-                        .get_mut(&query)
+                        .get_mut(query)
                         .expect("parked query not running")
                         .parked += 1;
                     self.fault_trace.push(FaultRecord {
@@ -931,9 +945,9 @@ impl<M: ResponseModel> Runtime<M> {
         // a completion beats a same-instant abort.
         let mut sites: Vec<usize> = self
             .clones
-            .values()
-            .filter(|c| c.query == id)
-            .map(|c| c.site.0)
+            .iter()
+            .filter(|(_, c)| c.query == id)
+            .map(|(_, c)| c.site.0)
             .collect();
         sites.sort_unstable();
         sites.dedup();
@@ -943,24 +957,23 @@ impl<M: ResponseModel> Runtime<M> {
         if self.records[id.0].outcome.is_some() {
             return;
         }
-        // Evict the surviving clones in sorted-tag order so the
-        // simulators' float state evolves identically run to run.
-        let mut tags: Vec<usize> = self
+        // Evict the surviving clones in tag order (the window's order) so
+        // the simulators' float state evolves identically run to run.
+        let tags: Vec<usize> = self
             .clones
             .iter()
             .filter(|(_, c)| c.query == id)
-            .map(|(tag, _)| *tag)
+            .map(|(tag, _)| tag)
             .collect();
-        tags.sort_unstable();
         for tag in tags {
-            let info = self.clones.remove(&tag).expect("tag collected above");
+            let info = self.clones.remove(tag).expect("tag collected above");
             let _ = self.fabric.remove_clone(info.site.0, tag);
-            self.fabric.release(info.site.0, &info.demand);
+            self.fabric.release(info.site.0, info.demand.components());
         }
         self.retries.retain(|r| r.query != id);
-        self.running.remove(&id);
+        self.running.remove(id);
         self.queue.remove(id);
-        self.pending.remove(&id);
+        self.pending.remove(id);
         self.released.retain(|(q, _)| *q != id);
         self.records[id.0].outcome = Some(QueryOutcome::Aborted {
             reason: reason.to_owned(),
@@ -974,7 +987,7 @@ impl<M: ResponseModel> Runtime<M> {
     /// Advances `id` if its current phase has fully drained (no executing
     /// clones and no parked lost work). No-op for terminated queries.
     fn maybe_advance(&mut self, id: QueryId) {
-        if let Some(rq) = self.running.get(&id) {
+        if let Some(rq) = self.running.get(id) {
             if rq.outstanding == 0 && rq.parked == 0 {
                 self.advance_query(id);
             }
@@ -995,31 +1008,30 @@ impl<M: ResponseModel> Runtime<M> {
             // clock before a clone lands on it.
             self.touch_site(site.0);
             let duration = self.model.t_seq(work);
-            let tag = self.next_tag;
-            self.next_tag += 1;
             let clone = SimClone {
-                tag,
+                tag: self.clones.next_tag(),
                 work: work.clone(),
                 duration,
             };
-            let demand: Vec<f64> = work.components().iter().map(|w| w / duration).collect();
-            // One fused cell round-trip: insert + ledger commit (the
-            // commit is skipped inside when the clone completes inline).
-            if self.fabric.place_clone(site.0, &clone, &demand).is_some() {
-                // Zero-duration clone: completed inline, nothing to
-                // track.
+            if duration <= 0.0 {
+                // Zero-duration clone: the site completes it inline; it
+                // commits no demand and is never tracked.
+                let done = self.fabric.place_clone(site.0, &clone, &[]);
+                debug_assert!(done.is_some(), "zero-duration clone must complete inline");
+                self.clones.push(None);
                 continue;
             }
-            self.clones.insert(
-                tag,
-                CloneInfo {
-                    query: id,
-                    site: *site,
-                    demand,
-                    work: work.clone(),
-                    duration,
-                },
-            );
+            let demand = work.rates(duration);
+            // One fused cell round-trip: insert + ledger commit.
+            let done = self.fabric.place_clone(site.0, &clone, demand.components());
+            debug_assert!(done.is_none(), "a positive-duration clone completed inline");
+            self.clones.push(Some(CloneInfo {
+                query: id,
+                site: *site,
+                demand,
+                work: clone.work,
+                duration,
+            }));
             dispatched += 1;
         }
         dispatched
@@ -1032,18 +1044,18 @@ impl<M: ResponseModel> Runtime<M> {
     /// work is migrated through the recovery path (rebuild surcharge
     /// included) instead of being dispatched onto the dead site.
     fn advance_query(&mut self, id: QueryId) {
-        loop {
-            let rq = match self.running.get_mut(&id) {
-                Some(rq) => rq,
-                // Aborted while displaced work was being recovered.
-                None => return,
-            };
+        // Dispatch re-enters here for other queries (touching a site can
+        // retire another query's last clone), so the buffer is taken, not
+        // borrowed: a nested call starts with a fresh one.
+        let mut live = std::mem::take(&mut self.live_buf);
+        // `None`: aborted while displaced work was being recovered.
+        while let Some(rq) = self.running.get_mut(id) {
             if rq.next_phase == rq.schedule.phases.len() {
                 let rec = &mut self.records[id.0];
                 rec.finish = Some(self.clock);
                 rec.outcome = Some(QueryOutcome::Completed);
-                self.running.remove(&id);
-                return;
+                self.running.remove(id);
+                break;
             }
             let phase_idx = rq.next_phase;
             rq.next_phase += 1;
@@ -1053,40 +1065,25 @@ impl<M: ResponseModel> Runtime<M> {
                 phase: phase_idx,
             });
 
-            // Collect the phase's clone placements first (borrow of the
-            // schedule ends before we mutate sims/ledger).
-            let placements: Vec<(SiteId, WorkVector)> = {
-                let phase = &self.running[&id].schedule.phases[phase_idx];
-                phase
-                    .schedule
-                    .ops
-                    .iter()
-                    .zip(&phase.schedule.assignment.homes)
-                    .flat_map(|(op, homes)| {
-                        homes
-                            .iter()
-                            .zip(&op.clones)
-                            .map(|(site, work)| (*site, work.clone()))
-                    })
-                    .collect()
-            };
-
-            // Partition into live placements and work displaced from
-            // crashed sites (data-placement constraints migrate through
-            // the recovery re-pack).
-            let mut live: Vec<(SiteId, WorkVector)> = Vec::new();
+            // Split the phase's clone placements in one pass into live
+            // ones and work displaced from crashed sites (data-placement
+            // constraints migrate through the recovery re-pack).
+            live.clear();
             let mut displaced: Vec<WorkVector> = Vec::new();
-            for (site, work) in placements {
-                if self.fabric.is_alive(site.0) {
-                    live.push((site, work));
-                } else {
-                    displaced.push(work);
+            let phase = &rq.schedule.phases[phase_idx].schedule;
+            for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
+                for (site, work) in homes.iter().zip(&op.clones) {
+                    if self.fabric.is_alive(site.0) {
+                        live.push((*site, work.clone()));
+                    } else {
+                        displaced.push(work.clone());
+                    }
                 }
             }
 
             let dispatched = self.dispatch_placements(id, &live);
             self.running
-                .get_mut(&id)
+                .get_mut(id)
                 .expect("query not running")
                 .outstanding += dispatched;
             if !displaced.is_empty() {
@@ -1098,16 +1095,17 @@ impl<M: ResponseModel> Runtime<M> {
                 }
                 self.handle_lost(id, displaced, 0);
             }
-            let rq = match self.running.get(&id) {
-                Some(rq) => rq,
-                None => return,
-            };
-            if rq.outstanding > 0 || rq.parked > 0 {
-                return;
+            if self
+                .running
+                .get(id)
+                .is_none_or(|rq| rq.outstanding > 0 || rq.parked > 0)
+            {
+                break;
             }
             // All-zero phase: fall through and dispatch the next one at
             // the same instant.
         }
+        self.live_buf = live;
     }
 
     /// Whether one more query may start right now: below the MPL cap
@@ -1165,7 +1163,7 @@ impl<M: ResponseModel> Runtime<M> {
             let id = self.queue.pop().expect("queue checked non-empty");
             let problem = self
                 .pending
-                .remove(&id)
+                .remove(id)
                 .expect("admitted query has no pending problem");
             let schedule = self.plan(id, &problem)?;
             self.start_query(id, schedule);
@@ -1201,7 +1199,7 @@ impl<M: ResponseModel> Runtime<M> {
                 for id in batch {
                     let problem = self
                         .pending
-                        .remove(&id)
+                        .remove(id)
                         .expect("released query has no pending problem");
                     let schedule = self.plan(id, &problem)?;
                     self.released.push_back((id, schedule));

@@ -330,17 +330,6 @@ impl Fabric {
         self.route(site, |st| st.is_down(site))
     }
 
-    /// The current virtual clock of `site`.
-    pub fn now(&mut self, site: usize) -> f64 {
-        self.route(site, |st| st.now(site))
-    }
-
-    /// Sets the straggler rate of `site`.
-    pub fn set_rate(&mut self, site: usize, rate: f64) {
-        self.mark_dirty(site);
-        self.route(site, |st| st.set_rate(site, rate));
-    }
-
     /// Releases a completed clone's demand at `site`.
     pub fn release(&mut self, site: usize, demand: &[f64]) {
         self.route(site, |st| st.release(site, demand));
@@ -349,26 +338,6 @@ impl Fabric {
     /// Whether `site` is in service.
     pub fn is_alive(&mut self, site: usize) -> bool {
         self.route(site, |st| st.is_alive(site))
-    }
-
-    /// The `l_∞` committed demand of `site`.
-    pub fn load(&mut self, site: usize) -> f64 {
-        self.route(site, |st| st.load(site))
-    }
-
-    /// Residual capacity of `site` per resource.
-    pub fn residual(&mut self, site: usize) -> Vec<f64> {
-        self.route(site, |st| st.residual(site))
-    }
-
-    /// Clones currently committed at `site`.
-    pub fn resident(&mut self, site: usize) -> usize {
-        self.route(site, |st| st.resident(site))
-    }
-
-    /// Highest `l_∞` demand `site` ever reached.
-    pub fn peak_load(&mut self, site: usize) -> f64 {
-        self.route(site, |st| st.peak_load(site))
     }
 
     /// Mean committed load over the alive sites — the shard ledgers'

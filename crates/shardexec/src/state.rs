@@ -199,13 +199,6 @@ impl ShardState {
         self.sims[self.local(site)].is_down()
     }
 
-    /// Sets the straggler rate of `site` (see
-    /// [`SiteSim::set_rate`]).
-    pub fn set_rate(&mut self, site: usize, rate: f64) {
-        let l = self.local(site);
-        self.sims[l].set_rate(rate);
-    }
-
     /// Enables per-step utilization series recording on every site.
     pub fn enable_util_series(&mut self) {
         for sim in &mut self.sims {
@@ -228,31 +221,6 @@ impl ShardState {
     /// Whether `site` is in service.
     pub fn is_alive(&self, site: usize) -> bool {
         self.ledger.is_alive(SiteId(self.local(site)))
-    }
-
-    /// The site's current virtual clock.
-    pub fn now(&self, site: usize) -> f64 {
-        self.sims[self.local(site)].now()
-    }
-
-    /// Ledger slice: the `l_∞` committed demand of `site`.
-    pub fn load(&self, site: usize) -> f64 {
-        self.ledger.load(SiteId(self.local(site)))
-    }
-
-    /// Ledger slice: residual capacity of `site` per resource.
-    pub fn residual(&self, site: usize) -> Vec<f64> {
-        self.ledger.residual(SiteId(self.local(site)))
-    }
-
-    /// Ledger slice: clones currently committed at `site`.
-    pub fn resident(&self, site: usize) -> usize {
-        self.ledger.resident(SiteId(self.local(site)))
-    }
-
-    /// Ledger slice: highest `l_∞` demand `site` ever reached.
-    pub fn peak_load(&self, site: usize) -> f64 {
-        self.ledger.peak_load(SiteId(self.local(site)))
     }
 
     /// Order-preserving fold of this shard's alive-site loads (see

@@ -97,7 +97,7 @@ pub struct UtilSample {
 struct Active {
     tag: usize,
     /// Demand rates per resource at full speed (`W[i]/duration`).
-    demand: Vec<f64>,
+    demand: WorkVector,
     /// Remaining intrinsic time.
     remaining: f64,
 }
@@ -144,7 +144,7 @@ fn speeds_into(
             // the reduced capacity.
             let max_remaining = active.iter().map(|a| a.remaining).fold(0.0, f64::max);
             for a in active {
-                for (l, dem) in scratch.iter_mut().zip(&a.demand) {
+                for (l, dem) in scratch.iter_mut().zip(a.demand.components()) {
                     *l += a.remaining * dem;
                 }
             }
@@ -164,7 +164,7 @@ fn speeds_into(
                     *u = 0.0;
                 }
                 for (a, &sc) in active.iter().zip(out.iter()) {
-                    for (u, dem) in scratch.iter_mut().zip(&a.demand) {
+                    for (u, dem) in scratch.iter_mut().zip(a.demand.components()) {
                         *u += sc * dem;
                     }
                 }
@@ -404,7 +404,7 @@ impl SiteSim {
         out.clear();
         out.resize(self.d, 0.0);
         for a in &self.active {
-            for (t, dem) in out.iter_mut().zip(&a.demand) {
+            for (t, dem) in out.iter_mut().zip(a.demand.components()) {
                 *t += dem;
             }
         }
@@ -434,12 +434,9 @@ impl SiteSim {
                 time: self.now,
             });
         }
-        let demand = (0..self.d)
-            .map(|i| clone.work[i] / clone.duration)
-            .collect();
         self.active.push(Active {
             tag: clone.tag,
-            demand,
+            demand: clone.work.rates(clone.duration),
             remaining: clone.duration,
         });
         self.speeds_valid = false;
@@ -504,7 +501,7 @@ impl SiteSim {
             self.scratch.clear();
             self.scratch.resize(self.d, 0.0);
             for (a, &sc) in self.active.iter().zip(&self.speeds_buf) {
-                for (u, dem) in self.scratch.iter_mut().zip(&a.demand) {
+                for (u, dem) in self.scratch.iter_mut().zip(a.demand.components()) {
                     *u += sc * dem;
                 }
             }
@@ -536,7 +533,7 @@ impl SiteSim {
             for (a, &sc) in self.active.iter_mut().zip(&self.speeds_buf) {
                 let eff = sc * self.rate;
                 a.remaining -= eff * step;
-                for (b, dem) in self.busy.iter_mut().zip(&a.demand) {
+                for (b, dem) in self.busy.iter_mut().zip(a.demand.components()) {
                     *b += eff * dem * step;
                 }
             }

@@ -29,6 +29,7 @@ use mrs_core::model::ResponseModel;
 use mrs_core::operator::OperatorId;
 use mrs_core::resource::SystemSpec;
 use mrs_core::schedule::PhaseSchedule;
+use mrs_core::vector::WorkVector;
 use std::collections::HashMap;
 
 /// Result of a pipelined phase simulation.
@@ -45,7 +46,7 @@ pub struct PipelineSimResult {
 struct CloneState {
     op: usize, // dense index into the phase's op list
     site: usize,
-    demand: Vec<f64>,
+    demand: WorkVector,
     duration: f64,
     remaining: f64,
 }
@@ -119,7 +120,7 @@ pub fn simulate_phase_pipelined<M: ResponseModel>(
             clones.push(CloneState {
                 op: i,
                 site: site.0,
-                demand: (0..d).map(|r| w[r] / duration).collect(),
+                demand: w.rates(duration),
                 duration,
                 remaining: duration,
             });
@@ -159,7 +160,7 @@ pub fn simulate_phase_pipelined<M: ResponseModel>(
                         .fold(0.0, f64::max);
                     let mut load = vec![0.0f64; d];
                     for &ci in &members {
-                        for (l, dem) in load.iter_mut().zip(&clones[ci].demand) {
+                        for (l, dem) in load.iter_mut().zip(clones[ci].demand.components()) {
                             *l += clones[ci].remaining * dem;
                         }
                     }
@@ -176,7 +177,7 @@ pub fn simulate_phase_pipelined<M: ResponseModel>(
                     for _ in 0..=d {
                         let mut util = vec![0.0f64; d];
                         for &ci in &members {
-                            for (u, dem) in util.iter_mut().zip(&clones[ci].demand) {
+                            for (u, dem) in util.iter_mut().zip(clones[ci].demand.components()) {
                                 *u += speed[ci] * dem;
                             }
                         }
