@@ -41,6 +41,31 @@ fn bench_pack_clones(bench: &mut Bench) {
             black_box(pack_clones(&ops, &sys, ListOrder::LongestFirst).unwrap());
         });
     }
+    // Wide degrees over a spread pre-load: rooted clones leave site s at
+    // load s/2, then 24 floating operators of degree 140 down to 25 whose
+    // clones are far smaller than the load gaps, so each operator's clones
+    // climb the sites in load order.
+    let (m, p) = (24usize, 140usize);
+    let sys = SystemSpec::homogeneous(p);
+    let mut ops: Vec<ScheduledOperator> = synthetic_ops(m, 5)
+        .into_iter()
+        .enumerate()
+        .map(|(i, o)| ScheduledOperator::even(o, p - 5 * i, &comm, &sys.site))
+        .collect();
+    ops.extend((0..p).map(|s| {
+        let w = WorkVector::from_slice(&[0.5 * s as f64, 0.0, 0.0]);
+        let spec = OperatorSpec::rooted(
+            OperatorId(m + s),
+            OperatorKind::Probe,
+            w,
+            0.0,
+            vec![SiteId(s)],
+        );
+        ScheduledOperator::even(spec, 1, &comm, &sys.site)
+    }));
+    g.bench_function(&format!("lpt/wide_{m}ops_{p}sites"), || {
+        black_box(pack_clones(&ops, &sys, ListOrder::LongestFirst).unwrap());
+    });
     g.finish();
 }
 

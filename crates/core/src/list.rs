@@ -14,6 +14,20 @@
 //! clone of the same operator). Theorem 5.1 bounds the resulting makespan
 //! within `2d + 1` of the optimum for the given parallelization and within
 //! `2d(fd + 1) + 1` of the optimal `CG_f` schedule.
+//!
+//! The rule is implemented as a *run sweep*: a run is a maximal stretch of
+//! consecutive entries of L that belong to one operator, and one ascending
+//! pass over the site heap places the whole run. This is exact, not an
+//! approximation: placing a clone changes only the chosen site's load, and
+//! that site is forbidden for the rest of the run, so the sweep's k-th
+//! pick is the least filled allowable site the one-clone-at-a-time rule
+//! picks for the run's k-th clone. A site already holding a clone of the
+//! operator is therefore skipped once per run rather than once per clone:
+//! a run of `m` clones of an operator of degree `N` pops at most `m + N`
+//! authoritative heap entries, where placing them one at a time pops up to
+//! `m·N`. The list rule stays inside Proposition 5.1's
+//! `O(M P (M + log P))` bound and pays its site-skipping term once per run
+//! instead of once per clone.
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
@@ -65,12 +79,17 @@ impl Ord for HeapKey {
 /// [`pack_clones`].
 ///
 /// The heap may hold stale entries (loads only grow); an entry is
-/// authoritative only if its key equals the site's current length. This
-/// keeps each placement at `O(log P)` amortized plus the cost of skipping
-/// sites already used by the operator, matching Proposition 5.1's
-/// `O(M P (M + log P))` overall bound. When stale entries outnumber
-/// `2 × sites` the heap is compacted back to one authoritative entry per
-/// site, so repeated phases cannot grow it unboundedly.
+/// authoritative only if its key equals the site's current length, and
+/// every site always has its authoritative entry in the heap (each load
+/// change pushes one), so a stale entry is dropped when popped. A run of
+/// `m` clones of an operator of degree `N` pops its `m` picks, at most `N`
+/// sites already holding a clone of the operator, and stale entries, each
+/// of which is popped once per packing — `O((m + N) log P)` plus the stale
+/// entries, against `O(m N log P)` when every clone re-skips the occupied
+/// sites. A run never grows the heap: each pick replaces its site's entry.
+/// Only rooted pre-placement does, one entry per clone, so the heap is
+/// compacted back to one authoritative entry per site before a run
+/// whenever it holds more than `2 × sites` entries.
 ///
 /// Construct one with [`PackScratch::new`] and thread it through
 /// [`pack_clones_in`] / [`schedule_with_degrees_in`] to reuse every
@@ -85,6 +104,10 @@ pub struct PackScratch {
     stash: Vec<Reverse<HeapKey>>,
     occupancy: Vec<Vec<usize>>,
     list: Vec<(usize, usize, f64)>,
+    /// Heap pops since construction (test instrumentation for the
+    /// run-sweep bound).
+    #[cfg(test)]
+    pops: usize,
 }
 
 impl PackScratch {
@@ -125,21 +148,28 @@ impl PackScratch {
         self.list.clear();
     }
 
+    /// Adds `w` to `site`'s load and returns the site's new authoritative
+    /// heap key, which the caller must push (to the heap or the stash).
+    fn grow(&mut self, site: usize, w: &WorkVector) -> Reverse<HeapKey> {
+        self.loads[site].accumulate(w);
+        let load = self.loads[site].length();
+        self.lengths[site] = load;
+        Reverse(HeapKey { load, site })
+    }
+
     /// Adds `w` to `site`'s load without going through the heap's
     /// selection (used for rooted pre-placement).
     fn place_at(&mut self, site: usize, w: &WorkVector) {
-        self.loads[site].accumulate(w);
-        let len = self.loads[site].length();
-        self.lengths[site] = len;
-        self.heap.push(Reverse(HeapKey { load: len, site }));
+        let key = self.grow(site, w);
+        self.heap.push(key);
     }
 
     /// Rebuilds the heap to exactly one authoritative entry per site.
     ///
     /// Safe for determinism: stale entries always carry an *older*
-    /// (smaller-or-equal) load for their site and are skipped by the
+    /// (smaller-or-equal) load for their site and are dropped by the
     /// authoritative check before they can be selected, so dropping them
-    /// never changes which site `place_least_filled` picks.
+    /// early never changes which site a run picks.
     fn compact(&mut self) {
         self.heap.clear();
         for (site, &load) in self.lengths.iter().enumerate() {
@@ -147,48 +177,57 @@ impl PackScratch {
         }
     }
 
-    /// Picks the least-filled site not in `forbidden`, places `w` there,
-    /// and returns the site index. `forbidden` is the "no other clone of
-    /// this operator" predicate.
-    fn place_least_filled(
+    /// Pops the heap's least entry.
+    fn pop(&mut self) -> Option<HeapKey> {
+        #[cfg(test)]
+        {
+            self.pops += 1;
+        }
+        self.heap.pop().map(|Reverse(entry)| entry)
+    }
+
+    /// Places one run of the list L — consecutive entries `(i, k, _)` of a
+    /// single operator `i` whose clone vectors are `clones` — in one
+    /// ascending sweep over the heap, recording each pick in `homes[k]`
+    /// and in the sorted `occupied` set of `i`'s sites.
+    ///
+    /// Each authoritative entry not in `occupied` takes the run's next
+    /// clone. The chosen site's new key goes to the stash with the
+    /// already-occupied sites' entries, since the site is forbidden for
+    /// the rest of the run; the stash returns to the heap at the end.
+    fn place_run(
         &mut self,
-        w: &WorkVector,
-        forbidden: impl Fn(usize) -> bool,
-    ) -> Option<usize> {
+        run: &[(usize, usize, f64)],
+        clones: &[WorkVector],
+        occupied: &mut Vec<usize>,
+        homes: &mut [SiteId],
+    ) {
         if self.heap.len() > 2 * self.loads.len() {
             self.compact();
         }
-        self.stash.clear();
-        let mut chosen = None;
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if entry.load != self.lengths[entry.site] {
-                // Stale: reinsert the authoritative value lazily. Pushing
-                // the current value here keeps the site discoverable.
-                self.heap.push(Reverse(HeapKey {
-                    load: self.lengths[entry.site],
-                    site: entry.site,
-                }));
-                // Guard against spinning on a heap whose smallest entry is
-                // the one we just pushed: the pushed entry is authoritative,
-                // so the next pop either returns it or something smaller
-                // and equally authoritative/stale — progress is guaranteed
-                // because each stale (load, site) pair is consumed.
-                continue;
-            }
-            if forbidden(entry.site) {
-                self.stash.push(Reverse(entry));
-                continue;
-            }
-            chosen = Some(entry.site);
-            break;
+        for &(_, k, _) in run {
+            let site = loop {
+                let entry = self
+                    .pop()
+                    .expect("degree <= P guarantees an allowable site exists");
+                if entry.load != self.lengths[entry.site] {
+                    // Stale: the site's authoritative entry is still in the
+                    // heap or the stash.
+                    continue;
+                }
+                match occupied.binary_search(&entry.site) {
+                    Ok(_) => self.stash.push(Reverse(entry)),
+                    Err(pos) => {
+                        occupied.insert(pos, entry.site);
+                        break entry.site;
+                    }
+                }
+            };
+            homes[k] = SiteId(site);
+            let key = self.grow(site, &clones[k]);
+            self.stash.push(key);
         }
-        // Return the skipped (authoritative) entries.
-        while let Some(e) = self.stash.pop() {
-            self.heap.push(e);
-        }
-        let site = chosen?;
-        self.place_at(site, w);
-        Some(site)
+        self.heap.extend(self.stash.drain(..));
     }
 
     /// Current number of live heap entries (test instrumentation for the
@@ -232,7 +271,7 @@ pub fn pack_clones_in(
 ) -> Result<Assignment, ScheduleError> {
     scratch.reset(sys, ops.len());
     // Detach the occupancy/list buffers so the packer half of the scratch
-    // can be borrowed mutably while the closures below read occupancy.
+    // can be borrowed mutably alongside them in each run sweep.
     let mut occupancy = std::mem::take(&mut scratch.occupancy);
     let mut list = std::mem::take(&mut scratch.list);
     let result = pack_clones_impl(scratch, ops, sys, order, &mut occupancy, &mut list);
@@ -296,14 +335,14 @@ fn pack_clones_impl(
         list.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
     }
 
-    for &(i, k, _) in list.iter() {
-        let occupied = &occupancy[i];
-        let site = scratch
-            .place_least_filled(&ops[i].clones[k], |s| occupied.binary_search(&s).is_ok())
-            .expect("degree <= P guarantees an allowable site exists");
-        assignment.homes[i][k] = SiteId(site);
-        let pos = occupancy[i].binary_search(&site).unwrap_err();
-        occupancy[i].insert(pos, site);
+    for run in list.chunk_by(|a, b| a.0 == b.0) {
+        let i = run[0].0;
+        scratch.place_run(
+            run,
+            &ops[i].clones,
+            &mut occupancy[i],
+            &mut assignment.homes[i],
+        );
     }
 
     Ok(assignment)
@@ -407,6 +446,7 @@ mod tests {
     use super::*;
     use crate::model::OverlapModel;
     use crate::operator::{OperatorId, OperatorKind};
+    use crate::partition::PartitionStrategy;
 
     fn floating(id: usize, w: &[f64], data: f64) -> OperatorSpec {
         OperatorSpec::floating(
@@ -631,9 +671,9 @@ mod tests {
 
     #[test]
     fn heap_stays_compact_across_phases() {
-        // Without compaction the lazy heap grows by one entry per
-        // placement forever; with it, the live entries stay O(sites) no
-        // matter how many phases reuse the scratch.
+        // Stale entries must not pile up in the lazy heap: the live
+        // entries stay O(sites) no matter how many phases reuse the
+        // scratch.
         let sites = 8;
         let sys = SystemSpec::homogeneous(sites);
         let c = comm();
@@ -650,14 +690,279 @@ mod tests {
                 })
                 .collect();
             pack_clones_in(&mut scratch, &ops, &sys, ListOrder::LongestFirst).unwrap();
-            // Compaction triggers at > 2 * sites before each placement;
-            // one more entry lands after the last placement.
+            // Compaction triggers at > 2 * sites before each run, and a run
+            // never grows the heap: each pick replaces its site's entry.
             assert!(
-                scratch.heap_len() <= 2 * sites + 1,
+                scratch.heap_len() <= 2 * sites,
                 "heap grew to {} entries in phase {phase}",
                 scratch.heap_len()
             );
         }
+        // Rooted pre-placement pushes one entry per clone, here on the
+        // first half of the sites. Narrow runs (odd phases) fill only the
+        // empty half and never reach those stale entries, so the check
+        // before the first run must compact them; wide runs (degree up to
+        // sites, even phases) must not grow the heap.
+        let sites = 24;
+        let sys = SystemSpec::homogeneous(sites);
+        for phase in 0..20 {
+            let mut ops: Vec<_> = (0..4)
+                .map(|i| {
+                    let spec = rooted(
+                        i,
+                        &[24.0 * (1 + i) as f64, 0.5, 0.0],
+                        (0..sites / 2).map(SiteId).collect(),
+                    );
+                    ScheduledOperator::even(spec, sites / 2, &c, &sys.site)
+                })
+                .collect();
+            ops.extend((4..10).map(|i| {
+                let (cpu, degree) = if phase % 2 == 0 {
+                    (2.0 + ((i + phase) % 3) as f64, sites - (i + phase) % 3)
+                } else {
+                    (0.3, 1 + i % 3)
+                };
+                ScheduledOperator::even(floating(i, &[cpu, 0.1, 0.0], 0.0), degree, &c, &sys.site)
+            }));
+            pack_clones_in(&mut scratch, &ops, &sys, ListOrder::LongestFirst).unwrap();
+            assert!(
+                scratch.heap_len() <= 2 * sites,
+                "heap grew to {} entries in rooted phase {phase}",
+                scratch.heap_len()
+            );
+        }
+    }
+
+    fn rooted(id: usize, w: &[f64], homes: Vec<SiteId>) -> OperatorSpec {
+        OperatorSpec::rooted(
+            OperatorId(id),
+            OperatorKind::Probe,
+            WorkVector::from_slice(w),
+            0.0,
+            homes,
+        )
+    }
+
+    /// The one-clone-at-a-time list rule the run sweep replaced: every
+    /// clone pops the heap from the bottom, stashing the sites that hold a
+    /// clone of its operator, and takes the first allowable site.
+    fn place_one(
+        scratch: &mut PackScratch,
+        w: &WorkVector,
+        forbidden: impl Fn(usize) -> bool,
+    ) -> usize {
+        if scratch.heap.len() > 2 * scratch.loads.len() {
+            scratch.compact();
+        }
+        scratch.stash.clear();
+        let mut chosen = None;
+        while let Some(entry) = scratch.pop() {
+            if entry.load != scratch.lengths[entry.site] {
+                scratch.heap.push(Reverse(HeapKey {
+                    load: scratch.lengths[entry.site],
+                    site: entry.site,
+                }));
+                continue;
+            }
+            if forbidden(entry.site) {
+                scratch.stash.push(Reverse(entry));
+                continue;
+            }
+            chosen = Some(entry.site);
+            break;
+        }
+        while let Some(e) = scratch.stash.pop() {
+            scratch.heap.push(e);
+        }
+        let site = chosen.expect("degree <= P guarantees an allowable site exists");
+        scratch.place_at(site, w);
+        site
+    }
+
+    /// [`pack_clones_in`] with [`place_one`] per clone (valid input only).
+    fn reference_pack(
+        scratch: &mut PackScratch,
+        ops: &[ScheduledOperator],
+        sys: &SystemSpec,
+        order: ListOrder,
+    ) -> Assignment {
+        scratch.reset(sys, ops.len());
+        let mut homes = vec![Vec::new(); ops.len()];
+        let mut occupancy = vec![Vec::new(); ops.len()];
+        let mut list = Vec::new();
+        for (i, op) in ops.iter().enumerate() {
+            match &op.spec.placement {
+                Placement::Rooted(h) => {
+                    for (k, &site) in h.iter().enumerate() {
+                        scratch.place_at(site.0, &op.clones[k]);
+                        occupancy[i].push(site.0);
+                    }
+                    homes[i] = h.clone();
+                }
+                Placement::Floating => {
+                    list.extend(
+                        op.clones
+                            .iter()
+                            .enumerate()
+                            .map(|(k, w)| (i, k, w.length())),
+                    );
+                    homes[i] = vec![SiteId(usize::MAX); op.degree];
+                }
+            }
+        }
+        if order == ListOrder::LongestFirst {
+            list.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        }
+        for (i, k, _) in list {
+            let occupied = &occupancy[i];
+            let site = place_one(scratch, &ops[i].clones[k], |s| {
+                occupied.binary_search(&s).is_ok()
+            });
+            homes[i][k] = SiteId(site);
+            let pos = occupancy[i].binary_search(&site).unwrap_err();
+            occupancy[i].insert(pos, site);
+        }
+        Assignment { homes }
+    }
+
+    /// A seeded mix of rooted and floating operators with degrees up to
+    /// `sites`, skewed (`Weighted`) partitions, and work drawn from a few
+    /// values so that clone lengths tie across operators.
+    fn random_shape(
+        rng: &mut crate::rng::DetRng,
+        sites: usize,
+        nops: usize,
+    ) -> Vec<ScheduledOperator> {
+        let c = comm();
+        let site = SystemSpec::homogeneous(sites).site;
+        (0..nops)
+            .map(|i| {
+                let degree = if rng.gen_bool(0.15) {
+                    sites
+                } else {
+                    rng.gen_range(1..=sites)
+                };
+                let w = [
+                    rng.gen_range(1usize..4) as f64,
+                    rng.gen_range(0usize..3) as f64,
+                    0.5,
+                ];
+                let spec = if rng.gen_bool(0.25) {
+                    let start = rng.gen_range(0..sites);
+                    rooted(
+                        i,
+                        &w,
+                        (0..degree).map(|s| SiteId((start + s) % sites)).collect(),
+                    )
+                } else {
+                    floating(i, &w, 16_000.0 * rng.gen_range(0usize..3) as f64)
+                };
+                if rng.gen_bool(0.3) {
+                    let weights = (0..degree)
+                        .map(|_| rng.gen_range(1usize..4) as f64)
+                        .collect();
+                    ScheduledOperator::with_strategy(
+                        spec,
+                        degree,
+                        &c,
+                        &site,
+                        &PartitionStrategy::Weighted(weights),
+                    )
+                } else {
+                    ScheduledOperator::even(spec, degree, &c, &site)
+                }
+            })
+            .collect()
+    }
+
+    /// Equal-length clones of different operators, skewed clones that
+    /// split an operator into several runs under LPT, a rooted operator,
+    /// and a floating operator at degree = P (6 sites).
+    fn ties_skew_full_degree_shape() -> Vec<ScheduledOperator> {
+        let c = comm();
+        let site = SystemSpec::homogeneous(6).site;
+        let skew = PartitionStrategy::Weighted(vec![4.0, 1.0, 2.0, 1.0]);
+        let mut ops: Vec<_> = (0..4)
+            .map(|i| ScheduledOperator::even(floating(i, &[3.0, 1.0, 0.0], 0.0), 3, &c, &site))
+            .collect();
+        let skewed = floating(4, &[5.0, 2.0, 0.0], 0.0);
+        ops.push(ScheduledOperator::with_strategy(
+            skewed, 4, &c, &site, &skew,
+        ));
+        let homes = vec![SiteId(4), SiteId(1)];
+        ops.push(ScheduledOperator::even(
+            rooted(5, &[2.0, 0.0, 1.0], homes),
+            2,
+            &c,
+            &site,
+        ));
+        ops.push(ScheduledOperator::even(
+            floating(6, &[6.0, 0.0, 0.0], 0.0),
+            6,
+            &c,
+            &site,
+        ));
+        ops
+    }
+
+    #[test]
+    fn run_sweep_matches_one_at_a_time_rule() {
+        // One scratch reused across a fixed shape, seeded shapes and both
+        // orders must reproduce the one-clone-at-a-time rule bit for bit.
+        let mut rng = crate::rng::DetRng::seed_from_u64(1996);
+        let mut shapes = vec![(6, ties_skew_full_degree_shape())];
+        for case in 0..400 {
+            let sites = [1, 2, 3, 5, 8, 16, 24, 40][case % 8];
+            let nops = rng.gen_range(1..=12);
+            shapes.push((sites, random_shape(&mut rng, sites, nops)));
+        }
+        let mut scratch = PackScratch::new();
+        let mut reference = PackScratch::new();
+        for (case, (sites, ops)) in shapes.iter().enumerate() {
+            let sys = SystemSpec::homogeneous(*sites);
+            for order in [ListOrder::LongestFirst, ListOrder::Arbitrary] {
+                let expected = reference_pack(&mut reference, ops, &sys, order);
+                let swept = pack_clones_in(&mut scratch, ops, &sys, order).unwrap();
+                assert_eq!(swept, expected, "case {case} (P={sites}, {order:?})");
+                assert_eq!(pack_clones(ops, &sys, order).unwrap(), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn run_sweep_pops_linear_in_sites() {
+        // Rooted pre-load spreads the site loads as 0, 1, ..., P-1; then
+        // one floating operator at degree P with tiny clones. Each clone
+        // lands below the next site's load, so placing clones one at a
+        // time re-pops every site already used: about P²/2 pops.
+        let sites = 140;
+        let sys = SystemSpec::homogeneous(sites);
+        let c = CommModel::new(1e-12, 0.0).unwrap();
+        let mut ops: Vec<_> = (1..sites)
+            .map(|s| {
+                let spec = rooted(s, &[s as f64, 0.0, 0.0], vec![SiteId(s)]);
+                ScheduledOperator::even(spec, 1, &c, &sys.site)
+            })
+            .collect();
+        let tiny = floating(0, &[1e-3 * sites as f64, 0.0, 0.0], 0.0);
+        ops.push(ScheduledOperator::even(tiny, sites, &c, &sys.site));
+        let mut scratch = PackScratch::new();
+        let swept = pack_clones_in(&mut scratch, &ops, &sys, ListOrder::LongestFirst).unwrap();
+        assert!(
+            scratch.pops <= 3 * sites,
+            "run sweep took {} pops",
+            scratch.pops
+        );
+        let mut reference = PackScratch::new();
+        assert_eq!(
+            reference_pack(&mut reference, &ops, &sys, ListOrder::LongestFirst),
+            swept
+        );
+        assert!(
+            reference.pops >= sites * sites / 4,
+            "shape is not adversarial: one-at-a-time took {} pops",
+            reference.pops
+        );
     }
 
     #[test]
