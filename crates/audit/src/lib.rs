@@ -13,7 +13,7 @@
 //!   TREESCHEDULE result; [`run::audit_run`] replays a runtime
 //!   [`RunSummary`]'s structured trace to verify fluid-sharing
 //!   feasibility (peak *and* time-averaged), work conservation through
-//!   fault recovery, and cache-epoch coherence;
+//!   fault recovery, and memo digest coherence;
 //!   [`shard::audit_shard_segments`] checks the sharded fabric's
 //!   per-shard trace segments (range partitioning, event ownership,
 //!   clone conservation across the canonical merge). All checks collect

@@ -9,9 +9,7 @@
 use crate::violation::Violation;
 use mrs_runtime::control::ControllerConfig;
 use mrs_runtime::metrics::RunSummary;
-use mrs_runtime::trace::{
-    audit_cache_hit_coherent, audit_control_transition, audit_repack_conserves, AuditEvent,
-};
+use mrs_runtime::trace::{audit_control_transition, audit_repack_conserves, AuditEvent};
 use std::collections::HashMap;
 
 /// Tolerance for comparing busy-time integrals against the horizon:
@@ -26,7 +24,7 @@ const UTIL_TOL: f64 = 1e-9;
 
 /// Audits one finished run: terminal outcomes, busy-time sanity, fluid
 /// feasibility, trace ordering, per-query phase monotonicity, recovery
-/// conservation, and cache-epoch coherence.
+/// conservation, and memo digest coherence.
 pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     let mut out = Vec::new();
 
@@ -113,26 +111,25 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
     }
 
     // Trace-level checks: time monotonicity, per-query phase order,
-    // epoch progression, conservation, cache coherence. The cache check
-    // replays the environment from the EpochBump stream itself — the
-    // current global epoch and each site's last-change epoch — so a
-    // CacheHit's claimed epochs and footprint are validated against
-    // recorded history, not taken at face value.
+    // conservation, memo coherence.
     let mut last_time = f64::NEG_INFINITY;
     let mut last_phase: HashMap<usize, usize> = HashMap::new();
-    let mut last_epoch: Option<u64> = None;
-    let mut current_epoch: u64 = 0;
-    let mut site_bump: HashMap<usize, u64> = HashMap::new();
     // Controller replay state: every run starts at level 0 with the
     // gate released; each recorded decision must be one valid step.
     let mut ctl_level: u32 = 0;
     let mut ctl_gate = false;
-    // Fragment registry replayed from FragmentInsert events: digest of
-    // the sub-schedule each signature was memoized with. Every splice
-    // must reproduce that digest bit-for-bit (signature equality must
-    // imply identical sub-schedules) and pass the same epoch/footprint
-    // coherence test as a whole-plan hit.
+    // Registries replayed from CacheInsert / FragmentInsert events: the
+    // digest each signature hash was memoized with. Every hit and every
+    // splice must reproduce that digest bit-for-bit — the memo served
+    // exactly the bytes it stored. A hit or splice with no recorded
+    // insert predates the trace (impossible in one run) and is checked
+    // against digest 0.
+    let mut plan_digest: HashMap<u64, u64> = HashMap::new();
     let mut fragment_digest: HashMap<u64, u64> = HashMap::new();
+    let mismatch = |registry: &HashMap<u64, u64>, sig_hash: &u64, digest: &u64| {
+        let inserted = registry.get(sig_hash).copied().unwrap_or(0);
+        (inserted != *digest).then_some(inserted)
+    };
     for (index, ev) in summary.trace.iter().enumerate() {
         let t = ev.time();
         if t < last_time {
@@ -170,37 +167,25 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
                     });
                 }
             }
+            AuditEvent::CacheInsert {
+                sig_hash, digest, ..
+            } => {
+                plan_digest.insert(*sig_hash, *digest);
+            }
             AuditEvent::CacheHit {
                 query,
-                insert_epoch,
-                hit_epoch,
-                touched,
+                sig_hash,
+                digest,
                 ..
             } => {
-                let coherent = audit_cache_hit_coherent(
-                    *insert_epoch,
-                    *hit_epoch,
-                    current_epoch,
-                    touched,
-                    |s| site_bump.get(&s).copied().unwrap_or(0),
-                );
-                if !coherent {
-                    out.push(Violation::StaleCacheHit {
+                if let Some(inserted) = mismatch(&plan_digest, sig_hash, digest) {
+                    out.push(Violation::CacheDigestMismatch {
                         query: *query,
-                        insert_epoch: *insert_epoch,
-                        hit_epoch: *hit_epoch,
+                        sig_hash: *sig_hash,
+                        inserted,
+                        served: *digest,
                     });
                 }
-            }
-            AuditEvent::EpochBump { epoch, site, .. } => {
-                if let Some(prev) = last_epoch {
-                    if *epoch <= prev {
-                        out.push(Violation::EpochRegression { prev, next: *epoch });
-                    }
-                }
-                last_epoch = Some(*epoch);
-                current_epoch = *epoch;
-                site_bump.insert(*site, *epoch);
             }
             AuditEvent::ControlDecision {
                 action,
@@ -226,47 +211,19 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
             }
             AuditEvent::FragmentSpliced {
                 query,
-                insert_epoch,
-                hit_epoch,
-                touched,
                 sig_hash,
                 digest,
                 ..
             } => {
-                let coherent = audit_cache_hit_coherent(
-                    *insert_epoch,
-                    *hit_epoch,
-                    current_epoch,
-                    touched,
-                    |s| site_bump.get(&s).copied().unwrap_or(0),
-                );
-                if !coherent {
-                    out.push(Violation::StaleFragmentSplice {
-                        query: *query,
-                        insert_epoch: *insert_epoch,
-                        hit_epoch: *hit_epoch,
-                    });
-                }
-                match fragment_digest.get(sig_hash) {
-                    Some(&inserted) if inserted == *digest => {}
-                    Some(&inserted) => out.push(Violation::FragmentDigestMismatch {
+                if let Some(inserted) = mismatch(&fragment_digest, sig_hash, digest) {
+                    out.push(Violation::FragmentDigestMismatch {
                         query: *query,
                         sig_hash: *sig_hash,
                         inserted,
                         spliced: *digest,
-                    }),
-                    // A splice with no recorded insert: the fragment
-                    // predates the trace (impossible in one run) — flag
-                    // it as a digest mismatch against digest 0.
-                    None => out.push(Violation::FragmentDigestMismatch {
-                        query: *query,
-                        sig_hash: *sig_hash,
-                        inserted: 0,
-                        spliced: *digest,
-                    }),
+                    });
                 }
             }
-            AuditEvent::CacheInsert { .. } => {}
         }
     }
 
@@ -445,27 +402,22 @@ mod tests {
         let insert = AuditEvent::FragmentInsert {
             time: 1.0,
             query: QueryId(0),
-            epoch: 0,
             sig_hash: 0xABCD,
             digest: 77,
         };
         let splice = |digest: u64| AuditEvent::FragmentSpliced {
             time: 2.0,
             query: QueryId(1),
-            insert_epoch: 0,
-            hit_epoch: 0,
-            touched: vec![1, 2],
             sig_hash: 0xABCD,
             digest,
         };
 
-        // Clean: splice reproduces the inserted digest at a coherent
-        // epoch.
+        // Clean: splice reproduces the inserted digest.
         let s = summary_with_trace(vec![insert.clone(), splice(77)]);
         assert!(audit_run(&s).is_empty(), "clean splice replay");
 
         // Digest drift between insert and splice.
-        let s = summary_with_trace(vec![insert.clone(), splice(78)]);
+        let s = summary_with_trace(vec![insert, splice(78)]);
         let v = audit_run(&s);
         assert!(v.iter().any(|x| x.kind() == "fragment-digest"), "{v:?}");
 
@@ -473,29 +425,57 @@ mod tests {
         let s = summary_with_trace(vec![splice(77)]);
         let v = audit_run(&s);
         assert!(v.iter().any(|x| x.kind() == "fragment-digest"), "{v:?}");
+    }
 
-        // A bump inside the fragment's footprint between insert and
-        // splice makes the splice stale.
+    #[test]
+    fn cache_hits_replay_cleanly_and_tampering_is_caught() {
+        let insert = AuditEvent::CacheInsert {
+            time: 1.0,
+            query: QueryId(0),
+            sig_hash: 0x1234,
+            digest: 55,
+        };
+        let hit = |sig_hash: u64, digest: u64| AuditEvent::CacheHit {
+            time: 2.0,
+            query: QueryId(1),
+            sig_hash,
+            digest,
+        };
+
+        // Clean: the hit reproduces the inserted digest.
+        let s = summary_with_trace(vec![insert.clone(), hit(0x1234, 55)]);
+        assert!(audit_run(&s).is_empty(), "clean hit replay");
+
+        // Digest drift between insert and hit.
+        let s = summary_with_trace(vec![insert.clone(), hit(0x1234, 56)]);
+        let v = audit_run(&s);
+        assert_eq!(
+            v.iter().map(Violation::kind).collect::<Vec<_>>(),
+            ["cache-digest-mismatch"]
+        );
+
+        // A hit on a signature never inserted.
+        let s = summary_with_trace(vec![insert.clone(), hit(0x9999, 55)]);
+        let v = audit_run(&s);
+        assert!(
+            v.iter().any(|x| x.kind() == "cache-digest-mismatch"),
+            "{v:?}"
+        );
+
+        // Whole-plan and fragment registries are separate: a fragment
+        // insert does not vouch for a whole-plan hit.
         let s = summary_with_trace(vec![
-            insert,
-            AuditEvent::EpochBump {
-                time: 1.5,
-                epoch: 1,
-                site: 2,
+            AuditEvent::FragmentInsert {
+                time: 1.0,
+                query: QueryId(0),
+                sig_hash: 0x1234,
+                digest: 55,
             },
-            AuditEvent::FragmentSpliced {
-                time: 2.0,
-                query: QueryId(1),
-                insert_epoch: 0,
-                hit_epoch: 1,
-                touched: vec![1, 2],
-                sig_hash: 0xABCD,
-                digest: 77,
-            },
+            hit(0x1234, 55),
         ]);
         let v = audit_run(&s);
         assert!(
-            v.iter().any(|x| x.kind() == "stale-fragment-splice"),
+            v.iter().any(|x| x.kind() == "cache-digest-mismatch"),
             "{v:?}"
         );
     }

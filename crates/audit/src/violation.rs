@@ -17,7 +17,7 @@ use std::fmt;
 /// architecture"): Definition 5.1's structural constraints, the `CG_f`
 /// degree cap, Section 5.5's placement propagation, phase-barrier
 /// ordering, the Theorem 5.1 makespan certificate, fluid-sharing
-/// feasibility, work conservation through recovery, and cache-epoch
+/// feasibility, work conservation through recovery, and memo digest
 /// coherence.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
@@ -167,17 +167,6 @@ pub enum Violation {
         /// Total actually placed.
         placed: f64,
     },
-    /// A cache hit served a plan inserted under an older epoch — a
-    /// schedule computed against a site population that has since
-    /// crashed or recovered.
-    StaleCacheHit {
-        /// The query served the stale plan.
-        query: QueryId,
-        /// Epoch the entry was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at hit time.
-        hit_epoch: u64,
-    },
     /// A query's phases were dispatched out of order.
     PhaseRegression {
         /// The offending query.
@@ -186,14 +175,6 @@ pub enum Violation {
         prev: usize,
         /// The (not later) phase index dispatched next.
         next: usize,
-    },
-    /// The cache epoch moved backwards (or stalled) across two
-    /// `EpochBump` events.
-    EpochRegression {
-        /// The previously recorded epoch.
-        prev: u64,
-        /// The (not larger) epoch recorded next.
-        next: u64,
     },
     /// A query reached the end of the run without a terminal outcome.
     OutcomeMissing {
@@ -300,18 +281,6 @@ pub enum Violation {
         /// The governed cap it had to respect.
         cap: usize,
     },
-    /// A shared-plan splice served a fragment inserted under an older
-    /// epoch whose footprint has since changed — the spliced
-    /// sub-schedule was computed against a site population that crashed
-    /// or recovered in between.
-    StaleFragmentSplice {
-        /// The query whose plan spliced the stale fragment.
-        query: QueryId,
-        /// Epoch the fragment was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at splice time.
-        hit_epoch: u64,
-    },
     /// A spliced fragment's digest differs from the digest recorded
     /// when that signature's fragment was inserted — signature equality
     /// failed to imply bit-identical sub-schedules.
@@ -324,6 +293,20 @@ pub enum Violation {
         inserted: u64,
         /// Digest observed at splice time.
         spliced: u64,
+    },
+    /// A whole-plan cache hit's digest differs from the digest recorded
+    /// when that signature's plan was inserted — the cache served bytes
+    /// other than the ones it memoized.
+    CacheDigestMismatch {
+        /// The query served from the cache.
+        query: QueryId,
+        /// Plan-signature hash identifying the entry.
+        sig_hash: u64,
+        /// Digest recorded at insert time (0 when no insert was
+        /// recorded).
+        inserted: u64,
+        /// Digest observed at hit time.
+        served: u64,
     },
 }
 
@@ -349,9 +332,7 @@ impl Violation {
             Violation::UtilizationInfeasible { .. } => "utilization",
             Violation::BusyExceedsHorizon { .. } => "busy-exceeds-horizon",
             Violation::ConservationBroken { .. } => "conservation",
-            Violation::StaleCacheHit { .. } => "stale-cache-hit",
             Violation::PhaseRegression { .. } => "phase-regression",
-            Violation::EpochRegression { .. } => "epoch-regression",
             Violation::OutcomeMissing { .. } => "outcome-missing",
             Violation::TraceDisordered { .. } => "trace-disordered",
             Violation::AvgUtilizationInfeasible { .. } => "avg-utilization",
@@ -363,8 +344,8 @@ impl Violation {
             Violation::ControlUnjustified { .. } => "control-unjustified",
             Violation::ControlWhileDisabled { .. } => "control-disabled",
             Violation::GovernedDegreeExceeded { .. } => "governed-degree",
-            Violation::StaleFragmentSplice { .. } => "stale-fragment-splice",
             Violation::FragmentDigestMismatch { .. } => "fragment-digest",
+            Violation::CacheDigestMismatch { .. } => "cache-digest-mismatch",
         }
     }
 }
@@ -447,19 +428,8 @@ impl fmt::Display for Violation {
                 fm,
                 "re-pack for {query} placed {placed}, expected {expected}"
             ),
-            Violation::StaleCacheHit {
-                query,
-                insert_epoch,
-                hit_epoch,
-            } => write!(
-                fm,
-                "{query} served a plan from epoch {insert_epoch} at epoch {hit_epoch}"
-            ),
             Violation::PhaseRegression { query, prev, next } => {
                 write!(fm, "{query} dispatched phase {next} after phase {prev}")
-            }
-            Violation::EpochRegression { prev, next } => {
-                write!(fm, "cache epoch went from {prev} to {next}")
             }
             Violation::OutcomeMissing { query } => {
                 write!(fm, "{query} has no terminal outcome")
@@ -529,14 +499,6 @@ impl fmt::Display for Violation {
             Violation::GovernedDegreeExceeded { op, degree, cap } => {
                 write!(fm, "{op} at degree {degree} exceeds the governed cap {cap}")
             }
-            Violation::StaleFragmentSplice {
-                query,
-                insert_epoch,
-                hit_epoch,
-            } => write!(
-                fm,
-                "{query} spliced a fragment from epoch {insert_epoch} at epoch {hit_epoch}"
-            ),
             Violation::FragmentDigestMismatch {
                 query,
                 sig_hash,
@@ -545,6 +507,16 @@ impl fmt::Display for Violation {
             } => write!(
                 fm,
                 "{query} spliced fragment {sig_hash:#018x} with digest {spliced:#018x}, \
+                 inserted as {inserted:#018x}"
+            ),
+            Violation::CacheDigestMismatch {
+                query,
+                sig_hash,
+                inserted,
+                served,
+            } => write!(
+                fm,
+                "{query} was served plan {sig_hash:#018x} with digest {served:#018x}, \
                  inserted as {inserted:#018x}"
             ),
         }

@@ -369,12 +369,12 @@ fn recovery_and_cache_trace_mutations_are_caught() {
     let v = audit_run(&tampered);
     assert!(kinds(&v).contains(&"conservation"), "{v:?}");
 
-    // Serve the cached plan across a crash epoch.
+    // Serve bytes other than the ones the cache memoized.
     for ev in &mut summary.trace {
-        if let AuditEvent::CacheHit { hit_epoch, .. } = ev {
-            *hit_epoch += 1;
+        if let AuditEvent::CacheHit { digest, .. } = ev {
+            *digest ^= 1;
         }
     }
     let v = audit_run(&summary);
-    assert!(kinds(&v).contains(&"stale-cache-hit"), "{v:?}");
+    assert!(kinds(&v).contains(&"cache-digest-mismatch"), "{v:?}");
 }

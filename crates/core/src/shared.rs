@@ -99,40 +99,21 @@ pub struct ScheduleFragment {
     pub levels: Vec<PhaseSchedule>,
 }
 
-impl ScheduleFragment {
-    /// Every site any clone of the fragment lands on, sorted and
-    /// deduplicated — the fragment's invalidation footprint.
-    pub fn footprint(&self) -> Vec<usize> {
-        let mut sites: Vec<usize> = self
-            .levels
-            .iter()
-            .flat_map(|ph| ph.assignment.homes.iter())
-            .flatten()
-            .map(|s| s.0)
-            .collect();
-        sites.sort_unstable();
-        sites.dedup();
-        sites
-    }
-}
-
 /// A memo of subtree fragments keyed by canonical signature.
 ///
-/// The runtime implements this over its epoch-stamped schedule cache
-/// (per-subtree footprint invalidation); tests use
-/// [`MapFragmentCache`]. A `get` may have side effects (hit counting,
-/// stale eviction) — the planner calls it at most once per subtree.
+/// The runtime implements this over its schedule cache, recording
+/// every splice and insert on its audit trace; tests use
+/// [`MapFragmentCache`]. A `get` may have side effects (trace
+/// recording) — the planner calls it at most once per subtree.
 pub trait FragmentCache {
-    /// Looks up a fragment; `None` on miss (or on a stale entry the
-    /// implementation chose to evict).
+    /// Looks up a fragment; `None` on miss.
     fn get_fragment(&mut self, sig: &SubtreeSig) -> Option<Arc<ScheduleFragment>>;
     /// Memoizes a freshly computed fragment under its signature.
     fn insert_fragment(&mut self, sig: SubtreeSig, fragment: Arc<ScheduleFragment>);
 }
 
-/// Plain in-memory fragment memo with no invalidation — for offline
-/// MQO planning and tests. The runtime's cache (which must react to
-/// site crashes) lives in `mrs-runtime`.
+/// Plain in-memory fragment memo — for offline MQO planning and tests.
+/// The runtime's traced memo lives in `mrs-runtime`.
 #[derive(Default, Debug)]
 pub struct MapFragmentCache {
     map: BTreeMap<SubtreeSig, Arc<ScheduleFragment>>,
@@ -880,19 +861,6 @@ mod tests {
             shared.response_time,
             governed.response_time
         );
-    }
-
-    #[test]
-    fn fragment_footprint_is_sorted_unique() {
-        let (sys, comm, model) = setup();
-        let problem = one_join_problem();
-        let mut cache = MapFragmentCache::new();
-        tree_schedule_shared(&problem, 0.7, &sys, &comm, &model, None, &mut cache).unwrap();
-        for frag in cache.map.values() {
-            let fp = frag.footprint();
-            assert!(fp.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-            assert!(fp.iter().all(|&s| s < sys.sites));
-        }
     }
 
     #[test]

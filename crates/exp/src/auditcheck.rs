@@ -8,7 +8,9 @@
 //! everywhere: a non-zero count means a scheduler path emitted something
 //! that breaks Definition 5.1, the `CG_f` cap, placement propagation,
 //! the Theorem 5.1 certificate, fluid feasibility, work conservation
-//! through recovery, or cache-epoch coherence.
+//! through recovery, or memo coherence. Every `runtime-*` family runs
+//! with `verify_cache`, so each cache hit is also re-planned cold and
+//! must match the served plan bit for bit.
 //!
 //! Family → experiment-id coverage:
 //!
@@ -28,9 +30,11 @@
 //! * `runtime-clean` — `throughput` (fault-free served stream under
 //!   both admission policies, trace + feasibility audit).
 //! * `runtime-faults` — `faults` (the X13 crash/recovery sweep; work
-//!   conservation and cache-epoch coherence audited from the trace).
+//!   conservation and cache digest coherence audited from the trace).
 //! * `runtime-cache` — the templated `serve` stream (every plan
-//!   submitted twice: cache hits must be epoch-coherent).
+//!   submitted twice), clean and under seeded crashes: every hit must
+//!   replay its insert-time digest and equal a cold plan, including
+//!   hits served after a crash.
 //! * `runtime-shards` — the X14 sharded-fabric runs (clean and faulty,
 //!   even and uneven shard splits): per-shard trace segments must tile
 //!   the site range, own every recorded event, and conserve every clone
@@ -43,8 +47,7 @@
 //!   caps.
 //! * `runtime-mqo` — the X16 batched-admission runs (overlap-templated
 //!   batches, sharing on, clean and faulty): every fragment splice must
-//!   be epoch/footprint-coherent and reproduce its insert-time digest
-//!   bit-for-bit.
+//!   reproduce its insert-time digest bit-for-bit.
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
@@ -74,7 +77,8 @@ use mrs_core::tree::{
 };
 use mrs_cost::prelude::CostModel;
 use mrs_runtime::prelude::{
-    AdmissionPolicy, AuditEvent, ControllerConfig, RecoveryConfig, Runtime, RuntimeConfig,
+    AdmissionPolicy, AuditEvent, ControllerConfig, FaultRecordKind, RecoveryConfig, Runtime,
+    RuntimeConfig,
 };
 use mrs_sim::fault::FaultPlan;
 use mrs_workload::prelude::{
@@ -321,6 +325,17 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         degrade_threshold: 0.25,
     };
     let policies = [AdmissionPolicy::Fcfs, AdmissionPolicy::SmallestVolumeFirst];
+    // The seeded crash schedule every faulted runtime cell uses, with a
+    // mean time between failures of `mtbf` standalone responses.
+    let seeded_faults = |mtbf: f64| {
+        FaultPlan::seeded(
+            sites,
+            60.0 * mean_standalone,
+            mtbf * mean_standalone,
+            0.3 * mean_standalone,
+            cfg.seed ^ 0x0FA7_0FA7,
+        )
+    };
 
     // runtime-clean: fault-free served stream under both policies.
     {
@@ -331,6 +346,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 policy,
                 max_in_flight: 4,
                 recovery: recovery.clone(),
+                verify_cache: true,
                 ..RuntimeConfig::default()
             };
             let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
@@ -360,15 +376,10 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     f,
                     policy,
                     max_in_flight: 4,
-                    faults: FaultPlan::seeded(
-                        sites,
-                        60.0 * mean_standalone,
-                        mult * mean_standalone,
-                        0.3 * mean_standalone,
-                        cfg.seed ^ 0x0FA7_0FA7,
-                    ),
+                    faults: seeded_faults(mult),
                     deadline: Some(60.0 * mean_standalone),
                     recovery: recovery.clone(),
+                    verify_cache: true,
                     ..RuntimeConfig::default()
                 };
                 let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
@@ -390,35 +401,64 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         });
     }
 
-    // runtime-cache: every plan submitted twice — hits must be
-    // epoch-coherent, and a templated stream must actually hit.
+    // runtime-cache: every plan submitted twice — a templated stream
+    // must actually hit, and under verify_cache every hit is re-planned
+    // cold and must match bit for bit. The faulted cell (the seeded
+    // crashes of runtime-shards) serves hits across crashes.
     {
         let mut violations = Vec::new();
-        let rt_cfg = RuntimeConfig {
-            f,
-            policy: AdmissionPolicy::Fcfs,
-            max_in_flight: 4,
-            recovery: recovery.clone(),
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-        for (q, t) in stream.iter().zip(&arrivals) {
-            rt.submit_at(*t, q.client, q.problem.clone());
-            rt.submit_at(*t, q.client + 3, q.problem.clone());
-        }
-        let summary = rt
-            .run_to_completion()
-            .expect("stream plans always schedule");
-        if summary.cache.hits == 0 {
-            violations.push(Violation::ShapeMismatch {
-                detail: "templated stream produced no cache hits".to_owned(),
+        let mut cells = 0;
+        for faulty in [false, true] {
+            let rt_cfg = RuntimeConfig {
+                f,
+                policy: AdmissionPolicy::Fcfs,
+                max_in_flight: 4,
+                faults: if faulty {
+                    seeded_faults(4.0)
+                } else {
+                    FaultPlan::none()
+                },
+                deadline: faulty.then_some(60.0 * mean_standalone),
+                recovery: recovery.clone(),
+                verify_cache: true,
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
+            for (q, t) in stream.iter().zip(&arrivals) {
+                rt.submit_at(*t, q.client, q.problem.clone());
+                rt.submit_at(*t, q.client + 3, q.problem.clone());
+            }
+            let summary = rt
+                .run_to_completion()
+                .expect("stream plans always schedule");
+            if summary.cache.hits == 0 {
+                violations.push(Violation::ShapeMismatch {
+                    detail: "templated stream produced no cache hits".to_owned(),
+                });
+            }
+            let first_crash = summary
+                .faults
+                .iter()
+                .find(|r| matches!(r.kind, FaultRecordKind::SiteDown { .. }))
+                .map(|r| r.time);
+            let hit_after_crash = first_crash.is_some_and(|t| {
+                summary
+                    .trace
+                    .iter()
+                    .any(|ev| matches!(ev, AuditEvent::CacheHit { time, .. } if *time > t))
             });
+            if faulty && !hit_after_crash {
+                violations.push(Violation::ShapeMismatch {
+                    detail: "faulted cache cell served no hit after a crash".to_owned(),
+                });
+            }
+            violations.extend(audit_run(&summary));
+            cells += 1;
         }
-        violations.extend(audit_run(&summary));
         families.push(FamilyResult {
             family: "runtime-cache",
             covers: "throughput (serve mode)",
-            cells: 1,
+            cells,
             violations,
         });
     }
@@ -436,18 +476,13 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     policy: AdmissionPolicy::Fcfs,
                     max_in_flight: 4,
                     faults: if faulty {
-                        FaultPlan::seeded(
-                            sites,
-                            60.0 * mean_standalone,
-                            4.0 * mean_standalone,
-                            0.3 * mean_standalone,
-                            cfg.seed ^ 0x0FA7_0FA7,
-                        )
+                        seeded_faults(4.0)
                     } else {
                         FaultPlan::none()
                     },
                     deadline: faulty.then_some(60.0 * mean_standalone),
                     recovery: recovery.clone(),
+                    verify_cache: true,
                     shards: n_shards,
                     util_series: true,
                     ..RuntimeConfig::default()
@@ -506,6 +541,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     policy: AdmissionPolicy::Fcfs,
                     max_in_flight: 4,
                     recovery: recovery.clone(),
+                    verify_cache: true,
                     controller: ctl.clone(),
                     shards: n_shards,
                     ..RuntimeConfig::default()
@@ -564,8 +600,8 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     // runtime-mqo: batched admission with cross-query plan sharing.
     // Overlap-templated batches planned under a batch window with
     // sharing on must actually splice subtree fragments (guard), and
-    // every recorded splice must replay epoch-coherent and
-    // digest-identical against its FragmentInsert.
+    // every recorded splice must replay digest-identical against its
+    // FragmentInsert.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
@@ -583,18 +619,13 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     policy: AdmissionPolicy::Fcfs,
                     max_in_flight: 4,
                     faults: if faulty {
-                        FaultPlan::seeded(
-                            sites,
-                            60.0 * mean_standalone,
-                            4.0 * mean_standalone,
-                            0.3 * mean_standalone,
-                            cfg.seed ^ 0x0FA7_0FA7,
-                        )
+                        seeded_faults(4.0)
                     } else {
                         FaultPlan::none()
                     },
                     deadline: faulty.then_some(60.0 * mean_standalone),
                     recovery: recovery.clone(),
+                    verify_cache: true,
                     batch_window: n_batch,
                     plan_sharing: true,
                     ..RuntimeConfig::default()

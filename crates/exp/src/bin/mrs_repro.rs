@@ -285,11 +285,10 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         summary.avg_utilization(net)
     );
     println!(
-        "schedule cache: {} plans computed, {} hits ({:.0}% hit rate), {} epoch bumps",
+        "schedule cache: {} plans computed, {} hits ({:.0}% hit rate)",
         summary.plans_computed(),
         summary.cache.hits,
-        100.0 * summary.cache_hit_rate(),
-        summary.cache.epoch_bumps
+        100.0 * summary.cache_hit_rate()
     );
     // Only printed under --batch: the default output must stay
     // byte-identical to the pre-MQO serve path.

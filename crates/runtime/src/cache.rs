@@ -23,29 +23,24 @@
 //!   ([`RuntimeConfig::verify_cache`](crate::runtime::RuntimeConfig::verify_cache))
 //!   enforces this by re-planning on hits and comparing
 //!   [`schedule_digest`]s.
-//! * **Footprint invalidation.** `tree_schedule` plans against the full
-//!   site set; the runtime's recovery layer reacts to crashes by
-//!   re-packing *around* dead sites at dispatch. A cached schedule is
-//!   still the correct *admission* schedule after any fault, but the
-//!   cache semantics stay conservative: never serve a plan whose own
-//!   environment has shifted. Each entry records its *site footprint* —
-//!   the sorted, deduplicated set of homes its clones land on — and each
-//!   site remembers the epoch of its last availability change
-//!   ([`ScheduleCache::bump_epoch`] takes the changed site). A lookup
-//!   re-validates the entry against its footprint: if any touched site
-//!   changed after the entry was inserted, the entry is evicted
-//!   (counted in [`CacheStats::stale_evictions`]) and the lookup counts
-//!   as a miss. Faults on sites a plan never touches leave it servable —
-//!   the previous scheme cleared the whole table on every bump, which on
-//!   fault-heavy streams threw away every unrelated template. Rate
-//!   changes would bump epochs too, but straggler rates are fixed at
-//!   construction in the current runtime.
+//! * **Purity.** A cold plan depends only on `(problem, f, system,
+//!   comm, model, cap)`. `tree_schedule` plans against the full site
+//!   set, never against the sites that happen to be up, and the
+//!   runtime's recovery layer re-packs *around* dead sites at dispatch.
+//!   A crash or restore changes none of the plan's inputs, so no fault
+//!   can stale a memoized plan, and both tables here are plain memos
+//!   with no invalidation: an entry, once inserted, is served for the
+//!   runtime's whole life. Each entry carries a 64-bit digest of its
+//!   plan ([`plan_digest`], [`fragment_digest`]), computed once at
+//!   insert; the audit trace records it on every insert and hit, so
+//!   `mrs-audit` can replay that every hit served exactly the bytes its
+//!   signature was memoized with.
 
+use crate::metrics::Fnv;
 use mrs_core::operator::Placement;
 use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig};
 use mrs_core::tree::{TreeProblem, TreeScheduleResult};
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Counters describing how a run's admissions hit the schedule cache.
@@ -55,11 +50,12 @@ pub struct CacheStats {
     pub hits: u64,
     /// Admissions that computed a fresh plan — the run's re-plan count.
     pub misses: u64,
-    /// Epoch bumps: per-site environment changes (site crash or
-    /// restore).
+    /// Retired: always 0. The cache no longer reacts to site crashes
+    /// or restores (see the [module docs](self)); the field stays only
+    /// because the e2ebench harness still reads it.
     pub epoch_bumps: u64,
-    /// Entries evicted at lookup because a site in their footprint
-    /// changed after insertion.
+    /// Retired: always 0. Entries are never evicted; kept for the same
+    /// reason as `epoch_bumps`.
     pub stale_evictions: u64,
     /// Subtree fragments served from the memo by the shared planner
     /// (one per spliced subtree; zero when plan sharing is off).
@@ -155,81 +151,50 @@ impl PlanSignature {
         }
         PlanSignature(w)
     }
-}
 
-/// One memoized value stamped with the global epoch it was inserted
-/// under and the sorted, deduplicated set of sites it touches. The
-/// whole-plan table and the subtree-fragment memo both store these and
-/// share [`lookup`], so they share one stale check and one eviction.
-#[derive(Clone, Debug)]
-struct Entry<V> {
-    value: V,
-    insert_epoch: u64,
-    touched: Vec<usize>,
-}
-
-/// Looks up `key` against the per-site change epochs. An entry whose
-/// footprint shifted (some touched site changed after insertion) is
-/// evicted, counted in `stale_evictions`, and reported as absent.
-fn lookup<K: Eq + Hash, V: Clone>(
-    table: &mut HashMap<K, Entry<V>>,
-    key: &K,
-    site_epoch: &[u64],
-    stale_evictions: &mut u64,
-) -> Option<Entry<V>> {
-    let entry = table.get(key)?;
-    let fresh = entry
-        .touched
-        .iter()
-        .all(|&s| site_epoch.get(s).copied().unwrap_or(0) <= entry.insert_epoch);
-    if fresh {
-        return Some(entry.clone());
+    /// A [`WordFold`] of the signature's words: the key the audit trace
+    /// records for a whole-plan insert or hit.
+    pub fn hash64(&self) -> u64 {
+        let mut h = WordFold::new();
+        self.0.iter().for_each(|&w| h.push(w));
+        h.0
     }
-    table.remove(key);
-    *stale_evictions += 1;
-    None
 }
 
-/// The whole-plan table from [`PlanSignature`] to the schedule plus the
-/// subtree-fragment memo, both with per-site invalidation. See the
-/// [module docs](self).
+/// One memoized admission plan with the two words the audit trace
+/// records for it.
+#[derive(Clone, Debug)]
+pub struct CachedPlan {
+    /// The memoized admission schedule.
+    pub schedule: Arc<TreeScheduleResult>,
+    /// [`PlanSignature::hash64`] of the key it is memoized under.
+    pub sig_hash: u64,
+    /// [`plan_digest`] of `schedule`.
+    pub digest: u64,
+}
+
+/// The whole-plan memo from [`PlanSignature`] to the schedule, plus the
+/// subtree-fragment memo. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: HashMap<PlanSignature, Entry<Arc<TreeScheduleResult>>>,
+    entries: HashMap<PlanSignature, CachedPlan>,
     /// Subtree-grained memo for the shared planner, keyed by canonical
     /// subtree signature; each fragment carries its bit-level digest
     /// (see [`fragment_digest`]), replayed by the sharing-coherence
     /// audit.
-    subtree: HashMap<SubtreeSig, Entry<(Arc<ScheduleFragment>, u64)>>,
-    /// Global epoch: incremented on every environment change.
-    epoch: u64,
-    /// Per site, the global epoch of its last availability change (`0` =
-    /// never changed).
-    site_epoch: Vec<u64>,
+    subtree: HashMap<SubtreeSig, (Arc<ScheduleFragment>, u64)>,
     stats: CacheStats,
 }
 
 impl ScheduleCache {
-    /// An empty cache at epoch 0 over `sites` sites.
-    pub fn new(sites: usize) -> Self {
-        ScheduleCache {
-            site_epoch: vec![0; sites],
-            ..ScheduleCache::default()
-        }
+    /// An empty cache. The site count is retired and ignored (a pure
+    /// memo has no per-site state); the parameter stays only because
+    /// the e2ebench harness still passes it.
+    pub fn new(_sites: usize) -> Self {
+        ScheduleCache::default()
     }
 
-    /// The current global epoch (bumped on every environment change).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The epoch of `site`'s last availability change (`0` if it never
-    /// changed).
-    pub fn site_epoch(&self, site: usize) -> u64 {
-        self.site_epoch.get(site).copied().unwrap_or(0)
-    }
-
-    /// Hit/miss/bump counters so far.
+    /// Hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
@@ -244,45 +209,34 @@ impl ScheduleCache {
         self.entries.is_empty()
     }
 
-    /// Looks up `sig`, counting a hit or miss. An entry whose footprint
-    /// shifted (some touched site bumped after insertion) is evicted and
-    /// counted as both a miss and a stale eviction. A valid hit returns
-    /// the schedule, the epoch it was inserted under, and its footprint
-    /// (both surfaced to the cache-coherence audit).
-    pub fn get(
-        &mut self,
-        sig: &PlanSignature,
-    ) -> Option<(Arc<TreeScheduleResult>, u64, Vec<usize>)> {
-        let Some(entry) = lookup(
-            &mut self.entries,
-            sig,
-            &self.site_epoch,
-            &mut self.stats.stale_evictions,
-        ) else {
-            self.stats.misses += 1;
-            return None;
-        };
-        self.stats.hits += 1;
-        Some((entry.value, entry.insert_epoch, entry.touched))
+    /// Looks up `sig`, counting a hit or a miss.
+    pub fn get(&mut self, sig: &PlanSignature) -> Option<CachedPlan> {
+        let hit = self.entries.get(sig).cloned();
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        hit
     }
 
-    /// Records a freshly computed schedule under `sig`, stamped with the
-    /// current epoch and its site footprint (sorted and deduplicated
-    /// here, so callers can pass raw home lists).
+    /// Memoizes a freshly computed schedule under `sig`, computing its
+    /// signature hash and digest once, and returns the entry. The
+    /// footprint argument is retired and ignored (see the [module
+    /// docs](self)); it stays only because the e2ebench harness still
+    /// passes one.
     pub fn insert(
         &mut self,
         sig: PlanSignature,
         schedule: Arc<TreeScheduleResult>,
-        mut touched: Vec<usize>,
-    ) {
-        touched.sort_unstable();
-        touched.dedup();
-        let entry = Entry {
-            value: schedule,
-            insert_epoch: self.epoch,
-            touched,
+        _footprint: Vec<usize>,
+    ) -> CachedPlan {
+        let plan = CachedPlan {
+            sig_hash: sig.hash64(),
+            digest: plan_digest(&schedule),
+            schedule,
         };
-        self.entries.insert(sig, entry);
+        self.entries.insert(sig, plan.clone());
+        plan
     }
 
     /// Number of memoized subtree fragments.
@@ -290,42 +244,19 @@ impl ScheduleCache {
         self.subtree.len()
     }
 
-    /// Looks up a subtree fragment. A stale entry (some touched site
-    /// bumped after insertion) is evicted, counted in
-    /// [`CacheStats::stale_evictions`], and reported as a miss. A valid
-    /// hit returns the fragment plus the coherence metadata the
-    /// sharing audit events carry (insert epoch, footprint, digest).
-    /// Hit/miss *counters* are charged by [`ScheduleCache::absorb_shared`]
-    /// from the planner's own tally, not here, so a splice is counted
-    /// exactly once.
-    pub fn fragment_get(
-        &mut self,
-        sig: &SubtreeSig,
-    ) -> Option<(Arc<ScheduleFragment>, u64, Vec<usize>, u64)> {
-        let Entry {
-            value: (frag, digest),
-            insert_epoch,
-            touched,
-        } = lookup(
-            &mut self.subtree,
-            sig,
-            &self.site_epoch,
-            &mut self.stats.stale_evictions,
-        )?;
-        Some((frag, insert_epoch, touched, digest))
+    /// Looks up a subtree fragment and the digest recorded at its
+    /// insertion. Hit/miss *counters* are charged by
+    /// [`ScheduleCache::absorb_shared`] from the planner's own tally,
+    /// not here, so a splice is counted exactly once.
+    pub fn fragment_get(&self, sig: &SubtreeSig) -> Option<(Arc<ScheduleFragment>, u64)> {
+        self.subtree.get(sig).cloned()
     }
 
-    /// Memoizes a freshly computed subtree fragment, stamped with the
-    /// current epoch, its own footprint, and its bit-level digest.
-    /// Returns the digest so the caller can log it.
+    /// Memoizes a freshly computed subtree fragment with its bit-level
+    /// digest. Returns the digest so the caller can log it.
     pub fn fragment_insert(&mut self, sig: SubtreeSig, frag: Arc<ScheduleFragment>) -> u64 {
         let digest = fragment_digest(&frag);
-        let entry = Entry {
-            touched: frag.footprint(),
-            value: (frag, digest),
-            insert_epoch: self.epoch,
-        };
-        self.subtree.insert(sig, entry);
+        self.subtree.insert(sig, (frag, digest));
         digest
     }
 
@@ -336,22 +267,9 @@ impl ScheduleCache {
         self.stats.fragments_spliced += shared.fragments_spliced;
         self.stats.tasks_planned += shared.tasks_planned;
     }
-
-    /// `site`'s availability changed (crash or restore): advance the
-    /// global epoch and stamp the site. Entries are *not* cleared here;
-    /// each is re-validated against its own footprint at lookup, so
-    /// plans that never touch `site` stay servable.
-    pub fn bump_epoch(&mut self, site: usize) {
-        self.epoch += 1;
-        self.stats.epoch_bumps += 1;
-        if let Some(e) = self.site_epoch.get_mut(site) {
-            *e = self.epoch;
-        }
-    }
 }
 
-/// The sorted, deduplicated set of sites a schedule's clones land on —
-/// the footprint a cache entry is validated against.
+/// The sorted, deduplicated set of sites a schedule's clones land on.
 pub fn schedule_footprint(schedule: &TreeScheduleResult) -> Vec<usize> {
     let mut touched: Vec<usize> = schedule
         .phases
@@ -364,36 +282,68 @@ pub fn schedule_footprint(schedule: &TreeScheduleResult) -> Vec<usize> {
     touched
 }
 
-/// A canonical bit-level digest of a schedule, used by the shadow-compute
-/// verification to prove a cache hit byte-identical to a fresh plan. Walks
-/// every numeric field: phase levels and makespans, operator degrees,
-/// per-clone work-vector components, clone homes, and the total response
-/// time — all floats as exact bit patterns.
-pub fn schedule_digest(schedule: &TreeScheduleResult) -> Vec<u64> {
-    let mut w = Vec::new();
-    w.push(schedule.response_time.to_bits());
-    w.push(schedule.phases.len() as u64);
+/// Emits every numeric field of a schedule, each as one word: phase levels
+/// and makespans, operator degrees, per-clone work-vector components,
+/// clone homes, and the total response time — all floats as exact bit
+/// patterns.
+fn schedule_words(schedule: &TreeScheduleResult, mut emit: impl FnMut(u64)) {
+    emit(schedule.response_time.to_bits());
+    emit(schedule.phases.len() as u64);
     for phase in &schedule.phases {
-        w.push(phase.level as u64);
-        w.push(phase.makespan.to_bits());
-        w.push(phase.schedule.ops.len() as u64);
+        emit(phase.level as u64);
+        emit(phase.makespan.to_bits());
+        emit(phase.schedule.ops.len() as u64);
         for (op, homes) in phase
             .schedule
             .ops
             .iter()
             .zip(&phase.schedule.assignment.homes)
         {
-            w.push(op.spec.id.0 as u64);
-            w.push(op.degree as u64);
+            emit(op.spec.id.0 as u64);
+            emit(op.degree as u64);
             for clone in &op.clones {
                 for i in 0..clone.dim() {
-                    w.push(clone[i].to_bits());
+                    emit(clone[i].to_bits());
                 }
             }
-            w.extend(homes.iter().map(|s| s.0 as u64));
+            homes.iter().for_each(|s| emit(s.0 as u64));
         }
     }
+}
+
+/// A canonical bit-level digest of a schedule, used by the shadow-compute
+/// verification to prove a cache hit byte-identical to a fresh plan.
+pub fn schedule_digest(schedule: &TreeScheduleResult) -> Vec<u64> {
+    let mut w = Vec::new();
+    schedule_words(schedule, |x| w.push(x));
     w
+}
+
+/// A [`WordFold`] of [`schedule_digest`]'s words: the plan digest a
+/// [`CachedPlan`] stores and the audit trace records on every whole-plan
+/// insert and hit.
+pub fn plan_digest(schedule: &TreeScheduleResult) -> u64 {
+    let mut h = WordFold::new();
+    schedule_words(schedule, |w| h.push(w));
+    h.0
+}
+
+/// A 64-bit fold of a word sequence, one multiply per word: rotate,
+/// xor the word in, multiply by an odd constant (the FxHash step). A
+/// byte-wise FNV-1a fold takes eight dependent multiplies per word,
+/// which for a cold plan's several thousand words costs a fifth of the
+/// planning itself; this costs a few percent. Any single-word change
+/// changes the result, since each step is a bijection of the state.
+struct WordFold(u64);
+
+impl WordFold {
+    fn new() -> Self {
+        WordFold(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn push(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 /// A 64-bit FNV-1a fold over a subtree fragment's complete numeric
@@ -402,30 +352,24 @@ pub fn schedule_digest(schedule: &TreeScheduleResult) -> Vec<u64> {
 /// these digests: every splice of a signature must carry the digest its
 /// insertion recorded, proving the spliced bytes are the memoized bytes.
 pub fn fragment_digest(frag: &ScheduleFragment) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |w: u64| {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(frag.levels.len() as u64);
+    let mut h = Fnv::new();
+    h.usize(frag.levels.len());
     for phase in &frag.levels {
-        mix(phase.ops.len() as u64);
+        h.usize(phase.ops.len());
         for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
-            mix(op.spec.id.0 as u64);
-            mix(op.degree as u64);
+            h.usize(op.spec.id.0);
+            h.usize(op.degree);
             for clone in &op.clones {
                 for i in 0..clone.dim() {
-                    mix(clone[i].to_bits());
+                    h.f64(clone[i]);
                 }
             }
             for s in homes {
-                mix(s.0 as u64);
+                h.usize(s.0);
             }
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]
@@ -512,17 +456,21 @@ mod tests {
     }
 
     #[test]
-    fn cache_counts_hits_misses_and_bumps() {
-        let mut cache = ScheduleCache::new(4);
+    fn cache_counts_hits_and_misses() {
+        let mut cache = ScheduleCache::default();
         let sig = PlanSignature::of(&problem(2.0), 0.7);
         assert!(cache.get(&sig).is_none());
         let sched = sched();
-        cache.insert(sig.clone(), Arc::clone(&sched), vec![2, 0, 2]);
+        let inserted = cache.insert(sig.clone(), Arc::clone(&sched), Vec::new());
+        assert_eq!(inserted.sig_hash, sig.hash64());
+        assert_eq!(inserted.digest, plan_digest(&sched));
         assert_eq!(cache.len(), 1);
-        let (hit, inserted, touched) = cache.get(&sig).expect("second lookup hits");
-        assert!(Arc::ptr_eq(&hit, &sched));
-        assert_eq!(inserted, cache.epoch(), "hit is epoch-coherent");
-        assert_eq!(touched, vec![0, 2], "footprint sorted and deduplicated");
+        let hit = cache.get(&sig).expect("second lookup hits");
+        assert!(Arc::ptr_eq(&hit.schedule, &sched));
+        assert_eq!(
+            (hit.sig_hash, hit.digest),
+            (inserted.sig_hash, inserted.digest)
+        );
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -534,33 +482,17 @@ mod tests {
     }
 
     #[test]
-    fn bump_on_a_touched_site_evicts_at_lookup() {
-        let mut cache = ScheduleCache::new(4);
-        let sig = PlanSignature::of(&problem(2.0), 0.7);
-        cache.get(&sig);
-        cache.insert(sig.clone(), sched(), vec![0, 2]);
-        cache.bump_epoch(2);
-        assert_eq!(cache.epoch(), 1);
-        assert_eq!(cache.site_epoch(2), 1);
-        assert!(cache.get(&sig).is_none(), "footprint site changed");
-        assert_eq!(cache.len(), 0, "stale entry evicted");
-        let stats = cache.stats();
-        assert_eq!(stats.epoch_bumps, 1);
-        assert_eq!(stats.stale_evictions, 1);
-        assert_eq!(stats.misses, 2);
-    }
-
-    #[test]
-    fn bump_on_an_untouched_site_keeps_the_entry_servable() {
-        let mut cache = ScheduleCache::new(4);
-        let sig = PlanSignature::of(&problem(2.0), 0.7);
-        cache.get(&sig);
-        cache.insert(sig.clone(), sched(), vec![0, 2]);
-        cache.bump_epoch(3);
-        let (_, inserted, _) = cache.get(&sig).expect("footprint untouched by the bump");
-        assert_eq!(inserted, 0, "entry still carries its insert epoch");
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().stale_evictions, 0);
+    fn plan_digest_folds_the_schedule_digest() {
+        let a = TreeScheduleResult {
+            phases: vec![],
+            response_time: 2.0,
+        };
+        let mut h = WordFold::new();
+        schedule_digest(&a).into_iter().for_each(|w| h.push(w));
+        assert_eq!(plan_digest(&a), h.0);
+        let mut b = a.clone();
+        b.response_time = f64::from_bits(2.0f64.to_bits() + 1);
+        assert_ne!(plan_digest(&a), plan_digest(&b));
     }
 
     #[test]
@@ -604,41 +536,22 @@ mod tests {
     }
 
     #[test]
-    fn fragment_memo_round_trips_with_metadata() {
-        let mut cache = ScheduleCache::new(4);
+    fn fragment_memo_round_trips_with_its_digest() {
+        let mut cache = ScheduleCache::default();
         let sig = sig_for(2.0);
         assert!(cache.fragment_get(&sig).is_none());
         let frag = fragment_for(&[1, 3]);
         let digest = cache.fragment_insert(sig.clone(), Arc::clone(&frag));
         assert_eq!(cache.fragments_len(), 1);
-        let (hit, inserted, touched, d) = cache.fragment_get(&sig).expect("memoized");
+        let (hit, d) = cache.fragment_get(&sig).expect("memoized");
         assert!(Arc::ptr_eq(&hit, &frag));
-        assert_eq!(inserted, 0);
-        assert_eq!(touched, vec![1, 3]);
         assert_eq!(d, digest);
         assert_eq!(d, fragment_digest(&frag));
     }
 
     #[test]
-    fn fragment_footprint_bump_evicts_only_touching_fragments() {
-        let mut cache = ScheduleCache::new(4);
-        let hit_sig = sig_for(2.0);
-        let miss_sig = sig_for(3.0);
-        cache.fragment_insert(hit_sig.clone(), fragment_for(&[0]));
-        cache.fragment_insert(miss_sig.clone(), fragment_for(&[2]));
-        cache.bump_epoch(2);
-        assert!(cache.fragment_get(&miss_sig).is_none(), "footprint hit");
-        assert!(
-            cache.fragment_get(&hit_sig).is_some(),
-            "footprint untouched"
-        );
-        assert_eq!(cache.fragments_len(), 1);
-        assert_eq!(cache.stats().stale_evictions, 1);
-    }
-
-    #[test]
     fn absorb_shared_accumulates_planner_counters() {
-        let mut cache = ScheduleCache::new(2);
+        let mut cache = ScheduleCache::default();
         cache.absorb_shared(&SharedStats {
             subtree_hits: 2,
             subtree_misses: 1,

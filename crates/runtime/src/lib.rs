@@ -9,7 +9,7 @@
 //! | [`admission`] | the wait queue and its policies (FCFS, smallest-volume-first, round-robin fair) |
 //! | [`ledger`] | per-site residual-capacity bookkeeping (re-exported from `mrs-shardexec`, which slices it per shard) |
 //! | [`runtime`] | the deterministic event-driven dispatcher (single-threaded or sharded via `mrs-shardexec`) |
-//! | [`cache`] | the plan-signature schedule cache (template memoization, epoch invalidation) |
+//! | [`cache`] | the plan-signature schedule cache (template memoization as a pure memo) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
 //! | [`control`] | adaptive overload control: the parallelism governor and backpressure admission gate |
 //! | [`metrics`] | per-query latency and quantiles, per-site utilization, throughput, fault trace, cache stats |
@@ -74,7 +74,6 @@ pub mod prelude {
     pub use crate::recovery::RecoveryConfig;
     pub use crate::runtime::{Runtime, RuntimeConfig, RuntimeError};
     pub use crate::trace::{
-        audit_cache_hit_coherent, audit_control_transition, audit_placements_valid,
-        audit_repack_conserves, AuditEvent,
+        audit_control_transition, audit_placements_valid, audit_repack_conserves, AuditEvent,
     };
 }

@@ -89,11 +89,11 @@ pub struct RunSummary {
     pub depth_trace: Vec<(f64, usize)>,
     /// Time-ordered fault/recovery trace (empty for a fault-free run).
     pub faults: Vec<FaultRecord>,
-    /// Schedule-cache counters: admission hits, fresh plans computed
-    /// (re-plan count), and epoch bumps. All-zero with no admissions.
+    /// Schedule-cache counters: admission hits and fresh plans computed.
+    /// All-zero with no admissions.
     pub cache: CacheStats,
     /// Structured audit trace (see [`crate::trace`]): phase dispatches,
-    /// re-pack conservation quantities, cache epochs. Checked end-to-end
+    /// re-pack conservation quantities, memo digests. Checked end-to-end
     /// by `mrs-audit`'s `audit_run`.
     pub trace: Vec<AuditEvent>,
     /// `site_peak_util[j][i]` = peak normalized utilization of resource
@@ -391,7 +391,6 @@ impl RunSummary {
         }
         h.u64(self.cache.hits);
         h.u64(self.cache.misses);
-        h.u64(self.cache.epoch_bumps);
         h.usize(self.trace.len());
         for ev in &self.trace {
             match ev {
@@ -415,70 +414,30 @@ impl RunSummary {
                     h.f64(*expected_total);
                     h.f64(*placed_total);
                 }
-                AuditEvent::CacheInsert { time, query, epoch } => {
-                    h.u8(2);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*epoch);
-                }
+                AuditEvent::CacheInsert {
+                    time,
+                    query,
+                    sig_hash,
+                    digest,
+                } => memo_event(&mut h, 2, *time, *query, *sig_hash, *digest),
                 AuditEvent::CacheHit {
                     time,
                     query,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
-                } => {
-                    h.u8(3);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*insert_epoch);
-                    h.u64(*hit_epoch);
-                    h.usize(touched.len());
-                    for &s in touched {
-                        h.usize(s);
-                    }
-                }
-                AuditEvent::EpochBump { time, epoch, site } => {
-                    h.u8(4);
-                    h.f64(*time);
-                    h.u64(*epoch);
-                    h.usize(*site);
-                }
+                    sig_hash,
+                    digest,
+                } => memo_event(&mut h, 3, *time, *query, *sig_hash, *digest),
                 AuditEvent::FragmentInsert {
                     time,
                     query,
-                    epoch,
                     sig_hash,
                     digest,
-                } => {
-                    h.u8(6);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*epoch);
-                    h.u64(*sig_hash);
-                    h.u64(*digest);
-                }
+                } => memo_event(&mut h, 6, *time, *query, *sig_hash, *digest),
                 AuditEvent::FragmentSpliced {
                     time,
                     query,
-                    insert_epoch,
-                    hit_epoch,
-                    touched,
                     sig_hash,
                     digest,
-                } => {
-                    h.u8(7);
-                    h.f64(*time);
-                    h.usize(query.0);
-                    h.u64(*insert_epoch);
-                    h.u64(*hit_epoch);
-                    h.usize(touched.len());
-                    for &s in touched {
-                        h.usize(s);
-                    }
-                    h.u64(*sig_hash);
-                    h.u64(*digest);
-                }
+                } => memo_event(&mut h, 7, *time, *query, *sig_hash, *digest),
                 AuditEvent::ControlDecision {
                     time,
                     action,
@@ -516,13 +475,23 @@ impl RunSummary {
     }
 }
 
-/// Minimal FNV-1a accumulator for [`RunSummary::digest`]. Not a general
-/// hasher: field framing (length prefixes, enum discriminants) is the
-/// caller's job.
-struct Fnv(u64);
+/// Folds one memo insert/hit event (see [`AuditEvent::CacheHit`]) into
+/// `h` under its discriminant `tag`.
+fn memo_event(h: &mut Fnv, tag: u8, time: f64, query: QueryId, sig_hash: u64, digest: u64) {
+    h.u8(tag);
+    h.f64(time);
+    h.usize(query.0);
+    h.u64(sig_hash);
+    h.u64(digest);
+}
+
+/// Minimal FNV-1a accumulator for [`RunSummary::digest`] and the cache
+/// digests. Not a general hasher: field framing (length prefixes, enum
+/// discriminants) is the caller's job.
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
@@ -530,17 +499,17 @@ impl Fnv {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
 
-    fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.u8(b);
         }
     }
 
-    fn usize(&mut self, v: usize) {
+    pub(crate) fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    fn f64(&mut self, v: f64) {
+    pub(crate) fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -571,7 +540,7 @@ impl Fnv {
         }
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -663,7 +632,6 @@ mod tests {
         s.cache = CacheStats {
             hits: 6,
             misses: 2,
-            epoch_bumps: 1,
             ..CacheStats::default()
         };
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);

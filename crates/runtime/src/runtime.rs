@@ -30,9 +30,9 @@
 //! [`EventCalendar`](mrs_sim::calendar::EventCalendar) (sites advance
 //! only at their own events, or on demand when the runtime next touches
 //! them — see [`Runtime::touch_site`]), and admission TreeSchedules are
-//! memoized by plan signature in a [`ScheduleCache`](crate::cache) with
-//! per-site epoch invalidation: a failure or restore stales exactly the
-//! cached plans whose footprint includes the changed site. Retries stay
+//! memoized by plan signature in a [`ScheduleCache`](crate::cache), a
+//! pure memo that no fault invalidates (a plan depends on neither the
+//! sites that are up nor the clock). Retries stay
 //! sorted by `(time, query)` and pending deadlines are tracked by a
 //! cursor over the time-sorted arrivals, so picking the next event costs
 //! O(1) instead of a fold per epoch. Per-clone and per-query state sits
@@ -50,15 +50,13 @@
 //! (see the `mrs-shardexec` crate docs for the argument).
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{schedule_digest, schedule_footprint, PlanSignature, ScheduleCache};
+use crate::cache::{schedule_digest, PlanSignature, ScheduleCache};
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
 use crate::recovery::{backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig};
 use crate::slots::{CloneWindow, QueryTable};
-use crate::trace::{
-    audit_cache_hit_coherent, audit_placements_valid, audit_repack_conserves, AuditEvent,
-};
+use crate::trace::{audit_placements_valid, audit_repack_conserves, AuditEvent};
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
 use mrs_core::model::ResponseModel;
@@ -297,7 +295,7 @@ pub struct Runtime<M: ResponseModel> {
     /// is monotone, so the cursor only advances.
     deadline_cursor: usize,
     /// Structured audit trace (see [`crate::trace`]): appended at phase
-    /// dispatch, recovery re-pack, cache hit/insert, epoch bumps, and
+    /// dispatch, recovery re-pack, cache and memo hit/insert, and
     /// controller decisions; surfaced on the [`RunSummary`] for
     /// `mrs-audit`.
     audit_trace: Vec<AuditEvent>,
@@ -315,9 +313,8 @@ pub struct Runtime<M: ResponseModel> {
     batch_members: u64,
 }
 
-/// [`FragmentCache`] adapter over the runtime's epoch-stamped
-/// [`ScheduleCache`]: every splice and insert is validated against the
-/// footprint discipline and recorded on the audit trace
+/// [`FragmentCache`] adapter over the runtime's [`ScheduleCache`]: every
+/// splice and insert is recorded on the audit trace
 /// ([`AuditEvent::FragmentSpliced`] / [`AuditEvent::FragmentInsert`]),
 /// so `mrs-audit` can replay sharing coherence offline.
 struct TracedFragmentCache<'a> {
@@ -329,22 +326,10 @@ struct TracedFragmentCache<'a> {
 
 impl FragmentCache for TracedFragmentCache<'_> {
     fn get_fragment(&mut self, sig: &SubtreeSig) -> Option<Arc<ScheduleFragment>> {
-        let (frag, insert_epoch, touched, digest) = self.cache.fragment_get(sig)?;
-        let hit_epoch = self.cache.epoch();
-        debug_assert!(
-            audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                self.cache.site_epoch(s)
-            }),
-            "fragment memo served {} a subtree from epoch {insert_epoch} at epoch \
-             {hit_epoch} despite a footprint change",
-            self.query
-        );
+        let (frag, digest) = self.cache.fragment_get(sig)?;
         self.trace.push(AuditEvent::FragmentSpliced {
             time: self.time,
             query: self.query,
-            insert_epoch,
-            hit_epoch,
-            touched,
             sig_hash: sig.hash64(),
             digest,
         });
@@ -357,7 +342,6 @@ impl FragmentCache for TracedFragmentCache<'_> {
         self.trace.push(AuditEvent::FragmentInsert {
             time: self.time,
             query: self.query,
-            epoch: self.cache.epoch(),
             sig_hash,
             digest,
         });
@@ -389,7 +373,6 @@ impl<M: ResponseModel> Runtime<M> {
         }
         let queue = AdmissionQueue::new(cfg.policy);
         let faults = FaultTimeline::new(&cfg.faults);
-        let cache = ScheduleCache::new(sys.sites);
         let controller = Controller::new(cfg.controller.clone());
         Runtime {
             sys,
@@ -409,7 +392,7 @@ impl<M: ResponseModel> Runtime<M> {
             faults,
             retries: Vec::new(),
             fault_trace: Vec::new(),
-            cache,
+            cache: ScheduleCache::default(),
             touch_buf: Vec::new(),
             arrivals_next: 0,
             deadline_cursor: 0,
@@ -491,7 +474,7 @@ impl<M: ResponseModel> Runtime<M> {
         id
     }
 
-    /// Schedule-cache counters so far (hits, fresh plans, epoch bumps).
+    /// Schedule-cache counters so far (hits and fresh plans).
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.stats()
     }
@@ -724,10 +707,9 @@ impl<M: ResponseModel> Runtime<M> {
     }
 
     /// Applies one fault event to the site simulators, ledger, and any
-    /// affected queries. Any environment change (crash or restore) bumps
-    /// the changed site's schedule-cache epoch: no plan whose footprint
-    /// includes the site is served from before the change (plans that
-    /// never touch it stay servable — see [`crate::cache`]).
+    /// affected queries. The schedule cache is untouched: a cached plan
+    /// stays the correct admission plan across any fault (see
+    /// [`crate::cache`]).
     fn apply_fault(&mut self, site: usize, kind: FaultKind) {
         match kind {
             FaultKind::Crash => {
@@ -738,12 +720,6 @@ impl<M: ResponseModel> Runtime<M> {
                 // Evicts the residents, invalidates the calendar entry,
                 // and releases the site from its ledger slice.
                 let lost = self.fabric.fail_site(site);
-                self.cache.bump_epoch(site);
-                self.audit_trace.push(AuditEvent::EpochBump {
-                    time: self.clock,
-                    epoch: self.cache.epoch(),
-                    site,
-                });
                 self.fault_trace.push(FaultRecord {
                     time: self.clock,
                     kind: FaultRecordKind::SiteDown {
@@ -789,12 +765,6 @@ impl<M: ResponseModel> Runtime<M> {
                 // restore needs no catch-up; the site's clock fast-forwards
                 // at its next touch.
                 self.fabric.restore_site(site);
-                self.cache.bump_epoch(site);
-                self.audit_trace.push(AuditEvent::EpochBump {
-                    time: self.clock,
-                    epoch: self.cache.epoch(),
-                    site,
-                });
                 self.fault_trace.push(FaultRecord {
                     time: self.clock,
                     kind: FaultRecordKind::SiteUp { site },
@@ -1234,21 +1204,12 @@ impl<M: ResponseModel> Runtime<M> {
         let cap = self.controller.degree_cap(self.sys.sites);
         let sig = PlanSignature::of_capped(problem, self.cfg.f, cap);
         let schedule_error = |source| RuntimeError::Schedule { query: id, source };
-        if let Some((hit, insert_epoch, touched)) = self.cache.get(&sig) {
-            let hit_epoch = self.cache.epoch();
-            debug_assert!(
-                audit_cache_hit_coherent(insert_epoch, hit_epoch, hit_epoch, &touched, |s| {
-                    self.cache.site_epoch(s)
-                }),
-                "cache served {id} a plan from epoch {insert_epoch} at epoch {hit_epoch} \
-                 despite a footprint change"
-            );
+        if let Some(hit) = self.cache.get(&sig) {
             self.audit_trace.push(AuditEvent::CacheHit {
                 time: self.clock,
                 query: id,
-                insert_epoch,
-                hit_epoch,
-                touched,
+                sig_hash: hit.sig_hash,
+                digest: hit.digest,
             });
             if self.cfg.verify_cache {
                 let (fresh, _) = cold_plan(
@@ -1262,12 +1223,12 @@ impl<M: ResponseModel> Runtime<M> {
                 )
                 .map_err(schedule_error)?;
                 assert_eq!(
-                    schedule_digest(&hit),
+                    schedule_digest(&hit.schedule),
                     schedule_digest(&fresh),
                     "schedule cache served a non-identical plan for {id}"
                 );
             }
-            return Ok(hit);
+            return Ok(hit.schedule);
         }
         let mut memo = TracedFragmentCache {
             cache: &mut self.cache,
@@ -1287,12 +1248,12 @@ impl<M: ResponseModel> Runtime<M> {
         .map_err(schedule_error)?;
         let fresh = Arc::new(fresh);
         self.cache.absorb_shared(&stats);
-        self.cache
-            .insert(sig, Arc::clone(&fresh), schedule_footprint(&fresh));
+        let plan = self.cache.insert(sig, Arc::clone(&fresh), Vec::new());
         self.audit_trace.push(AuditEvent::CacheInsert {
             time: self.clock,
             query: id,
-            epoch: self.cache.epoch(),
+            sig_hash: plan.sig_hash,
+            digest: plan.digest,
         });
         Ok(fresh)
     }
@@ -2070,14 +2031,16 @@ mod tests {
     }
 
     #[test]
-    fn crash_bumps_the_cache_epoch_and_forces_replanning() {
-        // Same template before and after a crash of a site in the
-        // plan's footprint: the bump must stale the memoized plan, so
-        // the post-crash admission re-plans (a miss plus a stale
-        // eviction) rather than hitting.
+    fn crash_inside_the_footprint_keeps_the_cached_plan() {
+        // Same template before and after a crash of a site in the plan's
+        // footprint (the floating plan spreads over every site, so site
+        // 3 is in it). The plan depends on neither the live site set nor
+        // the clock, so the post-crash admission hits, and verify_cache
+        // proves the served plan equal to a cold one.
         let cfg = RuntimeConfig {
             max_in_flight: 1,
             faults: FaultPlan::scripted(vec![crash(1.0, 3)]),
+            verify_cache: true,
             ..RuntimeConfig::default()
         };
         let mut rt = runtime_with(cfg);
@@ -2085,21 +2048,21 @@ mod tests {
         rt.submit_at(0.5, 0, one_op_problem(10.0));
         let summary = rt.run_to_completion().unwrap();
         assert_eq!(summary.sites_failed(), 1);
-        assert_eq!(summary.cache.epoch_bumps, 1);
-        // Both admissions planned fresh: the second query was queued
-        // behind MPL=1 and only admitted after the crash staled the
-        // entry (the floating plan spreads over every site, so site 3
-        // is in its footprint).
-        assert_eq!(summary.cache.misses, 2);
-        assert_eq!(summary.cache.hits, 0);
-        assert_eq!(summary.cache.stale_evictions, 1);
+        assert_eq!(summary.completed(), 2);
+        // The second query was queued behind MPL=1 and only admitted
+        // after the crash.
+        assert!(summary.queries[1].start.unwrap() > 1.0);
+        assert_eq!(summary.cache.misses, 1, "one template, one cold plan");
+        assert_eq!(summary.cache.hits, 1, "the post-crash admission hits");
+        assert_eq!(summary.cache.epoch_bumps, 0, "retired counter");
+        assert_eq!(summary.cache.stale_evictions, 0, "retired counter");
     }
 
     #[test]
-    fn crash_outside_the_footprint_keeps_the_cached_plan() {
-        // A plan rooted on site 0 never touches site 3: the crash still
-        // bumps the epoch, but partial invalidation keeps the entry
-        // servable and the second admission hits.
+    fn crash_of_a_rooted_home_keeps_the_cached_plan() {
+        // A plan rooted on site 0, which then crashes: the post-crash
+        // admission still hits, and dispatch migrates the clone whose
+        // home is down onto a survivor.
         use mrs_core::operator::Placement;
         let rooted = |cpu: f64| {
             let mut p = one_op_problem(cpu);
@@ -2108,7 +2071,7 @@ mod tests {
         };
         let cfg = RuntimeConfig {
             max_in_flight: 1,
-            faults: FaultPlan::scripted(vec![crash(1.0, 3)]),
+            faults: FaultPlan::scripted(vec![crash(1.0, 0)]),
             verify_cache: true,
             ..RuntimeConfig::default()
         };
@@ -2117,10 +2080,11 @@ mod tests {
         rt.submit_at(0.5, 0, rooted(10.0));
         let summary = rt.run_to_completion().unwrap();
         assert_eq!(summary.sites_failed(), 1);
-        assert_eq!(summary.cache.epoch_bumps, 1, "the crash still bumps");
-        assert_eq!(summary.cache.misses, 1, "only the first admission plans");
-        assert_eq!(summary.cache.hits, 1, "untouched footprint stays servable");
-        assert_eq!(summary.cache.stale_evictions, 0);
+        assert_eq!(summary.completed(), 2);
+        assert!(summary.queries[1].start.unwrap() > 1.0);
+        assert_eq!(summary.cache.misses, 1, "one template, one cold plan");
+        assert_eq!(summary.cache.hits, 1, "the post-crash admission hits");
+        assert_eq!(summary.repacks(), 2, "both queries re-pack off site 0");
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Structured audit trace: cheap always-on events the runtime records at
-//! its invariant-bearing sites (phase dispatch, recovery re-pack, cache
-//! hit/insert, epoch bump), plus the tiny predicates the runtime's
-//! `debug_assert!` hooks evaluate inline.
+//! its invariant-bearing sites (phase dispatch, recovery re-pack, memo
+//! insert/hit), plus the tiny predicates the runtime's `debug_assert!`
+//! hooks evaluate inline.
 //!
 //! The trace exists so that `mrs-audit` (which depends on this crate, not
 //! the other way round — no dependency cycle) can *re-check* conservation
 //! and coherence after the fact from a [`crate::metrics::RunSummary`]
 //! alone: the events carry the aggregate quantities (lost work, expected
-//! re-packed work including the EA1 startup surcharge, epochs) that the
-//! coarser [`crate::metrics::FaultRecord`] stream does not.
+//! re-packed work including the EA1 startup surcharge, memo digests) that
+//! the coarser [`crate::metrics::FaultRecord`] stream does not.
 //!
 //! Events are plain values recorded in simulation-event order; the
 //! sequence is deterministic for a fixed seed and identical across
@@ -52,58 +52,47 @@ pub enum AuditEvent {
         /// Total work actually placed onto alive sites.
         placed_total: f64,
     },
-    /// A fresh admission plan was memoized under the current epoch.
+    /// A fresh admission plan was memoized in the schedule cache.
+    /// `sig_hash` is [`PlanSignature::hash64`](crate::cache::PlanSignature::hash64)
+    /// of its key and `digest` its [`plan_digest`](crate::cache::plan_digest);
+    /// together they let the audit replay hit coherence without
+    /// shipping the plan itself.
     CacheInsert {
         /// Virtual insert time.
         time: f64,
         /// The query whose plan was computed.
         query: QueryId,
-        /// Cache epoch at insert time.
-        epoch: u64,
+        /// Fold of the plan's signature.
+        sig_hash: u64,
+        /// Bit-level digest of the memoized plan.
+        digest: u64,
     },
     /// An admission plan was served from the schedule cache.
     ///
-    /// Coherence invariant (see [`audit_cache_hit_coherent`]): the entry
-    /// must have been inserted no later than the hit (`insert_epoch <=
-    /// hit_epoch`), `hit_epoch` must be the epoch actually current at
-    /// hit time (replayable from the [`AuditEvent::EpochBump`] stream),
-    /// and no site in the entry's footprint may have changed after
-    /// insertion — a plan is only served while its own environment is
-    /// unshifted.
+    /// Coherence invariant (the `cache-digest-mismatch` audit): `digest`
+    /// must equal the digest recorded by the [`AuditEvent::CacheInsert`]
+    /// for the same `sig_hash` — the served bytes are exactly the
+    /// memoized bytes.
     CacheHit {
         /// Virtual hit time.
         time: f64,
         /// The query served from the cache.
         query: QueryId,
-        /// Epoch the entry was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at hit time.
-        hit_epoch: u64,
-        /// The entry's site footprint (sorted, deduplicated homes).
-        touched: Vec<usize>,
-    },
-    /// The cache epoch advanced (a site crashed or recovered).
-    EpochBump {
-        /// Virtual time of the environment change.
-        time: f64,
-        /// The new epoch.
-        epoch: u64,
-        /// The site whose availability changed.
-        site: usize,
+        /// Fold of the plan's signature.
+        sig_hash: u64,
+        /// Digest the cache recorded for this plan at insertion.
+        digest: u64,
     },
     /// A freshly computed subtree fragment was memoized by the shared
     /// planner (plan sharing enabled only). `sig_hash` is a 64-bit fold
     /// of the subtree's canonical signature and `digest` the bit-level
     /// digest of the memoized fragment
-    /// ([`crate::cache::fragment_digest`]); together they let the audit
-    /// replay splice coherence without shipping the fragment itself.
+    /// ([`crate::cache::fragment_digest`]).
     FragmentInsert {
         /// Virtual insert time.
         time: f64,
         /// The query whose planning produced the fragment.
         query: QueryId,
-        /// Cache epoch at insert time.
-        epoch: u64,
         /// Fold of the subtree's canonical signature.
         sig_hash: u64,
         /// Bit-level digest of the memoized fragment.
@@ -111,24 +100,16 @@ pub enum AuditEvent {
     },
     /// A cached subtree fragment was spliced into an admission plan.
     ///
-    /// Coherence invariants (see the `runtime-mqo` audit family): the
-    /// epoch/footprint discipline of [`AuditEvent::CacheHit`] applies
-    /// unchanged ([`audit_cache_hit_coherent`]), and `digest` must equal
-    /// the digest recorded by the [`AuditEvent::FragmentInsert`] for the
-    /// same `sig_hash` — the spliced bytes are exactly the memoized
-    /// bytes, which the shared planner's determinism ties back to a
-    /// fresh computation over the subtree problem.
+    /// Coherence invariant (see the `runtime-mqo` audit family): `digest`
+    /// must equal the digest recorded by the [`AuditEvent::FragmentInsert`]
+    /// for the same `sig_hash` — the spliced bytes are exactly the
+    /// memoized bytes, which the shared planner's determinism ties back
+    /// to a fresh computation over the subtree problem.
     FragmentSpliced {
         /// Virtual splice time.
         time: f64,
         /// The query receiving the fragment.
         query: QueryId,
-        /// Epoch the fragment was inserted under.
-        insert_epoch: u64,
-        /// Epoch current at splice time.
-        hit_epoch: u64,
-        /// The fragment's site footprint (sorted, deduplicated).
-        touched: Vec<usize>,
         /// Fold of the subtree's canonical signature.
         sig_hash: u64,
         /// Digest the memo recorded for this fragment at insertion.
@@ -165,7 +146,6 @@ impl AuditEvent {
             | AuditEvent::Repacked { time, .. }
             | AuditEvent::CacheInsert { time, .. }
             | AuditEvent::CacheHit { time, .. }
-            | AuditEvent::EpochBump { time, .. }
             | AuditEvent::FragmentInsert { time, .. }
             | AuditEvent::FragmentSpliced { time, .. }
             | AuditEvent::ControlDecision { time, .. } => *time,
@@ -184,26 +164,6 @@ pub const CONSERVATION_REL_TOL: f64 = 1e-9;
 pub fn audit_repack_conserves(expected_total: f64, placed_total: f64) -> bool {
     let scale = expected_total.abs().max(placed_total.abs()).max(1.0);
     (expected_total - placed_total).abs() <= CONSERVATION_REL_TOL * scale
-}
-
-/// True when a cache hit is coherent under footprint invalidation:
-///
-/// * the entry predates the hit (`insert_epoch <= hit_epoch`);
-/// * `hit_epoch` equals `current_epoch`, the epoch the auditor replayed
-///   from the `EpochBump` stream up to the hit;
-/// * no site in the entry's footprint changed after insertion —
-///   `site_last_bump(s)` is the replayed epoch of site `s`'s last
-///   availability change (0 if it never changed).
-pub fn audit_cache_hit_coherent(
-    insert_epoch: u64,
-    hit_epoch: u64,
-    current_epoch: u64,
-    touched: &[usize],
-    site_last_bump: impl Fn(usize) -> u64,
-) -> bool {
-    insert_epoch <= hit_epoch
-        && hit_epoch == current_epoch
-        && touched.iter().all(|&s| site_last_bump(s) <= insert_epoch)
 }
 
 /// True when one controller decision is a *structurally* valid step from
@@ -251,21 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_coherence_checks_epochs_and_footprint() {
-        let bumps = |s: usize| if s == 2 { 3u64 } else { 0 };
-        // Inserted at 1, hit at 3 (current 3), footprint untouched.
-        assert!(audit_cache_hit_coherent(1, 3, 3, &[0, 1], bumps));
-        // Footprint site 2 changed at epoch 3, after insertion at 1.
-        assert!(!audit_cache_hit_coherent(1, 3, 3, &[0, 2], bumps));
-        // Same footprint, but inserted after the site's last change.
-        assert!(audit_cache_hit_coherent(3, 3, 3, &[0, 2], bumps));
-        // Hit epoch not the replayed current epoch: tampered trace.
-        assert!(!audit_cache_hit_coherent(1, 2, 3, &[], bumps));
-        // Entry from the future: tampered trace.
-        assert!(!audit_cache_hit_coherent(4, 3, 3, &[], bumps));
-    }
-
-    #[test]
     fn placement_validity_checks_site_range_and_shape() {
         let good = vec![(SiteId(0), WorkVector::from_slice(&[1.0, 0.0, 0.0]))];
         assert!(audit_placements_valid(&good, 2, 3));
@@ -281,10 +226,11 @@ mod tests {
 
     #[test]
     fn event_time_accessor_covers_all_variants() {
-        let ev = AuditEvent::EpochBump {
+        let ev = AuditEvent::CacheHit {
             time: 2.5,
-            epoch: 1,
-            site: 0,
+            query: QueryId(0),
+            sig_hash: 1,
+            digest: 2,
         };
         assert_eq!(ev.time(), 2.5);
         let ev = AuditEvent::PhaseDispatched {

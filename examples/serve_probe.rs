@@ -91,10 +91,9 @@ fn main() {
         summary.horizon
     );
     println!(
-        "plans: {} computed, {} cache hits ({:.0}% hit rate), {} epoch bumps",
+        "plans: {} computed, {} cache hits ({:.0}% hit rate)",
         summary.plans_computed(),
         summary.cache.hits,
-        100.0 * summary.cache_hit_rate(),
-        summary.cache.epoch_bumps
+        100.0 * summary.cache_hit_rate()
     );
 }

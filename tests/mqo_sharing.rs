@@ -104,8 +104,9 @@ fn overlap_batches_share_canonical_signatures() {
 
 /// The batched runtime under `verify_cache`: every whole-plan hit is
 /// shadow-replanned with the *shared* planner against a cold memo and
-/// must digest-match, even while a fault schedule bumps epochs and
-/// stales fragments mid-stream. Completing the run is the assertion.
+/// must digest-match, even while a site crashes and recovers
+/// mid-stream. The memo keeps splicing across the fault pair, and
+/// completing the run is the assertion.
 #[test]
 fn batched_sharing_survives_shadow_verification_under_faults() {
     let cost = CostModel::paper_defaults();
@@ -118,6 +119,7 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
     let standalone = tree_schedule(&stream[0], 0.7, &sys, &comm, &model)
         .unwrap()
         .response_time;
+    let crash_at = 1.5 * standalone;
     let cfg = RuntimeConfig {
         max_in_flight: 3,
         batch_window: 4,
@@ -125,7 +127,7 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         verify_cache: true,
         faults: FaultPlan::scripted(vec![
             FaultEvent {
-                time: 1.5 * standalone,
+                time: crash_at,
                 site: 5,
                 kind: FaultKind::Crash,
             },
@@ -146,10 +148,15 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         summary.cache.subtree_hits > 0,
         "the overlapped stream never spliced"
     );
-    // Crash and recover each bump the cache epoch.
-    assert_eq!(
-        summary.cache.epoch_bumps, 2,
-        "the fault pair must bump the epoch"
+    assert_eq!(summary.sites_failed(), 1);
+    // No fault invalidates the memo: fragments memoized before the
+    // crash are still spliced after it.
+    assert!(
+        summary.trace.iter().any(|ev| matches!(
+            ev,
+            AuditEvent::FragmentSpliced { time, .. } if *time >= crash_at
+        )),
+        "splices must continue across the fault pair"
     );
 }
 
