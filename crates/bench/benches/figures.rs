@@ -74,4 +74,5 @@ fn main() {
     let mut b = Bench::from_args();
     bench_figures(&mut b);
     bench_single_points(&mut b);
+    b.finish();
 }

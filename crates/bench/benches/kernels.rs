@@ -305,4 +305,5 @@ fn main() {
     bench_pipelined_simulator(&mut b);
     bench_recovery(&mut b);
     bench_optimizers(&mut b);
+    b.finish();
 }

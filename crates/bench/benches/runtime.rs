@@ -1,37 +1,11 @@
-//! Hot-path micro-benchmarks for the online runtime: site-ledger updates
-//! (one commit+release per dispatched clone) and admission decisions
-//! (policy-driven queue pops), plus a small end-to-end stream run.
+//! Hot-path micro-benchmarks for the online runtime: admission decisions
+//! (policy-driven queue pops), end-to-end stream and serve runs, the
+//! overload controller on and off, and the shard barrier.
 
 use mrs_bench::harness::Bench;
 use mrs_core::prelude::*;
 use mrs_runtime::prelude::*;
 use std::hint::black_box;
-
-fn bench_ledger(b: &mut Bench) {
-    let mut g = b.group("ledger");
-    let sites = 128;
-    let demand = [0.4, 0.25, 0.1];
-
-    g.bench_function("commit_release_cycle_p128", || {
-        let mut ledger = SiteLedger::new(sites, 3);
-        for j in 0..sites {
-            ledger.commit(SiteId(j), &demand);
-        }
-        for j in 0..sites {
-            ledger.release(SiteId(j), &demand);
-        }
-        black_box(ledger.total_resident());
-    });
-
-    let mut loaded = SiteLedger::new(sites, 3);
-    for j in 0..sites {
-        loaded.commit(SiteId(j), &demand);
-    }
-    g.bench_function("avg_load_p128", || {
-        black_box(loaded.avg_load());
-    });
-    g.finish();
-}
 
 fn bench_admission(b: &mut Bench) {
     let mut g = b.group("admission");
@@ -391,10 +365,10 @@ fn bench_barrier(b: &mut Bench) {
 
 fn main() {
     let mut b = Bench::from_args();
-    bench_ledger(&mut b);
     bench_admission(&mut b);
     bench_stream(&mut b);
     bench_serve_stream(&mut b);
     bench_barrier(&mut b);
     bench_control(&mut b);
+    b.finish();
 }

@@ -6,8 +6,9 @@
 //! * `kernels` — micro-benchmarks of the packing list rule, degree
 //!   selection, malleable GF sweep, plan expansion, simulator, and the
 //!   exact branch-and-bound solver.
-//! * `runtime` — the online runtime's hot path: site-ledger updates and
-//!   admission decisions (the perf baseline for scaling work).
+//! * `runtime` — the online runtime's hot path: admission decisions,
+//!   stream serving, the overload controller and the shard barrier (the
+//!   perf baseline for scaling work).
 //!
 //! Run with `cargo bench -p mrs-bench` (optionally passing a substring
 //! filter: `cargo bench -p mrs-bench --bench kernels -- pack`).
@@ -104,6 +105,22 @@ pub mod harness {
             match self.filter.as_deref() {
                 None => true,
                 Some(f) => id.contains(f),
+            }
+        }
+
+        /// The filter, if one was given and no benchmark id matched it
+        /// (every matched id records a measurement).
+        fn unmatched_filter(&self) -> Option<&str> {
+            self.filter.as_deref().filter(|_| self.results.is_empty())
+        }
+
+        /// Ends the run, exiting with status 1 if a filter was given and
+        /// no benchmark id matched it: a stale filter must not pass by
+        /// measuring nothing. Call it last in a bench `main`.
+        pub fn finish(self) {
+            if let Some(filter) = self.unmatched_filter() {
+                eprintln!("error: no benchmark id matches the filter {filter:?}");
+                std::process::exit(1);
             }
         }
 
@@ -305,6 +322,16 @@ pub mod harness {
             assert!(!b.matches("kernels/degree"));
             let all = bare(None);
             assert!(all.matches("anything"));
+        }
+
+        #[test]
+        fn unmatched_filter_is_reported_until_a_bench_runs() {
+            let mut b = bare(Some("avg_load"));
+            b.group("g").bench_batched("other", || (), |()| ());
+            assert_eq!(b.unmatched_filter(), Some("avg_load"));
+            b.group("g").bench_batched("avg_load", || (), |()| ());
+            assert_eq!(b.unmatched_filter(), None);
+            assert_eq!(bare(None).unmatched_filter(), None, "no filter, no error");
         }
 
         #[test]

@@ -7,7 +7,7 @@
 //! defenses used to be shed-at-arrival and deadline aborts. The
 //! [`Controller`] observes pressure signals that already flow through
 //! the event loop — admission queue depth, the alive-site mean committed
-//! load from the ledger, and retry churn from the recovery path — and
+//! load the fluid sites keep, and retry churn from the recovery path — and
 //! actuates two levers:
 //!
 //! * a **parallelism governor**: a per-admission cap on clone degrees,
@@ -158,7 +158,9 @@ pub struct PressureSample {
     pub retries: usize,
     /// Alive sites.
     pub alive: usize,
-    /// Mean committed `l_∞` load over the alive sites (the ledger view).
+    /// Mean committed `l_∞` load over the alive sites
+    /// ([`SiteSim::load`](mrs_sim::engine::SiteSim::load)), `+∞` with
+    /// every site down.
     pub avg_load: f64,
 }
 

@@ -7,7 +7,6 @@
 //! |---|---|
 //! | [`job`] | query identity, work volume, lifecycle records |
 //! | [`admission`] | the wait queue and its policies (FCFS, smallest-volume-first, round-robin fair) |
-//! | [`ledger`] | per-site residual-capacity bookkeeping (re-exported from `mrs-shardexec`, which slices it per shard) |
 //! | [`runtime`] | the deterministic event-driven dispatcher (single-threaded or sharded via `mrs-shardexec`) |
 //! | [`cache`] | the plan-signature schedule cache (template memoization as a pure memo) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
@@ -54,7 +53,6 @@ pub mod admission;
 pub mod cache;
 pub mod control;
 pub mod job;
-pub use mrs_shardexec::ledger;
 pub mod metrics;
 pub mod recovery;
 pub mod runtime;
@@ -69,7 +67,6 @@ pub mod prelude {
         ControlAction, ControlDecision, Controller, ControllerConfig, PressureSample,
     };
     pub use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
-    pub use crate::ledger::SiteLedger;
     pub use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
     pub use crate::recovery::RecoveryConfig;
     pub use crate::runtime::{Runtime, RuntimeConfig, RuntimeError};

@@ -1,6 +1,6 @@
 //! Aggregated metrics of one runtime run: per-query latency statistics,
 //! per-site realized utilization (from the simulator's busy-time
-//! integrals, not the ledger's committed view), queue-depth trace,
+//! integrals, not the sites' committed load), queue-depth trace,
 //! throughput, and — under fault injection — the structured fault trace
 //! (site crashes, lost clones, re-packs, retries, aborts, sheds).
 

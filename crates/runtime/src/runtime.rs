@@ -136,12 +136,6 @@ pub struct RuntimeConfig {
     /// Multiprogramming level: max queries executing concurrently.
     /// Must be at least 1.
     pub max_in_flight: usize,
-    /// Optional ledger gate: with queries already running, admit another
-    /// only while the mean committed `l_∞` site load stays below this.
-    /// `None` disables the gate (MPL cap alone governs admission). The
-    /// gate never applies to an idle system, so it cannot deadlock.
-    /// The mean is taken over *alive* sites, so crashes tighten it.
-    pub load_threshold: Option<f64>,
     /// Fluid-site sharing discipline and overhead.
     pub sim: SimConfig,
     /// Deterministic site crash/recover schedule and straggler factors.
@@ -178,7 +172,7 @@ pub struct RuntimeConfig {
     /// the window is drained in policy order, every member is planned
     /// up front — sharing common subtrees when [`Self::plan_sharing`]
     /// is on — and the planned batch then dispatches through the usual
-    /// MPL/load/backpressure gates in the same deterministic order.
+    /// MPL and backpressure gates in the same deterministic order.
     pub batch_window: usize,
     /// Cross-query subtree plan sharing (see [`mrs_core::shared`]).
     /// When on, cache-missing admissions are planned by
@@ -196,7 +190,6 @@ impl Default for RuntimeConfig {
             f: 0.7,
             policy: crate::admission::AdmissionPolicy::Fcfs,
             max_in_flight: 4,
-            load_threshold: None,
             sim: SimConfig::default(),
             faults: FaultPlan::none(),
             deadline: None,
@@ -234,9 +227,6 @@ struct RunningQuery {
 struct CloneInfo {
     query: QueryId,
     site: SiteId,
-    /// Full-speed demand rates (`work / duration`), committed to the
-    /// site's ledger while the clone runs.
-    demand: WorkVector,
     /// The clone's work vector (to scale by the unfinished fraction on
     /// loss).
     work: WorkVector,
@@ -263,7 +253,7 @@ pub struct Runtime<M: ResponseModel> {
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
     pending: QueryTable<TreeProblem>,
-    /// The site layer: simulators, calendar, ledger, and audit segments,
+    /// The site layer: simulators, calendar, and audit segments,
     /// single-threaded or sharded (see the [module docs](self)).
     fabric: Fabric,
     running: QueryTable<RunningQuery>,
@@ -432,8 +422,8 @@ impl<M: ResponseModel> Runtime<M> {
         self.clock
     }
 
-    /// Total clones currently committed across all sites (the ledger's
-    /// scheduler-facing view; zero once a run fully drains).
+    /// Total clones currently resident across all sites (zero once a
+    /// run fully drains).
     pub fn total_resident(&mut self) -> usize {
         self.fabric.total_resident()
     }
@@ -665,14 +655,13 @@ impl<M: ResponseModel> Runtime<M> {
         Ok(self.summary())
     }
 
-    /// Retires one completed clone: releases its ledger commitment and,
-    /// if its query's phase has fully drained, advances the query.
+    /// Retires one completed clone and, if its query's phase has fully
+    /// drained, advances the query.
     fn retire(&mut self, done: Completion) {
         let info = self
             .clones
             .remove(done.tag)
             .expect("completion for unknown clone tag");
-        self.fabric.release(info.site.0, info.demand.components());
         let rq = self
             .running
             .get_mut(info.query)
@@ -706,8 +695,8 @@ impl<M: ResponseModel> Runtime<M> {
         self.touch_buf = buf;
     }
 
-    /// Applies one fault event to the site simulators, ledger, and any
-    /// affected queries. The schedule cache is untouched: a cached plan
+    /// Applies one fault event to the site simulators and any affected
+    /// queries. The schedule cache is untouched: a cached plan
     /// stays the correct admission plan across any fault (see
     /// [`crate::cache`]).
     fn apply_fault(&mut self, site: usize, kind: FaultKind) {
@@ -717,8 +706,8 @@ impl<M: ResponseModel> Runtime<M> {
                     return;
                 }
                 self.touch_site(site);
-                // Evicts the residents, invalidates the calendar entry,
-                // and releases the site from its ledger slice.
+                // Evicts the residents (zeroing the site's committed
+                // load) and invalidates the calendar entry.
                 let lost = self.fabric.fail_site(site);
                 self.fault_trace.push(FaultRecord {
                     time: self.clock,
@@ -938,7 +927,6 @@ impl<M: ResponseModel> Runtime<M> {
         for tag in tags {
             let info = self.clones.remove(tag).expect("tag collected above");
             let _ = self.fabric.remove_clone(info.site.0, tag);
-            self.fabric.release(info.site.0, info.demand.components());
         }
         self.retries.retain(|r| r.query != id);
         self.running.remove(id);
@@ -964,9 +952,8 @@ impl<M: ResponseModel> Runtime<M> {
         }
     }
 
-    /// Inserts clones at the given placements, committing their demand to
-    /// the ledger; returns how many are actually executing (zero-duration
-    /// clones complete inline).
+    /// Inserts clones at the given placements; returns how many are
+    /// actually executing (zero-duration clones complete inline).
     fn dispatch_placements(&mut self, id: QueryId, placements: &[(SiteId, WorkVector)]) -> usize {
         debug_assert!(
             audit_placements_valid(placements, self.sys.sites, self.sys.dim()),
@@ -983,22 +970,21 @@ impl<M: ResponseModel> Runtime<M> {
                 work: work.clone(),
                 duration,
             };
+            let done = self.fabric.place_clone(site.0, &clone);
+            debug_assert_eq!(
+                done.is_some(),
+                duration <= 0.0,
+                "only zero-duration clones complete inline"
+            );
             if duration <= 0.0 {
-                // Zero-duration clone: the site completes it inline; it
-                // commits no demand and is never tracked.
-                let done = self.fabric.place_clone(site.0, &clone, &[]);
-                debug_assert!(done.is_some(), "zero-duration clone must complete inline");
+                // The site completed it inline; it commits no load and is
+                // never tracked.
                 self.clones.push(None);
                 continue;
             }
-            let demand = work.rates(duration);
-            // One fused cell round-trip: insert + ledger commit.
-            let done = self.fabric.place_clone(site.0, &clone, demand.components());
-            debug_assert!(done.is_none(), "a positive-duration clone completed inline");
             self.clones.push(Some(CloneInfo {
                 query: id,
                 site: *site,
-                demand,
                 work: clone.work,
                 duration,
             }));
@@ -1043,7 +1029,7 @@ impl<M: ResponseModel> Runtime<M> {
             let phase = &rq.schedule.phases[phase_idx].schedule;
             for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
                 for (site, work) in homes.iter().zip(&op.clones) {
-                    if self.fabric.is_alive(site.0) {
+                    if !self.fabric.is_down(site.0) {
                         live.push((*site, work.clone()));
                     } else {
                         displaced.push(work.clone());
@@ -1079,19 +1065,14 @@ impl<M: ResponseModel> Runtime<M> {
     }
 
     /// Whether one more query may start right now: below the MPL cap
-    /// and, for a busy system, past the optional ledger load gate and
-    /// the controller's backpressure gate. Neither gate applies to an
-    /// idle system, so admission cannot deadlock.
+    /// and, for a busy system, past the controller's backpressure gate.
+    /// The gate never applies to an idle system, so admission cannot
+    /// deadlock.
     fn admission_open(&mut self) -> bool {
         if self.running.len() >= self.cfg.max_in_flight {
             return false;
         }
         if !self.running.is_empty() {
-            if let Some(thr) = self.cfg.load_threshold {
-                if self.fabric.avg_load() >= thr {
-                    return false;
-                }
-            }
             // Backpressure: an engaged gate defers every queued
             // arrival until the load falls back through the low
             // watermark.
@@ -1121,8 +1102,8 @@ impl<M: ResponseModel> Runtime<M> {
     }
 
     /// Admits queued queries while the MPL cap (and, for a busy system,
-    /// the optional ledger load gate and the controller's backpressure
-    /// gate) allows. With [`RuntimeConfig::batch_window`] set, queries
+    /// the controller's backpressure gate) allows. With
+    /// [`RuntimeConfig::batch_window`] set, queries
     /// are first *released* from the queue in MQO batches and planned
     /// together ([`Runtime::try_admit_batched`]).
     fn try_admit(&mut self) -> Result<(), RuntimeError> {
@@ -1386,7 +1367,7 @@ mod tests {
         assert!(rec.finish.unwrap() > 1.0);
         assert!((rec.service().unwrap() - rec.standalone_response).abs() < 1e-9);
         assert_eq!(rec.outcome, Some(QueryOutcome::Completed));
-        // Ledger drained.
+        // Every site drained.
         assert_eq!(rt.total_resident(), 0);
     }
 

@@ -145,7 +145,7 @@ impl Fabric {
     }
 
     /// Routes `f` to the shard owning `site` without touching the
-    /// next-event cache (for reads and ledger-only mutations).
+    /// next-event cache (callers that mutate the site mark it dirty).
     fn route<R>(&mut self, site: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
         match &mut self.layout {
             Layout::Single(st) => f(st),
@@ -280,23 +280,11 @@ impl Fabric {
         }
     }
 
-    /// Dispatch: inserts a clone on `site` (see [`ShardState::add_clone`])
-    /// and — unless it completed inline — commits `demand` to the owning
-    /// ledger slice, all under one cell lock. A zero-duration clone
-    /// completes inline, leaves the site untouched and is returned.
-    pub fn place_clone(
-        &mut self,
-        site: usize,
-        clone: &SimClone,
-        demand: &[f64],
-    ) -> Option<Completion> {
-        let done = self.route(site, |st| match st.add_clone(site, clone) {
-            Some(done) => Some(done),
-            None => {
-                st.commit(site, demand);
-                None
-            }
-        });
+    /// Dispatch: inserts a clone on `site` (see [`ShardState::add_clone`]).
+    /// A zero-duration clone completes inline, leaves the site untouched
+    /// and is returned.
+    pub fn place_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
+        let done = self.route(site, |st| st.add_clone(site, clone));
         if done.is_none() {
             self.mark_dirty(site);
         }
@@ -330,19 +318,9 @@ impl Fabric {
         self.route(site, |st| st.is_down(site))
     }
 
-    /// Releases a completed clone's demand at `site`.
-    pub fn release(&mut self, site: usize, demand: &[f64]) {
-        self.route(site, |st| st.release(site, demand));
-    }
-
-    /// Whether `site` is in service.
-    pub fn is_alive(&mut self, site: usize) -> bool {
-        self.route(site, |st| st.is_alive(site))
-    }
-
-    /// Mean committed load over the alive sites — the shard ledgers'
-    /// order-preserving folds chained in shard order, bit-identical to a
-    /// whole-machine [`crate::ledger::SiteLedger::avg_load`].
+    /// Mean [`SiteSim::load`] over the alive sites (`+∞` with none): the
+    /// shards' folds chained in shard order, so the float sum is
+    /// bit-identical for any shard count.
     pub fn avg_load(&mut self) -> f64 {
         let (acc, alive) = self.fold((0.0f64, 0usize), |(acc, alive), st| {
             st.fold_load(acc, alive);
@@ -360,8 +338,8 @@ impl Fabric {
         let cached = self.alive;
         debug_assert_eq!(
             cached,
-            self.fold(0usize, |n, st| *n += st.alive_sites()),
-            "cached alive-site count diverged from the ledgers"
+            self.alive_list().len(),
+            "cached alive-site count diverged from the site simulators"
         );
         cached
     }
@@ -371,7 +349,7 @@ impl Fabric {
         self.fold(Vec::new(), |out, st| st.push_alive(out))
     }
 
-    /// Total clones committed across all sites.
+    /// Total clones resident across all sites.
     pub fn total_resident(&mut self) -> usize {
         self.fold(0usize, |n, st| *n += st.total_resident())
     }
@@ -432,23 +410,31 @@ mod tests {
     /// Drives the same workload through a 1-shard and an N-shard fabric
     /// and asserts every observable is bit-identical.
     fn assert_fabrics_agree(shards: usize) {
+        const CRASHED: usize = 5;
         let mut single = Fabric::new(sims(7), 2, 1);
         let mut multi = Fabric::new(sims(7), 2, shards);
         assert_eq!(multi.shards(), shards.clamp(1, 7));
+        // Non-dyadic rates, so the summation order shows in the bits.
         let work = [
-            (0usize, 0usize, [3.0, 1.0], 3.0),
-            (3, 1, [2.0, 2.0], 2.0),
-            (3, 2, [1.0, 0.5], 1.0),
-            (6, 3, [5.0, 0.0], 5.0),
-            (1, 4, [0.7, 0.7], 0.7),
+            (0usize, 0usize, [3.0, 1.0], 7.0),
+            (3, 1, [2.0, 2.0], 3.0),
+            (3, 2, [1.0, 0.5], 1.1),
+            (6, 3, [5.0, 0.0], 9.0),
+            (1, 4, [0.7, 0.7], 1.3),
+            (CRASHED, 5, [0.2, 0.9], 2.7),
         ];
         for f in [&mut single, &mut multi] {
             for (site, tag, w, dur) in work {
-                let demand: Vec<f64> = w.iter().map(|x| x / dur).collect();
-                assert!(f.place_clone(site, &clone(tag, &w, dur), &demand).is_none());
+                assert!(f.place_clone(site, &clone(tag, &w, dur)).is_none());
             }
         }
+        let mut crashed = false;
         loop {
+            // The sliced folds agree after every epoch (after the drain
+            // alone they would compare two exact zeros).
+            assert_eq!(single.avg_load().to_bits(), multi.avg_load().to_bits());
+            assert_eq!(single.alive_list(), multi.alive_list());
+            assert_eq!(single.total_resident(), multi.total_resident());
             let (ta, tb) = (single.next_time(), multi.next_time());
             assert_eq!(ta.map(f64::to_bits), tb.map(f64::to_bits));
             let Some(t) = ta else { break };
@@ -456,9 +442,20 @@ mod tests {
             single.advance_due(t, &mut ca);
             multi.advance_due(t, &mut cb);
             assert_eq!(ca, cb, "same completions in the same order");
+            if !crashed {
+                // Crash a loaded site part-way through, so the alive-only
+                // mean runs across the shard split with a hole in it.
+                crashed = true;
+                for f in [&mut single, &mut multi] {
+                    let mut out = Vec::new();
+                    f.catch_up(CRASHED, t, &mut out);
+                    assert!(out.is_empty());
+                    assert_eq!(f.fail_site(CRASHED).len(), 1);
+                }
+                assert_eq!(single.alive_list().len(), 6);
+                assert!(single.avg_load() > 0.0);
+            }
         }
-        assert_eq!(single.avg_load().to_bits(), multi.avg_load().to_bits());
-        assert_eq!(single.total_resident(), multi.total_resident());
         assert_eq!(single.busy(), multi.busy());
         assert_eq!(single.peak_util(), multi.peak_util());
         assert_eq!(single.util_integral(), multi.util_integral());
@@ -487,17 +484,29 @@ mod tests {
     #[test]
     fn faults_and_aggregates_route_to_owning_shards() {
         let mut f = Fabric::new(sims(6), 2, 3);
-        f.place_clone(4, &clone(0, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
-        let lost = f.fail_site(4);
-        assert_eq!(lost.len(), 1);
+        f.place_clone(1, &clone(0, &[0.5, 1.0], 2.0)); // load 0.5
+        f.place_clone(4, &clone(1, &[1.5, 0.0], 2.0)); // load 0.75
+        assert_eq!(f.avg_load(), 1.25 / 6.0);
+        // A crash zeroes the site's load and drops it from the mean's
+        // denominator.
+        assert_eq!(f.fail_site(4).len(), 1);
         assert!(f.is_down(4));
         assert_eq!(f.alive_sites(), 5);
         let alive: Vec<usize> = f.alive_list().iter().map(|s| s.0).collect();
         assert_eq!(alive, vec![0, 1, 2, 3, 5]);
+        assert_eq!(f.total_resident(), 1);
+        assert_eq!(f.avg_load(), 0.5 / 5.0);
+        // A restore brings the site back empty.
         f.restore_site(4);
         assert_eq!(f.alive_sites(), 6);
-        assert_eq!(f.avg_load(), 0.0);
-        assert_eq!(f.next_time(), None, "crash evicted the only clone");
+        assert_eq!(f.avg_load(), 0.5 / 6.0);
+        // With every site down the mean is +inf.
+        for site in 0..6 {
+            f.fail_site(site);
+        }
+        assert!(f.alive_list().is_empty());
+        assert_eq!(f.avg_load(), f64::INFINITY);
+        assert_eq!(f.next_time(), None, "the crashes evicted every clone");
     }
 
     #[test]
@@ -506,7 +515,7 @@ mod tests {
         // no-op that surfaces nothing (the fast path returns before any
         // worker wake; this asserts the semantics, not the syscalls).
         let mut f = Fabric::new(sims(4), 2, 2);
-        f.place_clone(0, &clone(0, &[4.0, 0.0], 4.0), &[1.0, 0.0]);
+        f.place_clone(0, &clone(0, &[4.0, 0.0], 4.0));
         assert_eq!(f.next_time(), Some(4.0));
         let mut out = Vec::new();
         f.advance_due(1.0, &mut out);
@@ -522,8 +531,8 @@ mod tests {
         // the same instant: the batched barrier must surface both, in
         // tag order, and leave the cached next-times coherent.
         let mut f = Fabric::new(sims(4), 2, 2);
-        f.place_clone(0, &clone(1, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
-        f.place_clone(3, &clone(0, &[2.0, 0.0], 2.0), &[1.0, 0.0]);
+        f.place_clone(0, &clone(1, &[2.0, 0.0], 2.0));
+        f.place_clone(3, &clone(0, &[2.0, 0.0], 2.0));
         let t = f.next_time().expect("two clones pending");
         let mut out = Vec::new();
         f.advance_due(t, &mut out);

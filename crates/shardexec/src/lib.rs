@@ -13,12 +13,13 @@
 //! partitions the `P` site indices into `N` contiguous, balanced ranges
 //! (a pure function of `(P, N)`, so it is stable for a given seed and
 //! config). Each shard owns its slice of the site simulators, its own
-//! lazy [`EventCalendar`](mrs_sim::calendar::EventCalendar), its own
-//! [`SiteLedger`] slice, and its own audit-trace [`ShardSegment`]. A
+//! lazy [`EventCalendar`](mrs_sim::calendar::EventCalendar), and its own
+//! audit-trace [`ShardSegment`]; each site's committed load lives in its
+//! own simulator ([`SiteSim::load`](mrs_sim::engine::SiteSim::load)). A
 //! pinned worker pool (one persistent thread per shard) advances the
 //! shards independently between *epoch boundaries* — the global event
 //! times the coordinator picks — and every cross-shard effect (a query's
-//! clones spanning shards, a crash/restore re-pack, a cache-epoch bump)
+//! clones spanning shards, a crash/restore re-pack)
 //! is applied by the coordinator serially, in the same canonical order
 //! the single-threaded loop uses.
 //!
@@ -67,7 +68,6 @@
 
 pub mod fabric;
 pub mod gate;
-pub mod ledger;
 pub mod merge;
 pub mod plan;
 pub mod pool;
@@ -78,7 +78,6 @@ pub mod sync;
 /// One-stop imports.
 pub mod prelude {
     pub use crate::fabric::Fabric;
-    pub use crate::ledger::SiteLedger;
     pub use crate::merge::{merge_sorted_completions, sort_completions};
     pub use crate::plan::ShardPlan;
     pub use crate::segment::{merge_segments, ShardEvent, ShardEventKind, ShardSegment};

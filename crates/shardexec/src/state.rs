@@ -1,5 +1,5 @@
 //! The per-shard executor state: one shard's site simulators, lazy
-//! event calendar, ledger slice, and audit-trace segment.
+//! event calendar, and audit-trace segment.
 //!
 //! A [`ShardState`] owns everything needed to answer the two site-local
 //! questions of the epoch protocol (next completion time; advance due
@@ -8,7 +8,6 @@
 //! between barriers. All public methods take *global* site indices; the
 //! state translates to its local slice.
 
-use crate::ledger::SiteLedger;
 use crate::merge::sort_completions;
 use crate::segment::{ShardEvent, ShardEventKind, ShardSegment};
 use mrs_core::resource::SiteId;
@@ -24,8 +23,6 @@ pub struct ShardState {
     sims: Vec<SiteSim>,
     /// Lazy completion calendar over the local sims.
     calendar: EventCalendar,
-    /// Committed-demand ledger over the local sites.
-    ledger: SiteLedger,
     /// This shard's audit-trace segment.
     segment: ShardSegment,
     /// Completions surfaced by the latest advance command, sorted by
@@ -40,12 +37,18 @@ pub struct ShardState {
 impl ShardState {
     /// A shard executor for sites `base..base + sims.len()` with
     /// resource dimensionality `dim`, recording into segment `shard`.
+    ///
+    /// # Panics
+    /// Panics if any site simulator's dimensionality is not `dim`.
     pub fn new(shard: usize, base: usize, sims: Vec<SiteSim>, dim: usize) -> Self {
+        assert!(
+            sims.iter().all(|sim| sim.dim() == dim),
+            "site dimensionality mismatch: shard {shard} expects d = {dim}"
+        );
         let n = sims.len();
         ShardState {
             base,
             calendar: EventCalendar::new(n),
-            ledger: SiteLedger::new(n, dim),
             segment: ShardSegment {
                 shard,
                 sites: (base, base + n),
@@ -157,8 +160,8 @@ impl ShardState {
     }
 
     /// Crashes `site`: evicts and returns its resident clones (recorded
-    /// as lost) and releases the site from the ledger slice. The caller
-    /// must have caught the site up to the clock first.
+    /// as lost), zeroing its committed load. The caller must have caught
+    /// the site up to the clock first.
     pub fn fail_site(&mut self, site: usize) -> Vec<LostClone> {
         let l = self.local(site);
         let lost = self.sims[l].fail();
@@ -167,17 +170,14 @@ impl ShardState {
         for lc in &lost {
             self.record(now, site, lc.tag, ShardEventKind::Lost);
         }
-        self.ledger.release_site(SiteId(l));
         lost
     }
 
-    /// Restores a crashed `site` (empty and idle) in both the simulator
-    /// and the ledger slice.
+    /// Restores a crashed `site`, empty and idle.
     pub fn restore_site(&mut self, site: usize) {
         let l = self.local(site);
         self.sims[l].restore();
         self.calendar.invalidate(l);
-        self.ledger.restore_site(SiteId(l));
     }
 
     /// Evicts the clone tagged `tag` from `site` (recorded as evicted if
@@ -206,42 +206,29 @@ impl ShardState {
         }
     }
 
-    /// Ledger slice: commits a clone's demand at `site`.
-    pub fn commit(&mut self, site: usize, demand: &[f64]) {
-        let l = self.local(site);
-        self.ledger.commit(SiteId(l), demand);
-    }
-
-    /// Ledger slice: releases a completed clone's demand at `site`.
-    pub fn release(&mut self, site: usize, demand: &[f64]) {
-        let l = self.local(site);
-        self.ledger.release(SiteId(l), demand);
-    }
-
-    /// Whether `site` is in service.
-    pub fn is_alive(&self, site: usize) -> bool {
-        self.ledger.is_alive(SiteId(self.local(site)))
-    }
-
-    /// Order-preserving fold of this shard's alive-site loads (see
-    /// [`SiteLedger::fold_load`]).
+    /// Adds each alive site's [`SiteSim::load`] onto `acc` in site order,
+    /// counting them into `alive`: chained over the shards in shard
+    /// order, the same float additions as one whole-machine shard.
     pub fn fold_load(&self, acc: &mut f64, alive: &mut usize) {
-        self.ledger.fold_load(acc, alive);
+        for sim in self.sims.iter().filter(|sim| !sim.is_down()) {
+            *acc += sim.load();
+            *alive += 1;
+        }
     }
 
-    /// Appends this shard's alive sites to `out` as global ids.
+    /// Appends this shard's alive sites to `out` as global ids, in site
+    /// order.
     pub fn push_alive(&self, out: &mut Vec<SiteId>) {
-        self.ledger.push_alive(self.base, out);
+        for (l, sim) in self.sims.iter().enumerate() {
+            if !sim.is_down() {
+                out.push(SiteId(self.base + l));
+            }
+        }
     }
 
-    /// Number of alive sites in this shard.
-    pub fn alive_sites(&self) -> usize {
-        self.ledger.alive_sites()
-    }
-
-    /// Total clones committed across this shard's sites.
+    /// Total clones resident across this shard's sites.
     pub fn total_resident(&self) -> usize {
-        self.ledger.total_resident()
+        self.sims.iter().map(SiteSim::resident).sum()
     }
 
     /// Appends each local site's busy-time vector to `out`, in site
@@ -334,7 +321,6 @@ mod tests {
         let lost = st.fail_site(2);
         assert_eq!(lost.len(), 1);
         assert!(st.is_down(2));
-        assert!(!st.is_alive(2));
         let evicted = st.remove_clone(3, 1);
         assert!(evicted.is_some());
         assert_eq!(st.remove_clone(3, 1), None, "already gone");
@@ -350,7 +336,13 @@ mod tests {
         );
         st.restore_site(2);
         assert!(!st.is_down(2));
-        assert!(st.is_alive(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "dimensionality mismatch")]
+    fn site_dimensionality_must_match_the_shard() {
+        let sims = vec![SiteSim::new(SimConfig::default(), 3)];
+        let _ = ShardState::new(0, 0, sims, 2);
     }
 
     #[test]

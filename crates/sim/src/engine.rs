@@ -205,6 +205,10 @@ pub struct SiteSim {
     d: usize,
     now: f64,
     active: Vec<Active>,
+    /// Sum of the resident clones' demand rates: added on insert,
+    /// subtracted (clamped at zero) when a clone finishes or is evicted,
+    /// zeroed by a crash.
+    committed: WorkVector,
     busy: Vec<f64>,
     /// Speed multiplier in `(0, 1]`: a straggler site stretches every
     /// resident clone by `1/rate`. At `1.0` the arithmetic is bit-exact
@@ -245,6 +249,7 @@ impl SiteSim {
             d,
             now: 0.0,
             active: Vec::new(),
+            committed: WorkVector::zeros(d),
             busy: vec![0.0; d],
             rate: 1.0,
             down: false,
@@ -280,10 +285,23 @@ impl SiteSim {
         self.now
     }
 
+    /// Resource dimensionality `d`.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.d
+    }
+
     /// Number of clones currently resident.
     #[inline]
     pub fn resident(&self) -> usize {
         self.active.len()
+    }
+
+    /// Committed load `l(W)`: the largest component of the resident
+    /// clones' summed demand rates. Above `1.0` the site time-shares.
+    #[inline]
+    pub fn load(&self) -> f64 {
+        self.committed.length()
     }
 
     /// Integrated busy time per resource since construction.
@@ -362,6 +380,7 @@ impl SiteSim {
     pub fn fail(&mut self) -> Vec<LostClone> {
         self.down = true;
         self.speeds_valid = false;
+        self.committed.set_zero();
         self.active
             .drain(..)
             .map(|a| LostClone {
@@ -383,31 +402,12 @@ impl SiteSim {
     pub fn remove_clone(&mut self, tag: usize) -> Option<LostClone> {
         let idx = self.active.iter().position(|a| a.tag == tag)?;
         let a = self.active.remove(idx);
+        self.committed.remove(&a.demand);
         self.speeds_valid = false;
         Some(LostClone {
             tag: a.tag,
             remaining: a.remaining,
         })
-    }
-
-    /// Sum of the resident clones' full-speed demand rates per resource —
-    /// the committed load the site ledger mirrors.
-    pub fn committed_demand(&self) -> Vec<f64> {
-        let mut total = Vec::new();
-        self.committed_demand_into(&mut total);
-        total
-    }
-
-    /// Allocation-free variant of [`SiteSim::committed_demand`]: clears
-    /// `out`, resizes it to `d`, and accumulates into it.
-    pub fn committed_demand_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.d, 0.0);
-        for a in &self.active {
-            for (t, dem) in out.iter_mut().zip(a.demand.components()) {
-                *t += dem;
-            }
-        }
     }
 
     /// Inserts a clone at the current virtual time. A clone with zero
@@ -434,9 +434,11 @@ impl SiteSim {
                 time: self.now,
             });
         }
+        let demand = clone.work.rates(clone.duration);
+        self.committed.accumulate(&demand);
         self.active.push(Active {
             tag: clone.tag,
-            demand: clone.work.rates(clone.duration),
+            demand,
             remaining: clone.duration,
         });
         self.speeds_valid = false;
@@ -548,6 +550,7 @@ impl SiteSim {
             while i < self.active.len() {
                 if self.active[i].remaining <= 1e-12 * self.now.max(1.0) {
                     let a = self.active.swap_remove(i);
+                    self.committed.remove(&a.demand);
                     out.push(Completion {
                         tag: a.tag,
                         time: self.now,
@@ -948,15 +951,34 @@ mod tests {
     }
 
     #[test]
-    fn site_sim_committed_demand_tracks_population() {
-        let mut sim = SiteSim::new(SimConfig::default(), 2);
+    fn site_sim_load_tracks_population() {
+        // FairShare runs both clones at full speed, so the shorter one
+        // finishes first.
+        let cfg = SimConfig {
+            policy: SharingPolicy::FairShare,
+            ..SimConfig::default()
+        };
+        let mut sim = SiteSim::new(cfg, 2);
+        assert_eq!(sim.load(), 0.0);
+        // Zero-duration clones complete inline and commit nothing.
+        assert!(sim.add_clone(&clone(5, &[0.0, 0.0], 0.0)).is_some());
+        assert_eq!(sim.load(), 0.0);
         sim.add_clone(&clone(0, &[4.0, 2.0], 8.0)); // demand [0.5, 0.25]
-        let d = sim.committed_demand();
-        assert!((d[0] - 0.5).abs() < 1e-12 && (d[1] - 0.25).abs() < 1e-12);
+        sim.add_clone(&clone(1, &[1.0, 3.0], 4.0)); // demand [0.25, 0.75]
+        assert_eq!(sim.load(), 1.0, "l_inf of [0.75, 1.0]");
         let mut out = Vec::new();
         let t = sim.next_completion_time().unwrap();
         sim.advance_to(t, &mut out);
-        assert_eq!(sim.committed_demand(), vec![0.0, 0.0]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(sim.load(), 0.5);
+        // Eviction releases the survivor: an idle site reads exactly 0.
+        assert!(sim.remove_clone(0).is_some());
+        assert_eq!(sim.load(), 0.0);
+        // A crash zeroes the committed load outright.
+        sim.add_clone(&clone(2, &[6.0, 3.0], 3.0)); // demand [2.0, 1.0]
+        assert_eq!(sim.load(), 2.0);
+        sim.fail();
+        assert_eq!(sim.load(), 0.0);
     }
 }
 

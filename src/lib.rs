@@ -19,7 +19,7 @@
 //! | [`sim`] | discrete-event fluid execution simulator |
 //! | [`opt`] | exact branch-and-bound packing |
 //! | [`exp`] | table/figure regeneration harness |
-//! | [`runtime`] | online multi-query runtime: admission, site ledger, event-driven dispatch |
+//! | [`runtime`] | online multi-query runtime: admission, event-driven dispatch onto fluid sites |
 //! | [`audit`] | paper-invariant auditor, run-trace checker, `mrs-lint` source gate |
 //!
 //! ## Quickstart
