@@ -2,9 +2,13 @@
 //! (policy-driven queue pops), end-to-end stream and serve runs, the
 //! overload controller on and off, and the shard barrier.
 
-use mrs_bench::harness::Bench;
+use mrs_bench::harness::{Bench, Group};
 use mrs_core::prelude::*;
+use mrs_cost::prelude::CostModel;
+use mrs_exp::prelude::query_problem;
+use mrs_exp::serving::{cycled, spaced, Harness};
 use mrs_runtime::prelude::*;
+use mrs_workload::prelude::{generate_query, overlap_batch, QueryGenConfig};
 use std::hint::black_box;
 
 fn bench_admission(b: &mut Bench) {
@@ -38,289 +42,147 @@ fn bench_admission(b: &mut Bench) {
     g.finish();
 }
 
-fn bench_stream(b: &mut Bench) {
-    use mrs_cost::prelude::*;
-    use mrs_exp::prelude::query_problem;
-    use mrs_workload::prelude::*;
+/// Arrivals per served stream.
+const QUERIES: usize = 42;
+/// Multiprogramming level of every served group.
+const MPL: usize = 4;
 
+/// The recurring-template workload every served group replays: six
+/// generated plans cycled over the stream, the regime where the
+/// plan-signature cache pays off.
+fn templates() -> Vec<TreeProblem> {
     let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.3).unwrap();
-    let queries: Vec<_> = (0..8u64)
+    (0..6u64)
         .map(|s| {
-            let q = generate_query(&QueryGenConfig::paper(8), s);
+            let q = generate_query(&QueryGenConfig::paper(8 + (s as usize % 5)), 7 * s + 1);
             query_problem(&q, &cost)
         })
-        .collect();
+        .collect()
+}
 
-    let mut g = b.group("stream");
-    g.sample_size(10);
+/// Times one full run of the stream per sample; building the runtime
+/// and submitting the stream is untimed set-up.
+fn bench_serve(
+    g: &mut Group<'_>,
+    id: &str,
+    h: &Harness,
+    cfg: RuntimeConfig,
+    plans: &[TreeProblem],
+    arrivals: &[f64],
+) {
     g.bench_batched(
-        "eight_queries_p16_fcfs",
-        || {
-            let cfg = RuntimeConfig {
-                max_in_flight: 4,
-                ..RuntimeConfig::default()
-            };
-            let mut rt = Runtime::new(SystemSpec::homogeneous(16), comm, model, cfg);
-            for (i, p) in queries.iter().enumerate() {
-                rt.submit_at(i as f64 * 10.0, i % 4, p.clone());
-            }
-            rt
-        },
+        id,
+        || h.runtime(cfg.clone(), plans, arrivals),
         |mut rt| {
             black_box(rt.run_to_completion().unwrap());
         },
+    );
+}
+
+fn bench_stream(b: &mut Bench) {
+    // The first eight template arrivals, ten virtual seconds apart.
+    let templates = templates();
+    let h = Harness::calibrate(16, &templates);
+    let cfg = RuntimeConfig {
+        max_in_flight: MPL,
+        ..RuntimeConfig::default()
+    };
+    let mut g = b.group("stream");
+    g.sample_size(10);
+    let stream = cycled(&templates, 8);
+    bench_serve(
+        &mut g,
+        "eight_queries_p16_fcfs",
+        &h,
+        cfg,
+        &stream,
+        &spaced(8, 10.0),
     );
     g.finish();
 }
 
 fn bench_serve_stream(b: &mut Bench) {
-    use mrs_core::tree::tree_schedule;
-    use mrs_cost::prelude::*;
-    use mrs_exp::prelude::query_problem;
-    use mrs_sim::fault::FaultPlan;
-    use mrs_workload::prelude::*;
-
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.5).unwrap();
-    let f = 0.7;
-    // A templated workload: six distinct plans cycled over the stream, the
-    // regime where a plan-signature cache pays off.
-    let templates: Vec<_> = (0..6u64)
-        .map(|s| {
-            let q = generate_query(&QueryGenConfig::paper(8 + (s as usize % 5)), 7 * s + 1);
-            query_problem(&q, &cost)
-        })
-        .collect();
-    let queries = 42usize;
-    let mpl = 4usize;
-    let load = 1.5f64;
+    let sites = 140;
+    let templates = templates();
+    let stream = cycled(&templates, QUERIES);
+    let h = Harness::calibrate(sites, &templates);
+    let arrivals = h.poisson(h.rate(1.5, MPL), QUERIES, sites as u64);
 
     let mut g = b.group("serve_stream");
     g.sample_size(5);
-    for sites in [64usize, 140] {
-        let sys = SystemSpec::homogeneous(sites);
-        let mean_standalone: f64 = templates
-            .iter()
-            .map(|p| {
-                tree_schedule(p, f, &sys, &comm, &model)
-                    .expect("template plans always schedule")
-                    .response_time
-            })
-            .sum::<f64>()
-            / templates.len() as f64;
-        let rate = load * mpl as f64 / mean_standalone;
-        let arrivals = poisson_arrivals(rate, queries, 0xA11C_E5ED ^ sites as u64);
-        let plan_horizon = arrivals.last().copied().unwrap_or(0.0) + 50.0 * mean_standalone;
+    // Shard-count sweep (clean plan only): the sharded fabric must
+    // produce the identical run, so this measures pure execution cost —
+    // barrier overhead on few cores, parallel speedup on many. On a
+    // single-core host expect s1 to win; record the numbers honestly
+    // either way.
+    for n_shards in [1usize, 2, 4, 8] {
+        let cfg = RuntimeConfig {
+            max_in_flight: MPL,
+            shards: n_shards,
+            recovery: h.recovery(5),
+            ..RuntimeConfig::default()
+        };
+        let id = format!("p{sites}_s{n_shards}");
+        bench_serve(&mut g, &id, &h, cfg, &stream, &arrivals);
+    }
 
-        for faulty in [false, true] {
-            let faults = if faulty {
-                FaultPlan::seeded(
-                    sites,
-                    plan_horizon,
-                    3.0 * mean_standalone,
-                    0.75 * mean_standalone,
-                    0x0FA7_0FA7 ^ sites as u64,
-                )
-            } else {
-                FaultPlan::none()
-            };
-            let id = format!("p{sites}{}", if faulty { "_faults" } else { "" });
-            g.bench_batched(
-                &id,
-                || {
-                    let cfg = RuntimeConfig {
-                        f,
-                        max_in_flight: mpl,
-                        faults: faults.clone(),
-                        recovery: RecoveryConfig {
-                            backoff_base: 0.1 * mean_standalone,
-                            backoff_cap: 2.0 * mean_standalone,
-                            degrade_threshold: 0.25,
-                            ..RecoveryConfig::default()
-                        },
-                        ..RuntimeConfig::default()
-                    };
-                    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-                    for (i, t) in arrivals.iter().enumerate() {
-                        rt.submit_at(*t, i % 3, templates[i % templates.len()].clone());
-                    }
-                    rt
-                },
-                |mut rt| {
-                    black_box(rt.run_to_completion().unwrap());
-                },
-            );
-        }
-
-        // Shard-count sweep (clean plan only): the sharded fabric must
-        // produce the identical run, so this measures pure execution
-        // cost — barrier overhead on few cores, parallel speedup on
-        // many. On a single-core host expect s1 to win; record the
-        // numbers honestly either way.
-        if sites == 140 {
-            for n_shards in [1usize, 2, 4, 8] {
-                g.bench_batched(
-                    &format!("p{sites}_s{n_shards}"),
-                    || {
-                        let cfg = RuntimeConfig {
-                            f,
-                            max_in_flight: mpl,
-                            shards: n_shards,
-                            recovery: RecoveryConfig {
-                                backoff_base: 0.1 * mean_standalone,
-                                backoff_cap: 2.0 * mean_standalone,
-                                degrade_threshold: 0.25,
-                                ..RecoveryConfig::default()
-                            },
-                            ..RuntimeConfig::default()
-                        };
-                        let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-                        for (i, t) in arrivals.iter().enumerate() {
-                            rt.submit_at(*t, i % 3, templates[i % templates.len()].clone());
-                        }
-                        rt
-                    },
-                    |mut rt| {
-                        black_box(rt.run_to_completion().unwrap());
-                    },
-                );
-            }
-
-            // MQO pair: the same overlap-templated stream served with
-            // batched admission, once planning every window member
-            // independently and once splicing shared subtrees through
-            // the fragment memo. The delta is the price the runtime
-            // pays (or wins back) for "build once, probe many" at high
-            // template overlap; the plans-computed ratio itself is
-            // gated by X16 in CI, this records the wall-clock side.
-            let window = 6usize;
-            let mqo_stream: Vec<_> = (0..queries / window)
-                .flat_map(|batch| {
-                    overlap_batch(
-                        &QueryGenConfig::paper(10),
-                        0.9,
-                        window,
-                        0x3160_3160 ^ batch as u64,
-                    )
-                    .iter()
-                    .map(|q| query_problem(q, &cost))
-                    .collect::<Vec<_>>()
-                })
-                .collect();
-            let mqo_standalone: f64 = mqo_stream
-                .iter()
-                .map(|p| {
-                    tree_schedule(p, f, &sys, &comm, &model)
-                        .expect("overlap plans always schedule")
-                        .response_time
-                })
-                .sum::<f64>()
-                / mqo_stream.len() as f64;
-            let mqo_rate = load * mpl as f64 / mqo_standalone;
-            let mqo_arrivals =
-                poisson_arrivals(mqo_rate, mqo_stream.len(), 0xA11C_E5ED ^ sites as u64);
-            for (id, sharing) in [("mqo_p140_unshared", false), ("mqo_p140_shared", true)] {
-                g.bench_batched(
-                    id,
-                    || {
-                        let cfg = RuntimeConfig {
-                            f,
-                            max_in_flight: mpl,
-                            batch_window: window,
-                            plan_sharing: sharing,
-                            recovery: RecoveryConfig {
-                                backoff_base: 0.1 * mqo_standalone,
-                                backoff_cap: 2.0 * mqo_standalone,
-                                degrade_threshold: 0.25,
-                                ..RecoveryConfig::default()
-                            },
-                            ..RuntimeConfig::default()
-                        };
-                        let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-                        for (i, (p, t)) in mqo_stream.iter().zip(&mqo_arrivals).enumerate() {
-                            rt.submit_at(*t, i % 3, p.clone());
-                        }
-                        rt
-                    },
-                    |mut rt| {
-                        black_box(rt.run_to_completion().unwrap());
-                    },
-                );
-            }
-        }
+    // MQO pair: an overlap-templated stream served with batched
+    // admission, once planning every window member independently and
+    // once splicing shared subtrees through the fragment memo. The delta
+    // is the price the runtime pays (or wins back) for "build once,
+    // probe many" at high template overlap; the plans-computed ratio
+    // itself is gated by X16 in CI, this records the wall-clock side.
+    let window = 6usize;
+    let cost = CostModel::paper_defaults();
+    let mqo_stream: Vec<TreeProblem> = (0..QUERIES / window)
+        .flat_map(|batch| {
+            overlap_batch(
+                &QueryGenConfig::paper(10),
+                0.9,
+                window,
+                0x3160_3160 ^ batch as u64,
+            )
+        })
+        .map(|q| query_problem(&q, &cost))
+        .collect();
+    let mqo = Harness::calibrate(sites, &mqo_stream);
+    let mqo_arrivals = mqo.poisson(mqo.rate(1.5, MPL), mqo_stream.len(), sites as u64);
+    for (id, sharing) in [("mqo_p140_unshared", false), ("mqo_p140_shared", true)] {
+        let cfg = RuntimeConfig {
+            max_in_flight: MPL,
+            batch_window: window,
+            plan_sharing: sharing,
+            recovery: mqo.recovery(5),
+            ..RuntimeConfig::default()
+        };
+        bench_serve(&mut g, id, &mqo, cfg, &mqo_stream, &mqo_arrivals);
     }
     g.finish();
 }
 
 fn bench_control(b: &mut Bench) {
-    use mrs_core::tree::tree_schedule;
-    use mrs_cost::prelude::*;
-    use mrs_exp::prelude::query_problem;
-    use mrs_workload::prelude::*;
-
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.5).unwrap();
-    let f = 0.7;
-    let templates: Vec<_> = (0..6u64)
-        .map(|s| {
-            let q = generate_query(&QueryGenConfig::paper(8 + (s as usize % 5)), 7 * s + 1);
-            query_problem(&q, &cost)
-        })
-        .collect();
-    let queries = 42usize;
-    let mpl = 4usize;
-    let sites = 64usize;
-    let sys = SystemSpec::homogeneous(sites);
-    let mean_standalone: f64 = templates
-        .iter()
-        .map(|p| {
-            tree_schedule(p, f, &sys, &comm, &model)
-                .expect("template plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / templates.len() as f64;
+    let sites = 64;
+    let templates = templates();
+    let stream = cycled(&templates, QUERIES);
+    let h = Harness::calibrate(sites, &templates);
     // Well past the knee: the adaptive run actually makes decisions, so
     // the on/off delta prices the controller machinery under fire, not
     // just the disabled-path guard.
-    let rate = 4.0 * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, queries, 0xA11C_E5ED ^ sites as u64);
+    let arrivals = h.poisson(h.rate(4.0, MPL), QUERIES, sites as u64);
 
     let mut g = b.group("control");
     g.sample_size(5);
-    for (id, ctl) in [
+    for (id, controller) in [
         ("off_p64", ControllerConfig::default()),
         ("adaptive_p64", ControllerConfig::adaptive()),
     ] {
-        g.bench_batched(
-            id,
-            || {
-                let cfg = RuntimeConfig {
-                    f,
-                    max_in_flight: mpl,
-                    controller: ctl.clone(),
-                    recovery: RecoveryConfig {
-                        backoff_base: 0.1 * mean_standalone,
-                        backoff_cap: 2.0 * mean_standalone,
-                        degrade_threshold: 0.25,
-                        ..RecoveryConfig::default()
-                    },
-                    ..RuntimeConfig::default()
-                };
-                let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-                for (i, t) in arrivals.iter().enumerate() {
-                    rt.submit_at(*t, i % 3, templates[i % templates.len()].clone());
-                }
-                rt
-            },
-            |mut rt| {
-                black_box(rt.run_to_completion().unwrap());
-            },
-        );
+        let cfg = RuntimeConfig {
+            max_in_flight: MPL,
+            controller,
+            recovery: h.recovery(5),
+            ..RuntimeConfig::default()
+        };
+        bench_serve(&mut g, id, &h, cfg, &stream, &arrivals);
     }
     g.finish();
 }

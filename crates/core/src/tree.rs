@@ -23,7 +23,6 @@ use crate::operator::{OperatorId, OperatorSpec, Placement};
 use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::PhaseSchedule;
 use crate::tasks::{HomeBinding, TaskGraph};
-use std::collections::HashMap;
 
 /// A complete TREESCHEDULE input: the plan's operators, its query task
 /// graph, and the cross-phase placement bindings.
@@ -49,22 +48,25 @@ impl TreeProblem {
                 });
             }
         }
-        let mut task_of: HashMap<OperatorId, usize> = HashMap::new();
+        let mut task_of: Vec<Option<usize>> = vec![None; self.ops.len()];
         for (t, node) in self.tasks.nodes().iter().enumerate() {
             for op in &node.ops {
                 if op.0 >= self.ops.len() {
                     return Err(ScheduleError::UnknownOperator { op: *op });
                 }
-                task_of.insert(*op, t);
+                task_of[op.0] = Some(t);
             }
         }
+        let task = |op: OperatorId| {
+            task_of
+                .get(op.0)
+                .copied()
+                .flatten()
+                .ok_or(ScheduleError::UnknownOperator { op })
+        };
         for b in &self.bindings {
-            let dep_task = *task_of
-                .get(&b.dependent)
-                .ok_or(ScheduleError::UnknownOperator { op: b.dependent })?;
-            let src_task = *task_of
-                .get(&b.source)
-                .ok_or(ScheduleError::UnknownOperator { op: b.source })?;
+            let dep_task = task(b.dependent)?;
+            let src_task = task(b.source)?;
             let dep_level = self.tasks.depth(crate::tasks::TaskId(dep_task));
             let src_level = self.tasks.depth(crate::tasks::TaskId(src_task));
             if src_level <= dep_level {
@@ -118,6 +120,64 @@ impl TreeScheduleResult {
     /// Degree of parallelism chosen for an operator, if scheduled.
     pub fn degree_of(&self, op: OperatorId) -> Option<usize> {
         self.homes_of(op).map(<[SiteId]>::len)
+    }
+}
+
+/// The placement state both planners thread through the phases, in
+/// dense tables indexed by `OperatorId.0` ([`TreeProblem::validate`]
+/// guarantees dense ids): each operator's binding source and dependent,
+/// and the homes of every operator placed so far.
+struct Placements {
+    source_of: Vec<Option<OperatorId>>,
+    dependent_of: Vec<Option<OperatorId>>,
+    homes: Vec<Option<Vec<SiteId>>>,
+}
+
+impl Placements {
+    /// Validates `problem` and indexes its bindings.
+    fn new(problem: &TreeProblem) -> Result<Self, ScheduleError> {
+        problem.validate()?;
+        let n = problem.ops.len();
+        let mut source_of = vec![None; n];
+        let mut dependent_of = vec![None; n];
+        for b in &problem.bindings {
+            source_of[b.dependent.0] = Some(b.source);
+            dependent_of[b.source.0] = Some(b.dependent);
+        }
+        Ok(Placements {
+            source_of,
+            dependent_of,
+            homes: vec![None; n],
+        })
+    }
+
+    /// `id`'s spec, rooted at its binding source's homes if it has one.
+    fn spec(&self, problem: &TreeProblem, id: OperatorId) -> Result<OperatorSpec, ScheduleError> {
+        let mut spec = problem.ops[id.0].clone();
+        if let Some(source) = self.source_of[id.0] {
+            let Some(homes) = &self.homes[source.0] else {
+                return Err(ScheduleError::MalformedTaskGraph {
+                    detail: format!(
+                        "binding source {source} for {id} was not scheduled in an \
+                         earlier phase"
+                    ),
+                });
+            };
+            spec.placement = Placement::Rooted(homes.clone());
+        }
+        Ok(spec)
+    }
+
+    /// The operator bound to `id`'s homes, if any.
+    fn dependent<'p>(&self, problem: &'p TreeProblem, id: OperatorId) -> Option<&'p OperatorSpec> {
+        self.dependent_of[id.0].map(|dep| &problem.ops[dep.0])
+    }
+
+    /// Records the homes `schedule` assigned.
+    fn place(&mut self, schedule: &PhaseSchedule) {
+        for (sop, homes) in schedule.ops.iter().zip(&schedule.assignment.homes) {
+            self.homes[sop.spec.id.0] = Some(homes.clone());
+        }
     }
 }
 
@@ -232,16 +292,7 @@ pub fn tree_schedule_with<M: ResponseModel>(
     opts: PlanOptions,
 ) -> Result<TreeScheduleResult, ScheduleError> {
     let PlanOptions { order, policy, cap } = opts;
-    problem.validate()?;
-    // binding lookups: dependent -> source and source -> dependent.
-    let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    let mut dependent_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
-    }
-
-    let mut placed_homes: HashMap<OperatorId, Vec<SiteId>> = HashMap::new();
+    let mut placed = Placements::new(problem)?;
     let mut phases = Vec::new();
     let mut response_time = 0.0;
 
@@ -274,23 +325,12 @@ pub fn tree_schedule_with<M: ResponseModel>(
             continue;
         }
         let mut specs = Vec::with_capacity(op_ids.len());
-        for id in &op_ids {
-            let mut spec = problem.ops[id.0].clone();
-            if let Some(source) = binding_of.get(id) {
-                let homes =
-                    placed_homes
-                        .get(source)
-                        .ok_or_else(|| ScheduleError::MalformedTaskGraph {
-                            detail: format!(
-                            "binding source {source} for {id} was not scheduled in an earlier phase"
-                        ),
-                        })?;
-                spec.placement = Placement::Rooted(homes.clone());
-            }
+        for &id in &op_ids {
+            let spec = placed.spec(problem, id)?;
             let degree = match &spec.placement {
                 Placement::Rooted(homes) => homes.len(),
                 Placement::Floating => {
-                    let dependent = dependent_of.get(id).map(|dep| &problem.ops[dep.0]);
+                    let dependent = placed.dependent(problem, id);
                     let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
                     // The governed cap only ever lowers degrees (CG_f
                     // stays satisfied); rooted placements are exempt.
@@ -304,9 +344,7 @@ pub fn tree_schedule_with<M: ResponseModel>(
         }
         let schedule =
             crate::list::schedule_with_degrees_in(&mut scratch, specs, sys, comm, order)?;
-        for (i, sop) in schedule.ops.iter().enumerate() {
-            placed_homes.insert(sop.spec.id, schedule.assignment.homes[i].clone());
-        }
+        placed.place(&schedule);
         let makespan = schedule.makespan(sys, model);
         debug_assert!(
             schedule.validate(sys).is_ok(),
@@ -344,15 +382,7 @@ pub fn malleable_tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    problem.validate()?;
-    let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    let mut dependent_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
-    }
-
-    let mut placed_homes: HashMap<OperatorId, Vec<SiteId>> = HashMap::new();
+    let mut placed = Placements::new(problem)?;
     let mut phases = Vec::new();
     let mut response_time = 0.0;
 
@@ -368,22 +398,10 @@ pub fn malleable_tree_schedule<M: ResponseModel>(
         // Real specs (scheduled) and sizing specs (drive the GF sweep).
         let mut specs = Vec::with_capacity(op_ids.len());
         let mut sizing = Vec::with_capacity(op_ids.len());
-        for id in &op_ids {
-            let mut spec = problem.ops[id.0].clone();
-            if let Some(source) = binding_of.get(id) {
-                let homes =
-                    placed_homes
-                        .get(source)
-                        .ok_or_else(|| ScheduleError::MalformedTaskGraph {
-                            detail: format!(
-                            "binding source {source} for {id} was not scheduled in an earlier phase"
-                        ),
-                        })?;
-                spec.placement = Placement::Rooted(homes.clone());
-            }
-            let size_spec = match dependent_of.get(id) {
-                Some(dep) if spec.placement.is_floating() => {
-                    let dep_op = &problem.ops[dep.0];
+        for &id in &op_ids {
+            let spec = placed.spec(problem, id)?;
+            let size_spec = match placed.dependent(problem, id) {
+                Some(dep_op) if spec.placement.is_floating() => {
                     let mut combined = OperatorSpec::floating(
                         spec.id,
                         spec.kind,
@@ -411,9 +429,7 @@ pub fn malleable_tree_schedule<M: ResponseModel>(
             comm,
             crate::list::ListOrder::LongestFirst,
         )?;
-        for (i, sop) in schedule.ops.iter().enumerate() {
-            placed_homes.insert(sop.spec.id, schedule.assignment.homes[i].clone());
-        }
+        placed.place(&schedule);
         let makespan = schedule.makespan(sys, model);
         debug_assert!(
             schedule.validate(sys).is_ok(),

@@ -58,8 +58,8 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::query_problem;
+use crate::serving::{mixed_stream, Harness, ARRIVALS};
 use crate::tablefmt::Table;
-use crate::throughput::mixed_stream;
 use mrs_audit::lint::{lint_workspace, workspace_sources, Allowlist};
 use mrs_audit::prelude::{
     audit_controller, audit_governed_degrees, audit_run, audit_shard_segments, audit_tree,
@@ -77,12 +77,10 @@ use mrs_core::tree::{
 };
 use mrs_cost::prelude::CostModel;
 use mrs_runtime::prelude::{
-    AdmissionPolicy, AuditEvent, ControllerConfig, FaultRecordKind, RecoveryConfig, Runtime,
-    RuntimeConfig,
+    AdmissionPolicy, AuditEvent, ControllerConfig, FaultRecordKind, RuntimeConfig,
 };
-use mrs_sim::fault::FaultPlan;
 use mrs_workload::prelude::{
-    burst_arrivals, generate_query, overlap_batch, poisson_arrivals, ramp_arrivals, QueryGenConfig,
+    burst_arrivals, generate_query, overlap_batch, ramp_arrivals, QueryGenConfig,
 };
 
 /// One family's audit outcome.
@@ -304,37 +302,31 @@ pub fn audit(cfg: &ExpConfig) -> Report {
 
     // Runtime families share the throughput experiment's served stream.
     let (sites, n_queries) = if cfg.fast { (16, 9) } else { (32, 42) };
-    let sys = SystemSpec::homogeneous(sites);
-    let stream = mixed_stream(n_queries, 3, cfg.seed, &cost);
-    let mean_standalone: f64 = stream
-        .iter()
-        .map(|q| {
-            tree_schedule(&q.problem, f, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    let rate = 1.5 * 4.0 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, n_queries, cfg.seed ^ 0xA11C_E5ED);
-    let recovery = RecoveryConfig {
-        rebuild_factor: 0.1,
-        max_retries: 4,
-        backoff_base: 0.1 * mean_standalone,
-        backoff_cap: 2.0 * mean_standalone,
-        degrade_threshold: 0.25,
-    };
+    let stream = mixed_stream(n_queries, cfg.seed);
+    let h = Harness::calibrate(sites, &stream);
+    let (sys, mean_standalone) = (&h.sys, h.mean_standalone);
+    let arrivals = h.poisson(h.rate(1.5, 4), n_queries, cfg.seed);
     let policies = [AdmissionPolicy::Fcfs, AdmissionPolicy::SmallestVolumeFirst];
     // The seeded crash schedule every faulted runtime cell uses, with a
-    // mean time between failures of `mtbf` standalone responses.
+    // mean time between failures of `mtbf` standalone responses (0 =
+    // fault-free), and the deadline that goes with it.
     let seeded_faults = |mtbf: f64| {
-        FaultPlan::seeded(
-            sites,
+        h.faults(
             60.0 * mean_standalone,
             mtbf * mean_standalone,
             0.3 * mean_standalone,
-            cfg.seed ^ 0x0FA7_0FA7,
+            cfg.seed,
         )
+    };
+    let deadline = |faulty: bool| faulty.then_some(60.0 * mean_standalone);
+    // Every runtime cell: MPL 4, R̄-scaled recovery, shadow-verified
+    // cache hits.
+    let base = RuntimeConfig {
+        f,
+        max_in_flight: 4,
+        recovery: h.recovery(4),
+        verify_cache: true,
+        ..RuntimeConfig::default()
     };
 
     // runtime-clean: fault-free served stream under both policies.
@@ -342,21 +334,10 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let mut violations = Vec::new();
         for policy in policies {
             let rt_cfg = RuntimeConfig {
-                f,
                 policy,
-                max_in_flight: 4,
-                recovery: recovery.clone(),
-                verify_cache: true,
-                ..RuntimeConfig::default()
+                ..base.clone()
             };
-            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-            for (q, t) in stream.iter().zip(&arrivals) {
-                rt.submit_at(*t, q.client, q.problem.clone());
-            }
-            let summary = rt
-                .run_to_completion()
-                .expect("stream plans always schedule");
-            violations.extend(audit_run(&summary));
+            violations.extend(audit_run(&h.serve(rt_cfg, &stream, &arrivals)));
         }
         families.push(FamilyResult {
             family: "runtime-clean",
@@ -373,23 +354,12 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         for policy in policies {
             for mult in [4.0, 1.0] {
                 let rt_cfg = RuntimeConfig {
-                    f,
                     policy,
-                    max_in_flight: 4,
                     faults: seeded_faults(mult),
-                    deadline: Some(60.0 * mean_standalone),
-                    recovery: recovery.clone(),
-                    verify_cache: true,
-                    ..RuntimeConfig::default()
+                    deadline: deadline(true),
+                    ..base.clone()
                 };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (q, t) in stream.iter().zip(&arrivals) {
-                    rt.submit_at(*t, q.client, q.problem.clone());
-                }
-                let summary = rt
-                    .run_to_completion()
-                    .expect("stream plans always schedule");
-                violations.extend(audit_run(&summary));
+                violations.extend(audit_run(&h.serve(rt_cfg, &stream, &arrivals)));
                 cells += 1;
             }
         }
@@ -408,29 +378,16 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     {
         let mut violations = Vec::new();
         let mut cells = 0;
+        let doubled: Vec<TreeProblem> =
+            stream.iter().flat_map(|p| [p.clone(), p.clone()]).collect();
+        let doubled_arrivals: Vec<f64> = arrivals.iter().flat_map(|t| [*t, *t]).collect();
         for faulty in [false, true] {
             let rt_cfg = RuntimeConfig {
-                f,
-                policy: AdmissionPolicy::Fcfs,
-                max_in_flight: 4,
-                faults: if faulty {
-                    seeded_faults(4.0)
-                } else {
-                    FaultPlan::none()
-                },
-                deadline: faulty.then_some(60.0 * mean_standalone),
-                recovery: recovery.clone(),
-                verify_cache: true,
-                ..RuntimeConfig::default()
+                faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
+                deadline: deadline(faulty),
+                ..base.clone()
             };
-            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-            for (q, t) in stream.iter().zip(&arrivals) {
-                rt.submit_at(*t, q.client, q.problem.clone());
-                rt.submit_at(*t, q.client + 3, q.problem.clone());
-            }
-            let summary = rt
-                .run_to_completion()
-                .expect("stream plans always schedule");
+            let summary = h.serve(rt_cfg, &doubled, &doubled_arrivals);
             if summary.cache.hits == 0 {
                 violations.push(Violation::ShapeMismatch {
                     detail: "templated stream produced no cache hits".to_owned(),
@@ -472,25 +429,13 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         for n_shards in [1usize, 3] {
             for faulty in [false, true] {
                 let rt_cfg = RuntimeConfig {
-                    f,
-                    policy: AdmissionPolicy::Fcfs,
-                    max_in_flight: 4,
-                    faults: if faulty {
-                        seeded_faults(4.0)
-                    } else {
-                        FaultPlan::none()
-                    },
-                    deadline: faulty.then_some(60.0 * mean_standalone),
-                    recovery: recovery.clone(),
-                    verify_cache: true,
+                    faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
+                    deadline: deadline(faulty),
                     shards: n_shards,
                     util_series: true,
-                    ..RuntimeConfig::default()
+                    ..base.clone()
                 };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (q, t) in stream.iter().zip(&arrivals) {
-                    rt.submit_at(*t, q.client, q.problem.clone());
-                }
+                let mut rt = h.runtime(rt_cfg, &stream, &arrivals);
                 let summary = rt
                     .run_to_completion()
                     .expect("stream plans always schedule");
@@ -516,14 +461,14 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let mut violations = Vec::new();
         let mut cells = 0;
         let ctl = ControllerConfig::adaptive();
-        let peak = 4.0 * 4.0 / mean_standalone;
+        let peak = h.rate(4.0, 4);
         let arrival_sets = [
             ramp_arrivals(
                 0.25 * peak,
                 peak,
                 8.0 * mean_standalone,
                 n_queries,
-                cfg.seed ^ 0xA11C_E5ED,
+                cfg.seed ^ ARRIVALS,
             ),
             burst_arrivals(
                 0.1 * peak,
@@ -531,28 +476,17 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 4.0 * mean_standalone,
                 0.25,
                 n_queries,
-                cfg.seed ^ 0xA11C_E5ED,
+                cfg.seed ^ ARRIVALS,
             ),
         ];
         for arrivals in &arrival_sets {
             for n_shards in [1usize, 4] {
                 let rt_cfg = RuntimeConfig {
-                    f,
-                    policy: AdmissionPolicy::Fcfs,
-                    max_in_flight: 4,
-                    recovery: recovery.clone(),
-                    verify_cache: true,
                     controller: ctl.clone(),
                     shards: n_shards,
-                    ..RuntimeConfig::default()
+                    ..base.clone()
                 };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (q, t) in stream.iter().zip(arrivals) {
-                    rt.submit_at(*t, q.client, q.problem.clone());
-                }
-                let summary = rt
-                    .run_to_completion()
-                    .expect("stream plans always schedule");
+                let summary = h.serve(rt_cfg, &stream, arrivals);
                 if !summary
                     .trace
                     .iter()
@@ -575,13 +509,13 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     cap: Some(cap),
                     ..PlanOptions::default()
                 };
-                let r = tree_schedule_with(&q.problem, f, &sys, &comm, &model, opts)
+                let r = tree_schedule_with(q, f, sys, &comm, &model, opts)
                     .expect("stream plans always schedule");
-                violations.extend(audit_governed_degrees(&q.problem, &r, cap));
+                violations.extend(audit_governed_degrees(q, &r, cap));
                 violations.extend(audit_tree(
-                    &q.problem,
+                    q,
                     &r,
-                    &sys,
+                    sys,
                     &comm,
                     &model,
                     &AuditOptions::coarse_grain(f),
@@ -607,36 +541,24 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         let mut cells = 0;
         let (joins, n_batch) = if cfg.fast { (8, 6) } else { (12, 10) };
         for (w, &overlap) in [0.5, 0.9].iter().enumerate() {
+            let batch: Vec<TreeProblem> = overlap_batch(
+                &QueryGenConfig::paper(joins),
+                overlap,
+                n_batch,
+                cfg.seed ^ 0x3160_3160 ^ w as u64,
+            )
+            .iter()
+            .map(|q| query_problem(q, &cost))
+            .collect();
             for faulty in [false, true] {
-                let batch = overlap_batch(
-                    &QueryGenConfig::paper(joins),
-                    overlap,
-                    n_batch,
-                    cfg.seed ^ 0x3160_3160 ^ w as u64,
-                );
                 let rt_cfg = RuntimeConfig {
-                    f,
-                    policy: AdmissionPolicy::Fcfs,
-                    max_in_flight: 4,
-                    faults: if faulty {
-                        seeded_faults(4.0)
-                    } else {
-                        FaultPlan::none()
-                    },
-                    deadline: faulty.then_some(60.0 * mean_standalone),
-                    recovery: recovery.clone(),
-                    verify_cache: true,
+                    faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
+                    deadline: deadline(faulty),
                     batch_window: n_batch,
                     plan_sharing: true,
-                    ..RuntimeConfig::default()
+                    ..base.clone()
                 };
-                let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-                for (i, (q, t)) in batch.iter().zip(&arrivals).enumerate() {
-                    rt.submit_at(*t, i % 3, query_problem(q, &cost));
-                }
-                let summary = rt
-                    .run_to_completion()
-                    .expect("overlap batches always schedule");
+                let summary = h.serve(rt_cfg, &batch, &arrivals);
                 if !faulty
                     && !summary
                         .trace

@@ -12,7 +12,8 @@
 //! Counts and seeds (`--seed`, `--queries`, `--sites`, `--mpl`,
 //! `--templates`, `--shards`, `--batch`, `--joins`) must be non-negative
 //! integers; `--load`, `--mtbf`, `--deadline`, `--eps` and `--f` take
-//! decimals.
+//! decimals, and `--mtbf`/`--deadline` must be finite and non-negative
+//! (`0`, the default, turns them off).
 //!
 //! Experiments: table2, fig5a, fig5b, fig6a, fig6b, ablation-dims,
 //! ablation-order, malleable, planopt, pipecheck, memcheck, optgap,
@@ -77,17 +78,12 @@ fn grab<T: FromStr>(it: &mut std::slice::Iter<'_, String>, target: &mut T) -> bo
 /// `mrs-repro serve`: run a Poisson stream of generated queries through
 /// the online runtime and print per-query and per-site statistics.
 fn run_serve_demo(args: &[String]) -> ExitCode {
-    use mrs_core::model::OverlapModel;
-    use mrs_core::resource::SystemSpec;
     use mrs_core::rng::DetRng;
-    use mrs_core::tree::tree_schedule;
     use mrs_cost::prelude::CostModel;
     use mrs_exp::prelude::query_problem;
-    use mrs_runtime::prelude::{
-        AdmissionPolicy, AuditEvent, ControllerConfig, RecoveryConfig, Runtime, RuntimeConfig,
-    };
-    use mrs_sim::fault::FaultPlan;
-    use mrs_workload::prelude::{generate_query, poisson_arrivals, QueryGenConfig};
+    use mrs_exp::serving::{cycled, Harness};
+    use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, ControllerConfig, RuntimeConfig};
+    use mrs_workload::prelude::{generate_query, QueryGenConfig};
 
     let mut seed = 1996u64;
     let mut queries = 12usize;
@@ -157,12 +153,15 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         eprintln!("--shards must be positive (1 = the single-threaded loop)");
         return ExitCode::FAILURE;
     }
+    if !(mtbf.is_finite() && mtbf >= 0.0 && deadline.is_finite() && deadline >= 0.0) {
+        eprintln!(
+            "--mtbf and --deadline must be finite and non-negative (0 = off)\n{}",
+            usage()
+        );
+        return ExitCode::FAILURE;
+    }
 
     let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.5).unwrap();
-    let sys = SystemSpec::homogeneous(sites);
-    let f = 0.7;
 
     let mut rng = DetRng::seed_from_u64(seed);
     // With --templates K, draw K plans and cycle them across the stream
@@ -182,31 +181,19 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             query_problem(&q, &cost)
         })
         .collect();
-    let problems: Vec<_> = (0..queries).map(|i| base[i % distinct].clone()).collect();
-    let mean_standalone: f64 = problems
-        .iter()
-        .map(|p| {
-            tree_schedule(p, f, &sys, &comm, &model)
-                .expect("generated plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / queries as f64;
-    let rate = load * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, queries, seed ^ 0xA11C_E5ED);
+    let problems = cycled(&base, queries);
+    let h = Harness::calibrate(sites, &problems);
+    let (sys, mean_standalone) = (&h.sys, h.mean_standalone);
+    let rate = h.rate(load, mpl);
+    let arrivals = h.poisson(rate, queries, seed);
 
     // Let the failure schedule outlast even a heavily stretched run.
     let plan_horizon = arrivals.last().copied().unwrap_or(0.0) + 50.0 * mean_standalone;
-    let faults = if mtbf > 0.0 {
-        FaultPlan::seeded(sites, plan_horizon, mtbf, mtbf / 4.0, seed ^ 0x0FA7_0FA7)
-    } else {
-        FaultPlan::none()
-    };
     let cfg = RuntimeConfig {
-        f,
+        f: h.f,
         policy,
         max_in_flight: mpl,
-        faults,
+        faults: h.faults(plan_horizon, mtbf, mtbf / 4.0, seed),
         deadline: (deadline > 0.0).then_some(deadline),
         shards,
         batch_window: batch,
@@ -216,18 +203,10 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         } else {
             ControllerConfig::default()
         },
-        recovery: RecoveryConfig {
-            backoff_base: 0.1 * mean_standalone,
-            backoff_cap: 2.0 * mean_standalone,
-            degrade_threshold: 0.25,
-            ..RecoveryConfig::default()
-        },
+        recovery: h.recovery(5),
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    for (i, (p, t)) in problems.into_iter().zip(&arrivals).enumerate() {
-        rt.submit_at(*t, i % 3, p);
-    }
+    let mut rt = h.runtime(cfg, &problems, &arrivals);
     let summary = match rt.run_to_completion() {
         Ok(s) => s,
         Err(e) => {

@@ -1,9 +1,10 @@
 //! X13 — fault tolerance: throughput and tail latency under site
 //! failures, and what recovery costs.
 //!
-//! The same Poisson stream as the `throughput` experiment is served
-//! while sites crash and recover on a seeded MTBF/MTTR renewal schedule
-//! ([`FaultPlan::seeded`]). The MTBF is swept as a multiple of the
+//! The same Poisson stream as the `throughput` experiment (both set up
+//! by the [`serving`](crate::serving) harness) is served while sites
+//! crash and recover on a seeded MTBF/MTTR renewal schedule
+//! ([`FaultPlan::seeded`](mrs_sim::fault::FaultPlan::seeded)). The MTBF is swept as a multiple of the
 //! workload's mean standalone response `R̄` (from `8·R̄`, rare failures,
 //! down to `1·R̄`, a crash roughly every query); `0.0` is the fault-free
 //! baseline the recovery overhead is measured against. Both the FCFS and
@@ -28,15 +29,9 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::par_map;
+use crate::serving::{mixed_stream, Harness, CLIENTS};
 use crate::tablefmt::Table;
-use crate::throughput::mixed_stream;
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::tree::tree_schedule;
-use mrs_cost::prelude::CostModel;
-use mrs_runtime::prelude::{AdmissionPolicy, RecoveryConfig, Runtime, RuntimeConfig};
-use mrs_sim::fault::FaultPlan;
-use mrs_workload::prelude::poisson_arrivals;
+use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
 
 /// One sweep cell's measurements (kept numeric so the overhead
 /// post-pass can divide horizons before formatting).
@@ -60,35 +55,19 @@ struct Cell {
 /// The `faults` experiment (see the module docs).
 pub fn faults(cfg: &ExpConfig) -> Report {
     let (sites, n_queries) = if cfg.fast { (16, 9) } else { (32, 42) };
-    let clients = 3;
     let mpl = 4;
     let offered_load = 1.5;
-    let eps = 0.5;
-    let f = 0.7;
     let mttr_mult = 0.3;
     // Generous: the fault-free baseline must complete everything, so
     // aborts in faulty cells are attributable to the faults.
     let deadline_mult = 60.0;
 
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(eps).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(sites);
-    let stream = mixed_stream(n_queries, clients, cfg.seed, &cost);
-
-    // Same arrival calibration as `throughput`, so the two experiments'
-    // fault-free rows describe the same run.
-    let mean_standalone: f64 = stream
-        .iter()
-        .map(|q| {
-            tree_schedule(&q.problem, f, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    let rate = offered_load * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, n_queries, cfg.seed ^ 0xA11C_E5ED);
+    // The X12 stream and arrivals, so the two experiments' fault-free
+    // rows describe the same run.
+    let stream = mixed_stream(n_queries, cfg.seed);
+    let h = Harness::calibrate(sites, &stream);
+    let (f, mean_standalone) = (h.f, h.mean_standalone);
+    let arrivals = h.poisson(h.rate(offered_load, mpl), n_queries, cfg.seed);
     // Generous plan horizon: the renewal schedule must outlast the run
     // even when recovery stretches it.
     let plan_horizon = 60.0 * mean_standalone;
@@ -101,41 +80,24 @@ pub fn faults(cfg: &ExpConfig) -> Report {
         .collect();
 
     let results: Vec<Cell> = par_map(cfg.effective_jobs(), &cells, |(policy, mult)| {
-        let plan = if *mult > 0.0 {
-            // The plan seed does not depend on the policy: both policies
-            // face the identical failure schedule per MTBF cell.
-            FaultPlan::seeded(
-                sites,
-                plan_horizon,
-                mult * mean_standalone,
-                mttr_mult * mean_standalone,
-                cfg.seed ^ 0x0FA7_0FA7,
-            )
-        } else {
-            FaultPlan::none()
-        };
+        // The plan seed does not depend on the policy: both policies
+        // face the identical failure schedule per MTBF cell.
+        let faults = h.faults(
+            plan_horizon,
+            mult * mean_standalone,
+            mttr_mult * mean_standalone,
+            cfg.seed,
+        );
         let rt_cfg = RuntimeConfig {
             f,
             policy: *policy,
             max_in_flight: mpl,
-            faults: plan,
+            faults,
             deadline: Some(deadline_mult * mean_standalone),
-            recovery: RecoveryConfig {
-                rebuild_factor: 0.1,
-                max_retries: 4,
-                backoff_base: 0.1 * mean_standalone,
-                backoff_cap: 2.0 * mean_standalone,
-                degrade_threshold: 0.25,
-            },
+            recovery: h.recovery(4),
             ..RuntimeConfig::default()
         };
-        let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-        for (q, t) in stream.iter().zip(&arrivals) {
-            rt.submit_at(*t, q.client, q.problem.clone());
-        }
-        let summary = rt
-            .run_to_completion()
-            .expect("stream plans always schedule");
+        let summary = h.serve(rt_cfg, &stream, &arrivals);
         Cell {
             policy: policy.label(),
             mtbf_mult: *mult,
@@ -240,7 +202,7 @@ pub fn faults(cfg: &ExpConfig) -> Report {
         id: "faults",
         title: "Fault tolerance: throughput and tails vs MTBF, with recovery overhead".to_owned(),
         params: format!(
-            "P={sites} d=3 eps={eps} f={f} MPL={mpl} n={n_queries} clients={clients} seed={}",
+            "P={sites} d=3 eps=0.5 f={f} MPL={mpl} n={n_queries} clients={CLIENTS} seed={}",
             cfg.seed
         ),
         table,
@@ -291,6 +253,40 @@ mod tests {
                 .filter(|r| r[1] != "inf")
                 .any(|r| r[8].parse::<usize>().unwrap() > 0),
             "no faulty cell saw a site failure"
+        );
+    }
+
+    /// The fault-free FCFS row is the X12 FCFS run: same stream,
+    /// arrivals, machine and MPL, and a deadline no query reaches.
+    #[test]
+    fn fault_free_row_is_the_throughput_run() {
+        let x12 = crate::throughput::throughput(&fast_cfg());
+        let x13 = faults(&fast_cfg());
+        let summary = x12
+            .table
+            .rows
+            .iter()
+            .find(|r| r[0] == "fcfs" && r[1] == "summary")
+            .expect("X12 has an FCFS summary row");
+        let baseline = x13
+            .table
+            .rows
+            .iter()
+            .find(|r| r[0] == "fcfs" && r[1] == "inf")
+            .expect("X13 has a fault-free FCFS row");
+        assert_eq!(summary[6], baseline[6], "mean latency");
+        // X12 prints its throughput to four places in its FCFS note.
+        let x12_throughput: f64 = x12.notes[0]
+            .split("throughput ")
+            .nth(1)
+            .and_then(|rest| rest.split("/s").next())
+            .expect("X12's FCFS note reports throughput")
+            .parse()
+            .expect("throughput is a number");
+        let x13_throughput: f64 = baseline[5].parse().expect("throughput is a number");
+        assert!(
+            (x12_throughput - x13_throughput).abs() < 1e-4,
+            "throughput: X12 {x12_throughput} vs X13 {x13_throughput}"
         );
     }
 

@@ -32,6 +32,7 @@ pub mod render;
 pub mod report;
 pub mod runner;
 pub mod saturation;
+pub mod serving;
 pub mod shards;
 pub mod shelfcheck;
 pub mod stats;

@@ -1,7 +1,7 @@
 //! X16 — MQO batch-admission sweep: what cross-query plan sharing buys
 //! as template overlap grows.
 //!
-//! A stream of overlap-templated batches ([`overlap_batch`]) is served
+//! A stream of overlap-templated batches ([`overlap_stream`]) is served
 //! under batched admission (`batch_window` = the generation batch size,
 //! so each released window is one templated batch) across a grid of
 //! overlap fraction × batch window × {shared, unshared} × {clean,
@@ -30,15 +30,10 @@
 
 use crate::config::ExpConfig;
 use crate::report::Report;
-use crate::runner::{par_map, query_problem};
+use crate::runner::par_map;
+use crate::serving::{overlap_stream, Harness};
 use crate::tablefmt::Table;
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::tree::tree_schedule;
-use mrs_cost::prelude::CostModel;
-use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, RecoveryConfig, Runtime, RuntimeConfig};
-use mrs_sim::fault::FaultPlan;
-use mrs_workload::prelude::{overlap_batch, poisson_arrivals, QueryGenConfig};
+use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, RuntimeConfig};
 
 /// One sweep cell, kept numeric for the ratio post-pass.
 struct Cell {
@@ -62,8 +57,6 @@ struct Cell {
 pub fn mqo(cfg: &ExpConfig) -> Report {
     let (sites, joins, n_batches) = if cfg.fast { (16, 10, 3) } else { (32, 12, 6) };
     let mpl = 4;
-    let eps = 0.5;
-    let f = 0.7;
     let offered_load = 1.2;
 
     let overlaps: Vec<f64> = if cfg.fast {
@@ -75,23 +68,11 @@ pub fn mqo(cfg: &ExpConfig) -> Report {
     let modes: [(&'static str, bool); 2] = [("unshared", false), ("shared", true)];
     let scenarios: [&'static str; 2] = ["clean", "faults"];
 
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(eps).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(sites);
-
     // Calibrate the arrival rate once, against a mid-overlap stream.
-    let calib: Vec<_> = overlap_stream(joins, 0.5, windows[0], n_batches, cfg.seed, &cost);
-    let mean_standalone: f64 = calib
-        .iter()
-        .map(|p| {
-            tree_schedule(p, f, &sys, &comm, &model)
-                .expect("overlap batches always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / calib.len() as f64;
-    let nominal = mpl as f64 / mean_standalone;
+    let calib = overlap_stream(joins, 0.5, windows[0], n_batches, cfg.seed);
+    let h = Harness::calibrate(sites, &calib);
+    let (f, mean_standalone) = (h.f, h.mean_standalone);
+    let nominal = h.rate(1.0, mpl);
     let plan_horizon = 120.0 * mean_standalone;
 
     let mut cells: Vec<(f64, usize, &'static str, bool, &'static str)> = Vec::new();
@@ -109,44 +90,23 @@ pub fn mqo(cfg: &ExpConfig) -> Report {
         cfg.effective_jobs(),
         &cells,
         |(overlap, window, mode, sharing, scenario)| {
-            let stream = overlap_stream(joins, *overlap, *window, n_batches, cfg.seed, &cost);
+            let stream = overlap_stream(joins, *overlap, *window, n_batches, cfg.seed);
             let n = stream.len();
-            let arrivals = poisson_arrivals(offered_load * nominal, n, cfg.seed ^ 0xA11C_E5ED);
-            let faults = if *scenario == "faults" {
-                FaultPlan::seeded(
-                    sites,
-                    plan_horizon,
-                    2.0 * mean_standalone,
-                    0.3 * mean_standalone,
-                    cfg.seed ^ 0x0FA7_0FA7,
-                )
-            } else {
-                FaultPlan::none()
-            };
+            let arrivals = h.poisson(offered_load * nominal, n, cfg.seed);
+            let faulty = *scenario == "faults";
+            let mtbf = if faulty { 2.0 * mean_standalone } else { 0.0 };
             let rt_cfg = RuntimeConfig {
                 f,
                 policy: AdmissionPolicy::Fcfs,
                 max_in_flight: mpl,
-                faults,
-                deadline: (*scenario == "faults").then_some(plan_horizon),
-                recovery: RecoveryConfig {
-                    rebuild_factor: 0.1,
-                    max_retries: 4,
-                    backoff_base: 0.1 * mean_standalone,
-                    backoff_cap: 2.0 * mean_standalone,
-                    degrade_threshold: 0.25,
-                },
+                faults: h.faults(plan_horizon, mtbf, 0.3 * mean_standalone, cfg.seed),
+                deadline: faulty.then_some(plan_horizon),
+                recovery: h.recovery(4),
                 batch_window: *window,
                 plan_sharing: *sharing,
                 ..RuntimeConfig::default()
             };
-            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-            for (i, (p, t)) in stream.iter().zip(&arrivals).enumerate() {
-                rt.submit_at(*t, i % 3, p.clone());
-            }
-            let summary = rt
-                .run_to_completion()
-                .expect("overlap batches always schedule");
+            let summary = h.serve(rt_cfg, &stream, &arrivals);
             debug_assert_eq!(
                 summary
                     .trace
@@ -259,40 +219,12 @@ pub fn mqo(cfg: &ExpConfig) -> Report {
         id: "mqo",
         title: "MQO batch admission: cross-query subtree sharing vs template overlap".to_owned(),
         params: format!(
-            "P={sites} d=3 eps={eps} f={f} MPL={mpl} joins={joins} batches={n_batches} seed={}",
+            "P={sites} d=3 eps=0.5 f={f} MPL={mpl} joins={joins} batches={n_batches} seed={}",
             cfg.seed
         ),
         table,
         notes,
     }
-}
-
-/// `n_batches` overlap-templated batches of `window` queries each,
-/// flattened in arrival order. Each batch draws a fresh core (seed
-/// offset by the batch index), so sharing is within-batch by
-/// construction.
-fn overlap_stream(
-    joins: usize,
-    overlap: f64,
-    window: usize,
-    n_batches: usize,
-    seed: u64,
-    cost: &CostModel,
-) -> Vec<mrs_core::tree::TreeProblem> {
-    let gen_cfg = QueryGenConfig::paper(joins);
-    (0..n_batches)
-        .flat_map(|b| {
-            overlap_batch(
-                &gen_cfg,
-                overlap,
-                window,
-                seed ^ (b as u64).wrapping_mul(0xB10C),
-            )
-            .iter()
-            .map(|q| query_problem(q, cost))
-            .collect::<Vec<_>>()
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! X15 — saturation sweep: where the knee is, and what adaptive
 //! overload control buys past it.
 //!
-//! The same mixed stream as `throughput`/`faults` is served at a swept
-//! Poisson arrival rate (offered load as a multiple of the machine's
+//! The same mixed stream as `throughput`/`faults`
+//! ([`serving`](crate::serving)) is served at a swept Poisson arrival
+//! rate (offered load as a multiple of the machine's
 //! nominal capacity `MPL / R̄`), once with the feedback controller off
 //! (*static*) and once with it on (*adaptive*,
 //! [`ControllerConfig::adaptive`]). Each (load, mode) cell runs twice:
@@ -36,18 +37,11 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::par_map;
+use crate::serving::{mixed_stream, Harness, ARRIVALS, CLIENTS};
 use crate::tablefmt::Table;
-use crate::throughput::mixed_stream;
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::tree::tree_schedule;
-use mrs_cost::prelude::CostModel;
-use mrs_runtime::prelude::{
-    AdmissionPolicy, AuditEvent, ControllerConfig, RecoveryConfig, Runtime, RuntimeConfig,
-};
+use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, ControllerConfig, RuntimeConfig};
 use mrs_sim::engine::{SharingPolicy, SimConfig};
-use mrs_sim::fault::FaultPlan;
-use mrs_workload::prelude::{burst_arrivals, poisson_arrivals};
+use mrs_workload::prelude::burst_arrivals;
 
 /// One sweep cell, kept numeric for the knee post-pass.
 struct Cell {
@@ -69,10 +63,7 @@ struct Cell {
 /// The `saturation` experiment (see the module docs).
 pub fn saturation(cfg: &ExpConfig) -> Report {
     let (sites, n_queries) = if cfg.fast { (16, 12) } else { (32, 42) };
-    let clients = 3;
     let mpl = 4;
-    let eps = 0.5;
-    let f = 0.7;
     let mtbf_mult = 2.0;
     let mttr_mult = 0.3;
     // Relaxed assumption A2: each extra resident clone shaves effective
@@ -86,24 +77,12 @@ pub fn saturation(cfg: &ExpConfig) -> Report {
         vec![0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
     };
 
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(eps).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(sites);
-    let stream = mixed_stream(n_queries, clients, cfg.seed, &cost);
-
-    // Same calibration as `throughput`/`faults`: offered load 1.0 means
-    // arrivals match the machine's nominal drain rate MPL / R̄.
-    let mean_standalone: f64 = stream
-        .iter()
-        .map(|q| {
-            tree_schedule(&q.problem, f, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    let nominal = mpl as f64 / mean_standalone;
+    // Offered load 1.0 means arrivals match the machine's nominal drain
+    // rate MPL / R̄.
+    let stream = mixed_stream(n_queries, cfg.seed);
+    let h = Harness::calibrate(sites, &stream);
+    let (f, mean_standalone) = (h.f, h.mean_standalone);
+    let nominal = h.rate(1.0, mpl);
     let plan_horizon = 120.0 * mean_standalone;
 
     // The adaptive gate targets true oversubscription: committed l_∞
@@ -146,21 +125,15 @@ pub fn saturation(cfg: &ExpConfig) -> Report {
                     4.0 * mean_standalone,
                     0.25,
                     n_queries,
-                    cfg.seed ^ 0xA11C_E5ED,
+                    cfg.seed ^ ARRIVALS,
                 )
             } else {
-                poisson_arrivals(mult * nominal, n_queries, cfg.seed ^ 0xA11C_E5ED)
+                h.poisson(mult * nominal, n_queries, cfg.seed)
             };
-            let faults = if *scenario == "faults" {
-                FaultPlan::seeded(
-                    sites,
-                    plan_horizon,
-                    mtbf_mult * mean_standalone,
-                    mttr_mult * mean_standalone,
-                    cfg.seed ^ 0x0FA7_0FA7,
-                )
+            let mtbf = if *scenario == "faults" {
+                mtbf_mult * mean_standalone
             } else {
-                FaultPlan::none()
+                0.0
             };
             let rt_cfg = RuntimeConfig {
                 f,
@@ -170,24 +143,12 @@ pub fn saturation(cfg: &ExpConfig) -> Report {
                     policy: SharingPolicy::EqualFinish,
                     timeshare_overhead: overhead,
                 },
-                faults,
-                recovery: RecoveryConfig {
-                    rebuild_factor: 0.1,
-                    max_retries: 4,
-                    backoff_base: 0.1 * mean_standalone,
-                    backoff_cap: 2.0 * mean_standalone,
-                    degrade_threshold: 0.25,
-                },
+                faults: h.faults(plan_horizon, mtbf, mttr_mult * mean_standalone, cfg.seed),
+                recovery: h.recovery(4),
                 controller: ctl.clone(),
                 ..RuntimeConfig::default()
             };
-            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-            for (q, t) in stream.iter().zip(&arrivals) {
-                rt.submit_at(*t, q.client, q.problem.clone());
-            }
-            let summary = rt
-                .run_to_completion()
-                .expect("stream plans always schedule");
+            let summary = h.serve(rt_cfg, &stream, &arrivals);
             let decisions = summary
                 .trace
                 .iter()
@@ -297,7 +258,7 @@ pub fn saturation(cfg: &ExpConfig) -> Report {
         id: "saturation",
         title: "Saturation sweep: static vs adaptive overload control across the knee".to_owned(),
         params: format!(
-            "P={sites} d=3 eps={eps} f={f} MPL={mpl} n={n_queries} clients={clients} seed={}",
+            "P={sites} d=3 eps=0.5 f={f} MPL={mpl} n={n_queries} clients={CLIENTS} seed={}",
             cfg.seed
         ),
         table,

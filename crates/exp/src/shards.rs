@@ -3,7 +3,7 @@
 //! The sharded fabric's contract is *byte-identity*: `serve --shards N`
 //! must produce exactly the run that the single-threaded loop produces,
 //! for any `N`. This experiment drives the throughput experiment's mixed
-//! Poisson stream through the runtime at every swept shard count — under
+//! Poisson stream ([`serving`](crate::serving)) through the runtime at every swept shard count — under
 //! a clean plan and under a seeded crash/recovery plan — and compares
 //! each run against the `shards = 1` baseline of its scenario on two
 //! axes:
@@ -24,51 +24,22 @@
 
 use crate::config::ExpConfig;
 use crate::report::Report;
+use crate::serving::{mixed_stream, Harness};
 use crate::tablefmt::Table;
-use crate::throughput::mixed_stream;
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::tree::tree_schedule;
-use mrs_cost::prelude::CostModel;
-use mrs_runtime::prelude::{AdmissionPolicy, RecoveryConfig, Runtime, RuntimeConfig};
+use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
 use mrs_shardexec::segment::{merge_segments, ShardEvent};
-use mrs_sim::fault::FaultPlan;
-use mrs_workload::prelude::poisson_arrivals;
 
 /// The `shards` experiment (see the module docs).
 pub fn shards(cfg: &ExpConfig) -> Report {
-    let f = 0.7;
-    let eps = 0.5;
     let mpl = 4;
     let offered_load = 1.5;
     let (sites, n_queries) = if cfg.fast { (16, 9) } else { (140, 42) };
     let shard_counts: &[usize] = if cfg.fast { &[1, 2, 4] } else { &[1, 2, 4, 8] };
 
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(eps).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(sites);
-    let stream = mixed_stream(n_queries, 3, cfg.seed, &cost);
-
-    // Same arrival-rate calibration as the throughput experiment.
-    let mean_standalone: f64 = stream
-        .iter()
-        .map(|q| {
-            tree_schedule(&q.problem, f, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    let rate = offered_load * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, n_queries, cfg.seed ^ 0xA11C_E5ED);
-    let recovery = RecoveryConfig {
-        rebuild_factor: 0.1,
-        max_retries: 4,
-        backoff_base: 0.1 * mean_standalone,
-        backoff_cap: 2.0 * mean_standalone,
-        degrade_threshold: 0.25,
-    };
+    let stream = mixed_stream(n_queries, cfg.seed);
+    let h = Harness::calibrate(sites, &stream);
+    let (f, mean_standalone) = (h.f, h.mean_standalone);
+    let arrivals = h.poisson(h.rate(offered_load, mpl), n_queries, cfg.seed);
 
     let mut table = Table::new(vec![
         "shards",
@@ -87,32 +58,25 @@ pub fn shards(cfg: &ExpConfig) -> Report {
         // sharded runs must reproduce bit-for-bit.
         let mut baseline: Option<(u64, Vec<ShardEvent>)> = None;
         for &n_shards in shard_counts {
-            let faults = if scenario == "faults" {
-                FaultPlan::seeded(
-                    sites,
-                    60.0 * mean_standalone,
-                    4.0 * mean_standalone,
-                    0.3 * mean_standalone,
-                    cfg.seed ^ 0x0FA7_0FA7,
-                )
-            } else {
-                FaultPlan::none()
-            };
+            let faulty = scenario == "faults";
+            let mtbf = if faulty { 4.0 * mean_standalone } else { 0.0 };
             let rt_cfg = RuntimeConfig {
                 f,
                 policy: AdmissionPolicy::Fcfs,
                 max_in_flight: mpl,
-                faults,
-                deadline: (scenario == "faults").then_some(60.0 * mean_standalone),
-                recovery: recovery.clone(),
+                faults: h.faults(
+                    60.0 * mean_standalone,
+                    mtbf,
+                    0.3 * mean_standalone,
+                    cfg.seed,
+                ),
+                deadline: faulty.then_some(60.0 * mean_standalone),
+                recovery: h.recovery(4),
                 shards: n_shards,
                 util_series: true,
                 ..RuntimeConfig::default()
             };
-            let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-            for (q, t) in stream.iter().zip(&arrivals) {
-                rt.submit_at(*t, q.client, q.problem.clone());
-            }
+            let mut rt = h.runtime(rt_cfg, &stream, &arrivals);
             let summary = rt
                 .run_to_completion()
                 .expect("stream plans always schedule");
@@ -158,7 +122,7 @@ pub fn shards(cfg: &ExpConfig) -> Report {
         id: "shards",
         title: "Shard-count invariance of the serving runtime (X14)".to_owned(),
         params: format!(
-            "P={sites} n={n_queries} mpl={mpl} load={offered_load} f={f} eps={eps} \
+            "P={sites} n={n_queries} mpl={mpl} load={offered_load} f={f} eps=0.5 \
              shards={shard_counts:?} scenarios=clean+faults seed={}",
             cfg.seed
         ),

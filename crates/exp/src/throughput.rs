@@ -2,11 +2,11 @@
 //! serving an identical Poisson stream of mixed-shape queries.
 //!
 //! A fixed machine serves `n` queries — a deterministic mix of bushy
-//! (random), star, and linear (chain) plans — arriving as a Poisson
-//! process whose rate is calibrated to the workload: the mean standalone
-//! response `R̄` is measured first and the arrival rate set to
-//! `λ = load · MPL / R̄`, i.e. an offered load of `load` relative to what
-//! the multiprogramming level could serve if every query took `R̄`.
+//! (random), star, and linear (chain) plans ([`mixed_stream`]) —
+//! arriving as a Poisson process whose rate is calibrated to the
+//! workload by the [`serving`](crate::serving) harness: `λ = load · MPL / R̄`, i.e. an
+//! offered load of `load` relative to what the multiprogramming level
+//! could serve if every query took the mean standalone response `R̄`.
 //!
 //! The emitted table is long-format (one file drives all plots): per
 //! policy a `summary` row, one `query` row per query (wait, latency,
@@ -15,92 +15,21 @@
 
 use crate::config::ExpConfig;
 use crate::report::Report;
-use crate::runner::query_problem;
+use crate::serving::{mixed_stream, Harness, CLIENTS};
 use crate::tablefmt::Table;
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::rng::DetRng;
-use mrs_core::tree::{tree_schedule, TreeProblem};
-use mrs_cost::prelude::CostModel;
-use mrs_runtime::prelude::{AdmissionPolicy, Runtime, RuntimeConfig};
-use mrs_workload::prelude::{
-    chain_query, generate_query, poisson_arrivals, star_query, QueryGenConfig,
-};
-
-/// One query of the stream: its plan plus the submitting client. Shared
-/// with the fault-tolerance experiment so both drive identical streams.
-pub(crate) struct StreamQuery {
-    pub(crate) client: usize,
-    pub(crate) problem: TreeProblem,
-}
-
-/// A deterministic mix of bushy, star, and chain plans cycled over
-/// `clients` submitting streams.
-pub(crate) fn mixed_stream(
-    n: usize,
-    clients: usize,
-    seed: u64,
-    cost: &CostModel,
-) -> Vec<StreamQuery> {
-    let mut rng = DetRng::seed_from_u64(seed);
-    (0..n)
-        .map(|i| {
-            let q = match i % 3 {
-                0 => {
-                    let joins = rng.gen_range(6..=14usize);
-                    generate_query(
-                        &QueryGenConfig::paper(joins),
-                        rng.gen_range(0..1_000_000u64),
-                    )
-                }
-                1 => {
-                    let dims: Vec<f64> = (0..rng.gen_range(4..=8usize))
-                        .map(|_| rng.gen_range(1.0e3..5.0e4))
-                        .collect();
-                    star_query(rng.gen_range(2.0e4..1.0e5), &dims)
-                }
-                _ => {
-                    let sizes: Vec<f64> = (0..rng.gen_range(5..=10usize))
-                        .map(|_| rng.gen_range(1.0e3..1.0e5))
-                        .collect();
-                    chain_query(&sizes)
-                }
-            };
-            StreamQuery {
-                client: i % clients,
-                problem: query_problem(&q, cost),
-            }
-        })
-        .collect()
-}
+use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
 
 /// The `throughput` experiment (see the module docs).
 pub fn throughput(cfg: &ExpConfig) -> Report {
     let (sites, n_queries) = if cfg.fast { (16, 9) } else { (32, 42) };
-    let clients = 3;
     let mpl = 4;
     let offered_load = 1.5;
-    let eps = 0.5;
-    let f = 0.7;
 
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(eps).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(sites);
-    let stream = mixed_stream(n_queries, clients, cfg.seed, &cost);
-
-    // Calibrate the arrival rate against the workload's standalone mean.
-    let mean_standalone: f64 = stream
-        .iter()
-        .map(|q| {
-            tree_schedule(&q.problem, f, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / n_queries as f64;
-    let rate = offered_load * mpl as f64 / mean_standalone;
-    let arrivals = poisson_arrivals(rate, n_queries, cfg.seed ^ 0xA11C_E5ED);
+    let stream = mixed_stream(n_queries, cfg.seed);
+    let h = Harness::calibrate(sites, &stream);
+    let (sys, f, mean_standalone) = (&h.sys, h.f, h.mean_standalone);
+    let rate = h.rate(offered_load, mpl);
+    let arrivals = h.poisson(rate, n_queries, cfg.seed);
 
     let mut table = Table::new(vec![
         "policy",
@@ -131,13 +60,7 @@ pub fn throughput(cfg: &ExpConfig) -> Report {
             max_in_flight: mpl,
             ..RuntimeConfig::default()
         };
-        let mut rt = Runtime::new(sys.clone(), comm, model, rt_cfg);
-        for (q, t) in stream.iter().zip(&arrivals) {
-            rt.submit_at(*t, q.client, q.problem.clone());
-        }
-        let summary = rt
-            .run_to_completion()
-            .expect("stream plans always schedule");
+        let summary = h.serve(rt_cfg, &stream, &arrivals);
 
         table.push_row(vec![
             policy.label().to_owned(),
@@ -209,7 +132,7 @@ pub fn throughput(cfg: &ExpConfig) -> Report {
         id: "throughput",
         title: "Online runtime: admission policies under a Poisson stream".to_owned(),
         params: format!(
-            "P={sites} d=3 eps={eps} f={f} MPL={mpl} n={n_queries} clients={clients} \
+            "P={sites} d=3 eps=0.5 f={f} MPL={mpl} n={n_queries} clients={CLIENTS} \
              seed={}",
             cfg.seed
         ),

@@ -1,6 +1,7 @@
 //! `mrs-repro serve` and `mrs-repro schedule` parse counts and seeds as
 //! integers: a decimal or negative value is a usage error, never a
-//! silently truncated run.
+//! silently truncated run. Likewise a negative or non-finite `--mtbf` or
+//! `--deadline` is a usage error, never a run with the knob silently off.
 
 use std::process::{Command, Output};
 
@@ -11,15 +12,16 @@ fn mrs_repro(args: &[&str]) -> Output {
         .expect("mrs-repro runs")
 }
 
-fn assert_rejected(args: &[&str]) {
+fn assert_rejected_with(args: &[&str], message: &str) {
     let out = mrs_repro(args);
     assert!(!out.status.success(), "{args:?} must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("needs a numeric argument"),
-        "{args:?} printed {stderr:?}"
-    );
+    assert!(stderr.contains(message), "{args:?} printed {stderr:?}");
     assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+}
+
+fn assert_rejected(args: &[&str]) {
+    assert_rejected_with(args, "needs a numeric argument");
 }
 
 #[test]
@@ -41,4 +43,36 @@ fn integer_counts_and_decimal_knobs_are_accepted() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.starts_with("query: 2 joins"), "{stdout}");
+}
+
+#[test]
+fn negative_or_non_finite_mtbf_and_deadline_are_rejected() {
+    for flag in ["--mtbf", "--deadline"] {
+        for bad in ["-5", "-1", "nan", "inf"] {
+            assert_rejected_with(&["serve", flag, bad], "must be finite and non-negative");
+        }
+    }
+}
+
+#[test]
+fn zero_mtbf_and_deadline_mean_off() {
+    let out = mrs_repro(&[
+        "serve",
+        "--queries",
+        "2",
+        "--sites",
+        "4",
+        "--mtbf",
+        "0",
+        "--deadline",
+        "0",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("completed 2 / 2"), "{stdout}");
+    assert!(!stdout.contains("faults:"), "{stdout}");
 }

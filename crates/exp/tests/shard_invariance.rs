@@ -15,16 +15,14 @@
 //! [`merge_segments`]: mrs_shardexec::segment::merge_segments
 
 use mrs_audit::prelude::{audit_run, audit_shard_segments};
-use mrs_core::model::OverlapModel;
-use mrs_core::resource::SystemSpec;
-use mrs_core::tree::{tree_schedule, TreeProblem};
+use mrs_core::tree::TreeProblem;
 use mrs_cost::prelude::CostModel;
 use mrs_exp::prelude::query_problem;
+use mrs_exp::serving::Harness;
 use mrs_runtime::metrics::RunSummary;
-use mrs_runtime::prelude::{AdmissionPolicy, RecoveryConfig, Runtime, RuntimeConfig};
+use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
 use mrs_shardexec::segment::{merge_segments, ShardEvent};
-use mrs_sim::fault::FaultPlan;
-use mrs_workload::prelude::{generate_query, poisson_arrivals, QueryGenConfig};
+use mrs_workload::prelude::{generate_query, QueryGenConfig};
 
 /// A small deterministic stream: 10 mixed-size queries over 13 sites
 /// (prime, so every shard count tested produces uneven site ranges).
@@ -46,53 +44,23 @@ fn stream() -> Vec<TreeProblem> {
 /// Runs the stream at `shards`, returning the summary and the canonical
 /// merged shard trace.
 fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.5).expect("paper epsilon is valid");
-    let sys = SystemSpec::homogeneous(SITES);
-    let f = 0.7;
     let problems = stream();
-    let mean_standalone: f64 = problems
-        .iter()
-        .map(|p| {
-            tree_schedule(p, f, &sys, &comm, &model)
-                .expect("generated plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / QUERIES as f64;
-    let arrivals = poisson_arrivals(4.0 * 1.5 / mean_standalone, QUERIES, SEED ^ 0xA11C_E5ED);
+    let h = Harness::calibrate(SITES, &problems);
+    let r = h.mean_standalone;
+    let arrivals = h.poisson(h.rate(1.5, 4), QUERIES, SEED);
+    let mtbf = if faulty { 4.0 * r } else { 0.0 };
     let cfg = RuntimeConfig {
-        f,
+        f: h.f,
         policy: AdmissionPolicy::Fcfs,
         max_in_flight: 4,
-        faults: if faulty {
-            FaultPlan::seeded(
-                SITES,
-                60.0 * mean_standalone,
-                4.0 * mean_standalone,
-                0.3 * mean_standalone,
-                SEED ^ 0x0FA7_0FA7,
-            )
-        } else {
-            FaultPlan::none()
-        },
-        deadline: faulty.then_some(60.0 * mean_standalone),
-        recovery: RecoveryConfig {
-            rebuild_factor: 0.1,
-            max_retries: 4,
-            backoff_base: 0.1 * mean_standalone,
-            backoff_cap: 2.0 * mean_standalone,
-            degrade_threshold: 0.25,
-        },
+        faults: h.faults(60.0 * r, mtbf, 0.3 * r, SEED),
+        deadline: faulty.then_some(60.0 * r),
+        recovery: h.recovery(4),
         shards,
         util_series: true,
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys, comm, model, cfg);
-    for (i, (p, t)) in problems.into_iter().zip(&arrivals).enumerate() {
-        rt.submit_at(*t, i % 3, p);
-    }
+    let mut rt = h.runtime(cfg, &problems, &arrivals);
     let summary = rt
         .run_to_completion()
         .expect("generated plans always schedule");

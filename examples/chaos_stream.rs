@@ -13,6 +13,7 @@
 //! cargo run --release --example chaos_stream
 //! ```
 
+use mdrs::exp::serving;
 use mdrs::prelude::*;
 
 fn main() {
@@ -86,11 +87,8 @@ fn main() {
         },
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    for (i, (p, t)) in problems.into_iter().zip(&arrivals).enumerate() {
-        rt.submit_at(*t, i % 3, p);
-    }
-    let summary = rt
+    let rt = Runtime::new(sys.clone(), comm, model, cfg);
+    let summary = serving::submit(rt, &problems, &arrivals)
         .run_to_completion()
         .expect("stream plans always schedule");
 

@@ -7,6 +7,7 @@
 //! cargo run --release --example query_stream
 //! ```
 
+use mdrs::exp::serving;
 use mdrs::prelude::*;
 
 fn main() {
@@ -49,11 +50,9 @@ fn main() {
         max_in_flight: 3,
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    for (i, (p, t)) in problems.into_iter().zip(&arrivals).enumerate() {
-        rt.submit_at(*t, i % 3, p);
-    }
-    let summary = rt
+    // Query i arrives at arrivals[i] from client i % 3.
+    let rt = Runtime::new(sys.clone(), comm, model, cfg);
+    let summary = serving::submit(rt, &problems, &arrivals)
         .run_to_completion()
         .expect("stream plans always schedule");
 

@@ -6,12 +6,16 @@
 
 use mdrs::prelude::*;
 use mrs_exp::runner::par_map;
+use mrs_exp::serving::{Harness, ARRIVALS, FAULTS};
 use mrs_runtime::metrics::RunSummary;
-use mrs_sim::fault::FaultPlan;
 
 const SITES: usize = 12;
 const N_QUERIES: usize = 6;
 const SEED: u64 = 0xA0D1_7001;
+/// This stream's own arrival (`SEED ^ 0xBEEF`) and crash
+/// (`SEED ^ 0x0FA7`) seeds, pre-XORed with the salts the harness applies.
+const ARRIVAL_SEED: u64 = SEED ^ 0xBEEF ^ ARRIVALS;
+const FAULT_SEED: u64 = SEED ^ 0x0FA7 ^ FAULTS;
 
 fn stream() -> Vec<mrs_core::tree::TreeProblem> {
     let cost = CostModel::paper_defaults();
@@ -27,54 +31,20 @@ fn stream() -> Vec<mrs_core::tree::TreeProblem> {
 /// the given MTBF multiple of the mean standalone response (`0.0` =
 /// fault-free).
 fn run_cell(policy: AdmissionPolicy, mtbf_mult: f64) -> RunSummary {
-    let cost = CostModel::paper_defaults();
-    let comm = cost.params().comm_model();
-    let model = OverlapModel::new(0.5).expect("valid epsilon");
-    let sys = SystemSpec::homogeneous(SITES);
     let problems = stream();
-
-    let mean_standalone: f64 = problems
-        .iter()
-        .map(|p| {
-            tree_schedule(p, 0.7, &sys, &comm, &model)
-                .expect("stream plans always schedule")
-                .response_time
-        })
-        .sum::<f64>()
-        / N_QUERIES as f64;
-    let arrivals = poisson_arrivals(2.0 / mean_standalone, N_QUERIES, SEED ^ 0xBEEF);
-    let faults = if mtbf_mult > 0.0 {
-        FaultPlan::seeded(
-            SITES,
-            60.0 * mean_standalone,
-            mtbf_mult * mean_standalone,
-            0.3 * mean_standalone,
-            SEED ^ 0x0FA7,
-        )
-    } else {
-        FaultPlan::none()
-    };
+    let h = Harness::calibrate(SITES, &problems);
+    let r = h.mean_standalone;
+    let arrivals = h.poisson(2.0 / r, N_QUERIES, ARRIVAL_SEED);
     let cfg = RuntimeConfig {
-        f: 0.7,
+        f: h.f,
         policy,
         max_in_flight: 3,
-        faults,
-        deadline: Some(60.0 * mean_standalone),
-        recovery: RecoveryConfig {
-            rebuild_factor: 0.1,
-            max_retries: 4,
-            backoff_base: 0.1 * mean_standalone,
-            backoff_cap: 2.0 * mean_standalone,
-            degrade_threshold: 0.25,
-        },
+        faults: h.faults(60.0 * r, mtbf_mult * r, 0.3 * r, FAULT_SEED),
+        deadline: Some(60.0 * r),
+        recovery: h.recovery(4),
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys, comm, model, cfg);
-    for (i, (p, t)) in problems.iter().zip(&arrivals).enumerate() {
-        rt.submit_at(*t, i % 3, p.clone());
-    }
-    rt.run_to_completion()
-        .expect("stream plans always schedule")
+    h.serve(cfg, &problems, &arrivals)
 }
 
 fn cells() -> Vec<(AdmissionPolicy, f64)> {

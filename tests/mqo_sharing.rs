@@ -5,33 +5,8 @@
 //! the batched runtime must stay shard-invariant and `--jobs`-invariant
 //! with sharing on.
 
+use mdrs::exp::serving::{overlap_stream, spaced, submit};
 use mdrs::prelude::*;
-
-/// A stream of overlap-templated batches converted to scheduling
-/// problems (one generation batch per admission window).
-fn overlap_stream(
-    joins: usize,
-    overlap: f64,
-    window: usize,
-    batches: usize,
-    seed: u64,
-    cost: &CostModel,
-) -> Vec<TreeProblem> {
-    let gen_cfg = QueryGenConfig::paper(joins);
-    (0..batches)
-        .flat_map(|b| {
-            overlap_batch(
-                &gen_cfg,
-                overlap,
-                window,
-                seed ^ (b as u64).wrapping_mul(0xB10C),
-            )
-            .iter()
-            .map(|q| query_problem(q, cost))
-            .collect::<Vec<_>>()
-        })
-        .collect()
-}
 
 /// The sharing soundness property, swept over seeds and overlaps:
 /// planning a member against a memo warmed by its batch-mates splices
@@ -113,7 +88,7 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
     let comm = cost.params().comm_model();
     let sys = SystemSpec::homogeneous(16);
     let model = OverlapModel::new(0.5).unwrap();
-    let stream = overlap_stream(9, 0.8, 4, 3, 1996, &cost);
+    let stream = overlap_stream(9, 0.8, 4, 3, 1996);
     // All twelve queries arrive up front; at MPL 3 the run lasts about
     // four standalone times, so a crash at 1.5x lands mid-stream.
     let standalone = tree_schedule(&stream[0], 0.7, &sys, &comm, &model)
@@ -139,11 +114,10 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         ]),
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    for (i, p) in stream.into_iter().enumerate() {
-        rt.submit_at(1e-3 * i as f64, i % 3, p);
-    }
-    let summary = rt.run_to_completion().unwrap();
+    let rt = Runtime::new(sys.clone(), comm, model, cfg);
+    let summary = submit(rt, &stream, &spaced(stream.len(), 1e-3))
+        .run_to_completion()
+        .unwrap();
     assert!(
         summary.cache.subtree_hits > 0,
         "the overlapped stream never spliced"
@@ -168,7 +142,8 @@ fn batched_sharing_is_byte_identical_across_shards() {
     let comm = cost.params().comm_model();
     let sys = SystemSpec::homogeneous(12);
     let model = OverlapModel::new(0.5).unwrap();
-    let stream = overlap_stream(8, 0.9, 3, 3, 42, &cost);
+    let stream = overlap_stream(8, 0.9, 3, 3, 42);
+    let arrivals = spaced(stream.len(), 8.0);
     let run = |shards: usize| {
         let cfg = RuntimeConfig {
             max_in_flight: 2,
@@ -177,11 +152,8 @@ fn batched_sharing_is_byte_identical_across_shards() {
             shards,
             ..RuntimeConfig::default()
         };
-        let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-        for (i, p) in stream.iter().enumerate() {
-            rt.submit_at(8.0 * i as f64, i % 3, p.clone());
-        }
-        rt.run_to_completion().unwrap()
+        let rt = Runtime::new(sys.clone(), comm, model, cfg);
+        submit(rt, &stream, &arrivals).run_to_completion().unwrap()
     };
     let s1 = run(1);
     assert!(s1.cache.subtree_hits > 0, "no sharing exercised");

@@ -1,6 +1,7 @@
 //! Cross-crate runtime tests: consistency with the offline scheduler and
 //! determinism of the online event loop.
 
+use mdrs::exp::serving::{spaced, submit};
 use mdrs::prelude::*;
 
 fn problem(joins: usize, seed: u64, cost: &CostModel) -> TreeProblem {
@@ -89,6 +90,10 @@ fn faulted_stream_is_deterministic_and_terminal() {
     let sys = SystemSpec::homogeneous(12);
     let model = OverlapModel::new(0.5).unwrap();
 
+    let plans: Vec<TreeProblem> = [(8, 31), (12, 32), (10, 33), (14, 34), (6, 35)]
+        .into_iter()
+        .map(|(joins, seed)| problem(joins, seed, &cost))
+        .collect();
     let run = || {
         let cfg = RuntimeConfig {
             policy: AdmissionPolicy::Fcfs,
@@ -103,14 +108,10 @@ fn faulted_stream_is_deterministic_and_terminal() {
             },
             ..RuntimeConfig::default()
         };
-        let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-        for (i, (joins, seed)) in [(8usize, 31u64), (12, 32), (10, 33), (14, 34), (6, 35)]
-            .into_iter()
-            .enumerate()
-        {
-            rt.submit_at(10.0 * i as f64, i % 2, problem(joins, seed, &cost));
-        }
-        rt.run_to_completion().unwrap()
+        let rt = Runtime::new(sys.clone(), comm, model, cfg);
+        submit(rt, &plans, &spaced(plans.len(), 10.0))
+            .run_to_completion()
+            .unwrap()
     };
 
     let a = run();

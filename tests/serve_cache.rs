@@ -2,6 +2,7 @@
 //! invisible optimization (shadow-verified hits, balanced plan
 //! accounting) that keeps serving its plans across site failures.
 
+use mdrs::exp::serving::{cycled, spaced, submit};
 use mdrs::prelude::*;
 use mdrs::runtime::cache::schedule_footprint;
 
@@ -10,21 +11,15 @@ fn template(joins: usize, seed: u64, cost: &CostModel) -> TreeProblem {
     query_problem(&q, cost)
 }
 
-/// Submits a templated stream: `n` arrivals cycling through three
-/// generated query templates, so most admissions should hit the cache.
-fn submit_stream(rt: &mut Runtime<OverlapModel>, n: usize, cost: &CostModel) {
+/// A templated stream: `n` plans cycling through three generated query
+/// templates, so most admissions should hit the cache.
+fn templated_stream(n: usize, cost: &CostModel) -> Vec<TreeProblem> {
     let templates = [
         template(8, 41, cost),
         template(12, 42, cost),
         template(10, 43, cost),
     ];
-    for i in 0..n {
-        rt.submit_at(
-            6.0 * i as f64,
-            i % 3,
-            templates[i % templates.len()].clone(),
-        );
-    }
+    cycled(&templates, n)
 }
 
 /// `verify_cache` shadow-computes every hit and panics on a digest
@@ -47,9 +42,10 @@ fn cache_hits_survive_shadow_verification() {
         }]),
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    submit_stream(&mut rt, 12, &cost);
-    let summary = rt.run_to_completion().unwrap();
+    let rt = Runtime::new(sys.clone(), comm, model, cfg);
+    let summary = submit(rt, &templated_stream(12, &cost), &spaced(12, 6.0))
+        .run_to_completion()
+        .unwrap();
     assert!(summary.cache.hits > 0, "nothing was shadow-verified");
     let admissions = summary.queries.iter().filter(|q| q.start.is_some()).count();
     assert_eq!(
@@ -93,11 +89,10 @@ fn crash_mid_stream_keeps_cached_plans_servable() {
         }]),
         ..RuntimeConfig::default()
     };
-    let mut rt = Runtime::new(sys.clone(), comm, model, cfg);
-    for i in 0..3 {
-        rt.submit_at(i as f64 * 1e-3, 0, p.clone());
-    }
-    let summary = rt.run_to_completion().unwrap();
+    let rt = Runtime::new(sys.clone(), comm, model, cfg);
+    let summary = submit(rt, &[p.clone(), p.clone(), p], &spaced(3, 1e-3))
+        .run_to_completion()
+        .unwrap();
     assert_eq!(summary.sites_failed(), 1);
     assert_eq!(summary.completed(), 3);
     assert!(
