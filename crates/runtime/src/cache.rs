@@ -35,13 +35,26 @@
 //!   insert; the audit trace records it on every insert and hit, so
 //!   `mrs-audit` can replay that every hit served exactly the bytes its
 //!   signature was memoized with.
+//!
+//! Both tables hash with a fixed-key `WordFold` instead of std's
+//! randomly seeded `RandomState`. Nothing iterates them, so no output
+//! depends on the hasher either way; a fixed one makes their drop
+//! order, and with it the heap layout they leave behind, the same in
+//! every process (a random seed made e2ebench's `peak_rss_mb`
+//! bimodal). The keys are injective encodings, so a collision can only
+//! cost a probe, never serve a wrong plan.
 
 use crate::metrics::Fnv;
 use mrs_core::operator::Placement;
 use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig};
 use mrs_core::tree::{TreeProblem, TreeScheduleResult};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// The fixed-key hasher of the cache's tables (see the [module
+/// docs](self)).
+type FoldState = BuildHasherDefault<WordFold>;
 
 /// Counters describing how a run's admissions hit the schedule cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -177,12 +190,12 @@ pub struct CachedPlan {
 /// subtree-fragment memo. See the [module docs](self).
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    entries: HashMap<PlanSignature, CachedPlan>,
+    entries: HashMap<PlanSignature, CachedPlan, FoldState>,
     /// Subtree-grained memo for the shared planner, keyed by canonical
     /// subtree signature; each fragment carries its bit-level digest
     /// (see [`fragment_digest`]), replayed by the sharing-coherence
     /// audit.
-    subtree: HashMap<SubtreeSig, (Arc<ScheduleFragment>, u64)>,
+    subtree: HashMap<SubtreeSig, (Arc<ScheduleFragment>, u64), FoldState>,
     stats: CacheStats,
 }
 
@@ -328,13 +341,64 @@ pub fn plan_digest(schedule: &TreeScheduleResult) -> u64 {
     h.0
 }
 
+/// Numbers the distinct uncapped [`PlanSignature`]s of `problems` in
+/// first-seen order. Returns each problem's number and, for each
+/// number, the position of the first problem that carries it.
+pub(crate) fn number_signatures<'a>(
+    problems: impl IntoIterator<Item = &'a TreeProblem>,
+    f: f64,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut seen: HashMap<PlanSignature, usize, FoldState> = HashMap::default();
+    let mut firsts = Vec::new();
+    let numbers = problems
+        .into_iter()
+        .enumerate()
+        .map(|(k, problem)| {
+            *seen
+                .entry(PlanSignature::of(problem, f))
+                .or_insert_with(|| {
+                    firsts.push(k);
+                    firsts.len() - 1
+                })
+        })
+        .collect();
+    (numbers, firsts)
+}
+
 /// A 64-bit fold of a word sequence, one multiply per word: rotate,
 /// xor the word in, multiply by an odd constant (the FxHash step). A
 /// byte-wise FNV-1a fold takes eight dependent multiplies per word,
 /// which for a cold plan's several thousand words costs a fifth of the
 /// planning itself; this costs a few percent. Any single-word change
 /// changes the result, since each step is a bijection of the state.
+/// As a [`Hasher`] it folds bytes in native-endian 8-byte words, the
+/// layout `Hash` gives a `u64` slice.
 struct WordFold(u64);
+
+impl Default for WordFold {
+    fn default() -> Self {
+        WordFold::new()
+    }
+}
+
+impl Hasher for WordFold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.push(u64::from_ne_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.push(u64::from_ne_bytes(w));
+        }
+    }
+}
 
 impl WordFold {
     fn new() -> Self {
@@ -493,6 +557,32 @@ mod tests {
         let mut b = a.clone();
         b.response_time = f64::from_bits(2.0f64.to_bits() + 1);
         assert_ne!(plan_digest(&a), plan_digest(&b));
+    }
+
+    #[test]
+    fn signatures_are_numbered_in_first_seen_order() {
+        let problems = [problem(2.0), problem(3.0), problem(2.0), problem(4.0)];
+        let (numbers, firsts) = number_signatures(&problems, 0.7);
+        assert_eq!(numbers, vec![0, 1, 0, 2]);
+        assert_eq!(firsts, vec![0, 1, 3]);
+    }
+
+    #[test]
+    fn word_fold_hashes_a_signature_like_its_words() {
+        use std::hash::BuildHasher;
+        let sig = PlanSignature::of(&problem(2.0), 0.7);
+        // `Hash for Vec<u64>` writes the length, then the words as one
+        // byte slice, which the hasher folds back into the same words.
+        let mut direct = WordFold::new();
+        direct.push(sig.0.len() as u64);
+        sig.0.iter().for_each(|&w| direct.push(w));
+        assert_eq!(FoldState::default().hash_one(&sig), direct.0);
+        // A short tail is zero-padded into one last word.
+        let mut tail = WordFold::new();
+        tail.write(&[1, 2, 3]);
+        let mut padded = WordFold::new();
+        padded.push(u64::from_ne_bytes([1, 2, 3, 0, 0, 0, 0, 0]));
+        assert_eq!(tail.0, padded.0);
     }
 
     #[test]

@@ -48,9 +48,25 @@
 //! threads while every cross-shard effect stays serial on this event
 //! loop, so the [`RunSummary`] is byte-identical for any shard count
 //! (see the `mrs-shardexec` crate docs for the argument).
+//!
+//! **Plan-ahead.** Every arrival is submitted before the run starts,
+//! and an uncapped plan depends only on its problem, so with the inline
+//! fabric the spare core plans ahead: [`Runtime::run_to_completion`]
+//! numbers the distinct uncapped plan signatures in arrival order and
+//! starts an `mrs-shardexec` [`Ahead`] worker that packs their cold
+//! TreeSchedules at most [`WINDOW`] signatures ahead of the event
+//! loop. An uncapped cache miss takes its signature's slot instead of
+//! planning inline, waiting for the worker if it has not finished that
+//! plan yet; every capped miss plans inline as before. Cache lookups
+//! and inserts, the audit
+//! trace and every counter stay on the loop in the same order, so the
+//! worker changes which thread computed a plan and nothing else. It is
+//! not started with plan sharing on (the shared planner's output
+//! depends on its fragment memo's order), with `N ≥ 2` shards (their
+//! threads take the spare core) or on a one-core host.
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{schedule_digest, PlanSignature, ScheduleCache};
+use crate::cache::{number_signatures, schedule_digest, PlanSignature, ScheduleCache};
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
@@ -67,9 +83,11 @@ use mrs_core::shared::{
 };
 use mrs_core::tree::{tree_schedule_with, PlanOptions, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
+use mrs_shardexec::ahead::{Ahead, WINDOW};
 use mrs_shardexec::fabric::Fabric;
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
 use mrs_shardexec::segment::ShardSegment;
+use mrs_shardexec::sync::available_parallelism;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
 use std::collections::VecDeque;
@@ -152,9 +170,12 @@ pub struct RuntimeConfig {
     /// `false` (it defeats the cache's purpose).
     pub verify_cache: bool,
     /// Shard executors for the site layer: `1` (the default) runs the
-    /// single-threaded loop inline; `N ≥ 2` partitions the sites over
-    /// `N` pinned worker threads. Bit-exact: the [`RunSummary`] is
-    /// byte-identical for any value (clamped to the site count).
+    /// single-threaded loop inline, and on a host with two or more
+    /// cores plans queued arrivals ahead on a second thread (see the
+    /// [module docs](self)); `N ≥ 2` partitions the sites over `N`
+    /// pinned worker threads and plans inline. Bit-exact: the
+    /// [`RunSummary`] is byte-identical for any value (clamped to the
+    /// site count).
     pub shards: usize,
     /// Record each site's full per-step utilization time series on the
     /// summary ([`RunSummary::site_util_series`]). Bit-exact but
@@ -207,8 +228,9 @@ impl Default for RuntimeConfig {
 struct ArrivalEvent {
     time: f64,
     id: QueryId,
-    /// Taken (exactly once) when the arrival fires.
-    problem: Option<TreeProblem>,
+    /// Taken (exactly once) when the arrival fires; shared with the
+    /// plan-ahead worker until then.
+    problem: Option<Arc<TreeProblem>>,
 }
 
 struct RunningQuery {
@@ -252,7 +274,7 @@ pub struct Runtime<M: ResponseModel> {
     clock: f64,
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
-    pending: QueryTable<TreeProblem>,
+    pending: QueryTable<Arc<TreeProblem>>,
     /// The site layer: simulators, calendar, and audit segments,
     /// single-threaded or sharded (see the [module docs](self)).
     fabric: Fabric,
@@ -301,6 +323,27 @@ pub struct Runtime<M: ResponseModel> {
     /// members across them.
     batches_released: u64,
     batch_members: u64,
+    /// The plan-ahead worker while a run is in progress (see the
+    /// [module docs](self)); `None` when it is not started.
+    ahead: Option<PlanAhead>,
+}
+
+/// Uncapped cold plans packed ahead of the event loop: one look-ahead
+/// slot per distinct uncapped plan signature, in arrival order.
+struct PlanAhead {
+    slots: Ahead<Result<TreeScheduleResult, ScheduleError>>,
+    /// Each query's slot, indexed by query id.
+    slot_of: Vec<usize>,
+}
+
+impl PlanAhead {
+    /// `id`'s uncapped plan from the worker (`None` if its slot was
+    /// taken before or the worker stopped), cloned on the calling
+    /// thread: the plans the cache keeps live in the event loop's
+    /// malloc arena, and the worker drops its own copy.
+    fn take(&self, id: QueryId) -> Option<Result<TreeScheduleResult, ScheduleError>> {
+        self.slots.take(self.slot_of[id.0], Clone::clone)
+    }
 }
 
 /// [`FragmentCache`] adapter over the runtime's [`ScheduleCache`]: every
@@ -338,7 +381,7 @@ impl FragmentCache for TracedFragmentCache<'_> {
     }
 }
 
-impl<M: ResponseModel> Runtime<M> {
+impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// A fresh runtime over `sys` with the given communication and
     /// response-time models. Straggler factors from `cfg.faults` are
     /// applied to the site simulators up front.
@@ -391,6 +434,7 @@ impl<M: ResponseModel> Runtime<M> {
             released: VecDeque::new(),
             batches_released: 0,
             batch_members: 0,
+            ahead: None,
         }
     }
 
@@ -459,7 +503,7 @@ impl<M: ResponseModel> Runtime<M> {
         self.arrivals.push(ArrivalEvent {
             time: arrival,
             id,
-            problem: Some(problem),
+            problem: Some(Arc::new(problem)),
         });
         id
     }
@@ -485,6 +529,50 @@ impl<M: ResponseModel> Runtime<M> {
         self.arrivals
             .sort_by(|a, b| a.time.total_cmp(&b.time).then(a.id.cmp(&b.id)));
         self.arrivals_next = 0;
+        self.ahead = self.plan_ahead();
+        let run = self.event_loop();
+        // Stops and joins the worker, also when a schedule error ended
+        // the loop early.
+        self.ahead = None;
+        run?;
+        debug_assert!(
+            self.clones.is_empty() && self.running.is_empty(),
+            "run drained with clones or queries still tracked"
+        );
+        Ok(self.summary())
+    }
+
+    /// Starts the plan-ahead worker over the distinct uncapped plan
+    /// signatures of the submitted arrivals, in arrival order, or
+    /// returns `None` where it must not run: with plan sharing on, on
+    /// the threaded fabric, or on a one-core host (see the [module
+    /// docs](self)).
+    fn plan_ahead(&self) -> Option<PlanAhead> {
+        if self.cfg.plan_sharing || self.fabric.shards() > 1 || available_parallelism() < 2 {
+            return None;
+        }
+        let queued: Vec<(QueryId, &Arc<TreeProblem>)> = self
+            .arrivals
+            .iter()
+            .filter_map(|a| Some((a.id, a.problem.as_ref()?)))
+            .collect();
+        let (numbers, firsts) = number_signatures(queued.iter().map(|&(_, p)| &**p), self.cfg.f);
+        let mut slot_of = vec![0; self.records.len()];
+        for ((id, _), slot) in queued.iter().zip(numbers) {
+            slot_of[id.0] = slot;
+        }
+        let problems: Vec<Arc<TreeProblem>> =
+            firsts.iter().map(|&k| Arc::clone(queued[k].1)).collect();
+        let (f, sys, comm, model) = (self.cfg.f, self.sys.clone(), self.comm, self.model.clone());
+        let slots = Ahead::new(problems.len(), WINDOW, move |i| {
+            plan_unshared(&problems[i], f, &sys, &comm, &model, None)
+        });
+        Some(PlanAhead { slots, slot_of })
+    }
+
+    /// The event loop of [`Runtime::run_to_completion`]: runs until
+    /// every submitted query is terminal.
+    fn event_loop(&mut self) -> Result<(), RuntimeError> {
         let mut completions: Vec<Completion> = Vec::new();
 
         loop {
@@ -647,12 +735,7 @@ impl<M: ResponseModel> Runtime<M> {
             self.depth_trace
                 .push((t, self.queue.len() + self.released.len()));
         }
-
-        debug_assert!(
-            self.clones.is_empty() && self.running.is_empty(),
-            "run drained with clones or queries still tracked"
-        );
-        Ok(self.summary())
+        Ok(())
     }
 
     /// Retires one completed clone and, if its query's phase has fully
@@ -1170,7 +1253,9 @@ impl<M: ResponseModel> Runtime<M> {
 
     /// Produces the admission TreeSchedule for `problem`: a hit from the
     /// plan-signature cache, or a [`cold_plan`] that is then memoized.
-    /// With `verify_cache` set, every hit is re-planned cold against an
+    /// An uncapped miss takes the plan-ahead worker's plan, waiting for
+    /// it if need be; it counts as the miss it replaces. With
+    /// `verify_cache` set, every hit is re-planned cold against an
     /// empty fragment memo and compared bit-for-bit.
     ///
     /// The controller's governed degree cap is part of the plan's
@@ -1211,21 +1296,30 @@ impl<M: ResponseModel> Runtime<M> {
             }
             return Ok(hit.schedule);
         }
-        let mut memo = TracedFragmentCache {
-            cache: &mut self.cache,
-            trace: &mut self.audit_trace,
-            time: self.clock,
-            query: id,
+        let prefetched = match (&self.ahead, cap) {
+            (Some(ahead), None) => ahead.take(id),
+            _ => None,
         };
-        let (fresh, stats) = cold_plan(
-            problem,
-            &self.cfg,
-            &self.sys,
-            &self.comm,
-            &self.model,
-            cap,
-            &mut memo,
-        )
+        let (fresh, stats) = match prefetched {
+            Some(planned) => planned.map(|plan| (plan, unshared_stats(problem))),
+            None => {
+                let mut memo = TracedFragmentCache {
+                    cache: &mut self.cache,
+                    trace: &mut self.audit_trace,
+                    time: self.clock,
+                    query: id,
+                };
+                cold_plan(
+                    problem,
+                    &self.cfg,
+                    &self.sys,
+                    &self.comm,
+                    &self.model,
+                    cap,
+                    &mut memo,
+                )
+            }
+        }
         .map_err(schedule_error)?;
         let fresh = Arc::new(fresh);
         self.cache.absorb_shared(&stats);
@@ -1278,18 +1372,33 @@ fn cold_plan<M: ResponseModel>(
     if cfg.plan_sharing {
         return tree_schedule_shared(problem, cfg.f, sys, comm, model, cap, memo);
     }
+    let plan = plan_unshared(problem, cfg.f, sys, comm, model, cap)?;
+    Ok((plan, unshared_stats(problem)))
+}
+
+/// The joint per-level packer under the governed degree `cap`: the
+/// unshared half of [`cold_plan`], and the plan-ahead worker's job.
+fn plan_unshared<M: ResponseModel>(
+    problem: &TreeProblem,
+    f: f64,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    cap: Option<usize>,
+) -> Result<TreeScheduleResult, ScheduleError> {
     let opts = PlanOptions {
         cap,
         ..PlanOptions::default()
     };
-    let stats = SharedStats {
+    tree_schedule_with(problem, f, sys, comm, model, opts)
+}
+
+/// The planning work an unshared cold plan counts: every task packed.
+fn unshared_stats(problem: &TreeProblem) -> SharedStats {
+    SharedStats {
         tasks_planned: problem.tasks.len() as u64,
         ..SharedStats::default()
-    };
-    Ok((
-        tree_schedule_with(problem, cfg.f, sys, comm, model, opts)?,
-        stats,
-    ))
+    }
 }
 
 #[cfg(test)]
@@ -1879,6 +1988,137 @@ mod tests {
             summary.cache
         );
         assert_eq!(summary.cache.hits + summary.cache.misses, 12);
+    }
+
+    /// Whether a runtime with `shards` shard executors plans ahead on
+    /// this host.
+    fn plans_ahead(shards: usize) -> bool {
+        let rt = runtime_with(RuntimeConfig {
+            shards,
+            ..RuntimeConfig::default()
+        });
+        rt.plan_ahead().is_some()
+    }
+
+    #[test]
+    fn plan_ahead_runs_only_on_the_inline_fabric_of_a_multicore_host() {
+        assert_eq!(plans_ahead(1), available_parallelism() >= 2);
+        assert!(!plans_ahead(2), "the threaded fabric plans inline");
+    }
+
+    #[test]
+    fn a_malformed_query_fails_alike_with_and_without_plan_ahead() {
+        // An operator the table does not hold: TreeSchedule rejects the
+        // problem, on the worker or inline.
+        let malformed = TreeProblem {
+            tasks: TaskGraph::single_task(vec![OperatorId(5)]),
+            ..one_op_problem(1.0)
+        };
+        let errors = [1usize, 2].map(|shards| {
+            let mut rt = runtime_with(RuntimeConfig {
+                shards,
+                ..RuntimeConfig::default()
+            });
+            for q in 0..12 {
+                let problem = if q == 6 {
+                    malformed.clone()
+                } else {
+                    one_op_problem(2.0 + q as f64)
+                };
+                rt.submit_at(q as f64 * 0.5, q % 3, problem);
+            }
+            // Returning at all shows the worker was stopped and joined
+            // with later slots still queued.
+            rt.run_to_completion()
+                .expect_err("the malformed query fails its admission")
+        });
+        assert!(
+            matches!(
+                errors[0],
+                RuntimeError::Schedule {
+                    query: QueryId(6),
+                    ..
+                }
+            ),
+            "unexpected error: {}",
+            errors[0]
+        );
+        assert_eq!(errors[0], errors[1]);
+    }
+
+    #[test]
+    fn a_capped_miss_plans_inline_and_leaves_the_uncapped_slot() {
+        let mut rt = runtime_with(RuntimeConfig {
+            controller: overload_controller(),
+            ..RuntimeConfig::default()
+        });
+        let problem = one_op_problem(20.0);
+        rt.submit_at(0.0, 0, problem.clone());
+        let pressure = |backlog, avg_load| PressureSample {
+            time: 0.0,
+            queue_depth: backlog,
+            retries: 0,
+            alive: 4,
+            avg_load,
+        };
+        rt.controller.observe(pressure(3, 1.0));
+        let cap = rt.controller.degree_cap(4);
+        assert!(cap.is_some(), "the governor must have raised a level");
+        // The query's uncapped slot holds a marker plan, which any take
+        // of the slot returns.
+        let marker = TreeScheduleResult {
+            phases: vec![],
+            response_time: 1e9,
+        };
+        let job_plan = marker.clone();
+        let slots = Ahead::new(1, WINDOW, move |_| Ok(job_plan.clone()));
+        rt.ahead = Some(PlanAhead {
+            slots,
+            slot_of: vec![0],
+        });
+        let capped = rt.plan(QueryId(0), &problem).unwrap();
+        let inline = plan_unshared(&problem, rt.cfg.f, &rt.sys, &rt.comm, &rt.model, cap).unwrap();
+        assert_eq!(schedule_digest(&capped), schedule_digest(&inline));
+        // Back at level 0, the uncapped miss is served the slot.
+        rt.controller.observe(pressure(0, 0.0));
+        assert_eq!(rt.controller.degree_cap(4), None);
+        let uncapped = rt.plan(QueryId(0), &problem).unwrap();
+        assert_eq!(schedule_digest(&uncapped), schedule_digest(&marker));
+        assert_eq!(rt.cache_stats().misses, 2, "each plan counts as a miss");
+    }
+
+    #[test]
+    fn plan_ahead_never_serves_an_uncapped_plan_at_a_capped_level() {
+        // Four templates, each first arriving four queries after the
+        // last, under an overload controller: the later ones first miss
+        // at a governed level, while their uncapped slots are still
+        // untaken. A capped miss must plan inline at its own cap;
+        // serving it the worker's uncapped plan would memoize a wrong
+        // plan, which verify_cache re-plans on the next hit, and would
+        // move the trace off the 2-shard run's.
+        let run = |shards| {
+            let mut rt = runtime_with(RuntimeConfig {
+                shards,
+                max_in_flight: 2,
+                controller: overload_controller(),
+                verify_cache: true,
+                ..RuntimeConfig::default()
+            });
+            for q in 0..16 {
+                rt.submit_at(q as f64 * 0.2, q % 3, one_op_problem(20.0 + (q / 4) as f64));
+            }
+            rt.run_to_completion().unwrap()
+        };
+        let (ahead, inline) = (run(1), run(2));
+        assert!(
+            ahead.trace.iter().any(|ev| matches!(
+                ev,
+                AuditEvent::ControlDecision { level, .. } if *level > 0
+            )),
+            "the governor never raised a level"
+        );
+        assert_eq!(ahead.digest(), inline.digest());
+        assert_eq!(ahead.trace, inline.trace);
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl Fabric {
 
     /// The per-shard audit-trace segments, in shard order.
     pub fn segments(&mut self) -> Vec<ShardSegment> {
-        self.fold(Vec::new(), |out, st| out.push(st.segment().clone()))
+        self.fold(Vec::new(), |out, st| out.push(st.segment()))
     }
 }
 

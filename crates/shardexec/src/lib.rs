@@ -62,10 +62,20 @@
 //! `mrs-audit`'s merge checker verifies that the segments partition the
 //! site range, conserve every dispatched clone, and re-sort to one
 //! canonical global trace that is identical for any shard count.
+//!
+//! ## Look-ahead
+//!
+//! [`ahead::Ahead`] is the crate's other concurrency primitive: one
+//! worker computes a fixed list of jobs in index order, a bounded
+//! window ahead of a consumer that takes their results. The runtime
+//! uses it to plan queued arrivals on the spare core while its event
+//! loop runs; like the pool, it only moves work between threads and
+//! never changes what the consumer sees.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ahead;
 pub mod fabric;
 pub mod gate;
 pub mod merge;

@@ -1,5 +1,5 @@
 //! The per-shard executor state: one shard's site simulators, lazy
-//! event calendar, and audit-trace segment.
+//! event calendar, and audit-trace event log.
 //!
 //! A [`ShardState`] owns everything needed to answer the two site-local
 //! questions of the epoch protocol (next completion time; advance due
@@ -9,7 +9,7 @@
 //! state translates to its local slice.
 
 use crate::merge::sort_completions;
-use crate::segment::{ShardEvent, ShardEventKind, ShardSegment};
+use crate::segment::{EventLog, ShardEvent, ShardEventKind, ShardSegment};
 use mrs_core::resource::SiteId;
 use mrs_sim::calendar::EventCalendar;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
@@ -23,8 +23,10 @@ pub struct ShardState {
     sims: Vec<SiteSim>,
     /// Lazy completion calendar over the local sims.
     calendar: EventCalendar,
-    /// This shard's audit-trace segment.
-    segment: ShardSegment,
+    /// This shard's index (its segment's `shard`).
+    shard: usize,
+    /// This shard's audit-trace events.
+    events: EventLog,
     /// Completions surfaced by the latest advance command, sorted by
     /// `(time, tag)` — the runtime's canonical retirement order, so the
     /// coordinator k-way merges shard buffers instead of re-sorting.
@@ -49,11 +51,8 @@ impl ShardState {
         ShardState {
             base,
             calendar: EventCalendar::new(n),
-            segment: ShardSegment {
-                shard,
-                sites: (base, base + n),
-                events: Vec::new(),
-            },
+            shard,
+            events: EventLog::default(),
             sims,
             buf: Vec::new(),
             next: None,
@@ -81,7 +80,7 @@ impl ShardState {
     }
 
     fn record(&mut self, time: f64, site: usize, tag: usize, kind: ShardEventKind) {
-        self.segment.events.push(ShardEvent {
+        self.events.push(ShardEvent {
             time,
             site,
             tag,
@@ -104,11 +103,11 @@ impl ShardState {
     pub fn advance_due(&mut self, t: f64) {
         self.buf.clear();
         let base = self.base;
-        let seg = &mut self.segment;
+        let log = &mut self.events;
         self.calendar
             .advance_due_observed(t, &mut self.sims, &mut self.buf, |site, done| {
                 for c in done {
-                    seg.events.push(ShardEvent {
+                    log.push(ShardEvent {
                         time: c.time,
                         site: base + site,
                         tag: c.tag,
@@ -257,9 +256,14 @@ impl ShardState {
         }));
     }
 
-    /// This shard's audit-trace segment.
-    pub fn segment(&self) -> &ShardSegment {
-        &self.segment
+    /// This shard's audit-trace segment: the events it has recorded so
+    /// far, copied into one list.
+    pub fn segment(&self) -> ShardSegment {
+        ShardSegment {
+            shard: self.shard,
+            sites: (self.base, self.base + self.sims.len()),
+            events: self.events.to_vec(),
+        }
     }
 }
 

@@ -336,6 +336,13 @@ impl<T> JoinHandle<T> {
         match self {
             JoinHandle::Std(h) => h.join(),
             JoinHandle::Model(t, slot) => {
+                // A join from a drop while the engine tears an
+                // execution down (the caller is unwinding) must not
+                // re-enter the engine, which would panic again and
+                // abort the process; the execution is dead anyway.
+                if std::thread::panicking() {
+                    return Err(Box::new("model execution torn down before the join"));
+                }
                 ctx::join(&t);
                 // A model-thread panic aborts the whole exploration
                 // before any joiner resumes, so reaching this point

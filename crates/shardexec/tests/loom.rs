@@ -1,4 +1,4 @@
-//! The gate model tests, re-run under real [loom].
+//! The gate and look-ahead model tests, re-run under real [loom].
 //!
 //! The in-repo checker (`shardexec::sync::model`, exercised by
 //! `gate::tests::model_*`) and loom are independent implementations of
@@ -15,14 +15,16 @@
 //! ```
 //!
 //! loom reads `LOOM_MAX_PREEMPTIONS` itself, so the CI bound applies
-//! here without plumbing. Scenarios mirror `gate::tests` one-for-one;
-//! the relaxation numbers (R1..R8) refer to the comments in `gate.rs`.
+//! here without plumbing. The gate scenarios mirror `gate::tests`
+//! one-for-one (the relaxation numbers R1..R8 refer to the comments in
+//! `gate.rs`); the last one mirrors `ahead::tests`.
 //!
 //! [loom]: https://github.com/tokio-rs/loom
 #![cfg(loom)]
 
+use mrs_shardexec::ahead::Ahead;
 use mrs_shardexec::gate::Gate;
-use mrs_shardexec::sync::{spawn_named, AtomicU64, JoinHandle};
+use mrs_shardexec::sync::{spawn_named, AtomicU64, JoinHandle, Mutex};
 use std::sync::Arc;
 
 /// Shutdown kind used by the tests (the gate itself is agnostic).
@@ -177,5 +179,30 @@ fn loom_shutdown_wakes_parked_worker() {
         let workers = [h.thread()];
         gate.broadcast_all(STOP, 123, &workers);
         h.join().expect("worker exits cleanly");
+    });
+}
+
+#[test]
+fn loom_ahead_in_order_hand_off() {
+    // Mirrors model_in_order_takes_produce_each_slot_once: three jobs,
+    // window 1, taken in order; each slot is produced exactly once (by
+    // the worker; the inline fallback runs only once it has stopped),
+    // and the drop joins the worker.
+    loom::model(|| {
+        let made = Arc::new(Mutex::new([0u32; 3]));
+        let counter = Arc::clone(&made);
+        let ahead = Ahead::new(3, 1, move |i| {
+            counter.lock().expect("counter unpoisoned")[i] += 1;
+            10 * i
+        });
+        for i in 0..3 {
+            let out = ahead.take(i, |&v| v).unwrap_or_else(|| {
+                made.lock().expect("counter unpoisoned")[i] += 1;
+                10 * i
+            });
+            assert_eq!(out, 10 * i, "wrong result");
+        }
+        drop(ahead);
+        assert_eq!(*made.lock().expect("counter unpoisoned"), [1, 1, 1]);
     });
 }
