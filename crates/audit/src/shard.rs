@@ -1,6 +1,6 @@
 //! Trace-merge checker for the sharded serving fabric.
 //!
-//! `mrs-shardexec` executors each record their own site-level trace
+//! Each `mrs-shardexec` shard records its own site-level trace
 //! segment; [`audit_shard_segments`] verifies the evidence those
 //! segments constitute:
 //!

@@ -110,11 +110,9 @@ fn bench_serve_stream(b: &mut Bench) {
 
     let mut g = b.group("serve_stream");
     g.sample_size(5);
-    // Shard-count sweep (clean plan only): the sharded fabric must
-    // produce the identical run, so this measures pure execution cost —
-    // barrier overhead on few cores, parallel speedup on many. On a
-    // single-core host expect s1 to win; record the numbers honestly
-    // either way.
+    // Shard-count sweep (clean plan only): every shard count produces
+    // the identical run on one thread, so this measures what splitting
+    // the sites into segments costs (the per-shard folds and lookups).
     for n_shards in [1usize, 2, 4, 8] {
         let cfg = RuntimeConfig {
             max_in_flight: MPL,
@@ -192,7 +190,9 @@ fn bench_barrier(b: &mut Bench) {
     use mrs_shardexec::prelude::ShardState;
     use mrs_sim::engine::{SimConfig, SiteSim};
 
-    // The gate in isolation: one NextTime broadcast + completion wait
+    // The gate in isolation (no runtime path uses the pool any more;
+    // this group prices the barrier the fabric dropped): one NextTime
+    // broadcast + completion wait
     // per round, measured as 100-round batches so a single park/unpark
     // pair is resolvable above timer noise. Workers have 4 idle sites
     // each, so the round is almost pure barrier cost. On a single-core

@@ -25,10 +25,10 @@
 //! of arrival. `--templates K` draws the stream from `K` recurring query
 //! templates instead of all-distinct plans, exercising the plan-signature
 //! schedule cache (the printed cache line shows the amortization).
-//! `--shards S` partitions the sites over `S` parallel shard executors;
-//! the output is byte-identical for every `S` (that is the sharded
-//! fabric's contract — see the `shards` experiment), so the report
-//! deliberately never echoes the shard count. `--adaptive` turns on the
+//! `--shards S` splits the sites into `S` audit segments, all run inline
+//! on the event loop's thread; the output is byte-identical for every
+//! `S` (that is the fabric's contract — see the `shards` experiment),
+//! so the report deliberately never echoes the shard count. `--adaptive` turns on the
 //! feedback overload controller ([`ControllerConfig::adaptive`]): a
 //! backpressure gate defers admissions while the fabric is saturated and
 //! a parallelism governor caps clone degrees under backlog; off (the
@@ -150,7 +150,7 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     if shards == 0 {
-        eprintln!("--shards must be positive (1 = the single-threaded loop)");
+        eprintln!("--shards must be positive (1 = one segment over all sites)");
         return ExitCode::FAILURE;
     }
     if !(mtbf.is_finite() && mtbf >= 0.0 && deadline.is_finite() && deadline >= 0.0) {

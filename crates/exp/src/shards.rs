@@ -1,8 +1,8 @@
 //! X14 — shard-count invariance sweep for the serving runtime.
 //!
-//! The sharded fabric's contract is *byte-identity*: `serve --shards N`
-//! must produce exactly the run that the single-threaded loop produces,
-//! for any `N`. This experiment drives the throughput experiment's mixed
+//! The fabric's contract is *byte-identity*: `serve --shards N`, which
+//! splits the sites into `N` audit segments, must produce exactly the
+//! run that one segment produces, for any `N`. This experiment drives the throughput experiment's mixed
 //! Poisson stream ([`serving`](crate::serving)) through the runtime at every swept shard count — under
 //! a clean plan and under a seeded crash/recovery plan — and compares
 //! each run against the `shards = 1` baseline of its scenario on two

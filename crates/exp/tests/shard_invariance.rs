@@ -1,5 +1,5 @@
 //! End-to-end shard-invariance of the serving runtime: `--shards N`
-//! must reproduce the single-threaded loop bit-for-bit for every `N`,
+//! must reproduce the one-shard run bit-for-bit for every `N`,
 //! under clean plans and under seeded crash/recovery plans, and every
 //! run's trace evidence must audit clean.
 //!

@@ -146,8 +146,7 @@ impl ControllerConfig {
 }
 
 /// One observation of the pressure signals, taken once per event-loop
-/// epoch at the barrier (after faults/retries/arrivals, before
-/// admission). All fields are copied from the loop's serial state.
+/// epoch (after faults/retries/arrivals, before admission). All fields are copied from the loop's serial state.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PressureSample {
     /// Virtual time of the observation.

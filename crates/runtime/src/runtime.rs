@@ -41,29 +41,26 @@
 //! dispatch, placement, retirement, loss, eviction — neither hashes nor
 //! (for `d ≤ 4`) allocates.
 //!
-//! The site layer itself lives behind an `mrs-shardexec`
-//! [`Fabric`]: with [`RuntimeConfig::shards`] `== 1` (the default) it is
-//! an inline whole-machine shard — today's single-threaded loop — and
-//! with `N ≥ 2` the site-local epoch phases run on `N` pinned worker
-//! threads while every cross-shard effect stays serial on this event
-//! loop, so the [`RunSummary`] is byte-identical for any shard count
-//! (see the `mrs-shardexec` crate docs for the argument).
+//! The site layer itself lives behind an `mrs-shardexec` [`Fabric`],
+//! run inline on this event loop's thread. [`RuntimeConfig::shards`]
+//! only splits the sites into that many audit-trace segments; the
+//! [`RunSummary`] is byte-identical for any shard count (see the
+//! `mrs-shardexec` crate docs for the argument).
 //!
 //! **Plan-ahead.** Every arrival is submitted before the run starts,
-//! and an uncapped plan depends only on its problem, so with the inline
-//! fabric the spare core plans ahead: [`Runtime::run_to_completion`]
-//! numbers the distinct uncapped plan signatures in arrival order and
-//! starts an `mrs-shardexec` [`Ahead`] worker that packs their cold
-//! TreeSchedules at most [`WINDOW`] signatures ahead of the event
-//! loop. An uncapped cache miss takes its signature's slot instead of
-//! planning inline, waiting for the worker if it has not finished that
-//! plan yet; every capped miss plans inline as before. Cache lookups
-//! and inserts, the audit
-//! trace and every counter stay on the loop in the same order, so the
-//! worker changes which thread computed a plan and nothing else. It is
-//! not started with plan sharing on (the shared planner's output
-//! depends on its fragment memo's order), with `N ≥ 2` shards (their
-//! threads take the spare core) or on a one-core host.
+//! and an uncapped plan depends only on its problem, so the spare core
+//! plans ahead: [`Runtime::run_to_completion`] numbers the distinct
+//! uncapped plan signatures in arrival order and starts an
+//! `mrs-shardexec` [`Ahead`] worker that packs their cold TreeSchedules
+//! at most [`WINDOW`] signatures ahead of the event loop. An uncapped
+//! cache miss takes its signature's slot instead of planning inline,
+//! waiting for the worker if it has not finished that plan yet; every
+//! capped miss plans inline as before. Cache lookups and inserts, the
+//! audit trace and every counter stay on the loop in the same order,
+//! so the worker changes which thread computed a plan and nothing
+//! else. It is not started with plan sharing on (the shared planner's
+//! output depends on its fragment memo's order) or on a one-core host;
+//! the shard count plays no part.
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{number_signatures, schedule_digest, PlanSignature, ScheduleCache};
@@ -169,13 +166,11 @@ pub struct RuntimeConfig {
     /// not bit-identical — the cache's correctness harness. Default
     /// `false` (it defeats the cache's purpose).
     pub verify_cache: bool,
-    /// Shard executors for the site layer: `1` (the default) runs the
-    /// single-threaded loop inline, and on a host with two or more
-    /// cores plans queued arrivals ahead on a second thread (see the
-    /// [module docs](self)); `N ≥ 2` partitions the sites over `N`
-    /// pinned worker threads and plans inline. Bit-exact: the
-    /// [`RunSummary`] is byte-identical for any value (clamped to the
-    /// site count).
+    /// How many contiguous segments the site layer is split into, each
+    /// with its own audit-trace segment ([`Runtime::shard_segments`]).
+    /// Every segment runs inline on the event loop's thread; `1` is the
+    /// default. Bit-exact: the [`RunSummary`] is byte-identical for any
+    /// value (clamped to the site count).
     pub shards: usize,
     /// Record each site's full per-step utilization time series on the
     /// summary ([`RunSummary::site_util_series`]). Bit-exact but
@@ -275,8 +270,8 @@ pub struct Runtime<M: ResponseModel> {
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
     pending: QueryTable<Arc<TreeProblem>>,
-    /// The site layer: simulators, calendar, and audit segments,
-    /// single-threaded or sharded (see the [module docs](self)).
+    /// The site layer: simulators, calendars, and audit segments (see
+    /// the [module docs](self)).
     fabric: Fabric,
     running: QueryTable<RunningQuery>,
     /// The executing clones by tag; also mints the tags.
@@ -451,7 +446,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
     /// The pressure signals as the controller would observe them right
     /// now (see [`PressureSample`]).
-    pub fn pressure_sample(&mut self) -> PressureSample {
+    pub fn pressure_sample(&self) -> PressureSample {
         PressureSample {
             time: self.clock,
             queue_depth: self.queue.len() + self.released.len(),
@@ -468,12 +463,12 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
     /// Total clones currently resident across all sites (zero once a
     /// run fully drains).
-    pub fn total_resident(&mut self) -> usize {
+    pub fn total_resident(&self) -> usize {
         self.fabric.total_resident()
     }
 
-    /// Number of shard executors actually running (after clamping to the
-    /// site count).
+    /// Number of segments the sites are split into (after clamping to
+    /// the site count).
     pub fn shards(&self) -> usize {
         self.fabric.shards()
     }
@@ -483,7 +478,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// canonical global trace and verifies partitioning + clone
     /// conservation; the canonical trace is byte-identical for any shard
     /// count.
-    pub fn shard_segments(&mut self) -> Vec<ShardSegment> {
+    pub fn shard_segments(&self) -> Vec<ShardSegment> {
         self.fabric.segments()
     }
 
@@ -524,12 +519,18 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// admission (e.g. a malformed task graph); queries admitted before
     /// the failure keep their partial progress.
     pub fn run_to_completion(&mut self) -> Result<RunSummary, RuntimeError> {
+        self.run(true)
+    }
+
+    /// [`Runtime::run_to_completion`], with the plan-ahead worker
+    /// allowed to start or not; the tests compare the two.
+    fn run(&mut self, plan_ahead: bool) -> Result<RunSummary, RuntimeError> {
         // Arrivals in (time, id) order; ids are dense so ties (equal
         // times) resolve in submission order.
         self.arrivals
             .sort_by(|a, b| a.time.total_cmp(&b.time).then(a.id.cmp(&b.id)));
         self.arrivals_next = 0;
-        self.ahead = self.plan_ahead();
+        self.ahead = if plan_ahead { self.plan_ahead() } else { None };
         let run = self.event_loop();
         // Stops and joins the worker, also when a schedule error ended
         // the loop early.
@@ -544,11 +545,10 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
     /// Starts the plan-ahead worker over the distinct uncapped plan
     /// signatures of the submitted arrivals, in arrival order, or
-    /// returns `None` where it must not run: with plan sharing on, on
-    /// the threaded fabric, or on a one-core host (see the [module
-    /// docs](self)).
+    /// returns `None` where it must not run: with plan sharing on or on
+    /// a one-core host (see the [module docs](self)).
     fn plan_ahead(&self) -> Option<PlanAhead> {
-        if self.cfg.plan_sharing || self.fabric.shards() > 1 || available_parallelism() < 2 {
+        if self.cfg.plan_sharing || available_parallelism() < 2 {
             return None;
         }
         let queued: Vec<(QueryId, &Arc<TreeProblem>)> = self
@@ -631,8 +631,8 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             self.clock = t;
             completions.clear();
             self.fabric.advance_due(t, &mut completions);
-            // The fabric's merge of pre-sorted shard buffers already
-            // yields (time, tag) retirement order.
+            // The fabric surfaces completions in (time, tag)
+            // retirement order.
             debug_assert!(
                 completions_sorted(&completions),
                 "fabric surfaced completions out of (time, tag) order"
@@ -1645,7 +1645,7 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_completion_crash_and_deadline_share_one_barrier() {
+    fn same_instant_completion_crash_and_deadline_share_one_epoch() {
         // Queries rooted on disjoint sites: co-resident clones under
         // demand-proportional sharing drain together, so contention
         // would collapse the two finish times onto one instant.
@@ -1667,11 +1667,9 @@ mod tests {
 
         // Stage 2: a scripted crash on the long query's site and the
         // long query's deadline both land on that exact instant, so a
-        // single coalesced barrier round carries a completion, a
-        // fault, and a deadline expiry at once. The recovery ordering
-        // must survive the batched barrier: the completion retires
-        // first, then the crash and the deadline kill the survivor — at
-        // every shard count.
+        // single epoch carries a completion, a fault, and a deadline
+        // expiry at once. The completion retires first, then the crash
+        // and the deadline kill the survivor — at every shard count.
         let run = |shards: usize| {
             let cfg = RuntimeConfig {
                 faults: FaultPlan::scripted(vec![crash(t, 1)]),
@@ -1698,7 +1696,7 @@ mod tests {
             other => panic!("expected deadline abort, got {other:?}"),
         }
         assert_eq!(base.sites_failed(), 1);
-        // All three events share one barrier instant: the run ends there.
+        // All three events share one instant: the run ends there.
         assert_eq!(base.horizon.to_bits(), t.to_bits());
         let base_digest = base.digest();
         for shards in [2usize, 4] {
@@ -1773,7 +1771,7 @@ mod tests {
         // Crash everything at t=1; backoff_base 2.0 parks the lost work
         // with a retry at exactly t=3.0, which is also the query's
         // deadline instant (arrival 0 + deadline 3). The event order at
-        // the shared barrier is fixed: the retry fires first (step 4,
+        // the shared instant is fixed: the retry fires first (step 4,
         // re-packing onto the recovered sites), the deadline expires
         // after (step 6) — so the trace shows a re-pack and then the
         // abort at the same instant, identically at every shard count.
@@ -1990,8 +1988,8 @@ mod tests {
         assert_eq!(summary.cache.hits + summary.cache.misses, 12);
     }
 
-    /// Whether a runtime with `shards` shard executors plans ahead on
-    /// this host.
+    /// Whether a runtime with `shards` segments plans ahead on this
+    /// host.
     fn plans_ahead(shards: usize) -> bool {
         let rt = runtime_with(RuntimeConfig {
             shards,
@@ -2001,9 +1999,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_ahead_runs_only_on_the_inline_fabric_of_a_multicore_host() {
-        assert_eq!(plans_ahead(1), available_parallelism() >= 2);
-        assert!(!plans_ahead(2), "the threaded fabric plans inline");
+    fn plan_ahead_starts_at_any_shard_count_on_a_multicore_host() {
+        for shards in [1, 2] {
+            assert_eq!(
+                plans_ahead(shards),
+                available_parallelism() >= 2,
+                "shards = {shards}"
+            );
+        }
     }
 
     #[test]
@@ -2014,36 +2017,38 @@ mod tests {
             tasks: TaskGraph::single_task(vec![OperatorId(5)]),
             ..one_op_problem(1.0)
         };
-        let errors = [1usize, 2].map(|shards| {
-            let mut rt = runtime_with(RuntimeConfig {
-                shards,
-                ..RuntimeConfig::default()
-            });
-            for q in 0..12 {
-                let problem = if q == 6 {
-                    malformed.clone()
-                } else {
-                    one_op_problem(2.0 + q as f64)
-                };
-                rt.submit_at(q as f64 * 0.5, q % 3, problem);
-            }
-            // Returning at all shows the worker was stopped and joined
-            // with later slots still queued.
-            rt.run_to_completion()
-                .expect_err("the malformed query fails its admission")
-        });
-        assert!(
-            matches!(
-                errors[0],
-                RuntimeError::Schedule {
-                    query: QueryId(6),
-                    ..
+        for shards in [1usize, 2] {
+            let errors = [true, false].map(|plan_ahead| {
+                let mut rt = runtime_with(RuntimeConfig {
+                    shards,
+                    ..RuntimeConfig::default()
+                });
+                for q in 0..12 {
+                    let problem = if q == 6 {
+                        malformed.clone()
+                    } else {
+                        one_op_problem(2.0 + q as f64)
+                    };
+                    rt.submit_at(q as f64 * 0.5, q % 3, problem);
                 }
-            ),
-            "unexpected error: {}",
-            errors[0]
-        );
-        assert_eq!(errors[0], errors[1]);
+                // Returning at all shows the worker was stopped and
+                // joined with later slots still queued.
+                rt.run(plan_ahead)
+                    .expect_err("the malformed query fails its admission")
+            });
+            assert!(
+                matches!(
+                    errors[0],
+                    RuntimeError::Schedule {
+                        query: QueryId(6),
+                        ..
+                    }
+                ),
+                "unexpected error at shards = {shards}: {}",
+                errors[0]
+            );
+            assert_eq!(errors[0], errors[1], "shards = {shards}");
+        }
     }
 
     #[test]
@@ -2095,8 +2100,8 @@ mod tests {
         // untaken. A capped miss must plan inline at its own cap;
         // serving it the worker's uncapped plan would memoize a wrong
         // plan, which verify_cache re-plans on the next hit, and would
-        // move the trace off the 2-shard run's.
-        let run = |shards| {
+        // move the trace off the run without a worker.
+        let run = |shards, plan_ahead| {
             let mut rt = runtime_with(RuntimeConfig {
                 shards,
                 max_in_flight: 2,
@@ -2107,18 +2112,20 @@ mod tests {
             for q in 0..16 {
                 rt.submit_at(q as f64 * 0.2, q % 3, one_op_problem(20.0 + (q / 4) as f64));
             }
-            rt.run_to_completion().unwrap()
+            rt.run(plan_ahead).unwrap()
         };
-        let (ahead, inline) = (run(1), run(2));
-        assert!(
-            ahead.trace.iter().any(|ev| matches!(
-                ev,
-                AuditEvent::ControlDecision { level, .. } if *level > 0
-            )),
-            "the governor never raised a level"
-        );
-        assert_eq!(ahead.digest(), inline.digest());
-        assert_eq!(ahead.trace, inline.trace);
+        for shards in [1, 2] {
+            let (ahead, inline) = (run(shards, true), run(shards, false));
+            assert!(
+                ahead.trace.iter().any(|ev| matches!(
+                    ev,
+                    AuditEvent::ControlDecision { level, .. } if *level > 0
+                )),
+                "the governor never raised a level"
+            );
+            assert_eq!(ahead.digest(), inline.digest(), "shards = {shards}");
+            assert_eq!(ahead.trace, inline.trace, "shards = {shards}");
+        }
     }
 
     #[test]

@@ -1,84 +1,45 @@
 //! The execution fabric: the runtime's single entry point to the site
-//! layer, single-threaded or sharded.
+//! layer.
 //!
-//! [`Fabric::new`] with one shard (the default) builds an inline
-//! [`ShardState`] over the whole machine and every call goes straight
-//! through — that path *is* the previous single-threaded loop, so
-//! `--shards 1` reproduces it bit-for-bit by construction. With more
-//! shards, per-site mutations are routed to the owning shard's cell
-//! serially, in coordinator order, and only the site-local epoch phases
-//! ([`Fabric::next_time`], [`Fabric::advance_due`]) ever involve the
-//! pinned [`ShardPool`] — and even those mostly don't:
+//! [`Fabric::new`] splits the sites into `N` contiguous shards
+//! ([`ShardPlan`]), each an inline [`ShardState`] with its own lazy
+//! calendar and audit-trace segment. Every call runs on the caller's
+//! thread: a per-site call indexes the owning shard through a lookup
+//! table built once, and an aggregate folds the shards in shard order.
+//! The shard count only decides how the audit trace is segmented, so
+//! any `N` reproduces the one-shard run bit for bit:
 //!
-//! * The fabric caches each shard's earliest pending completion,
-//!   dirtied only when the coordinator mutates a site in that shard.
-//!   [`Fabric::next_time`] recomputes just the dirty shards (inline,
-//!   through the uncontended cell lock) and folds the cached minima in
-//!   shard order — zero broadcasts.
-//! * [`Fabric::advance_due`] computes the due shard set from the same
-//!   cache. No shard due: the call is free. One shard due (the common
-//!   case — completion times rarely collide across shards): the advance
-//!   runs inline on the coordinator. Two or more due: one barrier round
-//!   advances them in parallel — unless the host has no spare core
-//!   ([`ShardPool::parallel`]), in which case the due set runs inline
-//!   in shard order, since a broadcast there would only time-slice one
-//!   CPU through N park/unpark pairs. Either way each shard refreshes
-//!   its own
-//!   next-event time inside the same round (the fused min-fold), so an
-//!   epoch pays at most *one* handshake.
-//! * Workers return buffers pre-sorted in the runtime's `(time, tag)`
-//!   retirement order; the coordinator k-way merges them
-//!   ([`crate::merge`]) instead of re-sorting globally.
-//!
-//! The reference for all of this is the one-shard layout: any shard
-//! count must reproduce it bit for bit.
+//! * The fabric caches each shard's earliest pending completion
+//!   ([`ShardState`]'s fused next-event time), dirtied only when a
+//!   site in that shard is mutated. [`Fabric::next_time`] recomputes
+//!   just the dirty shards and folds the minima in shard order, which
+//!   equals the global minimum exactly (same multiset of `f64`).
+//! * [`Fabric::advance_due`] advances only the shards whose cached
+//!   next-event time is due. Each returns its completions pre-sorted in
+//!   the runtime's `(time, tag)` retirement order; when two or more are
+//!   due at one instant their buffers are appended in shard order and
+//!   the appended range is sorted again. The key is total (tags are
+//!   unique per dispatch), so the result is the one-shard sequence.
 
-use crate::merge::merge_sorted_completions;
+use crate::merge::sort_completions;
 use crate::plan::ShardPlan;
-use crate::pool::{Command, ShardPool};
 use crate::segment::ShardSegment;
 use crate::state::ShardState;
 use mrs_core::resource::SiteId;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
 
-/// The site layer's physical layout: one whole-machine shard, or a plan
-/// plus a pinned pool.
-#[derive(Debug)]
-enum Layout {
-    /// One shard, executed inline on the coordinator thread (boxed so
-    /// the enum stays pointer-sized either way).
-    Single(Box<ShardState>),
-    /// `N ≥ 2` shards on a pinned worker pool.
-    Sharded {
-        /// The deterministic site partition.
-        plan: ShardPlan,
-        /// The workers owning the shard states.
-        pool: ShardPool,
-    },
-}
-
 /// The site layer behind the runtime. See the [module docs](self).
 #[derive(Debug)]
 pub struct Fabric {
-    layout: Layout,
-    /// Cached per-shard earliest pending completion, mirroring each
-    /// shard's [`ShardState::next`]. Exact whenever the matching `dirty`
-    /// bit is clear: the coordinator is the only other mutator, and
-    /// every mutation path marks its shard dirty.
-    next: Vec<Option<f64>>,
-    /// Shards whose cached next-event time is stale.
+    /// The shards, in site order.
+    states: Vec<ShardState>,
+    /// The shard owning each site (built once from the [`ShardPlan`]).
+    owner: Vec<usize>,
+    /// Shards whose cached next-event time ([`ShardState::next`]) is
+    /// stale: every path that mutates a site marks its shard.
     dirty: Vec<bool>,
     /// Cached alive-site count (crashes decrement, restores increment).
     alive: usize,
-    /// Scratch: indices of shards due at the current epoch.
-    due: Vec<usize>,
-    /// Scratch: due shards' completion buffers, swapped out of the cells
-    /// for the k-way merge (capacities recycle across epochs).
-    bufs: Vec<Vec<Completion>>,
-}
-
-fn due_at(next: Option<f64>, t: f64) -> bool {
-    next.is_some_and(|n| n <= t)
 }
 
 impl Fabric {
@@ -88,105 +49,57 @@ impl Fabric {
         let sites = sims.len();
         let plan = ShardPlan::new(sites, shards);
         let n = plan.shards();
-        let layout = if n == 1 {
-            Layout::Single(Box::new(ShardState::new(0, 0, sims, dim)))
-        } else {
-            let mut states = Vec::with_capacity(n);
-            let mut rest = sims;
-            for s in (0..n).rev() {
-                let range = plan.range(s);
-                let tail = rest.split_off(range.start);
-                states.push(ShardState::new(s, range.start, tail, dim));
-            }
-            states.reverse();
-            Layout::Sharded {
-                plan,
-                pool: ShardPool::new(states),
-            }
-        };
+        let mut owner = Vec::with_capacity(sites);
+        let mut states = Vec::with_capacity(n);
+        let mut sims = sims.into_iter();
+        for s in 0..n {
+            let range = plan.range(s);
+            owner.resize(range.end, s);
+            let slice = sims.by_ref().take(range.len()).collect();
+            states.push(ShardState::new(s, range.start, slice, dim));
+        }
         Fabric {
-            layout,
-            next: vec![None; n],
+            states,
+            owner,
             dirty: vec![true; n],
             alive: sites,
-            due: Vec::new(),
-            bufs: (0..n).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Number of shards actually running.
+    /// Number of shards the sites are split into.
     pub fn shards(&self) -> usize {
-        match &self.layout {
-            Layout::Single(_) => 1,
-            Layout::Sharded { pool, .. } => pool.shards(),
-        }
-    }
-
-    /// Total number of sites.
-    pub fn sites(&self) -> usize {
-        match &self.layout {
-            Layout::Single(st) => st.sites(),
-            Layout::Sharded { plan, .. } => plan.sites(),
-        }
+        self.states.len()
     }
 
     /// The shard owning `site`.
-    fn shard_of(&self, site: usize) -> usize {
-        match &self.layout {
-            Layout::Single(_) => 0,
-            Layout::Sharded { plan, .. } => plan.shard_of(site),
+    fn shard(&self, site: usize) -> &ShardState {
+        &self.states[self.owner[site]]
+    }
+
+    /// The shard owning `site`, marked as having a stale next-event
+    /// time (for calls that always mutate the site).
+    fn dirty_shard(&mut self, site: usize) -> &mut ShardState {
+        let s = self.owner[site];
+        self.dirty[s] = true;
+        &mut self.states[s]
+    }
+
+    /// Concatenates each shard's per-site values in shard order, which
+    /// is global site order.
+    fn per_site<T>(&self, push: impl Fn(&ShardState, &mut Vec<T>)) -> Vec<T> {
+        let mut out = Vec::new();
+        for st in &self.states {
+            push(st, &mut out);
         }
+        out
     }
 
-    /// Marks `site`'s shard as having a stale cached next-event time.
-    fn mark_dirty(&mut self, site: usize) {
-        let shard = self.shard_of(site);
-        self.dirty[shard] = true;
-    }
-
-    /// Routes `f` to the shard owning `site` without touching the
-    /// next-event cache (callers that mutate the site mark it dirty).
-    fn route<R>(&mut self, site: usize, f: impl FnOnce(&mut ShardState) -> R) -> R {
-        match &mut self.layout {
-            Layout::Single(st) => f(st),
-            Layout::Sharded { plan, pool } => pool.with_cell(plan.shard_of(site), f),
-        }
-    }
-
-    fn fold<A>(&mut self, mut acc: A, mut f: impl FnMut(&mut A, &mut ShardState)) -> A {
-        match &mut self.layout {
-            Layout::Single(st) => f(&mut acc, st),
-            Layout::Sharded { pool, .. } => {
-                for s in 0..pool.shards() {
-                    pool.with_cell(s, |st| f(&mut acc, st));
-                }
-            }
-        }
-        acc
-    }
-
-    /// Brings every dirty shard's cached next-event time up to date,
-    /// inline: the dirty shards are exactly the ones the coordinator
-    /// just touched.
+    /// Brings every dirty shard's cached next-event time up to date.
     fn refresh_next(&mut self) {
-        match &mut self.layout {
-            Layout::Single(st) => {
-                if self.dirty[0] {
-                    st.compute_next();
-                    self.next[0] = st.next;
-                    self.dirty[0] = false;
-                }
-            }
-            Layout::Sharded { pool, .. } => {
-                for s in 0..self.next.len() {
-                    if self.dirty[s] {
-                        self.next[s] = pool.with_cell(s, |st| {
-                            st.compute_next();
-                            st.next
-                        });
-                        self.dirty[s] = false;
-                    }
-                }
+        for (st, dirty) in self.states.iter_mut().zip(&mut self.dirty) {
+            if *dirty {
+                st.compute_next();
+                *dirty = false;
             }
         }
     }
@@ -197,8 +110,8 @@ impl Fabric {
     pub fn next_time(&mut self) -> Option<f64> {
         self.refresh_next();
         let mut min = None;
-        for &next in &self.next {
-            min = match (min, next) {
+        for st in &self.states {
+            min = match (min, st.next) {
                 (Some(a), Some(b)) => Some(f64::min(a, b)),
                 (a, b) => a.or(b),
             };
@@ -207,76 +120,32 @@ impl Fabric {
     }
 
     /// Epoch phase 2: advances every due site to `t`, appending the
-    /// surfaced completions to `out` in `(time, tag)` order (per-shard
-    /// pre-sorted buffers, k-way merged in shard order — bit-identical
-    /// to the serial loop's post-concatenation sort because the key is
-    /// total). Shards with no completion due at `t` are never woken; a
-    /// single due shard advances inline.
+    /// surfaced completions to `out` in `(time, tag)` order. Shards with
+    /// no completion due at `t` are not touched; each due shard
+    /// refreshes its own next-event time as it advances.
     pub fn advance_due(&mut self, t: f64, out: &mut Vec<Completion>) {
         self.refresh_next();
-        match &mut self.layout {
-            Layout::Single(st) => {
-                if !due_at(self.next[0], t) {
-                    return;
-                }
+        let start = out.len();
+        let mut due = 0;
+        for st in &mut self.states {
+            if st.next.is_some_and(|next| next <= t) {
                 st.advance_due(t);
-                self.next[0] = st.next;
-                self.dirty[0] = false;
                 out.extend_from_slice(&st.buf);
+                due += 1;
             }
-            Layout::Sharded { pool, .. } => {
-                self.due.clear();
-                for (s, &next) in self.next.iter().enumerate() {
-                    if due_at(next, t) {
-                        self.due.push(s);
-                    }
-                }
-                match self.due.len() {
-                    0 => {}
-                    1 => {
-                        let s = self.due[0];
-                        self.next[s] = pool.with_cell(s, |st| {
-                            st.advance_due(t);
-                            out.extend_from_slice(&st.buf);
-                            st.next
-                        });
-                    }
-                    _ => {
-                        if pool.parallel() {
-                            pool.run(Command::AdvanceDue(t));
-                        } else {
-                            // No spare core: a broadcast would only
-                            // time-slice one CPU through N park/unpark
-                            // pairs. Advance the due shards inline in
-                            // shard order — same order, same bytes.
-                            for &s in &self.due {
-                                pool.with_cell(s, |st| st.advance_due(t));
-                            }
-                        }
-                        // Only the due shards produced completions (and
-                        // only their next-event times changed; the rest
-                        // recomputed the value already cached).
-                        for (i, &s) in self.due.iter().enumerate() {
-                            self.next[s] = pool.with_cell(s, |st| {
-                                std::mem::swap(&mut st.buf, &mut self.bufs[i]);
-                                st.next
-                            });
-                        }
-                        let runs: Vec<&[Completion]> = self.bufs[..self.due.len()]
-                            .iter()
-                            .map(Vec::as_slice)
-                            .collect();
-                        merge_sorted_completions(&runs, out);
-                    }
-                }
-            }
+        }
+        // Each buffer is already sorted; only a run spanning shards can
+        // interleave.
+        if due > 1 {
+            sort_completions(&mut out[start..]);
         }
     }
 
     /// Catches `site` up to `clock` (see [`ShardState::catch_up`]).
     pub fn catch_up(&mut self, site: usize, clock: f64, out: &mut Vec<Completion>) {
-        if self.route(site, |st| st.catch_up(site, clock, out)) {
-            self.mark_dirty(site);
+        let s = self.owner[site];
+        if self.states[s].catch_up(site, clock, out) {
+            self.dirty[s] = true;
         }
     }
 
@@ -284,10 +153,9 @@ impl Fabric {
     /// A zero-duration clone completes inline, leaves the site untouched
     /// and is returned.
     pub fn place_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
-        let done = self.route(site, |st| st.add_clone(site, clone));
-        if done.is_none() {
-            self.mark_dirty(site);
-        }
+        let s = self.owner[site];
+        let done = self.states[s].add_clone(site, clone);
+        self.dirty[s] |= done.is_none();
         done
     }
 
@@ -295,36 +163,34 @@ impl Fabric {
     /// ensure the site is currently alive (the runtime checks
     /// [`Fabric::is_down`] first).
     pub fn fail_site(&mut self, site: usize) -> Vec<LostClone> {
-        self.mark_dirty(site);
         self.alive -= 1;
-        self.route(site, |st| st.fail_site(site))
+        self.dirty_shard(site).fail_site(site)
     }
 
     /// Restores a crashed `site`.
     pub fn restore_site(&mut self, site: usize) {
-        self.mark_dirty(site);
         self.alive += 1;
-        self.route(site, |st| st.restore_site(site));
+        self.dirty_shard(site).restore_site(site);
     }
 
     /// Evicts the clone tagged `tag` from `site`.
     pub fn remove_clone(&mut self, site: usize, tag: usize) -> Option<LostClone> {
-        self.mark_dirty(site);
-        self.route(site, |st| st.remove_clone(site, tag))
+        self.dirty_shard(site).remove_clone(site, tag)
     }
 
     /// Whether `site` is currently crashed.
-    pub fn is_down(&mut self, site: usize) -> bool {
-        self.route(site, |st| st.is_down(site))
+    pub fn is_down(&self, site: usize) -> bool {
+        self.shard(site).is_down(site)
     }
 
     /// Mean [`SiteSim::load`] over the alive sites (`+∞` with none): the
     /// shards' folds chained in shard order, so the float sum is
     /// bit-identical for any shard count.
-    pub fn avg_load(&mut self) -> f64 {
-        let (acc, alive) = self.fold((0.0f64, 0usize), |(acc, alive), st| {
-            st.fold_load(acc, alive);
-        });
+    pub fn avg_load(&self) -> f64 {
+        let (mut acc, mut alive) = (0.0f64, 0usize);
+        for st in &self.states {
+            st.fold_load(&mut acc, &mut alive);
+        }
         if alive == 0 {
             return f64::INFINITY;
         }
@@ -333,56 +199,57 @@ impl Fabric {
 
     /// Number of sites currently in service (cached: crashes and
     /// restores maintain the count, so the admission path's
-    /// degraded-mode check costs no shard round-trips).
-    pub fn alive_sites(&mut self) -> usize {
-        let cached = self.alive;
+    /// degraded-mode check costs no fold over the sites).
+    pub fn alive_sites(&self) -> usize {
         debug_assert_eq!(
-            cached,
+            self.alive,
             self.alive_list().len(),
             "cached alive-site count diverged from the site simulators"
         );
-        cached
+        self.alive
     }
 
     /// The alive sites in global index order.
-    pub fn alive_list(&mut self) -> Vec<SiteId> {
-        self.fold(Vec::new(), |out, st| st.push_alive(out))
+    pub fn alive_list(&self) -> Vec<SiteId> {
+        self.per_site(ShardState::push_alive)
     }
 
     /// Total clones resident across all sites.
-    pub fn total_resident(&mut self) -> usize {
-        self.fold(0usize, |n, st| *n += st.total_resident())
+    pub fn total_resident(&self) -> usize {
+        self.states.iter().map(ShardState::total_resident).sum()
     }
 
     /// Every site's busy-time vector, in global site order.
-    pub fn busy(&mut self) -> Vec<Vec<f64>> {
-        self.fold(Vec::new(), |out, st| st.push_busy(out))
+    pub fn busy(&self) -> Vec<Vec<f64>> {
+        self.per_site(ShardState::push_busy)
     }
 
     /// Every site's peak-utilization vector, in global site order.
-    pub fn peak_util(&mut self) -> Vec<Vec<f64>> {
-        self.fold(Vec::new(), |out, st| st.push_peak_util(out))
+    pub fn peak_util(&self) -> Vec<Vec<f64>> {
+        self.per_site(ShardState::push_peak_util)
     }
 
     /// Every site's exact utilization integral, in global site order.
-    pub fn util_integral(&mut self) -> Vec<Vec<f64>> {
-        self.fold(Vec::new(), |out, st| st.push_util_integral(out))
+    pub fn util_integral(&self) -> Vec<Vec<f64>> {
+        self.per_site(ShardState::push_util_integral)
     }
 
     /// Every site's recorded utilization series, in global site order
     /// (empty unless [`Fabric::enable_util_series`] was called).
-    pub fn util_series(&mut self) -> Vec<Vec<UtilSample>> {
-        self.fold(Vec::new(), |out, st| st.push_util_series(out))
+    pub fn util_series(&self) -> Vec<Vec<UtilSample>> {
+        self.per_site(ShardState::push_util_series)
     }
 
     /// Enables per-step utilization recording on every site.
     pub fn enable_util_series(&mut self) {
-        self.fold((), |(), st| st.enable_util_series());
+        for st in &mut self.states {
+            st.enable_util_series();
+        }
     }
 
     /// The per-shard audit-trace segments, in shard order.
-    pub fn segments(&mut self) -> Vec<ShardSegment> {
-        self.fold(Vec::new(), |out, st| out.push(st.segment()))
+    pub fn segments(&self) -> Vec<ShardSegment> {
+        self.states.iter().map(ShardState::segment).collect()
     }
 }
 
@@ -510,10 +377,7 @@ mod tests {
     }
 
     #[test]
-    fn quiet_epochs_skip_the_barrier_entirely() {
-        // An advance at a time before any pending completion must be a
-        // no-op that surfaces nothing (the fast path returns before any
-        // worker wake; this asserts the semantics, not the syscalls).
+    fn an_advance_before_the_next_completion_surfaces_nothing() {
         let mut f = Fabric::new(sims(4), 2, 2);
         f.place_clone(0, &clone(0, &[4.0, 0.0], 4.0));
         assert_eq!(f.next_time(), Some(4.0));
@@ -526,18 +390,24 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_cross_shard_completions_batch_into_one_round() {
-        // Bit-identical clones on sites in different shards complete at
-        // the same instant: the batched barrier must surface both, in
-        // tag order, and leave the cached next-times coherent.
-        let mut f = Fabric::new(sims(4), 2, 2);
-        f.place_clone(0, &clone(1, &[2.0, 0.0], 2.0));
-        f.place_clone(3, &clone(0, &[2.0, 0.0], 2.0));
-        let t = f.next_time().expect("two clones pending");
+    fn simultaneous_cross_shard_completions_surface_in_tag_order() {
+        // Bit-identical clones on sites in three shards complete at the
+        // same instant, their tags descending in shard order: the
+        // appended buffers read [2, 1, 0] until the re-sort.
+        let mut f = Fabric::new(sims(6), 2, 3);
+        f.place_clone(0, &clone(2, &[2.0, 0.0], 2.0));
+        f.place_clone(2, &clone(1, &[2.0, 0.0], 2.0));
+        f.place_clone(4, &clone(0, &[2.0, 0.0], 2.0));
+        let t = f.next_time().expect("three clones pending");
         let mut out = Vec::new();
         f.advance_due(t, &mut out);
         let tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
-        assert_eq!(tags, vec![0, 1], "(time, tag) merge order");
+        assert_eq!(tags, vec![0, 1, 2], "(time, tag) order");
+        assert!(f.states.iter().all(|st| st.next.is_none()));
+        assert!(
+            !f.dirty.contains(&true),
+            "each due shard refreshed its own next"
+        );
         assert_eq!(f.next_time(), None);
     }
 }

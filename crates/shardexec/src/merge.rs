@@ -1,13 +1,11 @@
 //! Deterministic ordering helpers for completion buffers: the canonical
-//! `(time, tag)` sort and the k-way merge of pre-sorted shard buffers.
+//! `(time, tag)` order the runtime retires completions in.
 //!
-//! The runtime retires completions in `(time, tag)` order. Workers sort
-//! their own buffers in parallel inside the advance barrier (see
-//! [`crate::state::ShardState::advance_due`]), so the coordinator's job
-//! shrinks from a global O(n log n) re-sort to a linear merge in shard
-//! order. Tags are unique per dispatch, so `(time, tag)` is a total
-//! order and the merge result is exactly the sequence the old global
-//! sort produced — whatever the shard count.
+//! Each shard sorts its own buffer as it advances (see
+//! [`crate::state::ShardState::advance_due`]), and the fabric re-sorts
+//! only an instant whose completions span shards. Tags are unique per
+//! dispatch, so `(time, tag)` is a total order and the sorted sequence
+//! is the same whatever the shard count.
 
 use mrs_sim::engine::Completion;
 
@@ -31,40 +29,6 @@ pub fn completions_sorted(buf: &[Completion]) -> bool {
         .all(|w| completion_order(&w[0], &w[1]) != std::cmp::Ordering::Greater)
 }
 
-/// K-way merges pre-sorted completion runs into `out` in `(time, tag)`
-/// order. Equivalent to concatenating the runs and sorting, because
-/// each run is itself sorted and the key is total. The run count is the
-/// (small) shard count, so a linear scan over run heads beats a heap.
-pub fn merge_sorted_completions(runs: &[&[Completion]], out: &mut Vec<Completion>) {
-    match runs.len() {
-        0 => {}
-        1 => out.extend_from_slice(runs[0]),
-        _ => {
-            let mut heads: Vec<usize> = vec![0; runs.len()];
-            let total: usize = runs.iter().map(|r| r.len()).sum();
-            out.reserve(total);
-            for _ in 0..total {
-                let mut best: Option<usize> = None;
-                for (r, run) in runs.iter().enumerate() {
-                    let Some(c) = run.get(heads[r]) else { continue };
-                    best = match best {
-                        Some(b)
-                            if completion_order(&runs[b][heads[b]], c)
-                                != std::cmp::Ordering::Greater =>
-                        {
-                            Some(b)
-                        }
-                        _ => Some(r),
-                    };
-                }
-                let b = best.expect("total counted non-exhausted runs");
-                out.push(runs[b][heads[b]]);
-                heads[b] += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,45 +38,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_concat_and_sort() {
-        let a = vec![c(1.0, 3), c(2.0, 0), c(2.0, 5)];
-        let b = vec![c(0.5, 1), c(2.0, 2)];
-        let d = vec![c(2.0, 4)];
-        let mut merged = Vec::new();
-        merge_sorted_completions(&[&a, &b, &d], &mut merged);
-        let mut reference: Vec<Completion> = a.iter().chain(&b).chain(&d).copied().collect();
-        reference.sort_by(completion_order);
-        assert_eq!(merged, reference);
-        assert!(completions_sorted(&merged));
-    }
-
-    #[test]
-    fn merge_handles_empty_and_single_runs() {
-        let mut out = Vec::new();
-        merge_sorted_completions(&[], &mut out);
-        assert!(out.is_empty());
-        let a = vec![c(1.0, 0)];
-        merge_sorted_completions(&[&a], &mut out);
-        assert_eq!(out, a);
-        out.clear();
-        let empty: Vec<Completion> = Vec::new();
-        merge_sorted_completions(&[&empty, &a, &empty], &mut out);
-        assert_eq!(out, a);
-    }
-
-    #[test]
-    fn equal_times_break_ties_by_tag() {
-        let a = vec![c(1.0, 7)];
-        let b = vec![c(1.0, 2)];
-        let mut out = Vec::new();
-        merge_sorted_completions(&[&a, &b], &mut out);
-        assert_eq!(out.iter().map(|x| x.tag).collect::<Vec<_>>(), vec![2, 7]);
-    }
-
-    #[test]
     fn sort_completions_orders_by_time_then_tag() {
         let mut buf = vec![c(2.0, 1), c(1.0, 9), c(2.0, 0)];
+        assert!(!completions_sorted(&buf));
         sort_completions(&mut buf);
+        assert!(completions_sorted(&buf));
         assert_eq!(
             buf.iter()
                 .map(|x| (x.time.to_bits(), x.tag))

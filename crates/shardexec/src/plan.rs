@@ -2,8 +2,8 @@
 //!
 //! Range partitioning (contiguous balanced slices) rather than hashing:
 //! concatenating per-shard results in shard order then reproduces the
-//! serial loop's global site-index order, which is what makes the
-//! epoch merge byte-identical (see the [crate docs](crate)).
+//! global site-index order, which is what makes the fabric's folds
+//! byte-identical for any shard count (see the [crate docs](crate)).
 
 /// A deterministic partition of `sites` site indices into at most
 /// `shards` contiguous, balanced ranges.
@@ -50,17 +50,6 @@ impl ShardPlan {
     pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
         self.bounds[shard]..self.bounds[shard + 1]
     }
-
-    /// The shard owning `site`.
-    ///
-    /// # Panics
-    /// Panics if `site` is out of range.
-    pub fn shard_of(&self, site: usize) -> usize {
-        assert!(site < self.sites(), "site {site} outside the plan");
-        // `bounds` is strictly increasing past index 0, so the number of
-        // boundaries ≤ site is the owning shard plus one.
-        self.bounds.partition_point(|&b| b <= site) - 1
-    }
 }
 
 #[cfg(test)]
@@ -83,20 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_of_inverts_ranges() {
-        for (sites, shards) in [(1, 1), (7, 3), (16, 16), (140, 8), (5, 9), (64, 1)] {
-            let plan = ShardPlan::new(sites, shards);
-            for site in 0..sites {
-                let s = plan.shard_of(site);
-                assert!(
-                    plan.range(s).contains(&site),
-                    "{sites}x{shards} site {site}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn plan_is_stable() {
         assert_eq!(ShardPlan::new(140, 8), ShardPlan::new(140, 8));
     }
@@ -108,11 +83,5 @@ mod tests {
         let empty = ShardPlan::new(0, 4);
         assert_eq!(empty.shards(), 1);
         assert_eq!(empty.sites(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the plan")]
-    fn shard_of_rejects_out_of_range() {
-        ShardPlan::new(4, 2).shard_of(4);
     }
 }

@@ -1,14 +1,19 @@
-//! The pinned worker pool: one persistent thread per shard, driven by
+//! A pinned worker pool: one persistent thread per shard, driven by
 //! the sense-reversing spin-then-park [`Gate`].
+//!
+//! No runtime path uses it: the [`Fabric`](crate::fabric::Fabric) runs
+//! every shard inline on the event-loop thread, because one epoch's
+//! site work (a few microseconds) never paid for a barrier round. The
+//! pool stays for the barrier-cost probes (the `barrier` bench group
+//! and the end-to-end benchmark's `fabric.barrier_us`) until the next
+//! benchmark change retires them, and the loom, TSan and Miri jobs keep
+//! checking it meanwhile.
 //!
 //! The coordinator broadcasts one [`Command`] per barrier round; every
 //! worker executes it against its own [`ShardState`] cell and the
 //! coordinator blocks until all have finished. Between broadcasts the
-//! coordinator is the only party touching the cells (per-site routing
-//! through [`ShardPool::with_cell`] locks the owning cell uncontended),
-//! so the pool adds *no* ordering freedom: all cross-shard effects stay
-//! serial on the coordinator, which is what keeps runs byte-identical
-//! for any shard count.
+//! coordinator is the only party touching the cells
+//! ([`ShardPool::with_cell`] locks the owning cell uncontended).
 //!
 //! The barrier protocol itself — the generation sense, the park
 //! protocol, the chosen memory orderings, and their machine-checked
@@ -63,9 +68,6 @@ pub struct ShardPool {
     /// Unpark handles, one per worker (same order as `cells`).
     threads: Vec<Thread>,
     workers: Vec<JoinHandle<()>>,
-    /// Whether a broadcast can actually overlap work: false on a
-    /// single-core host, where every round is pure context-switch cost.
-    parallel: bool,
 }
 
 /// Completes the worker's round on drop — including the unwind path,
@@ -132,24 +134,12 @@ impl ShardPool {
             shared,
             threads,
             workers,
-            parallel: cores > 1,
         }
     }
 
     /// Number of shards (= workers).
     pub fn shards(&self) -> usize {
         self.shared.cells.len()
-    }
-
-    /// Whether broadcasting to the workers can overlap their work at
-    /// all. On a single-core host it cannot — the threads time-slice
-    /// one CPU — so callers holding work that is equally correct inline
-    /// (shard order is coordinator order either way) should run it
-    /// inline instead of paying N park/unpark pairs for nothing. Purely
-    /// an execution hint: it never changes results, only which thread
-    /// computes them.
-    pub fn parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Broadcasts `cmd` to every worker and blocks until all finish.

@@ -4,8 +4,8 @@
 //! A [`ShardState`] owns everything needed to answer the two site-local
 //! questions of the epoch protocol (next completion time; advance due
 //! sites) without reading any other shard's state, plus the per-site
-//! mutation entry points the coordinator routes to the owning shard
-//! between barriers. All public methods take *global* site indices; the
+//! mutation entry points the [`Fabric`](crate::fabric::Fabric) calls on
+//! the owning shard. All public methods take *global* site indices; the
 //! state translates to its local slice.
 
 use crate::merge::sort_completions;
@@ -29,7 +29,7 @@ pub struct ShardState {
     events: EventLog,
     /// Completions surfaced by the latest advance command, sorted by
     /// `(time, tag)` — the runtime's canonical retirement order, so the
-    /// coordinator k-way merges shard buffers instead of re-sorting.
+    /// fabric re-sorts only an instant whose completions span shards.
     pub(crate) buf: Vec<Completion>,
     /// Earliest pending completion, refreshed by [`ShardState::compute_next`]
     /// and — fused — at the end of every [`ShardState::advance_due`].
@@ -57,11 +57,6 @@ impl ShardState {
             buf: Vec::new(),
             next: None,
         }
-    }
-
-    /// Number of sites this shard owns.
-    pub fn sites(&self) -> usize {
-        self.sims.len()
     }
 
     /// Global index of this shard's first site.
@@ -98,8 +93,8 @@ impl ShardState {
     /// collecting completions into [`ShardState::buf`] — sorted by
     /// `(time, tag)`, the runtime's retirement order — and recording
     /// them in the segment. Ends by refreshing [`ShardState::next`]
-    /// (the fused min-fold: the calendar was just refreshed, so the
-    /// separate NextTime round the old protocol paid is free here).
+    /// while the calendar is fresh, so the fabric's next-event cache
+    /// stays clean.
     pub fn advance_due(&mut self, t: f64) {
         self.buf.clear();
         let base = self.base;
