@@ -23,15 +23,16 @@
 //! * `header` — every crate root (`lib.rs`) carries
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //!
-//! The `atomics` family guards the machine-checked concurrency story:
-//! every synchronization primitive in the sharded fabric must route
-//! through `mrs_shardexec::sync` (the shim the model checker and loom
-//! drive), so hand-rolled concurrency anywhere else is a finding:
+//! The `atomics` family keeps concurrency in one reviewed place: every
+//! synchronization primitive in the site fabric must route through
+//! `mrs_shardexec::sync` (the crate's one import point, which
+//! re-exports the `std` lock, condition variable and thread types), so
+//! hand-rolled concurrency anywhere else is a finding:
 //!
 //! * `atomics-raw` — `std::sync::atomic` / `core::sync::atomic` /
 //!   `loom::` / `std::hint::spin_loop` paths anywhere outside the shim;
-//!   inside `crates/shardexec/` (where the whole crate must stay
-//!   model-checkable) also `std::thread` (except the pure unwind query
+//!   inside `crates/shardexec/` (where every primitive must come from
+//!   the shim) also `std::thread` (except the pure unwind query
 //!   `std::thread::panicking`) and the blocking `std::sync` primitives
 //!   (`Mutex`, `Condvar`, `RwLock`, `Barrier`, `mpsc`).
 //! * `atomics-prim` — concurrency-primitive identifiers (`Atomic*`,
@@ -42,10 +43,10 @@
 //!   merged in index order).
 //! * `atomics-ordering` — a memory-ordering token
 //!   (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`) outside the
-//!   shim. Each ordering in the barrier is a named method on the shim
-//!   with a justifying comment and a covering model test; ordering
-//!   tokens elsewhere mean someone bypassed that discipline
-//!   (`cmp::Ordering` variants do not trigger this).
+//!   shim. The fabric's threads share state only under a mutex, so an
+//!   ordering token elsewhere means someone hand-rolled a lock-free
+//!   protocol outside the reviewed import point (`cmp::Ordering`
+//!   variants do not trigger this).
 //! * `unsafe-code` — the `unsafe` keyword or a `static mut` anywhere,
 //!   including binaries (the `header` rule only sees crate roots).
 //!
@@ -109,8 +110,8 @@ const RAW_GLOBAL_PATHS: [&str; 4] = [
 ];
 
 /// Additional raw paths banned inside `crates/shardexec/` (outside the
-/// shim): the whole crate must run under the model checker, so even
-/// blocking primitives route through `sync`.
+/// shim): even the blocking primitives route through `sync`, so every
+/// lock and thread the crate uses is visible in one module.
 const RAW_SHARDEXEC_PATHS: [&str; 5] = [
     "std::sync::Mutex",
     "std::sync::Condvar",
@@ -120,11 +121,11 @@ const RAW_SHARDEXEC_PATHS: [&str; 5] = [
 ];
 
 /// The path prefix of the sync shim — the one sanctioned importer of
-/// raw primitives (and, under `--cfg loom`, of `loom::`).
+/// raw primitives.
 const SHIM_PREFIX: &str = "crates/shardexec/src/sync/";
 
-/// The model-checked crate: `atomics-prim` identifiers are legitimate
-/// here (they *are* the shim's API), raw paths are not.
+/// The threaded crate: `atomics-prim` identifiers are legitimate here
+/// (they *are* the shim's API), raw paths are not.
 const SHARDEXEC_PREFIX: &str = "crates/shardexec/";
 
 /// One lint hit: rule, location, and the offending line.
@@ -898,7 +899,7 @@ mod tests {
             vec!["atomics-raw", "atomics-prim"]
         );
         // ... but the shim itself is the sanctioned importer.
-        assert!(findings("crates/shardexec/src/sync/default_impl.rs", text).is_empty());
+        assert!(findings("crates/shardexec/src/sync/mod.rs", text).is_empty());
     }
 
     #[test]
@@ -908,7 +909,7 @@ mod tests {
             rules("crates/shardexec/src/fabric.rs", text),
             vec!["atomics-raw"]
         );
-        assert!(findings("crates/shardexec/src/sync/loom_impl.rs", text).is_empty());
+        assert!(findings("crates/shardexec/src/sync/mod.rs", text).is_empty());
     }
 
     #[test]
@@ -964,7 +965,7 @@ mod tests {
                 "{text}"
             );
             assert!(
-                findings("crates/shardexec/src/gate.rs", text).is_empty(),
+                findings("crates/shardexec/src/pool.rs", text).is_empty(),
                 "shardexec uses these idents *as* the shim API: {text}"
             );
         }
@@ -978,10 +979,10 @@ mod tests {
         // (here together with the raw path that carries it).
         let text = "x.load(std::sync::atomic::Ordering::Relaxed);\n";
         assert_eq!(
-            rules("crates/shardexec/src/gate.rs", text),
+            rules("crates/shardexec/src/pool.rs", text),
             vec!["atomics-raw", "atomics-ordering"]
         );
-        assert!(findings("crates/shardexec/src/sync/default_impl.rs", text).is_empty());
+        assert!(findings("crates/shardexec/src/sync/mod.rs", text).is_empty());
         // A bare ordering token (imported elsewhere) still fires.
         assert_eq!(
             rules(

@@ -190,15 +190,13 @@ fn bench_barrier(b: &mut Bench) {
     use mrs_shardexec::prelude::ShardState;
     use mrs_sim::engine::{SimConfig, SiteSim};
 
-    // The gate in isolation (no runtime path uses the pool any more;
-    // this group prices the barrier the fabric dropped): one NextTime
-    // broadcast + completion wait
-    // per round, measured as 100-round batches so a single park/unpark
-    // pair is resolvable above timer noise. Workers have 4 idle sites
-    // each, so the round is almost pure barrier cost. On a single-core
-    // host ShardPool::new picks spin budget 0 (cores <= shards), so
-    // every round takes the full park path — the worst case the
-    // relaxed orderings have to pay for.
+    // The pool's barrier in isolation (no runtime path uses the pool
+    // any more; this group prices the barrier the fabric dropped): one
+    // NextTime broadcast + completion wait per round, measured as
+    // 100-round batches so a single round is resolvable above timer
+    // noise. Workers have 4 idle sites each, so the round is almost
+    // pure barrier cost: a condvar wake of every worker, one lock
+    // hand-off per worker, and the last one's wake of the coordinator.
     let mut g = b.group("barrier");
     g.sample_size(5);
     for n_shards in [1usize, 4, 8] {

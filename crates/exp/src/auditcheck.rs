@@ -582,7 +582,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     }
 
     // source-lint: the scanner is part of the reproduction contract —
-    // concurrency primitives outside the model-checked shim (or any
+    // concurrency primitives outside the sync shim (or any
     // determinism-rule violation) is an audit failure, not just a CI
     // failure. The root is resolved relative to this crate so the
     // family works from any working directory.

@@ -13,7 +13,9 @@
 //! `--templates`, `--shards`, `--batch`, `--joins`) must be non-negative
 //! integers; `--load`, `--mtbf`, `--deadline`, `--eps` and `--f` take
 //! decimals, and `--mtbf`/`--deadline` must be finite and non-negative
-//! (`0`, the default, turns them off).
+//! (`0`, the default, turns them off). A `--mtbf` so small that the
+//! crash schedule would hold more than [`MAX_EXPECTED_CRASHES`] crashes
+//! is rejected before the schedule is drawn.
 //!
 //! Experiments: table2, fig5a, fig5b, fig6a, fig6b, ablation-dims,
 //! ablation-order, malleable, planopt, pipecheck, memcheck, optgap,
@@ -51,6 +53,11 @@ use mrs_exp::{all_experiments, experiment_by_id};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
+
+/// The most site crashes `serve` will schedule: `--mtbf` is rejected
+/// when `sites × plan horizon / mtbf` exceeds this, because the seeded
+/// schedule holds every crash in memory at once.
+const MAX_EXPECTED_CRASHES: f64 = 1e6;
 
 fn usage() -> &'static str {
     "usage: mrs-repro [--seed N] [--fast] [--jobs N] [--csv DIR] <experiment>... | all | list\n\
@@ -189,6 +196,17 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
 
     // Let the failure schedule outlast even a heavily stretched run.
     let plan_horizon = arrivals.last().copied().unwrap_or(0.0) + 50.0 * mean_standalone;
+    if mtbf > 0.0 {
+        let crashes = sites as f64 * plan_horizon / mtbf;
+        if crashes > MAX_EXPECTED_CRASHES {
+            eprintln!(
+                "--mtbf {mtbf} would schedule about {crashes:.3e} site crashes over the \
+                 {plan_horizon:.1} s horizon (at most {MAX_EXPECTED_CRASHES:.0e}); \
+                 use a larger --mtbf"
+            );
+            return ExitCode::FAILURE;
+        }
+    }
     let cfg = RuntimeConfig {
         f: h.f,
         policy,

@@ -1,7 +1,9 @@
 //! `mrs-repro serve` and `mrs-repro schedule` parse counts and seeds as
 //! integers: a decimal or negative value is a usage error, never a
 //! silently truncated run. Likewise a negative or non-finite `--mtbf` or
-//! `--deadline` is a usage error, never a run with the knob silently off.
+//! `--deadline` is a usage error, never a run with the knob silently off,
+//! and an `--mtbf` whose crash schedule would not fit in memory is
+//! rejected before it is drawn.
 
 use std::process::{Command, Output};
 
@@ -52,6 +54,17 @@ fn negative_or_non_finite_mtbf_and_deadline_are_rejected() {
             assert_rejected_with(&["serve", flag, bad], "must be finite and non-negative");
         }
     }
+}
+
+#[test]
+fn an_mtbf_scheduling_too_many_crashes_is_rejected_before_drawing() {
+    // About 10^13 crashes at the default sites and queries: drawing
+    // them would exhaust memory.
+    assert_rejected_with(&["serve", "--mtbf", "1e-9"], "site crashes");
+    assert_rejected_with(
+        &["serve", "--queries", "8", "--sites", "13", "--mtbf", "1e-6"],
+        "use a larger --mtbf",
+    );
 }
 
 #[test]

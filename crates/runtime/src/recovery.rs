@@ -21,6 +21,11 @@
 //! If nothing is alive (or packing fails), the runtime parks the work on
 //! a capped exponential-backoff retry; exhausting the cap aborts the
 //! query with [`RuntimeError::Aborted`](crate::runtime::RuntimeError).
+//!
+//! Every loss re-applies the surcharge to the already inflated remnant,
+//! so work that is lost often enough grows without bound. A re-packed
+//! clone longer than [`MAX_REPACKED_DURATION`] aborts its query instead
+//! of reaching a site simulator whose arithmetic it would overflow.
 
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
@@ -63,6 +68,14 @@ impl Default for RecoveryConfig {
         }
     }
 }
+
+/// The longest re-packed clone (virtual seconds) the runtime dispatches.
+/// The fluid speed solve sums `remaining × demand` over a site's
+/// residents, each product at most the clone's duration; under this
+/// bound (below `√f64::MAX ≈ 1.3e154`) that sum stays finite for any
+/// resident count a run can reach, and a longer clone would never
+/// finish anyway.
+pub const MAX_REPACKED_DURATION: f64 = 1e150;
 
 /// The capped exponential backoff delay before retry `attempt`
 /// (0-based): `min(base · 2^attempt, cap)`.

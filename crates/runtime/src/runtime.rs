@@ -67,7 +67,9 @@ use crate::cache::{number_signatures, schedule_digest, PlanSignature, ScheduleCa
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
-use crate::recovery::{backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig};
+use crate::recovery::{
+    backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig, MAX_REPACKED_DURATION,
+};
 use crate::slots::{CloneWindow, QueryTable};
 use crate::trace::{audit_placements_valid, audit_repack_conserves, AuditEvent};
 use mrs_core::comm::CommModel;
@@ -885,6 +887,15 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             .ok()
         };
         match replanned {
+            // Compounded rebuild surcharges (see `crate::recovery`).
+            Some(placements)
+                if placements
+                    .iter()
+                    .map(|(_, w)| self.model.t_seq(w))
+                    .any(|d| d.is_nan() || d > MAX_REPACKED_DURATION) =>
+            {
+                self.abort_query(query, "recovery work overflowed");
+            }
             Some(placements) => {
                 // Work conservation through recovery (Repacked audit
                 // event): the re-pack must place exactly the lost work,
@@ -1621,6 +1632,49 @@ mod tests {
         let failures = summary.failures();
         assert_eq!(failures.len(), 1);
         assert!(matches!(&failures[0], RuntimeError::Aborted { query, .. } if *query == id));
+        assert_eq!(rt.total_resident(), 0);
+    }
+
+    #[test]
+    fn compounding_rebuild_work_aborts_instead_of_overflowing() {
+        // Two sites crashing in turn: each crash loses the remnants the
+        // other site was handed, and every loss multiplies a remnant by
+        // about 1e30. Within a few losses a re-packed clone is longer
+        // than MAX_REPACKED_DURATION; unchecked, it would soon overflow
+        // the site simulator's arithmetic and then `f64::MAX`.
+        let faults = (0..20)
+            .flat_map(|k| {
+                let t = 1.0 + f64::from(k);
+                let site = (k % 2) as usize;
+                [crash(t, site), recover(t + 0.5, site)]
+            })
+            .collect();
+        let cfg = RuntimeConfig {
+            faults: FaultPlan::scripted(faults),
+            recovery: RecoveryConfig {
+                rebuild_factor: 1e30,
+                ..RecoveryConfig::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let mut rt = Runtime::new(
+            SystemSpec::homogeneous(2),
+            CommModel::paper_defaults(),
+            OverlapModel::new(0.5).unwrap(),
+            cfg,
+        );
+        let id = rt.submit_at(0.0, 0, one_op_problem(40.0));
+        let summary = rt.run_to_completion().unwrap();
+        match &summary.queries[id.0].outcome {
+            Some(QueryOutcome::Aborted { reason }) => {
+                assert_eq!(reason, "recovery work overflowed");
+            }
+            other => panic!("expected an overflow abort, got {other:?}"),
+        }
+        assert!(
+            summary.repacks() >= 4,
+            "the remnant was re-packed in between"
+        );
         assert_eq!(rt.total_resident(), 0);
     }
 

@@ -15,8 +15,8 @@
 //!
 //! The worker claims `Todo` slots in index order, and only below
 //! `cursor + window`, where `cursor` is one past the highest index the
-//! consumer has taken; at the window's edge it parks until a take moves
-//! the cursor. [`Ahead::take`] reads a `Done` result, or parks until
+//! consumer has taken; at the window's edge it waits until a take moves
+//! the cursor. [`Ahead::take`] reads a `Done` result, or waits until
 //! the worker has finished the slot (a take moves the cursor past its
 //! slot, so the worker always gets there). It returns `None`, and the
 //! caller computes the job itself, only for a slot taken before or
@@ -52,14 +52,15 @@
 //! reallocate it, and the job closure, with everything it captured, is
 //! handed back through the join and dropped on the consumer's thread.
 //!
-//! All state sits behind one shim [`Mutex`], and the two sides hand off
-//! with [`park`](sync::park)/[`unpark`](Thread::unpark) (whose banked
-//! token makes an unpark that lands before the park harmless), so the
-//! in-repo model checker and loom drive this module unchanged. Dropping
-//! the [`Ahead`] stops the worker, unparks it and joins it; a job in
-//! flight finishes first.
+//! All state sits behind one [`Mutex`], and each side sleeps on its
+//! own [`Condvar`]: the worker on `claimable` until a take moves the
+//! cursor (or the drop stops it), the consumer on `finished` until the
+//! worker finishes a job. Each wait re-checks its condition under the
+//! lock, so a notify that lands before the wait is never lost: the
+//! waiter sees the changed state first. Dropping the [`Ahead`] stops
+//! the worker, wakes it and joins it; a job in flight finishes first.
 
-use crate::sync::{self, Guard, JoinHandle, Mutex, Thread};
+use crate::sync::{spawn_named, Condvar, JoinHandle, Mutex, MutexGuard};
 use std::sync::{Arc, PoisonError};
 
 /// How far (in job indices) the worker may run ahead of the consumer's
@@ -91,32 +92,31 @@ struct State<T> {
     spent: Vec<T>,
     /// Set by [`Ahead`]'s drop: the worker claims nothing more.
     stop: bool,
-    /// The consumer is parked on a slot the worker has not finished;
-    /// the worker unparks it when it finishes a job.
-    waiting: bool,
 }
 
 #[derive(Debug)]
 struct Shared<T> {
     state: Mutex<State<T>>,
     window: usize,
-    /// The consumer: the thread that called [`Ahead::new`].
-    consumer: Thread,
+    /// Signalled when the cursor moves or `stop` is set; the worker
+    /// waits on it at the window's edge.
+    claimable: Condvar,
+    /// Signalled when the worker finishes a job or hands one back; the
+    /// consumer waits on it for its slot.
+    finished: Condvar,
 }
 
 impl<T> Shared<T> {
     /// Every update under the lock is a single assignment that leaves
     /// the state valid, so a poisoned lock (a panic elsewhere while
     /// holding it) still guards consistent data.
-    fn lock(&self) -> Guard<'_, State<T>> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wakes the consumer if it is parked on a slot.
-    fn wake_consumer(&self, st: &mut State<T>) {
-        if std::mem::take(&mut st.waiting) {
-            self.consumer.unpark();
-        }
+    /// Releases `st` while waiting on `cv`, and takes it back.
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
+        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -127,8 +127,6 @@ impl<T> Shared<T> {
 /// call [`Ahead::take`].
 pub struct Ahead<T: Send + 'static> {
     shared: Arc<Shared<T>>,
-    /// The worker's unpark handle.
-    thread: Thread,
     worker: Option<JoinHandle<Job<T>>>,
 }
 
@@ -146,15 +144,15 @@ impl<T> Drop for ResetOnUnwind<'_, T> {
             let mut st = self.shared.lock();
             st.slots[self.slot] = Slot::Todo;
             st.stop = true;
-            self.shared.wake_consumer(&mut st);
+            self.shared.finished.notify_one();
         }
     }
 }
 
 fn work<T>(shared: &Shared<T>, job: &Job<T>) {
     let mut next = 0;
+    let mut st = shared.lock();
     loop {
-        let mut st = shared.lock();
         // The results the consumer has read die here, on the thread
         // that made them; the list keeps its capacity.
         st.spent.clear();
@@ -169,25 +167,22 @@ fn work<T>(shared: &Shared<T>, job: &Job<T>) {
         while next < st.slots.len() && !matches!(st.slots[next], Slot::Todo) {
             next += 1;
         }
-        let claim = next < st.slots.len() && next < st.cursor + shared.window;
-        if claim {
-            st.slots[next] = Slot::Busy;
-        }
-        drop(st);
-        if !claim {
+        if next >= st.slots.len() || next >= st.cursor + shared.window {
             // Nothing to claim: wait for a take to move the cursor, or
             // for the drop's stop, then re-check.
-            sync::park();
+            st = shared.wait(&shared.claimable, st);
             continue;
         }
         let i = next;
+        st.slots[i] = Slot::Busy;
+        drop(st);
         let out = {
             let _reset = ResetOnUnwind { shared, slot: i };
             job(i)
         };
-        let mut st = shared.lock();
+        st = shared.lock();
         st.slots[i] = Slot::Done(out);
-        shared.wake_consumer(&mut st);
+        shared.finished.notify_one();
     }
 }
 
@@ -212,22 +207,21 @@ impl<T: Send + 'static> Ahead<T> {
                 cursor: 0,
                 spent: Vec::with_capacity(len),
                 stop: false,
-                waiting: false,
             }),
             window,
-            consumer: sync::current(),
+            claimable: Condvar::new(),
+            finished: Condvar::new(),
         });
         let job: Job<T> = Box::new(job);
         let worker = {
             let shared = Arc::clone(&shared);
-            sync::spawn_named("mrs-ahead".to_owned(), move || {
+            spawn_named("mrs-ahead".to_owned(), move || {
                 work(&shared, &job);
                 job
             })
         };
         Ahead {
             shared,
-            thread: worker.thread(),
             worker: Some(worker),
         }
     }
@@ -235,7 +229,7 @@ impl<T: Send + 'static> Ahead<T> {
     /// Claims job `i`. Once the worker has finished it, returns `read`
     /// applied to a borrow of the result, on the calling thread, and
     /// hands the result back to the worker to drop (see the [module
-    /// docs](self)); parks until then. Returns `None` if the caller
+    /// docs](self)); waits until then. Returns `None` if the caller
     /// must compute the job itself: it was taken before, or the worker
     /// stopped before reaching it.
     ///
@@ -245,7 +239,7 @@ impl<T: Send + 'static> Ahead<T> {
         let mut st = self.shared.lock();
         if i >= st.cursor {
             st.cursor = i + 1;
-            self.thread.unpark();
+            self.shared.claimable.notify_one();
         }
         let out = loop {
             match std::mem::replace(&mut st.slots[i], Slot::Taken) {
@@ -256,10 +250,7 @@ impl<T: Send + 'static> Ahead<T> {
                 // worker claims in order: wait for it.
                 pending => {
                     st.slots[i] = pending;
-                    st.waiting = true;
-                    drop(st);
-                    sync::park();
-                    st = self.shared.lock();
+                    st = self.shared.wait(&self.shared.finished, st);
                 }
             }
         };
@@ -273,7 +264,7 @@ impl<T: Send + 'static> Ahead<T> {
 impl<T: Send + 'static> Drop for Ahead<T> {
     fn drop(&mut self) {
         self.shared.lock().stop = true;
-        self.thread.unpark();
+        self.shared.claimable.notify_one();
         if let Some(worker) = self.worker.take() {
             // The join hands the job closure back, so it drops here. A
             // job that panicked on the worker was handed back as `Todo`
@@ -285,29 +276,14 @@ impl<T: Send + 'static> Drop for Ahead<T> {
     }
 }
 
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::model;
 
-    fn opts() -> model::Options {
-        let base = model::Options::default();
-        // Miri executes the explorer ~2 orders of magnitude slower; a
-        // preemption bound of 1 still covers every single-switch
-        // interleaving.
-        let cap = if cfg!(miri) { 1 } else { 3 };
-        model::Options {
-            preemption_bound: base.preemption_bound.min(cap),
-            ..base
-        }
-    }
-
-    fn check(f: impl Fn() + Send + Sync + 'static) -> model::Stats {
-        match model::explore(opts(), f) {
-            Ok(stats) => stats,
-            Err(failure) => std::panic::panic_any(failure.to_string()),
-        }
-    }
+    /// How often the hand-off tests repeat, each a fresh worker meeting
+    /// the consumer at a different point of its loop. Miri runs each
+    /// thread switch ~2 orders of magnitude slower.
+    const REPEATS: usize = if cfg!(miri) { 4 } else { 200 };
 
     /// Three jobs, window 1, each job counting its productions in
     /// `made`; returns the look-ahead and the counter.
@@ -335,8 +311,8 @@ mod tests {
     }
 
     #[test]
-    fn model_in_order_takes_produce_each_slot_once() {
-        let stats = check(|| {
+    fn in_order_takes_produce_each_slot_once() {
+        for _ in 0..REPEATS {
             let (ahead, made) = three_slots();
             for i in 0..3 {
                 assert_eq!(take_or_make(&ahead, &made, i), 10 * i, "wrong result");
@@ -347,18 +323,17 @@ mod tests {
                 [1, 1, 1],
                 "a slot was produced twice or never"
             );
-        });
-        assert!(stats.executions > 1, "the hand-off must branch");
+        }
     }
 
     #[test]
-    fn model_taking_ahead_of_the_worker_waits_for_it() {
-        check(|| {
+    fn taking_ahead_of_the_worker_waits_for_it() {
+        for _ in 0..REPEATS {
             let (ahead, made) = three_slots();
             // Slot 2 is outside the worker's window until this take, so
-            // it is `Todo` here in every interleaving; the take moves
-            // the cursor past it and waits while the worker computes
-            // slots 0, 1 and 2 in order.
+            // it is `Todo` here whatever the worker has done; the take
+            // moves the cursor past it and waits while the worker
+            // computes slots 0, 1 and 2 in order.
             assert_eq!(ahead.take(2, |&v| v), Some(20), "the worker makes slot 2");
             for i in 0..2 {
                 assert_eq!(take_or_make(&ahead, &made, i), 10 * i, "wrong result");
@@ -369,22 +344,22 @@ mod tests {
                 [1, 1, 1],
                 "a slot was produced twice or never"
             );
-        });
+        }
     }
 
     #[test]
-    fn model_early_drop_joins_the_worker() {
-        check(|| {
+    fn early_drop_joins_the_worker_without_overrun() {
+        for _ in 0..REPEATS {
             let (ahead, made) = three_slots();
             assert_eq!(take_or_make(&ahead, &made, 0), 0);
-            // The worker may be parked on the window, mid-job or about
+            // The worker may be waiting on the window, mid-job or about
             // to claim slot 1; the drop must stop and join it in every
-            // case (a hang is reported as a deadlock).
+            // case (a lost wake-up hangs here).
             drop(ahead);
             let made = produced(&made);
             assert_eq!(made[0], 1, "the taken slot was produced twice or never");
             assert!(made[1] <= 1 && made[2] == 0, "the worker overran: {made:?}");
-        });
+        }
     }
 
     #[test]

@@ -56,16 +56,16 @@
 //! window ahead of a consumer that takes their results. The runtime
 //! uses it to plan queued arrivals on the spare core while its event
 //! loop runs; it only moves work between threads and never changes
-//! what the consumer sees. [`pool`] and its barrier [`gate`] are no
-//! longer used by the runtime; they stay for the barrier-cost probes
-//! until the next benchmark change retires them.
+//! what the consumer sees. [`pool`] is no longer used by the runtime;
+//! it stays for the barrier-cost probes until the next benchmark
+//! change retires it. Both are one `std` mutex over their shared state
+//! plus condition variables, imported through [`sync`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ahead;
 pub mod fabric;
-pub mod gate;
 pub mod merge;
 pub mod plan;
 pub mod pool;

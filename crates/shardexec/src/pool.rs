@@ -1,38 +1,33 @@
-//! A pinned worker pool: one persistent thread per shard, driven by
-//! the sense-reversing spin-then-park [`Gate`].
+//! A pinned worker pool: one persistent thread per shard, driven one
+//! round at a time through one [`Mutex`]-guarded round state.
 //!
 //! No runtime path uses it: the [`Fabric`](crate::fabric::Fabric) runs
 //! every shard inline on the event-loop thread, because one epoch's
 //! site work (a few microseconds) never paid for a barrier round. The
 //! pool stays for the barrier-cost probes (the `barrier` bench group
 //! and the end-to-end benchmark's `fabric.barrier_us`) until the next
-//! benchmark change retires them, and the loom, TSan and Miri jobs keep
+//! benchmark change retires them, and the TSan and Miri jobs keep
 //! checking it meanwhile.
 //!
-//! The coordinator broadcasts one [`Command`] per barrier round; every
-//! worker executes it against its own [`ShardState`] cell and the
-//! coordinator blocks until all have finished. Between broadcasts the
-//! coordinator is the only party touching the cells
-//! ([`ShardPool::with_cell`] locks the owning cell uncontended).
+//! The coordinator broadcasts one [`Command`] per round; every worker
+//! executes it against its own [`ShardState`] cell and the coordinator
+//! blocks until all have finished. Between rounds the coordinator is
+//! the only party touching the cells ([`ShardPool::with_cell`] locks
+//! the owning cell uncontended).
 //!
-//! The barrier protocol itself — the generation sense, the park
-//! protocol, the chosen memory orderings, and their machine-checked
-//! justification — lives in [`crate::gate`]; this module owns what the
-//! barrier carries: command encoding, the shard cells, and panic
-//! propagation. A worker that panics mid-command records the panic on
-//! the gate and still completes its round (a drop guard), so the
-//! coordinator never deadlocks on a dead worker; [`ShardPool::run`]
-//! then re-raises on the coordinator, and [`Drop`] joins without
-//! double-panicking.
-//!
-//! Every synchronization primitive routes through [`crate::sync`], so
-//! the whole pool — not just the gate — can run under loom in CI and
-//! under ThreadSanitizer/Miri unchanged.
+//! A round is one lock and two condition variables: [`ShardPool::run`]
+//! bumps the round's generation under the lock and wakes every worker
+//! on `start`; each worker runs the generation it has not seen yet,
+//! and the last to finish wakes the coordinator on `done`. Every wait
+//! re-checks its condition under the lock. A worker that panics
+//! mid-command records the panic and still completes its round (a
+//! drop guard), so the coordinator never deadlocks on a dead worker;
+//! [`ShardPool::run`] then re-raises on the coordinator, and [`Drop`]
+//! joins without double-panicking.
 
-use crate::gate::{Gate, SPIN_BUDGET};
 use crate::state::ShardState;
-use crate::sync::{self, JoinHandle, Mutex, Thread};
-use std::sync::Arc;
+use crate::sync::{spawn_named, Condvar, JoinHandle, Mutex, MutexGuard};
+use std::sync::{Arc, PoisonError};
 
 /// A site-local barrier command, broadcast to every worker.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -46,18 +41,45 @@ pub enum Command {
     AdvanceDue(f64),
 }
 
-/// `cmd_kind` encodings published before the generation bump.
-const CMD_NEXT_TIME: u32 = 0;
-const CMD_ADVANCE_DUE: u32 = 1;
-const CMD_SHUTDOWN: u32 = 2;
+/// The barrier state, guarded by [`Shared::round`].
+#[derive(Debug)]
+struct Round {
+    /// Bumped once per broadcast; each worker runs every generation
+    /// once.
+    gen: u64,
+    /// The command of generation `gen`; `None` tells the workers to
+    /// exit.
+    cmd: Option<Command>,
+    /// Workers that have not finished generation `gen`.
+    pending: usize,
+    /// A worker panicked while executing a command.
+    panicked: bool,
+}
 
 /// State shared between the coordinator and the workers.
 #[derive(Debug)]
 struct Shared {
-    /// The broadcast/completion barrier.
-    gate: Gate,
+    round: Mutex<Round>,
+    /// Signalled (to every worker) when a generation is published.
+    start: Condvar,
+    /// Signalled (to the coordinator) when `pending` reaches zero.
+    done: Condvar,
     /// One cell per shard; worker `i` only ever locks `cells[i]`.
     cells: Vec<Mutex<ShardState>>,
+}
+
+impl Shared {
+    /// The round lock is never held across a command, and every update
+    /// under it leaves the round valid, so a poisoned lock still guards
+    /// consistent data.
+    fn lock(&self) -> MutexGuard<'_, Round> {
+        self.round.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Releases `round` while waiting on `cv`, and takes it back.
+    fn wait<'a>(&self, cv: &Condvar, round: MutexGuard<'a, Round>) -> MutexGuard<'a, Round> {
+        cv.wait(round).unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// One persistent worker thread per shard (named `mrs-shard-{i}`),
@@ -65,47 +87,56 @@ struct Shared {
 #[derive(Debug)]
 pub struct ShardPool {
     shared: Arc<Shared>,
-    /// Unpark handles, one per worker (same order as `cells`).
-    threads: Vec<Thread>,
     workers: Vec<JoinHandle<()>>,
 }
 
 /// Completes the worker's round on drop — including the unwind path,
-/// where it first marks the gate panicked so the coordinator can
+/// where it first marks the round panicked so the coordinator can
 /// re-raise instead of deadlocking on a `pending` count that would
 /// never reach zero.
 struct CompleteOnDrop<'a> {
-    gate: &'a Gate,
+    shared: &'a Shared,
 }
 
 impl Drop for CompleteOnDrop<'_> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.gate.record_panic();
+        let last = {
+            let mut round = self.shared.lock();
+            if std::thread::panicking() {
+                round.panicked = true;
+            }
+            round.pending -= 1;
+            round.pending == 0
+        };
+        // Woken after the unlock, the coordinator takes the lock
+        // without contending for it.
+        if last {
+            self.shared.done.notify_one();
         }
-        self.gate.complete();
     }
 }
 
 fn worker(shared: &Shared, shard: usize) {
     let mut seen = 0u64;
     loop {
-        let (gen, kind, payload) = shared.gate.await_command(shard, seen);
-        seen = gen;
-        let cmd = match kind {
-            CMD_SHUTDOWN => return,
-            CMD_NEXT_TIME => Command::NextTime,
-            _ => Command::AdvanceDue(f64::from_bits(payload)),
-        };
-        let _complete = CompleteOnDrop { gate: &shared.gate };
-        {
-            let mut cell = shared.cells[shard]
-                .lock()
-                .expect("shard cell poisoned: a worker panicked");
-            match cmd {
-                Command::NextTime => cell.compute_next(),
-                Command::AdvanceDue(t) => cell.advance_due(t),
+        let cmd = {
+            let mut round = shared.lock();
+            while round.gen == seen {
+                round = shared.wait(&shared.start, round);
             }
+            seen = round.gen;
+            match round.cmd {
+                Some(cmd) => cmd,
+                None => return,
+            }
+        };
+        let _complete = CompleteOnDrop { shared };
+        let mut cell = shared.cells[shard]
+            .lock()
+            .expect("shard cell poisoned: a worker panicked");
+        match cmd {
+            Command::NextTime => cell.compute_next(),
+            Command::AdvanceDue(t) => cell.advance_due(t),
         }
     }
 }
@@ -113,28 +144,24 @@ fn worker(shared: &Shared, shard: usize) {
 impl ShardPool {
     /// Spawns one pinned worker per shard state.
     pub fn new(states: Vec<ShardState>) -> Self {
-        let n = states.len();
-        // Spinning only pays when the machine can actually run the other
-        // side concurrently; on a saturated (or single-core) host it
-        // steals the exact timeslice the workers need.
-        let cores = sync::available_parallelism();
-        let spin = if cores > n { SPIN_BUDGET } else { 0 };
         let shared = Arc::new(Shared {
-            gate: Gate::new(n, spin),
+            round: Mutex::new(Round {
+                gen: 0,
+                cmd: None,
+                pending: 0,
+                panicked: false,
+            }),
+            start: Condvar::new(),
+            done: Condvar::new(),
             cells: states.into_iter().map(Mutex::new).collect(),
         });
-        let workers: Vec<JoinHandle<()>> = (0..n)
+        let workers = (0..shared.cells.len())
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                sync::spawn_named(format!("mrs-shard-{i}"), move || worker(&shared, i))
+                spawn_named(format!("mrs-shard-{i}"), move || worker(&shared, i))
             })
             .collect();
-        let threads = workers.iter().map(JoinHandle::thread).collect();
-        ShardPool {
-            shared,
-            threads,
-            workers,
-        }
+        ShardPool { shared, workers }
     }
 
     /// Number of shards (= workers).
@@ -143,16 +170,25 @@ impl ShardPool {
     }
 
     /// Broadcasts `cmd` to every worker and blocks until all finish.
-    /// Re-raises on the coordinator if any worker panicked this round.
+    /// Re-raises on the coordinator if any worker panicked.
     pub fn run(&self, cmd: Command) {
-        let (kind, payload) = match cmd {
-            Command::NextTime => (CMD_NEXT_TIME, 0),
-            Command::AdvanceDue(t) => (CMD_ADVANCE_DUE, t.to_bits()),
-        };
-        self.shared.gate.broadcast(kind, payload, &self.threads);
-        self.shared.gate.wait_done();
+        {
+            let mut round = self.shared.lock();
+            round.gen += 1;
+            round.cmd = Some(cmd);
+            round.pending = self.shards();
+        }
+        // Woken after the unlock, so no worker wakes only to wait for
+        // the coordinator's lock.
+        self.shared.start.notify_all();
+        let mut round = self.shared.lock();
+        while round.pending > 0 {
+            round = self.shared.wait(&self.shared.done, round);
+        }
+        let panicked = round.panicked;
+        drop(round);
         assert!(
-            !self.shared.gate.panicked(),
+            !panicked,
             "a shard worker panicked while executing {cmd:?}; \
              the full payload surfaces when the pool is dropped and joined"
         );
@@ -171,11 +207,14 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        // Unconditional wake: a dead (panicked) worker simply never
-        // observes it, and the live ones exit without completing.
-        self.shared
-            .gate
-            .broadcast_all(CMD_SHUTDOWN, 0, &self.threads);
+        // A generation with no command: a dead (panicked) worker simply
+        // never observes it, and the live ones exit without completing.
+        {
+            let mut round = self.shared.lock();
+            round.gen += 1;
+            round.cmd = None;
+        }
+        self.shared.start.notify_all();
         for handle in self.workers.drain(..) {
             // Propagate worker panics instead of swallowing them — but
             // only when not already unwinding (e.g. from the `run`
@@ -192,8 +231,19 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::available_parallelism;
     use mrs_core::vector::WorkVector;
     use mrs_sim::engine::{SimClone, SimConfig, SiteSim};
+
+    /// Scales a repeat count down under Miri, which runs each thread
+    /// switch ~2 orders of magnitude slower.
+    const fn repeats(n: usize) -> usize {
+        if cfg!(miri) {
+            n / 10
+        } else {
+            n
+        }
+    }
 
     fn pool(shards: usize, sites_per: usize) -> ShardPool {
         let states = (0..shards)
@@ -236,7 +286,7 @@ mod tests {
     #[test]
     fn repeated_broadcasts_do_not_deadlock() {
         let pool = pool(3, 1);
-        for _ in 0..100 {
+        for _ in 0..repeats(100) {
             pool.run(Command::NextTime);
         }
         assert_eq!(pool.shards(), 3);
@@ -276,7 +326,7 @@ mod tests {
     #[test]
     fn many_rounds_with_mixed_commands_stay_consistent() {
         let pool = pool(5, 2);
-        for round in 0..200 {
+        for round in 0..repeats(200) {
             if round % 2 == 0 {
                 pool.run(Command::NextTime);
             } else {
@@ -287,14 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_while_coordinator_parked_reraises_instead_of_deadlocking() {
+    fn worker_panic_while_coordinator_waits_reraises_instead_of_deadlocking() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
 
         let pool = pool(2, 1);
         // Poison shard 0's cell from the coordinator side: the panic
         // unwinds through the cell's MutexGuard, so the *next* worker
         // lock sees the poison and panics mid-command — while the
-        // coordinator is parked in wait_done.
+        // coordinator waits on `done`.
         let inject = catch_unwind(AssertUnwindSafe(|| {
             pool.with_cell(0, |_| panic!("inject poison"))
         }));
@@ -314,7 +364,7 @@ mod tests {
 
         // Drop joins the dead worker and surfaces its original payload
         // (the poison expect), exactly once — no abort, no hang on the
-        // surviving parked worker.
+        // surviving waiting worker.
         let dropped = catch_unwind(AssertUnwindSafe(|| drop(pool)));
         let msg = *dropped
             .expect_err("drop must propagate the worker's own panic")
@@ -327,32 +377,30 @@ mod tests {
     }
 
     #[test]
-    fn shards_covering_every_core_take_the_spin_budget_zero_path() {
-        // With shards >= cores the constructor must pick spin budget 0
-        // (spinning would steal the timeslice the workers need), so
-        // every one of these rounds goes through the full store-parked
-        // -> re-check -> park leg on every host, regardless of core
-        // count.
-        let n = sync::available_parallelism();
+    fn one_shard_per_core_runs_mixed_rounds() {
+        // Every core busy with a shard: each round's coordinator and
+        // workers contend for the cores, so the waits on `start` and
+        // `done` really sleep instead of finding their condition met.
+        let n = available_parallelism();
         let pool = pool(n, 1);
         assert_eq!(pool.shards(), n);
-        for round in 0..50 {
+        for round in 0..repeats(50) {
             pool.run(Command::NextTime);
             pool.run(Command::AdvanceDue(round as f64));
         }
     }
 
     #[test]
-    fn drop_while_workers_parked_shuts_down_cleanly() {
-        // Workers may still be starting up, spinning, or already parked
-        // when the shutdown broadcast lands; repetition varies the OS
-        // schedule across those phases. Each iteration must join all
-        // workers (a hang here is a lost-unpark bug in the R8 leg).
-        for _ in 0..30 {
+    fn drop_while_workers_wait_shuts_down_cleanly() {
+        // Workers may still be starting up or already waiting on
+        // `start` when the shutdown generation lands; repetition varies
+        // the OS schedule across those phases. Each iteration must join
+        // all workers (a lost wake-up hangs here).
+        for _ in 0..repeats(30) {
             let fresh = pool(3, 1);
             drop(fresh);
         }
-        for round in 0..30 {
+        for round in 0..repeats(30) {
             let busy = pool(3, 1);
             busy.run(Command::AdvanceDue(round as f64));
             drop(busy);

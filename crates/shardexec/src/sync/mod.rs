@@ -1,53 +1,39 @@
-//! The synchronization shim: the single import point for every atomic,
-//! mutex, and thread primitive in this crate.
+//! The synchronization import point: every lock, condition variable
+//! and thread primitive in this crate comes from here.
 //!
-//! The sharded fabric's correctness argument is only as good as the
-//! tools that check it, so nothing in `mrs-shardexec` touches
-//! `std::sync::atomic` or `std::thread` directly (the `atomics` family
-//! of `mrs-lint` rules enforces this). Everything routes through this
-//! module, which exists in three flavours:
+//! The crate's two threaded pieces, the plan-ahead worker
+//! ([`crate::ahead`]) and the shard pool ([`crate::pool`]), are each
+//! one [`Mutex`] over their whole shared state plus [`Condvar`]s, and
+//! every wait re-checks its condition under that one lock. Those are
+//! the plain `std` primitives, re-exported: no lock-free protocol, no
+//! memory-ordering choice and no wake-up token is left to get wrong,
+//! and ThreadSanitizer and Miri over the real-thread tests check the
+//! rest.
 //!
-//! * **std** (the default): thin `#[inline]` wrappers over the real
-//!   primitives. The only cost over raw `std` is one thread-local flag
-//!   check per operation deciding whether the calling thread is inside
-//!   a [`model`] exploration (it never is in production).
-//! * **model** (always compiled, zero-dep): when the calling thread was
-//!   spawned by [`model::explore`], every operation is routed to the
-//!   in-repo exhaustive interleaving explorer in [`model`], which
-//!   drives the *same* barrier code through every bounded interleaving
-//!   and every allowed weak-memory read, and fails with a trace on
-//!   deadlock, livelock, or assertion failure. This is how the memory
-//!   orderings in [`crate::gate`] are machine-checked on an offline,
-//!   single-core host.
-//! * **loom** (`--cfg loom`, networked CI only): the whole shim swaps
-//!   to wrappers over the `loom` crate's primitives so the same code
-//!   can be swept by the external model checker as well. The offline
-//!   workspace deliberately does not vendor `loom`; the CI `loom` job
-//!   injects it with `cargo add --dev --target 'cfg(loom)' --package
-//!   mrs-shardexec loom` before building with `RUSTFLAGS="--cfg
-//!   loom"`, exactly like the `proptest` job injects `proptest`.
-//!
-//! # Why the methods are ordering-named
-//!
-//! The API says [`AtomicU64::load_acquire`], not `load(Acquire)`: each
-//! memory-ordering choice in the barrier is a named, greppable decision
-//! with a justifying comment and a covering model test at its single
-//! call site, and the `atomics-ordering` lint can then forbid the
-//! `Ordering::` tokens everywhere outside this module — there is no
-//! legitimate reason for ordering-generic code elsewhere in the
-//! workspace. Only the orderings the gate actually uses are exposed;
-//! adding a method here is the intended speed bump for adding one
-//! there.
+//! Nothing else in `mrs-shardexec` names `std::sync`'s blocking
+//! primitives or `std::thread` directly (the `atomics` family of
+//! `mrs-lint` rules enforces this), so a new primitive has to be added
+//! here, in view.
 
-#[cfg(not(loom))]
-pub mod model;
+pub use std::sync::{Condvar, Mutex, MutexGuard};
+pub use std::thread::JoinHandle;
 
-#[cfg(not(loom))]
-mod default_impl;
-#[cfg(not(loom))]
-pub use default_impl::*;
+/// Spawns a named thread (the name shows up in panics and debuggers).
+///
+/// # Panics
+/// If the operating system refuses the thread.
+pub fn spawn_named<T, F>(name: String, f: F) -> JoinHandle<T>
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("the operating system refused a worker thread")
+}
 
-#[cfg(loom)]
-mod loom_impl;
-#[cfg(loom)]
-pub use loom_impl::*;
+/// The host's available parallelism (1 when unknown).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
