@@ -15,7 +15,6 @@ use mrs_core::bounds::{phase_lower_bound, theorem_5_1_ratio_fixed};
 use mrs_core::comm::CommModel;
 use mrs_core::model::ResponseModel;
 use mrs_core::operator::{OperatorId, OperatorSpec, Placement};
-use mrs_core::partition::choose_degree;
 use mrs_core::resource::SystemSpec;
 use mrs_core::schedule::PhaseSchedule;
 use mrs_core::tree::{TreeProblem, TreeScheduleResult};
@@ -276,8 +275,10 @@ pub fn audit_tree<M: ResponseModel>(
                 }
                 None => op.clone(),
             };
-            let choice = choose_degree(&sizing, f, sys.sites, comm, &sys.site, model);
-            let cap = choice.coarse_grain_cap.min(sys.sites).max(1);
+            let cap = comm
+                .n_max_coarse_grain(f, sizing.processing_area(), sizing.data_volume)
+                .min(sys.sites)
+                .max(1);
             if degree > cap {
                 out.push(Violation::CoarseGrainCapExceeded {
                     op: op.id,

@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the scheduling kernels: the vector-packing list
-//! rule, degree selection, the malleable GF sweep, plan expansion and
-//! decomposition, the fluid simulator, the crash-recovery re-pack, and
-//! the exact branch-and-bound solver.
+//! rule, degree selection, the cold TreeSchedule of generated plans, the
+//! malleable GF sweep, plan expansion and decomposition, the fluid
+//! simulator, the crash-recovery re-pack, and the exact branch-and-bound
+//! solver.
 
 use mrs_bench::harness::Bench;
 use mrs_core::prelude::*;
@@ -101,6 +102,31 @@ fn bench_choose_degree(bench: &mut Bench) {
             black_box(choose_degree(&op, 0.7, p, &comm, &site, &model));
         });
     }
+    g.finish();
+}
+
+fn bench_tree_schedule(bench: &mut Bench) {
+    // The cold plan behind the serving benchmark's `core.plan_us_p50`:
+    // 24 generated plans of 6–14 joins at P = 140, f = 0.7, ε = 0.5, all
+    // planned from scratch on every iteration.
+    let cost = CostModel::paper_defaults();
+    let comm = cost.params().comm_model();
+    let model = OverlapModel::new(0.5).unwrap();
+    let sys = SystemSpec::homogeneous(140);
+    let mut rng = DetRng::seed_from_u64(1996);
+    let problems: Vec<TreeProblem> = (0..24)
+        .map(|k| {
+            let q = generate_query(&QueryGenConfig::paper(6 + k * 9 / 24), rng.next_u64());
+            mrs_exp::prelude::query_problem(&q, &cost)
+        })
+        .collect();
+    let mut g = bench.group("tree_schedule");
+    g.sample_size(20);
+    g.bench_function("cold_p140", || {
+        for problem in &problems {
+            black_box(tree_schedule(problem, 0.7, &sys, &comm, &model).unwrap());
+        }
+    });
     g.finish();
 }
 
@@ -297,6 +323,7 @@ fn main() {
     bench_pack_clones(&mut b);
     bench_makespan(&mut b);
     bench_choose_degree(&mut b);
+    bench_tree_schedule(&mut b);
     bench_malleable(&mut b);
     bench_plan_pipeline(&mut b);
     bench_simulator(&mut b);

@@ -28,6 +28,14 @@
 //! `m·N`. The list rule stays inside Proposition 5.1's
 //! `O(M P (M + log P))` bound and pays its site-skipping term once per run
 //! instead of once per clone.
+//!
+//! Two representations keep the sweep cheap without changing a pick. L is
+//! built as groups of consecutive equal-length clones of one operator (an
+//! EA1 operator has at most two, the coordinator and the rest), sorted by
+//! `(length desc, op, first clone)`; since those keys are distinct, the
+//! groups expand to exactly the per-clone list sorted by
+//! `(length desc, op, clone)`. And "this site already holds a clone of the
+//! operator" is a per-site run stamp, one comparison per popped site.
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
@@ -74,9 +82,21 @@ impl Ord for HeapKey {
     }
 }
 
+/// Consecutive clones `start..end` of operator `op`, all of length
+/// `length`: one entry of the list L. Under EA1 an operator has at most
+/// two groups (the coordinator and the rest, or one when their lengths
+/// tie), so L sorts a few entries per operator rather than one per clone.
+#[derive(Clone, Copy, Debug)]
+struct CloneGroup {
+    op: usize,
+    start: usize,
+    end: usize,
+    length: f64,
+}
+
 /// Reusable packing state: per-site aggregated load vectors, a lazy
-/// min-heap on `l(work(s_j))`, and the clone-list/occupancy buffers of
-/// [`pack_clones`].
+/// min-heap on `l(work(s_j))`, per-site run stamps, and the
+/// clone-list/occupancy buffers of [`pack_clones`].
 ///
 /// The heap may hold stale entries (loads only grow); an entry is
 /// authoritative only if its key equals the site's current length, and
@@ -91,6 +111,12 @@ impl Ord for HeapKey {
 /// compacted back to one authoritative entry per site before a run
 /// whenever it holds more than `2 × sites` entries.
 ///
+/// `stamp[s]` is the number of the last run that marked site `s`. Each
+/// run takes a fresh number, marks the sites its operator took in earlier
+/// runs (the operator's unsorted occupancy list), then marks every site it
+/// picks, so "this site holds a clone of the operator" is one comparison.
+/// `list` holds L as `CloneGroup`s.
+///
 /// Construct one with [`PackScratch::new`] and thread it through
 /// [`pack_clones_in`] / [`schedule_with_degrees_in`] to reuse every
 /// allocation across phases (as `tree_schedule` and the malleable GF
@@ -102,8 +128,10 @@ pub struct PackScratch {
     lengths: Vec<f64>,
     heap: BinaryHeap<Reverse<HeapKey>>,
     stash: Vec<Reverse<HeapKey>>,
+    stamp: Vec<usize>,
+    runs: usize,
     occupancy: Vec<Vec<usize>>,
-    list: Vec<(usize, usize, f64)>,
+    list: Vec<CloneGroup>,
     /// Heap pops since construction (test instrumentation for the
     /// run-sweep bound).
     #[cfg(test)]
@@ -139,6 +167,9 @@ impl PackScratch {
             self.heap.push(Reverse(HeapKey { load: 0.0, site }));
         }
         self.stash.clear();
+        self.stamp.clear();
+        self.stamp.resize(sys.sites, 0);
+        self.runs = 0;
         for occ in &mut self.occupancy {
             occ.clear();
         }
@@ -186,18 +217,19 @@ impl PackScratch {
         self.heap.pop().map(|Reverse(entry)| entry)
     }
 
-    /// Places one run of the list L — consecutive entries `(i, k, _)` of a
-    /// single operator `i` whose clone vectors are `clones` — in one
-    /// ascending sweep over the heap, recording each pick in `homes[k]`
-    /// and in the sorted `occupied` set of `i`'s sites.
+    /// Places one run of the list L — consecutive groups of a single
+    /// operator whose clone vectors are `clones` — in one ascending sweep
+    /// over the heap, recording each pick in `homes[k]` and in `occupied`,
+    /// the operator's sites so far.
     ///
-    /// Each authoritative entry not in `occupied` takes the run's next
-    /// clone. The chosen site's new key goes to the stash with the
-    /// already-occupied sites' entries, since the site is forbidden for
-    /// the rest of the run; the stash returns to the heap at the end.
+    /// Each authoritative entry whose site is not stamped with this run
+    /// takes the run's next clone. The chosen site's new key goes to the
+    /// stash with the already-occupied sites' entries, since the site is
+    /// forbidden for the rest of the run; the stash returns to the heap at
+    /// the end.
     fn place_run(
         &mut self,
-        run: &[(usize, usize, f64)],
+        run: &[CloneGroup],
         clones: &[WorkVector],
         occupied: &mut Vec<usize>,
         homes: &mut [SiteId],
@@ -205,7 +237,12 @@ impl PackScratch {
         if self.heap.len() > 2 * self.loads.len() {
             self.compact();
         }
-        for &(_, k, _) in run {
+        self.runs += 1;
+        let mark = self.runs;
+        for &site in occupied.iter() {
+            self.stamp[site] = mark;
+        }
+        for k in run.iter().flat_map(|g| g.start..g.end) {
             let site = loop {
                 let entry = self
                     .pop()
@@ -215,12 +252,12 @@ impl PackScratch {
                     // heap or the stash.
                     continue;
                 }
-                match occupied.binary_search(&entry.site) {
-                    Ok(_) => self.stash.push(Reverse(entry)),
-                    Err(pos) => {
-                        occupied.insert(pos, entry.site);
-                        break entry.site;
-                    }
+                if self.stamp[entry.site] == mark {
+                    self.stash.push(Reverse(entry));
+                } else {
+                    self.stamp[entry.site] = mark;
+                    occupied.push(entry.site);
+                    break entry.site;
                 }
             };
             homes[k] = SiteId(site);
@@ -286,7 +323,7 @@ fn pack_clones_impl(
     sys: &SystemSpec,
     order: ListOrder,
     occupancy: &mut [Vec<usize>],
-    list: &mut Vec<(usize, usize, f64)>,
+    list: &mut Vec<CloneGroup>,
 ) -> Result<Assignment, ScheduleError> {
     let mut assignment = Assignment::with_capacity(ops.len());
 
@@ -315,28 +352,45 @@ fn pack_clones_impl(
                     });
                 }
                 scratch.place_at(site.0, &op.clones[k]);
-                occupancy[i].push(site.0);
             }
             assignment.homes[i] = homes.clone();
         }
     }
 
-    // The floating clone list L of Figure 3.
+    // The floating clone list L of Figure 3, as groups of consecutive
+    // equal-length clones of one operator.
     for (i, op) in ops.iter().enumerate() {
         if op.spec.placement.is_floating() {
             for (k, w) in op.clones.iter().enumerate() {
-                list.push((i, k, w.length()));
+                let length = w.length();
+                match list.last_mut() {
+                    Some(g) if g.op == i && g.length.to_bits() == length.to_bits() => g.end = k + 1,
+                    _ => list.push(CloneGroup {
+                        op: i,
+                        start: k,
+                        end: k + 1,
+                        length,
+                    }),
+                }
             }
             assignment.homes[i] = vec![SiteId(usize::MAX); op.degree];
         }
     }
     if order == ListOrder::LongestFirst {
-        // Non-increasing l(w̄); stable on (op, clone) for determinism.
-        list.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        // Non-increasing l(w̄), ties by (op, clone) for determinism. The
+        // keys are distinct and a group's clones share its length and
+        // operator, so the sorted groups expand to exactly the clone list
+        // sorted by (l(w̄) desc, op, clone).
+        list.sort_unstable_by(|a, b| {
+            b.length
+                .total_cmp(&a.length)
+                .then(a.op.cmp(&b.op))
+                .then(a.start.cmp(&b.start))
+        });
     }
 
-    for run in list.chunk_by(|a, b| a.0 == b.0) {
-        let i = run[0].0;
+    for run in list.chunk_by(|a, b| a.op == b.op) {
+        let i = run[0].op;
         scratch.place_run(
             run,
             &ops[i].clones,
@@ -877,7 +931,10 @@ mod tests {
 
     /// Equal-length clones of different operators, skewed clones that
     /// split an operator into several runs under LPT, a rooted operator,
-    /// and a floating operator at degree = P (6 sites).
+    /// a floating operator at degree = P (6 sites), a skewed operator
+    /// whose equal-length clones are not adjacent (weights `[2, 1, 2, 1]`
+    /// on a disk-bound vector, so the coordinator ties clone 2 and clone 1
+    /// ties clone 3), and a floating operator at degree 1.
     fn ties_skew_full_degree_shape() -> Vec<ScheduledOperator> {
         let c = comm();
         let site = SystemSpec::homogeneous(6).site;
@@ -902,6 +959,20 @@ mod tests {
             &c,
             &site,
         ));
+        let alternating = PartitionStrategy::Weighted(vec![2.0, 1.0, 2.0, 1.0]);
+        ops.push(ScheduledOperator::with_strategy(
+            floating(7, &[1.0, 4.0, 0.0], 0.0),
+            4,
+            &c,
+            &site,
+            &alternating,
+        ));
+        ops.push(ScheduledOperator::even(
+            floating(8, &[2.0, 1.0, 0.0], 0.0),
+            1,
+            &c,
+            &site,
+        ));
         ops
     }
 
@@ -910,7 +981,11 @@ mod tests {
         // One scratch reused across a fixed shape, seeded shapes and both
         // orders must reproduce the one-clone-at-a-time rule bit for bit.
         let mut rng = crate::rng::DetRng::seed_from_u64(1996);
-        let mut shapes = vec![(6, ties_skew_full_degree_shape())];
+        let fixed = ties_skew_full_degree_shape();
+        let length = |k: usize| fixed[7].clones[k].length();
+        assert_eq!((length(0), length(1)), (length(2), length(3)));
+        assert!(length(0) > length(1));
+        let mut shapes = vec![(6, fixed)];
         for case in 0..400 {
             let sites = [1, 2, 3, 5, 8, 16, 24, 40][case % 8];
             let nops = rng.gen_range(1..=12);

@@ -24,6 +24,8 @@ use crate::vector::WorkVector;
 /// Implementations must satisfy the Section 4.1 sandwich
 /// `l(W) ≤ t_seq(W) ≤ W.total()` and be monotone: componentwise-larger
 /// vectors may not get smaller times. Both invariants are property-tested.
+/// [`crate::partition::t_par`] relies on monotonicity to evaluate only the
+/// coordinator clone, which dominates its siblings componentwise.
 pub trait ResponseModel {
     /// Sequential execution time of a clone with requirements `w`.
     fn t_seq(&self, w: &WorkVector) -> f64;

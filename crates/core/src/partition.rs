@@ -80,20 +80,22 @@ pub fn clone_vectors(
         site.dim(),
         "operator work vector dimensionality must match the site layout"
     );
-    let fractions = strategy.fractions(n);
+    assert!(n >= 1, "degree of parallelism must be at least 1");
     let mut divisible = op.processing.clone();
     divisible.add_at(site.net_dim(), comm.transfer_time(op.data_volume));
 
+    // Every EA1 fraction is the same `1.0 / n`: scale once and copy.
+    let mut clones = match strategy {
+        PartitionStrategy::Even => vec![divisible.scaled(1.0 / n as f64); n],
+        PartitionStrategy::Weighted(_) => strategy
+            .fractions(n)
+            .into_iter()
+            .map(|frac| divisible.scaled(frac))
+            .collect(),
+    };
     let startup = comm.alpha * n as f64;
-    let mut clones = Vec::with_capacity(n);
-    for (k, frac) in fractions.iter().enumerate() {
-        let mut w = divisible.scaled(*frac);
-        if k == 0 {
-            w.add_at(site.cpu_dim(), startup / 2.0);
-            w.add_at(site.net_dim(), startup / 2.0);
-        }
-        clones.push(w);
-    }
+    clones[0].add_at(site.cpu_dim(), startup / 2.0);
+    clones[0].add_at(site.net_dim(), startup / 2.0);
     clones
 }
 
@@ -117,6 +119,14 @@ pub fn total_work_vector(
 /// `T_par(op, N)` of Equation (1): the parallel execution time of `op` on
 /// `n` sites while alone in the system, i.e. the max sequential time over
 /// its clones.
+///
+/// Under the EA1 even split every clone but the coordinator is the same
+/// `1/n` share of the divisible work, and the coordinator is that share
+/// plus the non-negative `α·n` startup on two dimensions. It therefore
+/// dominates every other clone componentwise, and floating-point addition
+/// cannot undo that. A [`ResponseModel`] must be monotone, so the
+/// coordinator's time is the maximum, bit for bit: only it is evaluated.
+/// This is the hot path of degree selection.
 pub fn t_par<M: ResponseModel>(
     op: &OperatorSpec,
     n: usize,
@@ -124,24 +134,16 @@ pub fn t_par<M: ResponseModel>(
     site: &SiteSpec,
     model: &M,
 ) -> f64 {
-    // Under the EA1 even split only two distinct clone shapes exist — the
-    // coordinator and everyone else — so evaluating both beats building
-    // all N vectors (this is the hot path of degree selection).
     assert!(n >= 1, "degree of parallelism must be at least 1");
-    let mut plain = op.processing.scaled(1.0 / n as f64);
-    plain.add_at(
+    let mut coordinator = op.processing.scaled(1.0 / n as f64);
+    coordinator.add_at(
         site.net_dim(),
         comm.transfer_time(op.data_volume) / n as f64,
     );
-    let mut coordinator = plain.clone();
     let startup = comm.alpha * n as f64;
     coordinator.add_at(site.cpu_dim(), startup / 2.0);
     coordinator.add_at(site.net_dim(), startup / 2.0);
-    if n == 1 {
-        model.t_seq(&coordinator)
-    } else {
-        model.t_seq(&coordinator).max(model.t_seq(&plain))
-    }
+    model.t_seq(&coordinator)
 }
 
 /// The minimum achievable `T_par(op, n)` over all degrees `1..=sites`,
@@ -337,6 +339,112 @@ mod tests {
         // ... and must be no worse than running sequentially.
         let t_seq = t_par(&o, 1, &comm, &site, &model);
         assert!(choice.t_par <= t_seq + 1e-12);
+    }
+
+    /// `T_par` as it was computed before only the coordinator was
+    /// evaluated: the max over the coordinator and a plain clone.
+    fn two_clone_t_par(op: &OperatorSpec, n: usize, comm: &CommModel, model: &OverlapModel) -> f64 {
+        let site = SiteSpec::cpu_disk_net();
+        let mut plain = op.processing.scaled(1.0 / n as f64);
+        plain.add_at(
+            site.net_dim(),
+            comm.transfer_time(op.data_volume) / n as f64,
+        );
+        let mut coordinator = plain.clone();
+        let startup = comm.alpha * n as f64;
+        coordinator.add_at(site.cpu_dim(), startup / 2.0);
+        coordinator.add_at(site.net_dim(), startup / 2.0);
+        if n == 1 {
+            model.t_seq(&coordinator)
+        } else {
+            model.t_seq(&coordinator).max(model.t_seq(&plain))
+        }
+    }
+
+    /// Seeded operators over several magnitudes, some with zero data
+    /// volume, one tiny enough that `N_max` is 1, one all-zero.
+    fn seeded_ops() -> Vec<OperatorSpec> {
+        let mut rng = crate::rng::DetRng::seed_from_u64(1996);
+        let mut ops: Vec<OperatorSpec> = (0..60)
+            .map(|i| {
+                let scale = [1e-4, 1e-2, 1.0, 30.0, 1e3][i % 5];
+                let w = [
+                    scale * rng.gen_range(0.0..1.0),
+                    scale * rng.gen_range(0.0..1.0),
+                    scale * rng.gen_range(0.0..0.2),
+                ];
+                let data = if i % 3 == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(0.0..4e7)
+                };
+                op(&w, data)
+            })
+            .collect();
+        ops.push(op(&[1e-6, 0.0, 0.0], 0.0));
+        ops.push(op(&[0.0, 0.0, 0.0], 0.0));
+        ops
+    }
+
+    const EPSILONS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+
+    #[test]
+    fn coordinator_t_par_matches_the_two_clone_formula_bit_for_bit() {
+        let (comm, site, _) = setup();
+        for eps in EPSILONS {
+            let model = OverlapModel::new(eps).unwrap();
+            for o in seeded_ops() {
+                for n in 1..=140 {
+                    let t = t_par(&o, n, &comm, &site, &model);
+                    let reference = two_clone_t_par(&o, n, &comm, &model);
+                    assert_eq!(t.to_bits(), reference.to_bits(), "eps={eps} n={n} {o:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn choose_degree_matches_a_full_reference_scan() {
+        let (comm, site, _) = setup();
+        for eps in EPSILONS {
+            let model = OverlapModel::new(eps).unwrap();
+            for o in seeded_ops() {
+                for (f, sites) in [(0.7, 140), (0.3, 20), (2.0, 140), (0.0, 140), (0.7, 1)] {
+                    let cg_cap = comm.n_max_coarse_grain(f, o.processing_area(), o.data_volume);
+                    let (mut best_n, mut best_t) = (1, two_clone_t_par(&o, 1, &comm, &model));
+                    for n in 2..=cg_cap.min(sites) {
+                        let t = two_clone_t_par(&o, n, &comm, &model);
+                        if t < best_t {
+                            (best_n, best_t) = (n, t);
+                        }
+                    }
+                    let choice = choose_degree(&o, f, sites, &comm, &site, &model);
+                    assert_eq!(choice.degree, best_n, "eps={eps} f={f} P={sites} {o:?}");
+                    assert_eq!(choice.speeddown_cap, best_n);
+                    assert_eq!(choice.coarse_grain_cap, cg_cap);
+                    assert_eq!(choice.t_par.to_bits(), best_t.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn even_clone_vectors_equal_unit_weights_bit_for_bit() {
+        let (comm, site, _) = setup();
+        for o in seeded_ops() {
+            for n in 1..=140 {
+                let even = clone_vectors(&o, n, &comm, &site, &PartitionStrategy::Even);
+                let unit = PartitionStrategy::Weighted(vec![1.0; n]);
+                let weighted = clone_vectors(&o, n, &comm, &site, &unit);
+                assert_eq!(even.len(), n);
+                for (k, (a, b)) in even.iter().zip(&weighted).enumerate() {
+                    let bits = |w: &WorkVector| -> Vec<u64> {
+                        w.components().iter().map(|c| c.to_bits()).collect()
+                    };
+                    assert_eq!(bits(a), bits(b), "n={n} clone {k} {o:?}");
+                }
+            }
+        }
     }
 
     #[test]
