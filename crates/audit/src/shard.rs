@@ -10,9 +10,11 @@
 //! 2. **ownership** — every recorded event names a site inside its
 //!    shard's claimed range (no shard ever touched foreign state);
 //! 3. **conservation** — across the canonical merged trace, every clone
-//!    tag is dispatched exactly once, suffers at most one terminal event
+//!    tag is dispatched exactly once, ends in exactly one terminal event
 //!    (completion, crash loss, or eviction), and never terminates before
-//!    (or without) its dispatch.
+//!    (or without) its dispatch. A dispatch with no terminal is a clone
+//!    the trace lost, so the check expects a drained run: every caller
+//!    audits the segments after `run_to_completion`.
 //!
 //! The checks are shard-count-invariant by construction: they accept the
 //! single-shard segment of a `--shards 1` run and the N-way split of the
@@ -119,10 +121,10 @@ pub fn audit_shard_segments(segments: &[ShardSegment], sites: usize) -> Vec<Viol
                 ),
             });
         }
-        if life.terminals > 1 {
+        if life.terminals != 1 {
             out.push(Violation::ShardConservationBroken {
                 tag,
-                detail: format!("{} terminal events (at most one allowed)", life.terminals),
+                detail: format!("{} terminal events (must be exactly one)", life.terminals),
             });
         }
     }
@@ -211,6 +213,16 @@ mod tests {
             .filter(|x| x.kind() == "shard-conservation")
             .collect();
         assert_eq!(conservation.len(), 3, "{v:?}");
+    }
+
+    #[test]
+    fn a_dispatch_without_a_terminal_is_reported() {
+        let mut segs = clean_pair();
+        segs[0].events.pop(); // tag 0's completion
+        let v = audit_shard_segments(&segs, 4);
+        let kinds: Vec<&str> = v.iter().map(|x| x.kind()).collect();
+        assert_eq!(kinds, vec!["shard-conservation"], "{v:?}");
+        assert!(format!("{v:?}").contains("0 terminal events"), "{v:?}");
     }
 
     #[test]

@@ -14,6 +14,7 @@ use mrs_core::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
 use mrs_core::tree::{tree_schedule, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
 use mrs_runtime::prelude::{AdmissionPolicy, AuditEvent, RecoveryConfig, Runtime, RuntimeConfig};
+use mrs_shardexec::segment::ShardEventKind;
 use mrs_sim::fault::{FaultEvent, FaultKind, FaultPlan};
 
 fn op(id: usize, w: &[f64], data: f64) -> OperatorSpec {
@@ -377,4 +378,46 @@ fn recovery_and_cache_trace_mutations_are_caught() {
     }
     let v = audit_run(&summary);
     assert!(kinds(&v).contains(&"cache-digest-mismatch"), "{v:?}");
+}
+
+/// A real run's clone-level segments must audit clean, and losing one
+/// recorded completion from them (what a faulty log encoding would do)
+/// must be caught as a clone with no terminal event.
+#[test]
+fn a_dropped_completion_is_caught() {
+    let sys = SystemSpec::homogeneous(5);
+    let cfg = RuntimeConfig {
+        f: 0.7,
+        shards: 2,
+        ..RuntimeConfig::default()
+    };
+    let model = OverlapModel::new(0.5).unwrap();
+    let mut rt = Runtime::new(sys, CommModel::paper_defaults(), model, cfg);
+    for client in 0..3 {
+        rt.submit_at(0.0, client, join_problem());
+    }
+    rt.run_to_completion().expect("fixture always schedules");
+    let mut segments = rt.shard_segments();
+    let v = audit_shard_segments(&segments, 5);
+    assert!(v.is_empty(), "honest segments must audit clean: {v:?}");
+
+    let (seg, i) = segments
+        .iter()
+        .enumerate()
+        .find_map(|(s, seg)| {
+            let i = seg
+                .events
+                .iter()
+                .rposition(|e| e.kind == ShardEventKind::Completed)?;
+            Some((s, i))
+        })
+        .expect("the run completes clones");
+    let dropped = segments[seg].events.remove(i);
+    let v = audit_shard_segments(&segments, 5);
+    assert_eq!(kinds(&v), vec!["shard-conservation"], "{v:?}");
+    assert!(
+        v[0].to_string()
+            .contains(&format!("clone tag {}:", dropped.tag)),
+        "{v:?}"
+    );
 }

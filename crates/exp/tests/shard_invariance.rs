@@ -21,7 +21,7 @@ use mrs_exp::prelude::query_problem;
 use mrs_exp::serving::Harness;
 use mrs_runtime::metrics::RunSummary;
 use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
-use mrs_shardexec::segment::{merge_segments, ShardEvent};
+use mrs_shardexec::segment::{merge_segments, EventCounts, ShardEvent};
 use mrs_workload::prelude::{generate_query, QueryGenConfig};
 
 /// A small deterministic stream: 10 mixed-size queries over 13 sites
@@ -65,6 +65,12 @@ fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
         .run_to_completion()
         .expect("generated plans always schedule");
     let segments = rt.shard_segments();
+    let decoded: EventCounts = segments.iter().map(|s| EventCounts::of(&s.events)).sum();
+    assert_eq!(
+        rt.segment_event_counts(),
+        decoded,
+        "shards={shards} faulty={faulty}: the counters must count what the segments hold"
+    );
     let violations = audit_shard_segments(&segments, SITES);
     assert!(
         violations.is_empty(),
@@ -125,4 +131,22 @@ fn oversharding_clamps_to_one_site_per_shard() {
     let (summary, trace) = run(64, false);
     assert_eq!(summary.digest(), base_summary.digest());
     assert_eq!(trace, base_trace);
+}
+
+#[test]
+fn event_counters_match_the_decoded_faulted_segments() {
+    // `run` asserts the counters equal the segments' per-kind counts;
+    // here the faulted stream must also record crash losses, and the
+    // split must not change a count.
+    let counts: Vec<EventCounts> = [1, 3]
+        .into_iter()
+        .map(|shards| {
+            let (_, trace) = run(shards, true);
+            EventCounts::of(&trace)
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1]);
+    let c = counts[0];
+    assert!(c.lost > 0, "the faulted stream must lose clones: {c:?}");
+    assert_eq!(c.dispatched, c.completed + c.lost + c.evicted, "{c:?}");
 }

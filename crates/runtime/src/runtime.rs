@@ -85,7 +85,7 @@ use mrs_core::vector::WorkVector;
 use mrs_shardexec::ahead::{Ahead, WINDOW};
 use mrs_shardexec::fabric::Fabric;
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
-use mrs_shardexec::segment::ShardSegment;
+use mrs_shardexec::segment::{EventCounts, ShardSegment};
 use mrs_shardexec::sync::available_parallelism;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
@@ -482,6 +482,14 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// count.
     pub fn shard_segments(&self) -> Vec<ShardSegment> {
         self.fabric.segments()
+    }
+
+    /// The events [`Runtime::shard_segments`] would return, counted by
+    /// kind across all segments, without decoding the logs: one
+    /// `dispatched` per clone placed on a site, and one terminal
+    /// (`completed`, `lost` or `evicted`) per clone that left it.
+    pub fn segment_event_counts(&self) -> EventCounts {
+        self.fabric.event_counts()
     }
 
     /// Submits `problem` from `client`, arriving at virtual time

@@ -23,7 +23,7 @@
 
 use crate::merge::sort_completions;
 use crate::plan::ShardPlan;
-use crate::segment::ShardSegment;
+use crate::segment::{EventCounts, ShardSegment};
 use crate::state::ShardState;
 use mrs_core::resource::SiteId;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
@@ -245,6 +245,12 @@ impl Fabric {
         for st in &mut self.states {
             st.enable_util_series();
         }
+    }
+
+    /// Every shard's recorded events counted by kind, summed: the
+    /// per-kind counts of [`Fabric::segments`] without decoding them.
+    pub fn event_counts(&self) -> EventCounts {
+        self.states.iter().map(ShardState::event_counts).sum()
     }
 
     /// The per-shard audit-trace segments, in shard order.

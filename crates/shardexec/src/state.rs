@@ -9,7 +9,7 @@
 //! state translates to its local slice.
 
 use crate::merge::sort_completions;
-use crate::segment::{EventLog, ShardEvent, ShardEventKind, ShardSegment};
+use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, ShardSegment, MAX_SITES};
 use mrs_core::resource::SiteId;
 use mrs_sim::calendar::EventCalendar;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
@@ -41,11 +41,18 @@ impl ShardState {
     /// resource dimensionality `dim`, recording into segment `shard`.
     ///
     /// # Panics
-    /// Panics if any site simulator's dimensionality is not `dim`.
+    /// Panics if any site simulator's dimensionality is not `dim`, or if
+    /// the shard covers a global site index of `2^30` or more (the event
+    /// log stores a site in 30 bits).
     pub fn new(shard: usize, base: usize, sims: Vec<SiteSim>, dim: usize) -> Self {
         assert!(
             sims.iter().all(|sim| sim.dim() == dim),
             "site dimensionality mismatch: shard {shard} expects d = {dim}"
+        );
+        let end = base.saturating_add(sims.len());
+        assert!(
+            end <= MAX_SITES,
+            "shard {shard} covers sites {base}..{end}: the event log holds at most 2^30 sites"
         );
         let n = sims.len();
         ShardState {
@@ -251,8 +258,14 @@ impl ShardState {
         }));
     }
 
+    /// The events this shard has recorded so far, counted by kind (no
+    /// decoding).
+    pub fn event_counts(&self) -> EventCounts {
+        self.events.counts()
+    }
+
     /// This shard's audit-trace segment: the events it has recorded so
-    /// far, copied into one list.
+    /// far, decoded into one list.
     pub fn segment(&self) -> ShardSegment {
         ShardSegment {
             shard: self.shard,
@@ -342,6 +355,12 @@ mod tests {
     fn site_dimensionality_must_match_the_shard() {
         let sims = vec![SiteSim::new(SimConfig::default(), 3)];
         let _ = ShardState::new(0, 0, sims, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^30 sites")]
+    fn sites_past_the_log_encoding_are_rejected() {
+        let _ = state(0, MAX_SITES - 1, 2);
     }
 
     #[test]
