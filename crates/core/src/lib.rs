@@ -97,7 +97,8 @@ pub mod prelude {
     pub use crate::model::{OverlapModel, ResponseModel};
     pub use crate::operator::{OperatorId, OperatorKind, OperatorSpec, Placement};
     pub use crate::partition::{
-        choose_degree, clone_vectors, min_t_par, t_par, DegreeChoice, PartitionStrategy,
+        choose_degree, clone_vectors, clone_work, min_t_par, t_par, CloneWork, DegreeChoice,
+        PartitionStrategy,
     };
     pub use crate::resource::{ResourceKind, SiteId, SiteSpec, SystemSpec};
     pub use crate::rng::DetRng;

@@ -41,7 +41,7 @@ use crate::comm::CommModel;
 use crate::error::ScheduleError;
 use crate::model::ResponseModel;
 use crate::operator::{OperatorSpec, Placement};
-use crate::partition::choose_degree;
+use crate::partition::{choose_degree, CloneWork};
 use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
 use crate::vector::WorkVector;
@@ -218,7 +218,7 @@ impl PackScratch {
     }
 
     /// Places one run of the list L — consecutive groups of a single
-    /// operator whose clone vectors are `clones` — in one ascending sweep
+    /// operator whose clone work is `clones` — in one ascending sweep
     /// over the heap, recording each pick in `homes[k]` and in `occupied`,
     /// the operator's sites so far.
     ///
@@ -230,7 +230,7 @@ impl PackScratch {
     fn place_run(
         &mut self,
         run: &[CloneGroup],
-        clones: &[WorkVector],
+        clones: &CloneWork,
         occupied: &mut Vec<usize>,
         homes: &mut [SiteId],
     ) {
@@ -343,7 +343,7 @@ fn pack_clones_impl(
                     actual: homes.len(),
                 });
             }
-            for (k, &site) in homes.iter().enumerate() {
+            for (&site, w) in homes.iter().zip(&op.clones) {
                 if site.0 >= sys.sites {
                     return Err(ScheduleError::SiteOutOfRange {
                         op: op.spec.id,
@@ -351,27 +351,31 @@ fn pack_clones_impl(
                         sites: sys.sites,
                     });
                 }
-                scratch.place_at(site.0, &op.clones[k]);
+                scratch.place_at(site.0, w);
             }
             assignment.homes[i] = homes.clone();
         }
     }
 
     // The floating clone list L of Figure 3, as groups of consecutive
-    // equal-length clones of one operator.
+    // equal-length clones of one operator, built from the operator's runs
+    // of equal clones (adjacent runs of one length merge).
     for (i, op) in ops.iter().enumerate() {
         if op.spec.placement.is_floating() {
-            for (k, w) in op.clones.iter().enumerate() {
+            let mut start = 0;
+            for (w, n) in op.clones.runs() {
                 let length = w.length();
+                let end = start + n;
                 match list.last_mut() {
-                    Some(g) if g.op == i && g.length.to_bits() == length.to_bits() => g.end = k + 1,
+                    Some(g) if g.op == i && g.length.to_bits() == length.to_bits() => g.end = end,
                     _ => list.push(CloneGroup {
                         op: i,
-                        start: k,
-                        end: k + 1,
+                        start,
+                        end,
                         length,
                     }),
                 }
+                start = end;
             }
             assignment.homes[i] = vec![SiteId(usize::MAX); op.degree];
         }

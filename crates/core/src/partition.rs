@@ -75,15 +75,7 @@ pub fn clone_vectors(
     site: &SiteSpec,
     strategy: &PartitionStrategy,
 ) -> Vec<WorkVector> {
-    assert_eq!(
-        op.processing.dim(),
-        site.dim(),
-        "operator work vector dimensionality must match the site layout"
-    );
-    assert!(n >= 1, "degree of parallelism must be at least 1");
-    let mut divisible = op.processing.clone();
-    divisible.add_at(site.net_dim(), comm.transfer_time(op.data_volume));
-
+    let divisible = divisible_work(op, n, comm, site);
     // Every EA1 fraction is the same `1.0 / n`: scale once and copy.
     let mut clones = match strategy {
         PartitionStrategy::Even => vec![divisible.scaled(1.0 / n as f64); n],
@@ -93,11 +85,216 @@ pub fn clone_vectors(
             .map(|frac| divisible.scaled(frac))
             .collect(),
     };
-    let startup = comm.alpha * n as f64;
-    clones[0].add_at(site.cpu_dim(), startup / 2.0);
-    clones[0].add_at(site.net_dim(), startup / 2.0);
+    charge_startup(&mut clones[0], n, comm, site);
     clones
 }
+
+/// [`clone_vectors`] in run-length form, bit for bit the same sequence.
+///
+/// Under `Even` the `n` clones are the coordinator followed by `n − 1`
+/// copies of one `1/n` share: two runs from one `scaled(1/n)`, however
+/// large `n` is. `Weighted` gives one run per clone.
+pub fn clone_work(
+    op: &OperatorSpec,
+    n: usize,
+    comm: &CommModel,
+    site: &SiteSpec,
+    strategy: &PartitionStrategy,
+) -> CloneWork {
+    if let PartitionStrategy::Weighted(_) = strategy {
+        return clone_vectors(op, n, comm, site, strategy).into();
+    }
+    let share = divisible_work(op, n, comm, site).scaled(1.0 / n as f64);
+    let mut coordinator = share.clone();
+    charge_startup(&mut coordinator, n, comm, site);
+    CloneWork::from_runs(if n == 1 {
+        vec![(coordinator, 1)]
+    } else {
+        vec![(coordinator, 1), (share, n - 1)]
+    })
+}
+
+/// `op`'s divisible work on `site`: its processing vector plus `β·D` on
+/// the network dimension.
+fn divisible_work(op: &OperatorSpec, n: usize, comm: &CommModel, site: &SiteSpec) -> WorkVector {
+    assert_eq!(
+        op.processing.dim(),
+        site.dim(),
+        "operator work vector dimensionality must match the site layout"
+    );
+    assert!(n >= 1, "degree of parallelism must be at least 1");
+    let mut divisible = op.processing.clone();
+    divisible.add_at(site.net_dim(), comm.transfer_time(op.data_volume));
+    divisible
+}
+
+/// Charges the `α·n` startup to the coordinator's clone vector, split
+/// evenly between the CPU and network dimensions.
+fn charge_startup(coordinator: &mut WorkVector, n: usize, comm: &CommModel, site: &SiteSpec) {
+    let startup = comm.alpha * n as f64;
+    coordinator.add_at(site.cpu_dim(), startup / 2.0);
+    coordinator.add_at(site.net_dim(), startup / 2.0);
+}
+
+/// The work vectors of an operator's clones in clone order, stored as
+/// runs of equal vectors: `(vector, count)` pairs.
+///
+/// Clone `k` is the vector of the run that covers position `k`. Under
+/// EA1 an operator at any degree is at most two runs (see
+/// [`clone_work`]), so a schedule stores O(operators) vectors rather
+/// than O(clones). The runs are a storage detail: [`CloneWork::iter`],
+/// indexing, equality and `Debug` all work on the clone sequence, so two
+/// values that split the same sequence into different runs are equal and
+/// print alike.
+#[derive(Clone)]
+pub struct CloneWork {
+    /// Runs in clone order; every count is at least 1.
+    runs: Vec<(WorkVector, usize)>,
+    /// Number of clones: the sum of the run counts.
+    len: usize,
+}
+
+impl CloneWork {
+    /// Builds the sequence from `(vector, count)` runs in clone order;
+    /// runs with a zero count are dropped.
+    pub fn from_runs(mut runs: Vec<(WorkVector, usize)>) -> Self {
+        runs.retain(|&(_, n)| n > 0);
+        let len = runs.iter().map(|&(_, n)| n).sum();
+        CloneWork { runs, len }
+    }
+
+    /// Number of clones.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when there are no clones.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The clone vectors in clone order, one item per clone.
+    pub fn iter(&self) -> CloneIter<'_> {
+        CloneIter {
+            runs: &self.runs,
+            taken: 0,
+            remaining: self.len,
+        }
+    }
+
+    /// The runs in clone order: each run's vector and how many
+    /// consecutive clones share it.
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = (&WorkVector, usize)> {
+        self.runs.iter().map(|(w, n)| (w, *n))
+    }
+}
+
+impl From<Vec<WorkVector>> for CloneWork {
+    /// One run per clone.
+    fn from(clones: Vec<WorkVector>) -> Self {
+        CloneWork::from_runs(clones.into_iter().map(|w| (w, 1)).collect())
+    }
+}
+
+impl std::ops::Index<usize> for CloneWork {
+    type Output = WorkVector;
+
+    /// Clone `k`'s vector.
+    ///
+    /// # Panics
+    /// Panics if `k >= self.len()`.
+    fn index(&self, k: usize) -> &WorkVector {
+        assert!(
+            k < self.len,
+            "clone {k} out of range for {} clones",
+            self.len
+        );
+        if self.runs.len() == self.len {
+            return &self.runs[k].0;
+        }
+        let mut end = 0;
+        let (w, _) = self
+            .runs
+            .iter()
+            .find(|&&(_, n)| {
+                end += n;
+                k < end
+            })
+            .expect("the runs cover 0..len");
+        w
+    }
+}
+
+impl PartialEq for CloneWork {
+    /// Clone-by-clone equality, compared run against run so neither side
+    /// is expanded.
+    fn eq(&self, other: &Self) -> bool {
+        if self.len != other.len {
+            return false;
+        }
+        let (mut a, mut b) = (self.runs(), other.runs());
+        let (mut left, mut right) = (None, None);
+        loop {
+            left = left.or_else(|| a.next());
+            right = right.or_else(|| b.next());
+            let (Some((wa, na)), Some((wb, nb))) = (left, right) else {
+                return left.is_none() && right.is_none();
+            };
+            if wa != wb {
+                return false;
+            }
+            let step = na.min(nb);
+            left = (na > step).then_some((wa, na - step));
+            right = (nb > step).then_some((wb, nb - step));
+        }
+    }
+}
+
+impl std::fmt::Debug for CloneWork {
+    /// Prints the clone sequence, one vector per clone.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a CloneWork {
+    type Item = &'a WorkVector;
+    type IntoIter = CloneIter<'a>;
+
+    fn into_iter(self) -> CloneIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`CloneWork`]'s clone vectors, one item per clone.
+#[derive(Clone, Debug)]
+pub struct CloneIter<'a> {
+    /// Runs not yet finished; the first has `taken` clones yielded.
+    runs: &'a [(WorkVector, usize)],
+    taken: usize,
+    remaining: usize,
+}
+
+impl<'a> Iterator for CloneIter<'a> {
+    type Item = &'a WorkVector;
+
+    fn next(&mut self) -> Option<&'a WorkVector> {
+        let ((w, n), rest) = self.runs.split_first()?;
+        self.taken += 1;
+        if self.taken == *n {
+            self.runs = rest;
+            self.taken = 0;
+        }
+        self.remaining -= 1;
+        Some(w)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for CloneIter<'_> {}
 
 /// The total (processing + communication) work vector `W̄_op` of the
 /// operator at degree `n` (Section 5.1): the vector sum of all clone
@@ -445,6 +642,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Checks `work` against the per-clone `reference` bit for bit through
+    /// every read path: `len`, `iter`, `&`-iteration and `Index`.
+    fn assert_same_clones(work: &CloneWork, reference: &[WorkVector], what: &str) {
+        let bits =
+            |w: &WorkVector| -> Vec<u64> { w.components().iter().map(|c| c.to_bits()).collect() };
+        assert_eq!(work.len(), reference.len(), "{what}: len");
+        assert_eq!(work.iter().len(), reference.len(), "{what}: iter len");
+        assert_eq!(work.iter().count(), reference.len(), "{what}: iter count");
+        for (k, (a, b)) in work.iter().zip(reference).enumerate() {
+            assert_eq!(bits(a), bits(b), "{what}: iter clone {k}");
+        }
+        for (k, (a, b)) in work.into_iter().zip(reference).enumerate() {
+            assert_eq!(bits(a), bits(b), "{what}: into_iter clone {k}");
+        }
+        for (k, b) in reference.iter().enumerate() {
+            assert_eq!(bits(&work[k]), bits(b), "{what}: index clone {k}");
+        }
+        let covered: usize = work.runs().map(|(_, n)| n).sum();
+        assert_eq!(covered, reference.len(), "{what}: run counts");
+    }
+
+    #[test]
+    fn even_clone_work_matches_clone_vectors_bit_for_bit() {
+        let (comm, site, _) = setup();
+        for o in seeded_ops() {
+            for n in 1..=140 {
+                let work = clone_work(&o, n, &comm, &site, &PartitionStrategy::Even);
+                let reference = clone_vectors(&o, n, &comm, &site, &PartitionStrategy::Even);
+                assert_same_clones(&work, &reference, &format!("n={n} {o:?}"));
+                assert_eq!(work.runs().len(), n.min(2), "n={n}: EA1 is two runs");
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_clone_work_matches_clone_vectors_bit_for_bit() {
+        let (comm, site, _) = setup();
+        let mut rng = crate::rng::DetRng::seed_from_u64(24);
+        for o in seeded_ops() {
+            let mut cases = vec![
+                vec![2.0, 1.0, 2.0, 1.0],
+                vec![1.0, 1.0, 1.0],
+                vec![1.0],
+                vec![3.0, 3.0, 1.0, 1.0, 1.0],
+            ];
+            let n = rng.gen_range(1..=140);
+            cases.push((0..n).map(|_| rng.gen_range(1usize..4) as f64).collect());
+            for weights in cases {
+                let n = weights.len();
+                let strategy = PartitionStrategy::Weighted(weights);
+                let work = clone_work(&o, n, &comm, &site, &strategy);
+                let reference = clone_vectors(&o, n, &comm, &site, &strategy);
+                assert_same_clones(&work, &reference, &format!("{strategy:?} {o:?}"));
+                assert_eq!(work.runs().len(), n, "one run per weighted clone");
+            }
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_how_the_runs_are_split() {
+        let x = WorkVector::from_slice(&[2.0, 1.0, 0.5]);
+        let y = WorkVector::from_slice(&[1.0, 1.0, 0.0]);
+        let expanded = vec![x.clone(), y.clone(), y.clone(), y.clone()];
+        let splits = [
+            CloneWork::from(expanded.clone()),
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 3)]),
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 1), (y.clone(), 2)]),
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 0), (y.clone(), 3)]),
+        ];
+        let printed = format!("{expanded:?}");
+        for a in &splits {
+            assert_eq!(format!("{a:?}"), printed);
+            assert_eq!(format!("{a:#?}"), format!("{expanded:#?}"));
+            for b in &splits {
+                assert_eq!(a, b);
+            }
+        }
+        let differs = [
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 2)]),
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 4)]),
+            CloneWork::from_runs(vec![(x.clone(), 2), (y.clone(), 2)]),
+            CloneWork::from_runs(vec![(x.clone(), 1), (y.clone(), 2), (x.clone(), 1)]),
+            CloneWork::from_runs(vec![(y.clone(), 1), (y.clone(), 3)]),
+        ];
+        for d in &differs {
+            assert_ne!(&splits[1], d, "{d:?}");
+            assert_ne!(d, &splits[2], "{d:?}");
+        }
+        assert_eq!(
+            CloneWork::from(Vec::new()),
+            CloneWork::from_runs(vec![(x, 0)])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "clone 4 out of range for 4 clones")]
+    fn index_past_the_end_panics() {
+        let y = WorkVector::from_slice(&[1.0, 1.0, 0.0]);
+        let work = CloneWork::from_runs(vec![(y.clone(), 1), (y, 3)]);
+        let _ = &work[4];
     }
 
     #[test]

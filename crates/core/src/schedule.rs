@@ -18,12 +18,12 @@ use crate::comm::CommModel;
 use crate::error::ScheduleError;
 use crate::model::ResponseModel;
 use crate::operator::{OperatorSpec, Placement};
-use crate::partition::{clone_vectors, PartitionStrategy};
+use crate::partition::{clone_work, CloneWork, PartitionStrategy};
 use crate::resource::{SiteId, SiteSpec, SystemSpec};
 use crate::vector::WorkVector;
 
 /// An operator with its chosen degree of parallelism and per-clone work
-/// vectors (clone 0 is the coordinator).
+/// vectors (clone 0 is the coordinator), stored as runs of equal vectors.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScheduledOperator {
     /// The underlying operator.
@@ -31,14 +31,15 @@ pub struct ScheduledOperator {
     /// Degree of partitioned parallelism `N_i`.
     pub degree: usize,
     /// Per-clone work vectors, `clones.len() == degree`.
-    pub clones: Vec<WorkVector>,
+    pub clones: CloneWork,
 }
 
 impl ScheduledOperator {
     /// Builds the scheduled form of `spec` at degree `n` using the EA1
-    /// even partitioning.
+    /// even partitioning: two runs, the coordinator and the shared `1/n`
+    /// share, at any degree.
     pub fn even(spec: OperatorSpec, n: usize, comm: &CommModel, site: &SiteSpec) -> Self {
-        let clones = clone_vectors(&spec, n, comm, site, &PartitionStrategy::Even);
+        let clones = clone_work(&spec, n, comm, site, &PartitionStrategy::Even);
         ScheduledOperator {
             spec,
             degree: n,
@@ -55,7 +56,7 @@ impl ScheduledOperator {
         site: &SiteSpec,
         strategy: &PartitionStrategy,
     ) -> Self {
-        let clones = clone_vectors(&spec, n, comm, site, strategy);
+        let clones = clone_work(&spec, n, comm, site, strategy);
         ScheduledOperator {
             spec,
             degree: n,
@@ -63,11 +64,12 @@ impl ScheduledOperator {
         }
     }
 
-    /// `T_par(op, N)` (Equation 1) under `model`: max clone time.
+    /// `T_par(op, N)` (Equation 1) under `model`: max clone time, one
+    /// `t_seq` per run of equal clones.
     pub fn t_par<M: ResponseModel>(&self, model: &M) -> f64 {
         self.clones
-            .iter()
-            .map(|w| model.t_seq(w))
+            .runs()
+            .map(|(w, _)| model.t_seq(w))
             .fold(0.0, f64::max)
     }
 
@@ -110,7 +112,8 @@ pub struct PhaseSchedule {
 impl PhaseSchedule {
     /// Validates Definition 5.1's constraints against `sys`:
     ///
-    /// * (shape) every operator has exactly `degree` assigned clones,
+    /// * (shape) every operator has exactly `degree` clone work vectors
+    ///   and `degree` assigned homes,
     /// * (A) no two clones of one operator share a site,
     /// * (B) rooted operators sit exactly at their required homes,
     /// * all sites are within `0..P`.
@@ -125,12 +128,14 @@ impl PhaseSchedule {
             });
         }
         for (op, homes) in self.ops.iter().zip(&self.assignment.homes) {
-            if homes.len() != op.degree {
-                return Err(ScheduleError::DegreeMismatch {
-                    op: op.spec.id,
-                    expected: op.degree,
-                    actual: homes.len(),
-                });
+            for actual in [homes.len(), op.clones.len()] {
+                if actual != op.degree {
+                    return Err(ScheduleError::DegreeMismatch {
+                        op: op.spec.id,
+                        expected: op.degree,
+                        actual,
+                    });
+                }
             }
             let mut seen = homes.clone();
             seen.sort_unstable();
@@ -165,22 +170,26 @@ impl PhaseSchedule {
         let d = sys.dim();
         let mut loads = vec![WorkVector::zeros(d); sys.sites];
         for (op, homes) in self.ops.iter().zip(&self.assignment.homes) {
-            for (clone, &site) in homes.iter().enumerate() {
-                loads[site.0].accumulate(&op.clones[clone]);
+            for (&site, w) in homes.iter().zip(&op.clones) {
+                loads[site.0].accumulate(w);
             }
         }
         loads
     }
 
-    /// `T_site(s_j)` per Equation (2) for every site.
+    /// `T_site(s_j)` per Equation (2) for every site. Each run of equal
+    /// clones is timed once, so an EA1 operator costs two `t_seq` calls.
     pub fn site_times<M: ResponseModel>(&self, sys: &SystemSpec, model: &M) -> Vec<f64> {
         let loads = self.site_loads(sys);
         let mut slowest_clone = vec![0.0f64; sys.sites];
         for (op, homes) in self.ops.iter().zip(&self.assignment.homes) {
-            for (clone, &site) in homes.iter().enumerate() {
-                let t = model.t_seq(&op.clones[clone]);
-                if t > slowest_clone[site.0] {
-                    slowest_clone[site.0] = t;
+            let mut homes = homes.iter();
+            for (w, n) in op.clones.runs() {
+                let t = model.t_seq(w);
+                for &site in homes.by_ref().take(n) {
+                    if t > slowest_clone[site.0] {
+                        slowest_clone[site.0] = t;
+                    }
                 }
             }
         }
@@ -309,6 +318,67 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_clone_count_mismatch() {
+        // Homes match the degree, but the clone work does not: dispatch
+        // and recovery zip homes with clones and would drop the surplus.
+        let (mut s, sys, _) = sample();
+        let mut extra: Vec<WorkVector> = s.ops[0].clones.iter().cloned().collect();
+        extra.push(extra[1].clone());
+        s.ops[0].clones = extra.into();
+        assert_eq!(
+            s.validate(&sys),
+            Err(ScheduleError::DegreeMismatch {
+                op: OperatorId(0),
+                expected: 2,
+                actual: 3,
+            })
+        );
+        s.ops[0].clones = vec![s.ops[0].clones[0].clone()].into();
+        assert_eq!(
+            s.validate(&sys),
+            Err(ScheduleError::DegreeMismatch {
+                op: OperatorId(0),
+                expected: 2,
+                actual: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn t_par_and_site_times_match_a_per_clone_evaluation() {
+        let (small, _, m) = sample();
+        let sys = SystemSpec::homogeneous(8);
+        let ops = (0..6)
+            .map(|i| (mk_op(i, &[1.0 + i as f64, 0.5, 0.1], 4e5), 1 + i))
+            .collect();
+        let large = crate::list::schedule_with_degrees(
+            ops,
+            &sys,
+            &comm(),
+            crate::list::ListOrder::LongestFirst,
+        )
+        .unwrap();
+        for s in [small, large] {
+            check_per_clone(&s, &sys, &m);
+        }
+    }
+
+    fn check_per_clone(s: &PhaseSchedule, sys: &SystemSpec, m: &OverlapModel) {
+        let mut slowest = vec![0.0f64; sys.sites];
+        for (op, homes) in s.ops.iter().zip(&s.assignment.homes) {
+            let per_clone = op.clones.iter().map(|w| m.t_seq(w)).fold(0.0, f64::max);
+            assert_eq!(op.t_par(m).to_bits(), per_clone.to_bits());
+            for (site, w) in homes.iter().zip(&op.clones) {
+                slowest[site.0] = slowest[site.0].max(m.t_seq(w));
+            }
+        }
+        let loads = s.site_loads(sys);
+        for (j, t) in s.site_times(sys, m).into_iter().enumerate() {
+            assert_eq!(t.to_bits(), slowest[j].max(loads[j].length()).to_bits());
+        }
+    }
+
+    #[test]
     fn validate_rejects_rooted_violation() {
         let (mut s, sys, _) = sample();
         s.ops[1].spec.placement = Placement::Rooted(vec![SiteId(0)]);
@@ -361,7 +431,7 @@ mod tests {
         let mk = |id: usize, w: &[f64]| ScheduledOperator {
             spec: mk_op(id, w, 0.0),
             degree: 1,
-            clones: vec![WorkVector::from_slice(w)],
+            clones: vec![WorkVector::from_slice(w)].into(),
         };
 
         let case1 = PhaseSchedule {

@@ -598,6 +598,7 @@ mod tests {
     }
 
     fn fragment_for(sites: &[usize]) -> Arc<ScheduleFragment> {
+        use mrs_core::partition::CloneWork;
         use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
         let spec = OperatorSpec::floating(
             OperatorId(0),
@@ -605,7 +606,10 @@ mod tests {
             WorkVector::from_slice(&[1.0, 0.5, 0.0]),
             64.0,
         );
-        let clones = vec![WorkVector::from_slice(&[1.0, 0.5, 0.0]); sites.len()];
+        let clones = CloneWork::from_runs(vec![(
+            WorkVector::from_slice(&[1.0, 0.5, 0.0]),
+            sites.len(),
+        )]);
         Arc::new(ScheduleFragment {
             levels: vec![PhaseSchedule {
                 ops: vec![ScheduledOperator {

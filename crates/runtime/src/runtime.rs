@@ -243,6 +243,10 @@ struct RunningQuery {
     parked: usize,
 }
 
+/// One clone to dispatch: its site, its work vector and the vector's
+/// `t_seq`, computed once per run of equal clones.
+type Dispatch = (SiteId, WorkVector, f64);
+
 struct CloneInfo {
     query: QueryId,
     site: SiteId,
@@ -280,7 +284,7 @@ pub struct Runtime<M: ResponseModel> {
     clones: CloneWindow<CloneInfo>,
     /// Scratch reused across phases: the live placements of the phase
     /// being dispatched (see [`Runtime::advance_query`]).
-    live_buf: Vec<(SiteId, WorkVector)>,
+    live_buf: Vec<Dispatch>,
     records: Vec<QueryRecord>,
     depth_trace: Vec<(f64, usize)>,
     faults: FaultTimeline,
@@ -894,13 +898,21 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             )
             .ok()
         };
+        let replanned = replanned.map(|placements| {
+            placements
+                .into_iter()
+                .map(|(site, work)| {
+                    let duration = self.model.t_seq(&work);
+                    (site, work, duration)
+                })
+                .collect::<Vec<Dispatch>>()
+        });
         match replanned {
             // Compounded rebuild surcharges (see `crate::recovery`).
             Some(placements)
                 if placements
                     .iter()
-                    .map(|(_, w)| self.model.t_seq(w))
-                    .any(|d| d.is_nan() || d > MAX_REPACKED_DURATION) =>
+                    .any(|&(_, _, d)| d.is_nan() || d > MAX_REPACKED_DURATION) =>
             {
                 self.abort_query(query, "recovery work overflowed");
             }
@@ -918,7 +930,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                             + self.comm.alpha
                     })
                     .sum();
-                let placed_total: f64 = placements.iter().map(|(_, w)| w.total()).sum();
+                let placed_total: f64 = placements.iter().map(|(_, w, _)| w.total()).sum();
                 debug_assert!(
                     audit_repack_conserves(expected_total, placed_total),
                     "recovery re-pack leaked work for {query}: expected {expected_total}, \
@@ -1056,17 +1068,20 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
     /// Inserts clones at the given placements; returns how many are
     /// actually executing (zero-duration clones complete inline).
-    fn dispatch_placements(&mut self, id: QueryId, placements: &[(SiteId, WorkVector)]) -> usize {
+    fn dispatch_placements(&mut self, id: QueryId, placements: &[Dispatch]) -> usize {
         debug_assert!(
-            audit_placements_valid(placements, self.sys.sites, self.sys.dim()),
+            audit_placements_valid(
+                placements.iter().map(|(site, work, _)| (site, work)),
+                self.sys.sites,
+                self.sys.dim()
+            ),
             "dispatch for {id} carries an out-of-range site or malformed work vector"
         );
         let mut dispatched = 0usize;
-        for (site, work) in placements {
+        for &(site, ref work, duration) in placements {
             // Lazy calendar discipline: the site must be at the current
             // clock before a clone lands on it.
             self.touch_site(site.0);
-            let duration = self.model.t_seq(work);
             let clone = SimClone {
                 tag: self.clones.next_tag(),
                 work: work.clone(),
@@ -1086,7 +1101,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             }
             self.clones.push(Some(CloneInfo {
                 query: id,
-                site: *site,
+                site,
                 work: clone.work,
                 duration,
             }));
@@ -1125,16 +1140,22 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
             // Split the phase's clone placements in one pass into live
             // ones and work displaced from crashed sites (data-placement
-            // constraints migrate through the recovery re-pack).
+            // constraints migrate through the recovery re-pack). Clones
+            // in one run share their work vector, so each run is timed
+            // once.
             live.clear();
             let mut displaced: Vec<WorkVector> = Vec::new();
             let phase = &rq.schedule.phases[phase_idx].schedule;
             for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
-                for (site, work) in homes.iter().zip(&op.clones) {
-                    if !self.fabric.is_down(site.0) {
-                        live.push((*site, work.clone()));
-                    } else {
-                        displaced.push(work.clone());
+                let mut homes = homes.iter();
+                for (work, n) in op.clones.runs() {
+                    let duration = self.model.t_seq(work);
+                    for &site in homes.by_ref().take(n) {
+                        if !self.fabric.is_down(site.0) {
+                            live.push((site, work.clone(), duration));
+                        } else {
+                            displaced.push(work.clone());
+                        }
                     }
                 }
             }

@@ -191,8 +191,12 @@ pub fn audit_control_transition(
 /// work vector of the system's dimensionality — the structural
 /// precondition [`crate::runtime::Runtime`] asserts before handing
 /// clones to the site simulators.
-pub fn audit_placements_valid(placements: &[(SiteId, WorkVector)], sites: usize, d: usize) -> bool {
-    placements.iter().all(|(site, work)| {
+pub fn audit_placements_valid<'a>(
+    placements: impl IntoIterator<Item = (&'a SiteId, &'a WorkVector)>,
+    sites: usize,
+    d: usize,
+) -> bool {
+    placements.into_iter().all(|(site, work)| {
         site.0 < sites
             && work.dim() == d
             && work.components().iter().all(|c| c.is_finite() && *c >= 0.0)
@@ -212,16 +216,18 @@ mod tests {
 
     #[test]
     fn placement_validity_checks_site_range_and_shape() {
-        let good = vec![(SiteId(0), WorkVector::from_slice(&[1.0, 0.0, 0.0]))];
-        assert!(audit_placements_valid(&good, 2, 3));
-        assert!(!audit_placements_valid(&good, 0, 3), "site out of range");
-        assert!(!audit_placements_valid(&good, 2, 2), "dimension mismatch");
+        let good = [(&SiteId(0), &WorkVector::from_slice(&[1.0, 0.0, 0.0]))];
+        assert!(audit_placements_valid(good, 2, 3));
+        assert!(!audit_placements_valid(good, 0, 3), "site out of range");
+        assert!(!audit_placements_valid(good, 2, 2), "dimension mismatch");
         // Constructors reject negative components, so corrupt one by
         // mutation — the unchecked path this predicate guards against.
         let mut corrupt = WorkVector::zeros(3);
         corrupt[0] = -1.0;
-        let bad = vec![(SiteId(0), corrupt)];
-        assert!(!audit_placements_valid(&bad, 2, 3), "negative work");
+        assert!(
+            !audit_placements_valid([(&SiteId(0), &corrupt)], 2, 3),
+            "negative work"
+        );
     }
 
     #[test]

@@ -215,3 +215,38 @@ fn scan_only_query_schedules() {
     assert_eq!(result.phases.len(), 1);
     assert_eq!(result.phases[0].schedule.ops.len(), 1);
 }
+
+/// Footprint guard for memoized plans: the 64 cold plans of
+/// `planner_golden.rs` (6–14 joins, P = 140) store every EA1 operator's
+/// clone work as at most two vectors, the coordinator and the shared
+/// `1/N` share, however many clones it has.
+#[test]
+fn cold_plans_store_at_most_two_work_vectors_per_operator() {
+    let cost = CostModel::paper_defaults();
+    let comm = cost.params().comm_model();
+    let model = OverlapModel::new(0.5).unwrap();
+    let sys = SystemSpec::homogeneous(140);
+    let mut rng = DetRng::seed_from_u64(1996);
+    let (mut clones, mut stored) = (0usize, 0usize);
+    for k in 0..64 {
+        let joins = 6 + k * 9 / 64;
+        let q = generate_query(&QueryGenConfig::paper(joins), rng.next_u64());
+        let problem = query_problem(&q, &cost);
+        let result = tree_schedule(&problem, 0.7, &sys, &comm, &model).unwrap();
+        for op in result.phases.iter().flat_map(|p| &p.schedule.ops) {
+            let runs = op.clones.runs().len();
+            assert!(
+                runs <= 2 && op.clones.len() == op.degree,
+                "plan {k}: {:?} at degree {} stores {runs} vectors",
+                op.spec.id,
+                op.degree
+            );
+            clones += op.degree;
+            stored += runs;
+        }
+    }
+    assert!(
+        clones > 10 * stored,
+        "{clones} clones in {stored} stored vectors"
+    );
+}
