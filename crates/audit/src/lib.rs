@@ -14,8 +14,8 @@
 //!   [`RunSummary`]'s structured trace to verify fluid-sharing
 //!   feasibility (peak *and* time-averaged), work conservation through
 //!   fault recovery, and memo digest coherence;
-//!   [`shard::audit_shard_segments`] checks the sharded fabric's
-//!   per-shard trace segments (range partitioning, event ownership,
+//!   [`shard::audit_shard_segments`] checks the serving fabric's
+//!   audit-trace segments (range partitioning, event ownership,
 //!   clone conservation across the canonical merge). All checks collect
 //!   machine-readable [`violation::Violation`]s rather than panicking.
 //! * **Static lint** — [`lint`] (and the `mrs-lint` binary) scans the

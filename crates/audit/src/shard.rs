@@ -1,14 +1,15 @@
-//! Trace-merge checker for the sharded serving fabric.
+//! Trace-merge checker for the serving fabric's audit segments.
 //!
-//! Each `mrs-shardexec` shard records its own site-level trace
-//! segment; [`audit_shard_segments`] verifies the evidence those
-//! segments constitute:
+//! The `mrs-shardexec` fabric records one site-level clone event log,
+//! read as one segment per site range
+//! (`mrs_runtime::runtime::Runtime::shard_segments`);
+//! [`audit_shard_segments`] verifies the evidence those segments
+//! constitute:
 //!
 //! 1. **partition** — the segments' site ranges tile `0..P` contiguously
-//!    in shard order (the merge's byte-identity argument rests on
-//!    contiguous range partitioning);
-//! 2. **ownership** — every recorded event names a site inside its
-//!    shard's claimed range (no shard ever touched foreign state);
+//!    in shard order;
+//! 2. **ownership** — every event names a site inside its segment's
+//!    claimed range (the slicer put it in the right segment);
 //! 3. **conservation** — across the canonical merged trace, every clone
 //!    tag is dispatched exactly once, ends in exactly one terminal event
 //!    (completion, crash loss, or eviction), and never terminates before
@@ -16,8 +17,8 @@
 //!    the trace lost, so the check expects a drained run: every caller
 //!    audits the segments after `run_to_completion`.
 //!
-//! The checks are shard-count-invariant by construction: they accept the
-//! single-shard segment of a `--shards 1` run and the N-way split of the
+//! The checks are segment-count-invariant by construction: they accept
+//! the one segment of a `shards = 1` run and the N-way split of the
 //! same run equally, and the determinism tests additionally assert the
 //! two merge to identical canonical traces.
 
@@ -33,7 +34,7 @@ struct Lifecycle {
     terminals: usize,
 }
 
-/// Audits the per-shard trace segments of one run over `sites` sites.
+/// Audits the trace segments of one run over `sites` sites.
 /// Returns every violation found (empty = clean). See the
 /// [module docs](self).
 pub fn audit_shard_segments(segments: &[ShardSegment], sites: usize) -> Vec<Violation> {

@@ -1,6 +1,6 @@
 //! Hot-path micro-benchmarks for the online runtime: admission decisions
-//! (policy-driven queue pops), end-to-end stream and serve runs, the
-//! overload controller on and off, and the shard barrier.
+//! (policy-driven queue pops), end-to-end stream and serve runs, and the
+//! overload controller on and off.
 
 use mrs_bench::harness::{Bench, Group};
 use mrs_core::prelude::*;
@@ -110,19 +110,14 @@ fn bench_serve_stream(b: &mut Bench) {
 
     let mut g = b.group("serve_stream");
     g.sample_size(5);
-    // Shard-count sweep (clean plan only): every shard count produces
-    // the identical run on one thread, so this measures what splitting
-    // the sites into segments costs (the per-shard folds and lookups).
-    for n_shards in [1usize, 2, 4, 8] {
-        let cfg = RuntimeConfig {
-            max_in_flight: MPL,
-            shards: n_shards,
-            recovery: h.recovery(5),
-            ..RuntimeConfig::default()
-        };
-        let id = format!("p{sites}_s{n_shards}");
-        bench_serve(&mut g, &id, &h, cfg, &stream, &arrivals);
-    }
+    // Clean plan. The id keeps the `_s1` of the former segment-count
+    // sweep, so recorded numbers stay comparable.
+    let cfg = RuntimeConfig {
+        max_in_flight: MPL,
+        recovery: h.recovery(5),
+        ..RuntimeConfig::default()
+    };
+    bench_serve(&mut g, "p140_s1", &h, cfg, &stream, &arrivals);
 
     // MQO pair: an overlap-templated stream served with batched
     // admission, once planning every window member independently and
@@ -185,50 +180,11 @@ fn bench_control(b: &mut Bench) {
     g.finish();
 }
 
-fn bench_barrier(b: &mut Bench) {
-    use mrs_shardexec::pool::{Command, ShardPool};
-    use mrs_shardexec::prelude::ShardState;
-    use mrs_sim::engine::{SimConfig, SiteSim};
-
-    // The pool's barrier in isolation (no runtime path uses the pool
-    // any more; this group prices the barrier the fabric dropped): one
-    // NextTime broadcast + completion wait per round, measured as
-    // 100-round batches so a single round is resolvable above timer
-    // noise. Workers have 4 idle sites each, so the round is almost
-    // pure barrier cost: a condvar wake of every worker, one lock
-    // hand-off per worker, and the last one's wake of the coordinator.
-    let mut g = b.group("barrier");
-    g.sample_size(5);
-    for n_shards in [1usize, 4, 8] {
-        g.bench_batched(
-            &format!("roundtrip100_s{n_shards}"),
-            || {
-                let states = (0..n_shards)
-                    .map(|s| {
-                        let sims = (0..4)
-                            .map(|_| SiteSim::new(SimConfig::default(), 1))
-                            .collect();
-                        ShardState::new(s, s * 4, sims, 1)
-                    })
-                    .collect();
-                ShardPool::new(states)
-            },
-            |pool| {
-                for _ in 0..100 {
-                    pool.run(Command::NextTime);
-                }
-            },
-        );
-    }
-    g.finish();
-}
-
 fn main() {
     let mut b = Bench::from_args();
     bench_admission(&mut b);
     bench_stream(&mut b);
     bench_serve_stream(&mut b);
-    bench_barrier(&mut b);
     bench_control(&mut b);
     b.finish();
 }

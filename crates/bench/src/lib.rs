@@ -7,8 +7,8 @@
 //!   selection, malleable GF sweep, plan expansion, simulator, and the
 //!   exact branch-and-bound solver.
 //! * `runtime` — the online runtime's hot path: admission decisions,
-//!   stream serving, the overload controller and the shard barrier (the
-//!   perf baseline for scaling work).
+//!   stream serving and the overload controller (the perf baseline for
+//!   scaling work).
 //!
 //! Run with `cargo bench -p mrs-bench` (optionally passing a substring
 //! filter: `cargo bench -p mrs-bench --bench kernels -- pack`).

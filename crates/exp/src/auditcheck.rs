@@ -35,10 +35,10 @@
 //!   submitted twice), clean and under seeded crashes: every hit must
 //!   replay its insert-time digest and equal a cold plan, including
 //!   hits served after a crash.
-//! * `runtime-shards` — the X14 sharded-fabric runs (clean and faulty,
-//!   even and uneven shard splits): per-shard trace segments must tile
-//!   the site range, own every recorded event, and conserve every clone
-//!   through the canonical merge.
+//! * `runtime-shards` — the served stream's clone event log, clean and
+//!   faulty, read as one segment and as an uneven three-way split: the
+//!   slices must tile the site range, name only their own sites, and
+//!   conserve every clone through the canonical merge.
 //! * `runtime-controller` — the X15 overload runs (ramp and burst
 //!   arrival processes, shards 1 and 4) with the feedback controller
 //!   on: every recorded control decision must replay (one hysteresis
@@ -51,7 +51,7 @@
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
-//!   machine-checked `shardexec::sync` shim and the allowlisted
+//!   `shardexec::sync` re-exports and the allowlisted
 //!   `par_map`). A cell is a scanned source file; a violation is an
 //!   unwaived finding.
 
@@ -420,8 +420,8 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         });
     }
 
-    // runtime-shards: the sharded fabric's trace segments. Shard count 3
-    // forces an uneven site split, so the range-partition check sees
+    // runtime-shards: the clone event log's segments. Three segments
+    // split the sites unevenly, so the range-partition check sees
     // remainder-bearing ranges too.
     {
         let mut violations = Vec::new();
@@ -446,7 +446,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         }
         families.push(FamilyResult {
             family: "runtime-shards",
-            covers: "shards",
+            covers: "throughput (log segments)",
             cells,
             violations,
         });

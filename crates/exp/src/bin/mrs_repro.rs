@@ -5,12 +5,12 @@
 //! mrs-repro schedule [--seed N] [--joins J] [--sites P] [--eps E] [--f F]
 //! mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M]
 //!                 [--load X] [--policy fcfs|svf|rr-fair]
-//!                 [--mtbf T] [--deadline D] [--templates K] [--shards S]
+//!                 [--mtbf T] [--deadline D] [--templates K]
 //!                 [--adaptive] [--batch W] [--no-share]
 //! ```
 //!
 //! Counts and seeds (`--seed`, `--queries`, `--sites`, `--mpl`,
-//! `--templates`, `--shards`, `--batch`, `--joins`) must be non-negative
+//! `--templates`, `--batch`, `--joins`) must be non-negative
 //! integers; `--load`, `--mtbf`, `--deadline`, `--eps` and `--f` take
 //! decimals, and `--mtbf`/`--deadline` must be finite and non-negative
 //! (`0`, the default, turns them off). A `--mtbf` so small that the
@@ -18,8 +18,9 @@
 //! is rejected before the schedule is drawn.
 //!
 //! Experiments: table2, fig5a, fig5b, fig6a, fig6b, ablation-dims,
-//! ablation-order, malleable, planopt, pipecheck, memcheck, optgap,
-//! simcheck, skew, throughput, faults, saturation, shards.
+//! ablation-order, malleable, planopt, pipecheck, memcheck, dimcheck,
+//! shelfcheck, optgap, simcheck, skew, throughput, faults, saturation,
+//! mqo, audit.
 //!
 //! `serve --mtbf T` injects a seeded site crash/recover schedule with
 //! mean time between failures `T` virtual seconds per site (MTTR is
@@ -27,21 +28,16 @@
 //! of arrival. `--templates K` draws the stream from `K` recurring query
 //! templates instead of all-distinct plans, exercising the plan-signature
 //! schedule cache (the printed cache line shows the amortization).
-//! `--shards S` splits the sites into `S` audit segments, all run inline
-//! on the event loop's thread; the output is byte-identical for every
-//! `S` (that is the fabric's contract — see the `shards` experiment),
-//! so the report deliberately never echoes the shard count. `--adaptive` turns on the
-//! feedback overload controller ([`ControllerConfig::adaptive`]): a
-//! backpressure gate defers admissions while the fabric is saturated and
-//! a parallelism governor caps clone degrees under backlog; off (the
-//! default) the controller is never consulted and the output is
-//! byte-identical to a build without it. `--batch W` switches admission
-//! to batched (MQO)
-//! mode: arrivals are released in windows of `W`, each window is planned
-//! up front with cross-query subtree sharing (common rooted subtrees are
-//! packed once and spliced into every later member — "build once, probe
-//! many"), and the report grows an `mqo:` line with the sharing
-//! counters. `--no-share` keeps the batched release discipline but plans
+//! `--adaptive` turns on the feedback overload controller
+//! ([`ControllerConfig::adaptive`]): a backpressure gate defers
+//! admissions while the fabric is saturated and a parallelism governor
+//! caps clone degrees under backlog; off (the default) the controller is
+//! never consulted and the output is byte-identical to a build without
+//! it. `--batch W` switches admission to batched (MQO) mode: arrivals
+//! are released in windows of `W`, each window is planned up front with
+//! cross-query subtree sharing (common rooted subtrees are packed once
+//! and spliced into every later member — "build once, probe many"), and
+//! the report grows an `mqo:` line with the sharing counters. `--no-share` keeps the batched release discipline but plans
 //! every member independently, isolating the window effect from the
 //! sharing effect; without `--batch` the flag is a no-op and the output
 //! stays byte-identical to the pre-MQO serve path.
@@ -63,11 +59,11 @@ fn usage() -> &'static str {
     "usage: mrs-repro [--seed N] [--fast] [--jobs N] [--csv DIR] <experiment>... | all | list\n\
        or: mrs-repro schedule [--seed N] [--joins J] [--sites P] [--eps E] [--f F]\n\
        or: mrs-repro serve [--seed N] [--queries N] [--sites P] [--mpl M] [--load X] \
-     [--policy fcfs|svf|rr-fair] [--mtbf T] [--deadline D] [--templates K] [--shards S] \
+     [--policy fcfs|svf|rr-fair] [--mtbf T] [--deadline D] [--templates K] \
      [--adaptive] [--batch W] [--no-share]\n\
      experiments: table2 fig5a fig5b fig6a fig6b ablation-dims ablation-order \
      malleable planopt pipecheck memcheck dimcheck shelfcheck optgap simcheck skew throughput \
-     faults saturation shards mqo audit"
+     faults saturation mqo audit"
 }
 
 /// Parses the argument after a flag into `target`. `false` when it is
@@ -100,7 +96,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
     let mut mtbf = 0.0f64;
     let mut deadline = 0.0f64;
     let mut templates = 0usize;
-    let mut shards = 1usize;
     let mut adaptive = false;
     let mut batch = 0usize;
     let mut share = true;
@@ -140,7 +135,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
             "--mtbf" => grab(&mut it, &mut mtbf),
             "--deadline" => grab(&mut it, &mut deadline),
             "--templates" => grab(&mut it, &mut templates),
-            "--shards" => grab(&mut it, &mut shards),
             "--batch" => grab(&mut it, &mut batch),
             other => {
                 eprintln!("unknown serve option {other:?}\n{}", usage());
@@ -154,10 +148,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
     }
     if queries == 0 || sites == 0 || mpl == 0 || !(load.is_finite() && load > 0.0) {
         eprintln!("--queries, --sites, --mpl, and --load must be positive");
-        return ExitCode::FAILURE;
-    }
-    if shards == 0 {
-        eprintln!("--shards must be positive (1 = one segment over all sites)");
         return ExitCode::FAILURE;
     }
     if !(mtbf.is_finite() && mtbf >= 0.0 && deadline.is_finite() && deadline >= 0.0) {
@@ -213,7 +203,6 @@ fn run_serve_demo(args: &[String]) -> ExitCode {
         max_in_flight: mpl,
         faults: h.faults(plan_horizon, mtbf, mtbf / 4.0, seed),
         deadline: (deadline > 0.0).then_some(deadline),
-        shards,
         batch_window: batch,
         plan_sharing: batch > 0 && share,
         controller: if adaptive {

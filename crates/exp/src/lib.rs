@@ -33,7 +33,6 @@ pub mod report;
 pub mod runner;
 pub mod saturation;
 pub mod serving;
-pub mod shards;
 pub mod shelfcheck;
 pub mod stats;
 pub mod tablefmt;
@@ -67,7 +66,6 @@ pub fn all_experiments() -> Vec<(&'static str, Experiment)> {
         ("throughput", throughput::throughput),
         ("faults", faultcheck::faults),
         ("saturation", saturation::saturation),
-        ("shards", shards::shards),
         ("mqo", mqo::mqo),
         ("audit", auditcheck::audit),
     ]
@@ -98,7 +96,6 @@ pub mod prelude {
     pub use crate::report::Report;
     pub use crate::runner::{mean_response, problem_response, query_problem, query_response, Algo};
     pub use crate::saturation::saturation;
-    pub use crate::shards::shards;
     pub use crate::shelfcheck::shelfcheck;
     pub use crate::stats::{percentile, Summary};
     pub use crate::tablefmt::{ratio, secs, Table};
@@ -117,7 +114,7 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(ids.len(), dedup.len());
-        assert_eq!(ids.len(), 22);
+        assert_eq!(ids.len(), 21);
     }
 
     #[test]

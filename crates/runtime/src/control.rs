@@ -35,9 +35,8 @@
 //!
 //! Determinism: the controller is a pure function of
 //! `(state, PressureSample)`. Every signal in the sample is taken from
-//! the event loop's serial state (the fabric serializes cross-shard
-//! effects), so decisions are bit-exact and `--jobs`/`--shards`
-//! invariant. With [`ControllerConfig::enabled`] false (the default) the
+//! the event loop's serial state, so decisions are bit-exact and
+//! `--jobs` invariant. With [`ControllerConfig::enabled`] false (the default) the
 //! controller is never consulted and the runtime is byte-identical to
 //! its pre-controller behavior.
 

@@ -316,7 +316,7 @@ impl RunSummary {
     /// FNV-1a digest over *every* field of the summary (floats by their
     /// exact bit patterns). Two summaries digest equal iff the runs were
     /// byte-identical — this is what the shard-invariance harness
-    /// compares across `--shards` values.
+    /// compares across `RuntimeConfig::shards` values.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv::new();
         h.str(self.policy);

@@ -42,10 +42,10 @@
 //! (for `d ≤ 4`) allocates.
 //!
 //! The site layer itself lives behind an `mrs-shardexec` [`Fabric`],
-//! run inline on this event loop's thread. [`RuntimeConfig::shards`]
-//! only splits the sites into that many audit-trace segments; the
-//! [`RunSummary`] is byte-identical for any shard count (see the
-//! `mrs-shardexec` crate docs for the argument).
+//! one calendar and one clone event log over all sites, run inline on
+//! this event loop's thread. [`RuntimeConfig::shards`] plays no part in
+//! the run: it only decides how many site ranges
+//! [`Runtime::shard_segments`] slices the log into when it is read.
 //!
 //! **Plan-ahead.** Every arrival is submitted before the run starts,
 //! and an uncapped plan depends only on its problem, so the spare core
@@ -59,8 +59,7 @@
 //! audit trace and every counter stay on the loop in the same order,
 //! so the worker changes which thread computed a plan and nothing
 //! else. It is not started with plan sharing on (the shared planner's
-//! output depends on its fragment memo's order) or on a one-core host;
-//! the shard count plays no part.
+//! output depends on its fragment memo's order) or on a one-core host.
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{number_signatures, schedule_digest, PlanSignature, ScheduleCache};
@@ -85,6 +84,7 @@ use mrs_core::vector::WorkVector;
 use mrs_shardexec::ahead::{Ahead, WINDOW};
 use mrs_shardexec::fabric::Fabric;
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
+use mrs_shardexec::plan::ShardPlan;
 use mrs_shardexec::segment::{EventCounts, ShardSegment};
 use mrs_shardexec::sync::available_parallelism;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
@@ -168,11 +168,9 @@ pub struct RuntimeConfig {
     /// not bit-identical — the cache's correctness harness. Default
     /// `false` (it defeats the cache's purpose).
     pub verify_cache: bool,
-    /// How many contiguous segments the site layer is split into, each
-    /// with its own audit-trace segment ([`Runtime::shard_segments`]).
-    /// Every segment runs inline on the event loop's thread; `1` is the
-    /// default. Bit-exact: the [`RunSummary`] is byte-identical for any
-    /// value (clamped to the site count).
+    /// Retired: the run never reads it. It only sets how many contiguous
+    /// site ranges [`Runtime::shard_segments`] slices the clone event log
+    /// into (clamped to `1..=sites`; `1` is the default).
     pub shards: usize,
     /// Record each site's full per-step utilization time series on the
     /// summary ([`RunSummary::site_util_series`]). Bit-exact but
@@ -276,9 +274,11 @@ pub struct Runtime<M: ResponseModel> {
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
     pending: QueryTable<Arc<TreeProblem>>,
-    /// The site layer: simulators, calendars, and audit segments (see
+    /// The site layer: simulators, calendar, and clone event log (see
     /// the [module docs](self)).
     fabric: Fabric,
+    /// The site ranges [`Runtime::shard_segments`] slices the log into.
+    segments: ShardPlan,
     running: QueryTable<RunningQuery>,
     /// The executing clones by tag; also mints the tags.
     clones: CloneWindow<CloneInfo>,
@@ -401,7 +401,8 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         for ev in cfg.faults.events() {
             assert!(ev.site < sys.sites, "fault site {} out of range", ev.site);
         }
-        let mut fabric = Fabric::new(sims, d, cfg.shards);
+        let segments = ShardPlan::new(sys.sites, cfg.shards);
+        let mut fabric = Fabric::new(sims, d);
         if cfg.util_series {
             fabric.enable_util_series();
         }
@@ -418,6 +419,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             arrivals: Vec::new(),
             pending: QueryTable::new(),
             fabric,
+            segments,
             running: QueryTable::new(),
             clones: CloneWindow::new(),
             live_buf: Vec::new(),
@@ -473,19 +475,19 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         self.fabric.total_resident()
     }
 
-    /// Number of segments the sites are split into (after clamping to
-    /// the site count).
+    /// Number of segments [`Runtime::shard_segments`] returns:
+    /// [`RuntimeConfig::shards`] clamped to the site count.
     pub fn shards(&self) -> usize {
-        self.fabric.shards()
+        self.segments.shards()
     }
 
-    /// The per-shard audit-trace segments recorded so far, in shard
-    /// order. `mrs-audit`'s trace-merge checker re-sorts them into the
-    /// canonical global trace and verifies partitioning + clone
-    /// conservation; the canonical trace is byte-identical for any shard
-    /// count.
+    /// The clone event log recorded so far, decoded once and sliced
+    /// into one segment per [`RuntimeConfig::shards`] site range, each
+    /// in log order. `mrs-audit`'s trace-merge checker re-sorts them
+    /// into the canonical global trace and verifies partitioning and
+    /// clone conservation.
     pub fn shard_segments(&self) -> Vec<ShardSegment> {
-        self.fabric.segments()
+        self.segments.split(self.fabric.events())
     }
 
     /// The events [`Runtime::shard_segments`] would return, counted by
@@ -781,9 +783,8 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         let mut buf = std::mem::take(&mut self.touch_buf);
         self.fabric.catch_up(site, self.clock, &mut buf);
         if !buf.is_empty() {
-            // Kept even with per-shard pre-sorting: a same-instant
-            // cascade inside one catch-up emits in the engine's
-            // active-array order, not tag order.
+            // A same-instant cascade inside one catch-up emits in the
+            // engine's active-array order, not tag order.
             sort_completions(&mut buf);
             for done in buf.drain(..) {
                 self.retire(done);
@@ -2424,6 +2425,53 @@ mod tests {
             "outcomes must partition the query set"
         );
         assert_eq!(rt.total_resident(), 0);
+    }
+
+    #[test]
+    fn segments_are_the_one_log_sliced_by_site_range() {
+        use mrs_shardexec::segment::ShardEventKind;
+        let run = |shards| {
+            let mut rt = Runtime::new(
+                SystemSpec::homogeneous(13),
+                CommModel::paper_defaults(),
+                OverlapModel::new(0.5).unwrap(),
+                RuntimeConfig {
+                    faults: FaultPlan::seeded(13, 200.0, 8.0, 2.0, 42),
+                    shards,
+                    ..RuntimeConfig::default()
+                },
+            );
+            for q in 0..8 {
+                rt.submit_at(q as f64 * 2.0, q % 3, one_op_problem(60.0 + q as f64));
+            }
+            rt.run_to_completion().unwrap();
+            rt
+        };
+        let whole = run(1).shard_segments();
+        assert_eq!(whole.len(), 1);
+        let log = &whole[0].events;
+        assert!(
+            log.iter().any(|e| e.kind == ShardEventKind::Lost),
+            "the crashes must hit resident clones"
+        );
+        let plan = ShardPlan::new(13, 3);
+        let expected: Vec<ShardSegment> = (0..plan.shards())
+            .map(|shard| {
+                let range = plan.range(shard);
+                ShardSegment {
+                    shard,
+                    sites: (range.start, range.end),
+                    events: log
+                        .iter()
+                        .filter(|e| range.contains(&e.site))
+                        .copied()
+                        .collect(),
+                }
+            })
+            .collect();
+        let three = run(3);
+        assert_eq!(three.shards(), 3);
+        assert_eq!(three.shard_segments(), expected);
     }
 
     /// A three-task probe chain whose deepest task's work is drawn from

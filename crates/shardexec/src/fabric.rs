@@ -1,29 +1,17 @@
 //! The execution fabric: the runtime's single entry point to the site
 //! layer.
 //!
-//! [`Fabric::new`] splits the sites into `N` contiguous shards
-//! ([`ShardPlan`]), each an inline [`ShardState`] with its own lazy
-//! calendar and audit-trace segment. Every call runs on the caller's
-//! thread: a per-site call indexes the owning shard through a lookup
-//! table built once, and an aggregate folds the shards in shard order.
-//! The shard count only decides how the audit trace is segmented, so
-//! any `N` reproduces the one-shard run bit for bit:
-//!
-//! * The fabric caches each shard's earliest pending completion
-//!   ([`ShardState`]'s fused next-event time), dirtied only when a
-//!   site in that shard is mutated. [`Fabric::next_time`] recomputes
-//!   just the dirty shards and folds the minima in shard order, which
-//!   equals the global minimum exactly (same multiset of `f64`).
-//! * [`Fabric::advance_due`] advances only the shards whose cached
-//!   next-event time is due. Each returns its completions pre-sorted in
-//!   the runtime's `(time, tag)` retirement order; when two or more are
-//!   due at one instant their buffers are appended in shard order and
-//!   the appended range is sorted again. The key is total (tags are
-//!   unique per dispatch), so the result is the one-shard sequence.
+//! A [`Fabric`] is one [`ShardState`] over all sites, run on the
+//! caller's thread: one lazy calendar, one run-encoded clone event log,
+//! and a cached alive-site count. Audit segments are not part of it.
+//! They are slices of the one log by site range, cut when read
+//! ([`ShardPlan::split`](crate::plan::ShardPlan::split) over
+//! [`Fabric::events`]). A slice holds its range's events in the order
+//! the sites recorded them, because every record is per site: the
+//! calendar advances the due sites in global index order, and dispatch,
+//! catch-up, crash and eviction each touch one site.
 
-use crate::merge::sort_completions;
-use crate::plan::ShardPlan;
-use crate::segment::{EventCounts, ShardSegment};
+use crate::segment::{EventCounts, ShardEvent};
 use crate::state::ShardState;
 use mrs_core::resource::SiteId;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
@@ -31,132 +19,45 @@ use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
 /// The site layer behind the runtime. See the [module docs](self).
 #[derive(Debug)]
 pub struct Fabric {
-    /// The shards, in site order.
-    states: Vec<ShardState>,
-    /// The shard owning each site (built once from the [`ShardPlan`]).
-    owner: Vec<usize>,
-    /// Shards whose cached next-event time ([`ShardState::next`]) is
-    /// stale: every path that mutates a site marks its shard.
-    dirty: Vec<bool>,
+    /// Every site, from global index 0.
+    state: ShardState,
     /// Cached alive-site count (crashes decrement, restores increment).
     alive: usize,
 }
 
 impl Fabric {
-    /// Builds the fabric over `sims` (global site-index order) with the
-    /// requested shard count (clamped by [`ShardPlan::new`]).
-    pub fn new(sims: Vec<SiteSim>, dim: usize, shards: usize) -> Self {
-        let sites = sims.len();
-        let plan = ShardPlan::new(sites, shards);
-        let n = plan.shards();
-        let mut owner = Vec::with_capacity(sites);
-        let mut states = Vec::with_capacity(n);
-        let mut sims = sims.into_iter();
-        for s in 0..n {
-            let range = plan.range(s);
-            owner.resize(range.end, s);
-            let slice = sims.by_ref().take(range.len()).collect();
-            states.push(ShardState::new(s, range.start, slice, dim));
-        }
+    /// Builds the fabric over `sims` (global site-index order).
+    pub fn new(sims: Vec<SiteSim>, dim: usize) -> Self {
+        let alive = sims.len();
         Fabric {
-            states,
-            owner,
-            dirty: vec![true; n],
-            alive: sites,
+            state: ShardState::new(0, 0, sims, dim),
+            alive,
         }
     }
 
-    /// Number of shards the sites are split into.
-    pub fn shards(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The shard owning `site`.
-    fn shard(&self, site: usize) -> &ShardState {
-        &self.states[self.owner[site]]
-    }
-
-    /// The shard owning `site`, marked as having a stale next-event
-    /// time (for calls that always mutate the site).
-    fn dirty_shard(&mut self, site: usize) -> &mut ShardState {
-        let s = self.owner[site];
-        self.dirty[s] = true;
-        &mut self.states[s]
-    }
-
-    /// Concatenates each shard's per-site values in shard order, which
-    /// is global site order.
-    fn per_site<T>(&self, push: impl Fn(&ShardState, &mut Vec<T>)) -> Vec<T> {
-        let mut out = Vec::new();
-        for st in &self.states {
-            push(st, &mut out);
-        }
-        out
-    }
-
-    /// Brings every dirty shard's cached next-event time up to date.
-    fn refresh_next(&mut self) {
-        for (st, dirty) in self.states.iter_mut().zip(&mut self.dirty) {
-            if *dirty {
-                st.compute_next();
-                *dirty = false;
-            }
-        }
-    }
-
-    /// Epoch phase 1: the earliest pending completion across all sites —
-    /// the per-shard minima folded in shard order, which equals the
-    /// global minimum exactly (same multiset of `f64`, `min` is exact).
+    /// Epoch phase 1: the earliest pending completion across all sites.
     pub fn next_time(&mut self) -> Option<f64> {
-        self.refresh_next();
-        let mut min = None;
-        for st in &self.states {
-            min = match (min, st.next) {
-                (Some(a), Some(b)) => Some(f64::min(a, b)),
-                (a, b) => a.or(b),
-            };
-        }
-        min
+        self.state.compute_next();
+        self.state.next
     }
 
     /// Epoch phase 2: advances every due site to `t`, appending the
-    /// surfaced completions to `out` in `(time, tag)` order. Shards with
-    /// no completion due at `t` are not touched; each due shard
-    /// refreshes its own next-event time as it advances.
+    /// surfaced completions to `out` in `(time, tag)` order.
     pub fn advance_due(&mut self, t: f64, out: &mut Vec<Completion>) {
-        self.refresh_next();
-        let start = out.len();
-        let mut due = 0;
-        for st in &mut self.states {
-            if st.next.is_some_and(|next| next <= t) {
-                st.advance_due(t);
-                out.extend_from_slice(&st.buf);
-                due += 1;
-            }
-        }
-        // Each buffer is already sorted; only a run spanning shards can
-        // interleave.
-        if due > 1 {
-            sort_completions(&mut out[start..]);
-        }
+        self.state.advance_due(t);
+        out.extend_from_slice(&self.state.buf);
     }
 
     /// Catches `site` up to `clock` (see [`ShardState::catch_up`]).
     pub fn catch_up(&mut self, site: usize, clock: f64, out: &mut Vec<Completion>) {
-        let s = self.owner[site];
-        if self.states[s].catch_up(site, clock, out) {
-            self.dirty[s] = true;
-        }
+        self.state.catch_up(site, clock, out);
     }
 
     /// Dispatch: inserts a clone on `site` (see [`ShardState::add_clone`]).
     /// A zero-duration clone completes inline, leaves the site untouched
     /// and is returned.
     pub fn place_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
-        let s = self.owner[site];
-        let done = self.states[s].add_clone(site, clone);
-        self.dirty[s] |= done.is_none();
-        done
+        self.state.add_clone(site, clone)
     }
 
     /// Crashes `site` (see [`ShardState::fail_site`]). The caller must
@@ -164,37 +65,28 @@ impl Fabric {
     /// [`Fabric::is_down`] first).
     pub fn fail_site(&mut self, site: usize) -> Vec<LostClone> {
         self.alive -= 1;
-        self.dirty_shard(site).fail_site(site)
+        self.state.fail_site(site)
     }
 
     /// Restores a crashed `site`.
     pub fn restore_site(&mut self, site: usize) {
         self.alive += 1;
-        self.dirty_shard(site).restore_site(site);
+        self.state.restore_site(site);
     }
 
     /// Evicts the clone tagged `tag` from `site`.
     pub fn remove_clone(&mut self, site: usize, tag: usize) -> Option<LostClone> {
-        self.dirty_shard(site).remove_clone(site, tag)
+        self.state.remove_clone(site, tag)
     }
 
     /// Whether `site` is currently crashed.
     pub fn is_down(&self, site: usize) -> bool {
-        self.shard(site).is_down(site)
+        self.state.is_down(site)
     }
 
-    /// Mean [`SiteSim::load`] over the alive sites (`+∞` with none): the
-    /// shards' folds chained in shard order, so the float sum is
-    /// bit-identical for any shard count.
+    /// Mean [`SiteSim::load`] over the alive sites (`+∞` with none).
     pub fn avg_load(&self) -> f64 {
-        let (mut acc, mut alive) = (0.0f64, 0usize);
-        for st in &self.states {
-            st.fold_load(&mut acc, &mut alive);
-        }
-        if alive == 0 {
-            return f64::INFINITY;
-        }
-        acc / alive as f64
+        self.state.avg_load()
     }
 
     /// Number of sites currently in service (cached: crashes and
@@ -211,65 +103,63 @@ impl Fabric {
 
     /// The alive sites in global index order.
     pub fn alive_list(&self) -> Vec<SiteId> {
-        self.per_site(ShardState::push_alive)
+        self.state.alive_list()
     }
 
     /// Total clones resident across all sites.
     pub fn total_resident(&self) -> usize {
-        self.states.iter().map(ShardState::total_resident).sum()
+        self.state.total_resident()
     }
 
     /// Every site's busy-time vector, in global site order.
     pub fn busy(&self) -> Vec<Vec<f64>> {
-        self.per_site(ShardState::push_busy)
+        self.state.busy()
     }
 
     /// Every site's peak-utilization vector, in global site order.
     pub fn peak_util(&self) -> Vec<Vec<f64>> {
-        self.per_site(ShardState::push_peak_util)
+        self.state.peak_util()
     }
 
     /// Every site's exact utilization integral, in global site order.
     pub fn util_integral(&self) -> Vec<Vec<f64>> {
-        self.per_site(ShardState::push_util_integral)
+        self.state.util_integral()
     }
 
     /// Every site's recorded utilization series, in global site order
     /// (empty unless [`Fabric::enable_util_series`] was called).
     pub fn util_series(&self) -> Vec<Vec<UtilSample>> {
-        self.per_site(ShardState::push_util_series)
+        self.state.util_series()
     }
 
     /// Enables per-step utilization recording on every site.
     pub fn enable_util_series(&mut self) {
-        for st in &mut self.states {
-            st.enable_util_series();
-        }
+        self.state.enable_util_series();
     }
 
-    /// Every shard's recorded events counted by kind, summed: the
-    /// per-kind counts of [`Fabric::segments`] without decoding them.
+    /// The recorded events counted by kind, without decoding the log.
     pub fn event_counts(&self) -> EventCounts {
-        self.states.iter().map(ShardState::event_counts).sum()
+        self.state.event_counts()
     }
 
-    /// The per-shard audit-trace segments, in shard order.
-    pub fn segments(&self) -> Vec<ShardSegment> {
-        self.states.iter().map(ShardState::segment).collect()
+    /// Every recorded clone event, decoded in push order.
+    pub fn events(&self) -> Vec<ShardEvent> {
+        self.state.events()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::merge_segments;
+    use crate::segment::ShardEventKind;
     use mrs_core::vector::WorkVector;
     use mrs_sim::engine::SimConfig;
 
-    fn sims(n: usize) -> Vec<SiteSim> {
-        (0..n)
+    fn fabric(n: usize) -> Fabric {
+        let sims = (0..n)
             .map(|_| SiteSim::new(SimConfig::default(), 2))
-            .collect()
+            .collect();
+        Fabric::new(sims, 2)
     }
 
     fn clone(tag: usize, w: &[f64], duration: f64) -> SimClone {
@@ -280,83 +170,9 @@ mod tests {
         }
     }
 
-    /// Drives the same workload through a 1-shard and an N-shard fabric
-    /// and asserts every observable is bit-identical.
-    fn assert_fabrics_agree(shards: usize) {
-        const CRASHED: usize = 5;
-        let mut single = Fabric::new(sims(7), 2, 1);
-        let mut multi = Fabric::new(sims(7), 2, shards);
-        assert_eq!(multi.shards(), shards.clamp(1, 7));
-        // Non-dyadic rates, so the summation order shows in the bits.
-        let work = [
-            (0usize, 0usize, [3.0, 1.0], 7.0),
-            (3, 1, [2.0, 2.0], 3.0),
-            (3, 2, [1.0, 0.5], 1.1),
-            (6, 3, [5.0, 0.0], 9.0),
-            (1, 4, [0.7, 0.7], 1.3),
-            (CRASHED, 5, [0.2, 0.9], 2.7),
-        ];
-        for f in [&mut single, &mut multi] {
-            for (site, tag, w, dur) in work {
-                assert!(f.place_clone(site, &clone(tag, &w, dur)).is_none());
-            }
-        }
-        let mut crashed = false;
-        loop {
-            // The sliced folds agree after every epoch (after the drain
-            // alone they would compare two exact zeros).
-            assert_eq!(single.avg_load().to_bits(), multi.avg_load().to_bits());
-            assert_eq!(single.alive_list(), multi.alive_list());
-            assert_eq!(single.total_resident(), multi.total_resident());
-            let (ta, tb) = (single.next_time(), multi.next_time());
-            assert_eq!(ta.map(f64::to_bits), tb.map(f64::to_bits));
-            let Some(t) = ta else { break };
-            let (mut ca, mut cb) = (Vec::new(), Vec::new());
-            single.advance_due(t, &mut ca);
-            multi.advance_due(t, &mut cb);
-            assert_eq!(ca, cb, "same completions in the same order");
-            if !crashed {
-                // Crash a loaded site part-way through, so the alive-only
-                // mean runs across the shard split with a hole in it.
-                crashed = true;
-                for f in [&mut single, &mut multi] {
-                    let mut out = Vec::new();
-                    f.catch_up(CRASHED, t, &mut out);
-                    assert!(out.is_empty());
-                    assert_eq!(f.fail_site(CRASHED).len(), 1);
-                }
-                assert_eq!(single.alive_list().len(), 6);
-                assert!(single.avg_load() > 0.0);
-            }
-        }
-        assert_eq!(single.busy(), multi.busy());
-        assert_eq!(single.peak_util(), multi.peak_util());
-        assert_eq!(single.util_integral(), multi.util_integral());
-        assert_eq!(
-            merge_segments(&single.segments()),
-            merge_segments(&multi.segments()),
-            "canonical traces must match"
-        );
-    }
-
     #[test]
-    fn two_shards_match_single() {
-        assert_fabrics_agree(2);
-    }
-
-    #[test]
-    fn four_shards_match_single() {
-        assert_fabrics_agree(4);
-    }
-
-    #[test]
-    fn oversharded_clamps_and_matches() {
-        assert_fabrics_agree(16);
-    }
-
-    #[test]
-    fn faults_and_aggregates_route_to_owning_shards() {
-        let mut f = Fabric::new(sims(6), 2, 3);
+    fn crashes_and_restores_move_the_alive_mean() {
+        let mut f = fabric(6);
         f.place_clone(1, &clone(0, &[0.5, 1.0], 2.0)); // load 0.5
         f.place_clone(4, &clone(1, &[1.5, 0.0], 2.0)); // load 0.75
         assert_eq!(f.avg_load(), 1.25 / 6.0);
@@ -384,7 +200,7 @@ mod tests {
 
     #[test]
     fn an_advance_before_the_next_completion_surfaces_nothing() {
-        let mut f = Fabric::new(sims(4), 2, 2);
+        let mut f = fabric(4);
         f.place_clone(0, &clone(0, &[4.0, 0.0], 4.0));
         assert_eq!(f.next_time(), Some(4.0));
         let mut out = Vec::new();
@@ -396,11 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_cross_shard_completions_surface_in_tag_order() {
-        // Bit-identical clones on sites in three shards complete at the
-        // same instant, their tags descending in shard order: the
-        // appended buffers read [2, 1, 0] until the re-sort.
-        let mut f = Fabric::new(sims(6), 2, 3);
+    fn same_instant_completions_on_different_sites_surface_in_tag_order() {
+        use ShardEventKind::*;
+        // Bit-identical clones on three sites complete at one instant,
+        // their tags descending in site order: the calendar advances
+        // the sites in index order, so the log reads [2, 1, 0] while
+        // the surfaced completions are sorted by tag.
+        let mut f = fabric(6);
         f.place_clone(0, &clone(2, &[2.0, 0.0], 2.0));
         f.place_clone(2, &clone(1, &[2.0, 0.0], 2.0));
         f.place_clone(4, &clone(0, &[2.0, 0.0], 2.0));
@@ -409,11 +227,20 @@ mod tests {
         f.advance_due(t, &mut out);
         let tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
         assert_eq!(tags, vec![0, 1, 2], "(time, tag) order");
-        assert!(f.states.iter().all(|st| st.next.is_none()));
-        assert!(
-            !f.dirty.contains(&true),
-            "each due shard refreshed its own next"
-        );
         assert_eq!(f.next_time(), None);
+        let logged: Vec<(usize, usize, ShardEventKind)> =
+            f.events().iter().map(|e| (e.site, e.tag, e.kind)).collect();
+        assert_eq!(
+            logged,
+            vec![
+                (0, 2, Dispatched),
+                (2, 1, Dispatched),
+                (4, 0, Dispatched),
+                (0, 2, Completed),
+                (2, 1, Completed),
+                (4, 0, Completed),
+            ]
+        );
+        assert_eq!(f.event_counts().total(), 6);
     }
 }

@@ -1,11 +1,9 @@
 //! Deterministic ordering helpers for completion buffers: the canonical
 //! `(time, tag)` order the runtime retires completions in.
 //!
-//! Each shard sorts its own buffer as it advances (see
-//! [`crate::state::ShardState::advance_due`]), and the fabric re-sorts
-//! only an instant whose completions span shards. Tags are unique per
-//! dispatch, so `(time, tag)` is a total order and the sorted sequence
-//! is the same whatever the shard count.
+//! [`crate::state::ShardState::advance_due`] sorts its buffer as it
+//! advances, and the runtime sorts each catch-up's completions. Tags
+//! are unique per dispatch, so `(time, tag)` is a total order.
 
 use mrs_sim::engine::Completion;
 

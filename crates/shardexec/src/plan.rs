@@ -1,9 +1,11 @@
-//! Deterministic partitioning of site indices into shards.
+//! Deterministic partitioning of site indices into audit segments.
 //!
 //! Range partitioning (contiguous balanced slices) rather than hashing:
-//! concatenating per-shard results in shard order then reproduces the
-//! global site-index order, which is what makes the fabric's folds
-//! byte-identical for any shard count (see the [crate docs](crate)).
+//! concatenating the segments in shard order reproduces the global
+//! site-index order. The fabric records one event log over all sites;
+//! [`ShardPlan::split`] slices it by these ranges when it is read.
+
+use crate::segment::{ShardEvent, ShardSegment};
 
 /// A deterministic partition of `sites` site indices into at most
 /// `shards` contiguous, balanced ranges.
@@ -50,11 +52,37 @@ impl ShardPlan {
     pub fn range(&self, shard: usize) -> std::ops::Range<usize> {
         self.bounds[shard]..self.bounds[shard + 1]
     }
+
+    /// Slices one event log over sites `0..self.sites()` into one
+    /// segment per range, in shard order. Each segment keeps its sites'
+    /// events in log order.
+    pub fn split(&self, events: Vec<ShardEvent>) -> Vec<ShardSegment> {
+        let mut segments: Vec<ShardSegment> = (0..self.shards())
+            .map(|shard| {
+                let range = self.range(shard);
+                ShardSegment {
+                    shard,
+                    sites: (range.start, range.end),
+                    events: Vec::new(),
+                }
+            })
+            .collect();
+        if let [one] = segments.as_mut_slice() {
+            one.events = events;
+        } else {
+            for e in events {
+                let shard = self.bounds.partition_point(|&b| b <= e.site) - 1;
+                segments[shard].events.push(e);
+            }
+        }
+        segments
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::ShardEventKind;
 
     #[test]
     fn ranges_partition_and_balance() {
@@ -83,5 +111,32 @@ mod tests {
         let empty = ShardPlan::new(0, 4);
         assert_eq!(empty.shards(), 1);
         assert_eq!(empty.sites(), 0);
+    }
+
+    #[test]
+    fn split_slices_by_range_in_log_order() {
+        let ev = |site, tag| ShardEvent {
+            time: 1.0,
+            site,
+            tag,
+            kind: ShardEventKind::Dispatched,
+        };
+        let log = vec![ev(4, 0), ev(0, 1), ev(2, 2), ev(3, 3), ev(1, 4), ev(4, 5)];
+        let segments = ShardPlan::new(5, 3).split(log.clone());
+        let cut: Vec<((usize, usize), Vec<usize>)> = segments
+            .iter()
+            .map(|s| (s.sites, s.events.iter().map(|e| e.tag).collect()))
+            .collect();
+        assert_eq!(
+            cut,
+            vec![
+                ((0, 2), vec![1, 4]),
+                ((2, 4), vec![2, 3]),
+                ((4, 5), vec![0, 5])
+            ]
+        );
+        let whole = ShardPlan::new(5, 1).split(log.clone());
+        assert_eq!(whole.len(), 1);
+        assert_eq!((whole[0].sites, &whole[0].events), ((0, 5), &log));
     }
 }

@@ -2,12 +2,11 @@
 //! round at a time through one [`Mutex`]-guarded round state.
 //!
 //! No runtime path uses it: the [`Fabric`](crate::fabric::Fabric) runs
-//! every shard inline on the event-loop thread, because one epoch's
-//! site work (a few microseconds) never paid for a barrier round. The
-//! pool stays for the barrier-cost probes (the `barrier` bench group
-//! and the end-to-end benchmark's `fabric.barrier_us`) until the next
-//! benchmark change retires them, and the TSan and Miri jobs keep
-//! checking it meanwhile.
+//! all sites inline on the event-loop thread, because one epoch's site
+//! work (a few microseconds) never paid for a barrier round. The pool
+//! stays for the end-to-end benchmark's barrier-cost probe
+//! (`fabric.barrier_us`) until the next benchmark change retires it,
+//! and the TSan and Miri jobs keep checking it meanwhile.
 //!
 //! The coordinator broadcasts one [`Command`] per round; every worker
 //! executes it against its own [`ShardState`] cell and the coordinator

@@ -1,12 +1,15 @@
-//! Per-shard audit-trace segments and their canonical merge.
+//! The clone event log, its audit-trace segments, and their canonical
+//! merge.
 //!
-//! Each shard records every site-level clone event it owns — dispatch,
-//! completion, crash loss, eviction — into its own run-encoded event
-//! log, which decodes into a [`ShardSegment`] when asked. Segments are
-//! the evidence the trace-merge checker audits: they must
-//! partition the site range, conserve every dispatched clone (exactly
-//! one terminal event per tag), and re-sort to a single canonical global
-//! trace that is identical for any shard count.
+//! The site layer records every site-level clone event — dispatch,
+//! completion, crash loss, eviction — into one run-encoded
+//! [`EventLog`], which decodes when asked and is sliced by site range
+//! into [`ShardSegment`]s ([`ShardPlan::split`]). Segments are the
+//! evidence the trace-merge checker audits: they must partition the
+//! site range, conserve every dispatched clone (exactly one terminal
+//! event per tag), and re-sort to a single canonical global trace.
+//!
+//! [`ShardPlan::split`]: crate::plan::ShardPlan::split
 
 /// What happened to one clone at a site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +64,7 @@ pub struct ShardEvent {
 }
 
 /// Per-kind counts of recorded events: what [`ShardState`] and
-/// [`Fabric`] report without decoding their logs.
+/// [`Fabric`] report without decoding the log.
 ///
 /// [`ShardState`]: crate::state::ShardState
 /// [`Fabric`]: crate::fabric::Fabric
@@ -133,7 +136,7 @@ fn high_half(tag: usize) -> u32 {
     ((tag as u64) >> 32) as u32
 }
 
-/// A shard's recorded events as it keeps them during a run: an
+/// The site layer's recorded events as it keeps them during a run: an
 /// append-only list of 16-byte cells in 64 KiB chunks, so that it grows
 /// without ever copying what it holds and the process's peak RSS does
 /// not depend on where a doubling buffer landed in the heap.
@@ -148,8 +151,8 @@ fn high_half(tag: usize) -> u32 {
 ///   time bits with consecutive tags share one header cell whose `w` is
 ///   the run length (kind bits 0). The sites follow, four `u32` to a
 ///   cell: about 4 bytes per dispatched clone. Any other event closes
-///   the run, as does a new instant or a tag gap (a clone that went to
-///   another shard).
+///   the run, as does a new instant or a tag gap (a clone recorded in
+///   another log, as with a pool's per-range states).
 /// * **Terminal events** (completed, lost, evicted) take one cell each,
 ///   with `w = site | rank << 30`.
 /// * **Escape cells.** Cells hold only a tag's low 32 bits. When the
@@ -298,22 +301,21 @@ impl EventLog {
     }
 }
 
-/// One shard's slice of the run's site-level trace: the contiguous site
-/// range it owns and the events it recorded, in the order the shard
-/// applied them. A shard stores its events run-encoded, at about 20
-/// bytes per clone for its dispatch and terminal event together; a
-/// segment is that log decoded into 32-byte [`ShardEvent`]s, made only
-/// when the audit, a shard-invariance check or a traced benchmark asks
-/// for it.
+/// One site range's slice of the run's site-level trace: the range and
+/// its sites' events, in the order they were recorded. The log stores
+/// events run-encoded, at about 20 bytes per clone for its dispatch and
+/// terminal event together; a segment holds 32-byte [`ShardEvent`]s,
+/// decoded only when the audit, a shard-invariance check or a traced
+/// benchmark asks for them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSegment {
-    /// The owning shard's index.
+    /// The segment's index, in site order.
     pub shard: usize,
-    /// The half-open global site range `[lo, hi)` this shard owns.
+    /// The half-open global site range `[lo, hi)` it covers.
     pub sites: (usize, usize),
     /// Recorded events; times are non-decreasing only per site, not
     /// globally (lazy catch-up can append an older-stamped completion
-    /// after a newer event on another site of the same shard).
+    /// after a newer event on another site).
     pub events: Vec<ShardEvent>,
 }
 
@@ -328,9 +330,9 @@ pub fn event_order(a: &ShardEvent, b: &ShardEvent) -> std::cmp::Ordering {
         .then(a.site.cmp(&b.site))
 }
 
-/// The canonical global trace: all shard events re-sorted into
+/// The canonical global trace: all segments' events re-sorted into
 /// [`event_order`] — two runs whose merged traces are equal recorded the
-/// same physical events, whatever the shard count. Each segment is
+/// same physical events, however they were segmented. Each segment is
 /// sorted independently (segments only guarantee per-site monotone
 /// times), then the pre-sorted runs are k-way merged; because the key is
 /// total this equals the old concatenate-and-sort exactly, while the

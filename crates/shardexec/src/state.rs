@@ -1,35 +1,32 @@
-//! The per-shard executor state: one shard's site simulators, lazy
-//! event calendar, and audit-trace event log.
+//! A site layer: a run of site simulators, their lazy event calendar,
+//! and the clone event log they record into.
 //!
-//! A [`ShardState`] owns everything needed to answer the two site-local
-//! questions of the epoch protocol (next completion time; advance due
-//! sites) without reading any other shard's state, plus the per-site
-//! mutation entry points the [`Fabric`](crate::fabric::Fabric) calls on
-//! the owning shard. All public methods take *global* site indices; the
-//! state translates to its local slice.
+//! A [`ShardState`] answers the two questions of the epoch protocol
+//! (next completion time; advance the due sites) and takes every
+//! per-site mutation. The [`Fabric`](crate::fabric::Fabric) holds one
+//! over all sites (base 0); [`ShardPool`](crate::pool::ShardPool) cells
+//! hold one per contiguous range. All public methods take *global* site
+//! indices; the state translates to its local slice.
 
 use crate::merge::sort_completions;
-use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, ShardSegment, MAX_SITES};
+use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITES};
 use mrs_core::resource::SiteId;
 use mrs_sim::calendar::EventCalendar;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
 
-/// One shard's slice of the machine. See the [module docs](self).
+/// A run of sites and their event log. See the [module docs](self).
 #[derive(Debug)]
 pub struct ShardState {
-    /// Global index of this shard's first site.
+    /// Global index of the first site.
     base: usize,
     /// Site simulators, indexed locally (`global - base`).
     sims: Vec<SiteSim>,
     /// Lazy completion calendar over the local sims.
     calendar: EventCalendar,
-    /// This shard's index (its segment's `shard`).
-    shard: usize,
-    /// This shard's audit-trace events.
+    /// Every clone event the sites recorded, in push order.
     events: EventLog,
     /// Completions surfaced by the latest advance command, sorted by
-    /// `(time, tag)` — the runtime's canonical retirement order, so the
-    /// fabric re-sorts only an instant whose completions span shards.
+    /// `(time, tag)`: the runtime's canonical retirement order.
     pub(crate) buf: Vec<Completion>,
     /// Earliest pending completion, refreshed by [`ShardState::compute_next`]
     /// and — fused — at the end of every [`ShardState::advance_due`].
@@ -37,12 +34,12 @@ pub struct ShardState {
 }
 
 impl ShardState {
-    /// A shard executor for sites `base..base + sims.len()` with
-    /// resource dimensionality `dim`, recording into segment `shard`.
+    /// The state of sites `base..base + sims.len()` with resource
+    /// dimensionality `dim`; `shard` only names it in panic messages.
     ///
     /// # Panics
     /// Panics if any site simulator's dimensionality is not `dim`, or if
-    /// the shard covers a global site index of `2^30` or more (the event
+    /// the state covers a global site index of `2^30` or more (the event
     /// log stores a site in 30 bits).
     pub fn new(shard: usize, base: usize, sims: Vec<SiteSim>, dim: usize) -> Self {
         assert!(
@@ -58,7 +55,6 @@ impl ShardState {
         ShardState {
             base,
             calendar: EventCalendar::new(n),
-            shard,
             events: EventLog::default(),
             sims,
             buf: Vec::new(),
@@ -66,7 +62,7 @@ impl ShardState {
         }
     }
 
-    /// Global index of this shard's first site.
+    /// Global index of the first site.
     pub fn base(&self) -> usize {
         self.base
     }
@@ -74,7 +70,7 @@ impl ShardState {
     fn local(&self, site: usize) -> usize {
         debug_assert!(
             site >= self.base && site < self.base + self.sims.len(),
-            "site {site} not owned by shard over [{}, {})",
+            "site {site} outside sites [{}, {})",
             self.base,
             self.base + self.sims.len()
         );
@@ -90,18 +86,17 @@ impl ShardState {
         });
     }
 
-    /// Site-local epoch step 1: computes the earliest pending completion
-    /// across this shard's sites into [`ShardState::next`].
+    /// Epoch step 1: computes the earliest pending completion across
+    /// the sites into [`ShardState::next`].
     pub fn compute_next(&mut self) {
         self.next = self.calendar.next_time(&mut self.sims);
     }
 
-    /// Site-local epoch step 2: advances every due site to `t`,
-    /// collecting completions into [`ShardState::buf`] — sorted by
-    /// `(time, tag)`, the runtime's retirement order — and recording
-    /// them in the segment. Ends by refreshing [`ShardState::next`]
-    /// while the calendar is fresh, so the fabric's next-event cache
-    /// stays clean.
+    /// Epoch step 2: advances every due site to `t` in site order,
+    /// collecting completions into [`ShardState::buf`] (sorted by
+    /// `(time, tag)`, the runtime's retirement order) and recording them
+    /// in the log. Ends by refreshing [`ShardState::next`] while the
+    /// calendar is fresh, so one pool round answers both questions.
     pub fn advance_due(&mut self, t: f64) {
         self.buf.clear();
         let base = self.base;
@@ -122,11 +117,9 @@ impl ShardState {
     }
 
     /// Catches a lazily advanced site up to `clock`, appending any
-    /// surfaced completions to `out` (and the segment). Returns whether
-    /// the site actually advanced (false for a site already at or past
-    /// the clock), so the caller knows to refresh any cached next-event
-    /// time.
-    pub fn catch_up(&mut self, site: usize, clock: f64, out: &mut Vec<Completion>) -> bool {
+    /// surfaced completions to `out` (and the log). A site already at
+    /// or past the clock is left untouched.
+    pub fn catch_up(&mut self, site: usize, clock: f64, out: &mut Vec<Completion>) {
         let l = self.local(site);
         if self.sims[l].now() < clock {
             let start = out.len();
@@ -135,9 +128,7 @@ impl ShardState {
             for &Completion { time, tag, .. } in &out[start..] {
                 self.record(time, site, tag, ShardEventKind::Completed);
             }
-            return true;
         }
-        false
     }
 
     /// Inserts a clone on `site` at the site's current clock, recording
@@ -207,71 +198,72 @@ impl ShardState {
         }
     }
 
-    /// Adds each alive site's [`SiteSim::load`] onto `acc` in site order,
-    /// counting them into `alive`: chained over the shards in shard
-    /// order, the same float additions as one whole-machine shard.
-    pub fn fold_load(&self, acc: &mut f64, alive: &mut usize) {
+    /// Mean [`SiteSim::load`] over the alive sites, summed in site
+    /// order (`+∞` with none alive).
+    pub fn avg_load(&self) -> f64 {
+        let (mut acc, mut alive) = (0.0f64, 0usize);
         for sim in self.sims.iter().filter(|sim| !sim.is_down()) {
-            *acc += sim.load();
-            *alive += 1;
+            acc += sim.load();
+            alive += 1;
         }
+        if alive == 0 {
+            return f64::INFINITY;
+        }
+        acc / alive as f64
     }
 
-    /// Appends this shard's alive sites to `out` as global ids, in site
-    /// order.
-    pub fn push_alive(&self, out: &mut Vec<SiteId>) {
-        for (l, sim) in self.sims.iter().enumerate() {
-            if !sim.is_down() {
-                out.push(SiteId(self.base + l));
-            }
-        }
+    /// The alive sites as global ids, in site order.
+    pub fn alive_list(&self) -> Vec<SiteId> {
+        (self.sims.iter().enumerate())
+            .filter(|(_, sim)| !sim.is_down())
+            .map(|(l, _)| SiteId(self.base + l))
+            .collect()
     }
 
-    /// Total clones resident across this shard's sites.
+    /// Total clones resident across the sites.
     pub fn total_resident(&self) -> usize {
         self.sims.iter().map(SiteSim::resident).sum()
     }
 
-    /// Appends each local site's busy-time vector to `out`, in site
-    /// order.
-    pub fn push_busy(&self, out: &mut Vec<Vec<f64>>) {
-        out.extend(self.sims.iter().map(|s| s.busy().to_vec()));
+    /// Every site's busy-time vector, in site order.
+    pub fn busy(&self) -> Vec<Vec<f64>> {
+        self.sims.iter().map(|s| s.busy().to_vec()).collect()
     }
 
-    /// Appends each local site's peak-utilization vector to `out`.
-    pub fn push_peak_util(&self, out: &mut Vec<Vec<f64>>) {
-        out.extend(self.sims.iter().map(|s| s.peak_util().to_vec()));
+    /// Every site's peak-utilization vector, in site order.
+    pub fn peak_util(&self) -> Vec<Vec<f64>> {
+        self.sims.iter().map(|s| s.peak_util().to_vec()).collect()
     }
 
-    /// Appends each local site's utilization integral to `out`.
-    pub fn push_util_integral(&self, out: &mut Vec<Vec<f64>>) {
-        out.extend(self.sims.iter().map(|s| s.util_integral().to_vec()));
+    /// Every site's exact utilization integral, in site order.
+    pub fn util_integral(&self) -> Vec<Vec<f64>> {
+        self.sims
+            .iter()
+            .map(|s| s.util_integral().to_vec())
+            .collect()
     }
 
-    /// Appends each local site's recorded utilization series to `out`
-    /// (empty vectors when recording was never enabled).
-    pub fn push_util_series(&self, out: &mut Vec<Vec<UtilSample>>) {
-        out.extend(self.sims.iter().map(|s| {
-            s.util_series()
-                .map(<[UtilSample]>::to_vec)
-                .unwrap_or_default()
-        }));
+    /// Every site's recorded utilization series, in site order (empty
+    /// vectors when recording was never enabled).
+    pub fn util_series(&self) -> Vec<Vec<UtilSample>> {
+        self.sims
+            .iter()
+            .map(|s| {
+                s.util_series()
+                    .map(<[UtilSample]>::to_vec)
+                    .unwrap_or_default()
+            })
+            .collect()
     }
 
-    /// The events this shard has recorded so far, counted by kind (no
-    /// decoding).
+    /// The events recorded so far, counted by kind (no decoding).
     pub fn event_counts(&self) -> EventCounts {
         self.events.counts()
     }
 
-    /// This shard's audit-trace segment: the events it has recorded so
-    /// far, decoded into one list.
-    pub fn segment(&self) -> ShardSegment {
-        ShardSegment {
-            shard: self.shard,
-            sites: (self.base, self.base + self.sims.len()),
-            events: self.events.to_vec(),
-        }
+    /// The events recorded so far, decoded in push order.
+    pub fn events(&self) -> Vec<ShardEvent> {
+        self.events.to_vec()
     }
 }
 
@@ -305,12 +297,8 @@ mod tests {
         let t = st.next.expect("one clone pending");
         st.advance_due(t);
         assert_eq!(st.buf.len(), 1);
-        let kinds: Vec<(usize, ShardEventKind)> = st
-            .segment()
-            .events
-            .iter()
-            .map(|e| (e.site, e.kind))
-            .collect();
+        let kinds: Vec<(usize, ShardEventKind)> =
+            st.events().iter().map(|e| (e.site, e.kind)).collect();
         assert_eq!(kinds, vec![(5, Dispatched), (5, Completed)]);
     }
 
@@ -320,7 +308,7 @@ mod tests {
         let mut st = state(0, 0, 1);
         let done = st.add_clone(0, &clone(9, &[0.0, 0.0], 0.0));
         assert!(done.is_some());
-        let kinds: Vec<ShardEventKind> = st.segment().events.iter().map(|e| e.kind).collect();
+        let kinds: Vec<ShardEventKind> = st.events().iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![Dispatched, Completed]);
     }
 
@@ -336,12 +324,8 @@ mod tests {
         let evicted = st.remove_clone(3, 1);
         assert!(evicted.is_some());
         assert_eq!(st.remove_clone(3, 1), None, "already gone");
-        let kinds: Vec<(usize, ShardEventKind)> = st
-            .segment()
-            .events
-            .iter()
-            .map(|e| (e.site, e.kind))
-            .collect();
+        let kinds: Vec<(usize, ShardEventKind)> =
+            st.events().iter().map(|e| (e.site, e.kind)).collect();
         assert_eq!(
             kinds,
             vec![(2, Dispatched), (3, Dispatched), (2, Lost), (3, Evicted)]
@@ -372,8 +356,8 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].time, 1.0);
         // Already at the clock: no-op.
-        let before = st.segment().events.len();
+        let before = st.events().len();
         st.catch_up(0, 3.0, &mut out);
-        assert_eq!(st.segment().events.len(), before);
+        assert_eq!(st.events().len(), before);
     }
 }

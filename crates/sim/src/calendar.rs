@@ -142,9 +142,9 @@ impl EventCalendar {
     /// site advances, `observe(site, slice)` is invoked with that site's
     /// newly appended completions. The observed arithmetic is identical
     /// to the plain variant (which delegates here with a no-op closure);
-    /// the hook exists so a per-shard executor can attribute completions
-    /// to their site for its audit-trace segment without re-deriving the
-    /// due set.
+    /// the hook exists so the site layer can attribute completions to
+    /// their site in its clone event log without re-deriving the due
+    /// set.
     pub fn advance_due_observed(
         &mut self,
         t: f64,
