@@ -14,9 +14,9 @@
 //!   [`RunSummary`]'s structured trace to verify fluid-sharing
 //!   feasibility (peak *and* time-averaged), work conservation through
 //!   fault recovery, and memo digest coherence;
-//!   [`shard::audit_shard_segments`] checks the serving fabric's
-//!   audit-trace segments (range partitioning, event ownership,
-//!   clone conservation across the canonical merge). All checks collect
+//!   [`shard::audit_clone_log`] checks the runtime's clone event log
+//!   (every event on a real site, every clone dispatched once and
+//!   ended exactly once). All checks collect
 //!   machine-readable [`violation::Violation`]s rather than panicking.
 //! * **Static lint** — [`lint`] (and the `mrs-lint` binary) scans the
 //!   workspace's sources for determinism and hygiene hazards the
@@ -41,11 +41,11 @@ pub mod prelude {
     };
     pub use crate::lint::{lint_file, lint_workspace, workspace_sources, Allowlist, LintFinding};
     pub use crate::run::{audit_controller, audit_run};
-    pub use crate::shard::audit_shard_segments;
+    pub use crate::shard::audit_clone_log;
     pub use crate::violation::Violation;
 }
 
 pub use invariant::{audit_governed_degrees, audit_schedule, audit_tree, AuditOptions};
 pub use run::{audit_controller, audit_run};
-pub use shard::audit_shard_segments;
+pub use shard::audit_clone_log;
 pub use violation::Violation;

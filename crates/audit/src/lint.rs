@@ -24,7 +24,7 @@
 //!   `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 //!
 //! The `atomics` family keeps concurrency in one reviewed place: every
-//! synchronization primitive in the site fabric must route through
+//! synchronization primitive in `mrs-shardexec` must route through
 //! `mrs_shardexec::sync` (the crate's one import point, which
 //! re-exports the `std` lock, condition variable and thread types), so
 //! hand-rolled concurrency anywhere else is a finding:
@@ -43,7 +43,7 @@
 //!   merged in index order).
 //! * `atomics-ordering` — a memory-ordering token
 //!   (`Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`) outside the
-//!   shim. The fabric's threads share state only under a mutex, so an
+//!   shim. The crate's threads share state only under a mutex, so an
 //!   ordering token elsewhere means someone hand-rolled a lock-free
 //!   protocol outside the reviewed import point (`cmp::Ordering`
 //!   variants do not trigger this).
@@ -477,8 +477,8 @@ fn has_memory_ordering(line: &str) -> bool {
 }
 
 /// True when the line reaches into `std::thread` for anything except
-/// the pure unwind query `std::thread::panicking` (which the fabric's
-/// drop guards legitimately use).
+/// the pure unwind query `std::thread::panicking` (which the
+/// look-ahead worker's drop guard legitimately uses).
 fn has_raw_thread_use(line: &str) -> bool {
     let pat = "std::thread";
     let bytes = line.as_bytes();
@@ -886,8 +886,8 @@ mod tests {
 
     #[test]
     fn raw_atomic_import_is_flagged_outside_the_shim() {
-        // The seeded mutation: routing around the shim from inside the
-        // fabric must be caught.
+        // The seeded mutation: routing around the shim from inside
+        // `mrs-shardexec` must be caught.
         let text = "use std::sync::atomic::AtomicU32;\n";
         assert_eq!(
             rules("crates/shardexec/src/pool.rs", text),
@@ -906,7 +906,7 @@ mod tests {
     fn loom_paths_are_shim_only() {
         let text = "use loom::sync::atomic::AtomicU64;\n";
         assert_eq!(
-            rules("crates/shardexec/src/fabric.rs", text),
+            rules("crates/shardexec/src/state.rs", text),
             vec!["atomics-raw"]
         );
         assert!(findings("crates/shardexec/src/sync/mod.rs", text).is_empty());

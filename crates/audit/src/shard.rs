@@ -1,29 +1,24 @@
-//! Trace-merge checker for the serving fabric's audit segments.
+//! Clone-log checker for the runtime's site-level event log.
 //!
-//! The `mrs-shardexec` fabric records one site-level clone event log,
-//! read as one segment per site range
-//! (`mrs_runtime::runtime::Runtime::shard_segments`);
-//! [`audit_shard_segments`] verifies the evidence those segments
-//! constitute:
+//! The `mrs-shardexec` site layer records one log of every clone
+//! dispatch, completion, crash loss and eviction
+//! (`mrs_runtime::runtime::Runtime::clone_events`). [`audit_clone_log`]
+//! reads it once, in push order, and verifies the evidence it holds:
 //!
-//! 1. **partition** — the segments' site ranges tile `0..P` contiguously
-//!    in shard order;
-//! 2. **ownership** — every event names a site inside its segment's
-//!    claimed range (the slicer put it in the right segment);
-//! 3. **conservation** — across the canonical merged trace, every clone
-//!    tag is dispatched exactly once, ends in exactly one terminal event
-//!    (completion, crash loss, or eviction), and never terminates before
-//!    (or without) its dispatch. A dispatch with no terminal is a clone
-//!    the trace lost, so the check expects a drained run: every caller
-//!    audits the segments after `run_to_completion`.
+//! 1. **sites** — every event names a site below `P`;
+//! 2. **conservation** — every clone tag is dispatched exactly once,
+//!    ends in exactly one terminal event (completion, crash loss, or
+//!    eviction), and no terminal comes before its dispatch, in the log
+//!    or in virtual time. A dispatch with no terminal is a clone the log
+//!    lost, so the check expects a drained run: every caller audits the
+//!    log after `run_to_completion`.
 //!
-//! The checks are segment-count-invariant by construction: they accept
-//! the one segment of a `shards = 1` run and the N-way split of the
-//! same run equally, and the determinism tests additionally assert the
-//! two merge to identical canonical traces.
+//! The log is the run's, whatever `RuntimeConfig::shards` says: the
+//! segments `Runtime::shard_segments` returns are slices of it, cut when
+//! read.
 
 use crate::violation::Violation;
-use mrs_shardexec::segment::{merge_segments, ShardEventKind, ShardSegment};
+use mrs_shardexec::segment::{ShardEvent, ShardEventKind};
 use std::collections::BTreeMap;
 
 /// Per-tag lifecycle accumulator for the conservation check.
@@ -34,87 +29,50 @@ struct Lifecycle {
     terminals: usize,
 }
 
-/// Audits the trace segments of one run over `sites` sites.
-/// Returns every violation found (empty = clean). See the
+/// Audits the clone event log of one run over `sites` sites, in push
+/// order. Returns every violation found (empty = clean). See the
 /// [module docs](self).
-pub fn audit_shard_segments(segments: &[ShardSegment], sites: usize) -> Vec<Violation> {
+pub fn audit_clone_log(events: &[ShardEvent], sites: usize) -> Vec<Violation> {
     let mut out = Vec::new();
-
-    // 1. The claimed ranges must tile 0..sites in shard order.
-    let mut expected_start = 0usize;
-    for seg in segments {
-        let (lo, hi) = seg.sites;
-        if lo != expected_start || hi < lo {
-            out.push(Violation::ShardRangeBroken {
-                shard: seg.shard,
-                claimed: seg.sites,
-                expected_start,
+    // BTreeMap keeps the per-tag reports in tag order (deterministic
+    // output).
+    let mut tags: BTreeMap<usize, Lifecycle> = BTreeMap::new();
+    for ev in events {
+        if ev.site >= sites {
+            out.push(Violation::CloneSiteOutOfRange {
+                tag: ev.tag,
+                site: ev.site,
+                sites,
             });
         }
-        expected_start = hi.max(expected_start);
-    }
-    if expected_start != sites {
-        out.push(Violation::ShardRangeBroken {
-            shard: segments.len(),
-            claimed: (expected_start, expected_start),
-            expected_start: sites,
-        });
-    }
-
-    // 2. Every event must name a site the recording shard owns.
-    for seg in segments {
-        let (lo, hi) = seg.sites;
-        for ev in &seg.events {
-            if ev.site < lo || ev.site >= hi {
-                out.push(Violation::ShardSiteOutOfRange {
-                    shard: seg.shard,
-                    site: ev.site,
-                    range: seg.sites,
-                });
-            }
-        }
-    }
-
-    // 3. Clone conservation over the canonical merged trace. BTreeMap
-    //    keeps the per-tag reports in tag order (deterministic output).
-    let merged = merge_segments(segments);
-    let mut tags: BTreeMap<usize, Lifecycle> = BTreeMap::new();
-    for ev in &merged {
         let life = tags.entry(ev.tag).or_default();
-        match ev.kind {
-            ShardEventKind::Dispatched => {
-                life.dispatches += 1;
-                if life.dispatch_time.is_none() {
-                    life.dispatch_time = Some(ev.time);
-                }
-            }
-            ShardEventKind::Completed | ShardEventKind::Lost | ShardEventKind::Evicted => {
-                life.terminals += 1;
-                match life.dispatch_time {
-                    None => out.push(Violation::ShardConservationBroken {
-                        tag: ev.tag,
-                        detail: format!(
-                            "{} at t={} with no prior dispatch",
-                            ev.kind.label(),
-                            ev.time
-                        ),
-                    }),
-                    Some(d) if ev.time < d => out.push(Violation::ShardConservationBroken {
-                        tag: ev.tag,
-                        detail: format!(
-                            "{} at t={} precedes its dispatch at t={d}",
-                            ev.kind.label(),
-                            ev.time
-                        ),
-                    }),
-                    Some(_) => {}
-                }
-            }
+        if ev.kind == ShardEventKind::Dispatched {
+            life.dispatches += 1;
+            life.dispatch_time.get_or_insert(ev.time);
+            continue;
         }
+        life.terminals += 1;
+        let detail = match life.dispatch_time {
+            None => format!(
+                "{} at t={} with no prior dispatch",
+                ev.kind.label(),
+                ev.time
+            ),
+            Some(d) if ev.time < d => format!(
+                "{} at t={} precedes its dispatch at t={d}",
+                ev.kind.label(),
+                ev.time
+            ),
+            Some(_) => continue,
+        };
+        out.push(Violation::CloneConservationBroken {
+            tag: ev.tag,
+            detail,
+        });
     }
     for (tag, life) in tags {
         if life.dispatches != 1 {
-            out.push(Violation::ShardConservationBroken {
+            out.push(Violation::CloneConservationBroken {
                 tag,
                 detail: format!(
                     "dispatched {} times (must be exactly once)",
@@ -123,20 +81,18 @@ pub fn audit_shard_segments(segments: &[ShardSegment], sites: usize) -> Vec<Viol
             });
         }
         if life.terminals != 1 {
-            out.push(Violation::ShardConservationBroken {
+            out.push(Violation::CloneConservationBroken {
                 tag,
                 detail: format!("{} terminal events (must be exactly one)", life.terminals),
             });
         }
     }
-
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrs_shardexec::segment::ShardEvent;
     use ShardEventKind::{Completed, Dispatched, Lost};
 
     fn ev(time: f64, site: usize, tag: usize, kind: ShardEventKind) -> ShardEvent {
@@ -148,96 +104,71 @@ mod tests {
         }
     }
 
-    fn seg(shard: usize, lo: usize, hi: usize, events: Vec<ShardEvent>) -> ShardSegment {
-        ShardSegment {
-            shard,
-            sites: (lo, hi),
-            events,
-        }
-    }
-
-    fn clean_pair() -> Vec<ShardSegment> {
+    /// Two clones on 4 sites: tag 0 completes, tag 1 is lost in a crash.
+    fn clean_log() -> Vec<ShardEvent> {
         vec![
-            seg(
-                0,
-                0,
-                2,
-                vec![ev(0.0, 0, 0, Dispatched), ev(3.0, 0, 0, Completed)],
-            ),
-            seg(
-                1,
-                2,
-                4,
-                vec![ev(0.0, 3, 1, Dispatched), ev(1.0, 3, 1, Lost)],
-            ),
+            ev(0.0, 0, 0, Dispatched),
+            ev(0.0, 3, 1, Dispatched),
+            ev(1.0, 3, 1, Lost),
+            ev(3.0, 0, 0, Completed),
         ]
     }
 
-    #[test]
-    fn clean_segments_pass() {
-        assert!(audit_shard_segments(&clean_pair(), 4).is_empty());
+    fn kinds(v: &[Violation]) -> Vec<&'static str> {
+        v.iter().map(Violation::kind).collect()
     }
 
     #[test]
-    fn range_gap_is_reported() {
-        let mut segs = clean_pair();
-        segs[1].sites = (3, 4); // leaves site 2 unowned
-        let v = audit_shard_segments(&segs, 4);
-        assert!(v.iter().any(|x| x.kind() == "shard-range"), "{v:?}");
+    fn a_clean_log_passes() {
+        assert!(audit_clone_log(&clean_log(), 4).is_empty());
     }
 
     #[test]
-    fn short_coverage_is_reported() {
-        let v = audit_shard_segments(&clean_pair(), 5);
-        assert!(v.iter().any(|x| x.kind() == "shard-range"), "{v:?}");
-    }
-
-    #[test]
-    fn foreign_site_is_reported() {
-        let mut segs = clean_pair();
-        segs[0].events.push(ev(1.0, 3, 7, Dispatched));
-        let v = audit_shard_segments(&segs, 4);
-        assert!(v.iter().any(|x| x.kind() == "shard-site"), "{v:?}");
+    fn an_event_naming_a_site_at_or_past_p_is_reported() {
+        let v = audit_clone_log(&clean_log(), 3);
+        assert_eq!(kinds(&v), vec!["clone-site", "clone-site"], "{v:?}");
+        assert!(v[0].to_string().contains("site 3"), "{v:?}");
     }
 
     #[test]
     fn double_dispatch_and_orphan_terminal_are_reported() {
-        let mut segs = clean_pair();
+        let mut log = clean_log();
         // Tag 0 dispatched a second time, tag 9 completes undispatched.
-        segs[0].events.push(ev(4.0, 1, 0, Dispatched));
-        segs[1].events.push(ev(5.0, 2, 9, Completed));
-        let v = audit_shard_segments(&segs, 4);
-        // Three breaches: tag 0 dispatched twice, tag 9's orphan
-        // completion, and tag 9's zero-dispatch lifecycle.
-        let conservation: Vec<_> = v
-            .iter()
-            .filter(|x| x.kind() == "shard-conservation")
-            .collect();
-        assert_eq!(conservation.len(), 3, "{v:?}");
+        log.push(ev(4.0, 1, 0, Dispatched));
+        log.push(ev(5.0, 2, 9, Completed));
+        let v = audit_clone_log(&log, 4);
+        // Three breaches: tag 9's orphan completion, tag 0 dispatched
+        // twice, and tag 9's zero-dispatch lifecycle.
+        assert_eq!(kinds(&v), vec!["clone-conservation"; 3], "{v:?}");
+        assert!(v[0].to_string().contains("no prior dispatch"), "{v:?}");
+    }
+
+    #[test]
+    fn a_terminal_before_its_dispatch_in_the_log_is_reported() {
+        let mut log = clean_log();
+        log.swap(0, 3); // tag 0 completes before it is dispatched
+        let v = audit_clone_log(&log, 4);
+        assert_eq!(kinds(&v), vec!["clone-conservation"], "{v:?}");
+        assert!(v[0].to_string().contains("no prior dispatch"), "{v:?}");
     }
 
     #[test]
     fn a_dispatch_without_a_terminal_is_reported() {
-        let mut segs = clean_pair();
-        segs[0].events.pop(); // tag 0's completion
-        let v = audit_shard_segments(&segs, 4);
-        let kinds: Vec<&str> = v.iter().map(|x| x.kind()).collect();
-        assert_eq!(kinds, vec!["shard-conservation"], "{v:?}");
+        let mut log = clean_log();
+        log.pop(); // tag 0's completion
+        let v = audit_clone_log(&log, 4);
+        assert_eq!(kinds(&v), vec!["clone-conservation"], "{v:?}");
         assert!(format!("{v:?}").contains("0 terminal events"), "{v:?}");
     }
 
     #[test]
     fn double_terminal_and_time_travel_are_reported() {
-        let mut segs = clean_pair();
-        segs[0].events.push(ev(3.5, 1, 0, Lost)); // second terminal for tag 0
-        segs[1].events[1].time = -1.0; // loss before its own dispatch
-        let v = audit_shard_segments(&segs, 4);
-        assert!(
-            v.iter()
-                .filter(|x| x.kind() == "shard-conservation")
-                .count()
-                >= 2,
-            "{v:?}"
-        );
+        let mut log = clean_log();
+        log.push(ev(3.5, 1, 0, Lost)); // second terminal for tag 0
+        log[2].time = -1.0; // tag 1's loss before its own dispatch
+        let v = audit_clone_log(&log, 4);
+        assert_eq!(kinds(&v), vec!["clone-conservation"; 2], "{v:?}");
+        assert!(v[0].to_string().contains("precedes its dispatch"), "{v:?}");
+        assert!(v[1].to_string().contains("2 terminal events"), "{v:?}");
     }
 }

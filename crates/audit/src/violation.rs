@@ -215,29 +215,19 @@ pub enum Violation {
         /// The exact integral the simulator accumulated.
         integral: f64,
     },
-    /// The shard segments' site ranges do not partition `0..P`
-    /// contiguously in shard order.
-    ShardRangeBroken {
-        /// The offending shard.
-        shard: usize,
-        /// The range the segment claims.
-        claimed: (usize, usize),
-        /// Where the previous segment ended (what `claimed.0` must be).
-        expected_start: usize,
-    },
-    /// A shard recorded an event for a site outside its claimed range.
-    ShardSiteOutOfRange {
-        /// The offending shard.
-        shard: usize,
+    /// The clone event log names a site outside `0..P`.
+    CloneSiteOutOfRange {
+        /// The clone the event belongs to.
+        tag: usize,
         /// The out-of-range site.
         site: usize,
-        /// The shard's claimed site range.
-        range: (usize, usize),
+        /// The run's site count `P`.
+        sites: usize,
     },
-    /// A clone's event lifecycle across the merged shard trace is
-    /// inconsistent: re-dispatched tag, a terminal event with no (or
-    /// before its) dispatch, or more than one terminal event.
-    ShardConservationBroken {
+    /// A clone's lifecycle in the event log is inconsistent: a
+    /// re-dispatched tag, a terminal event with no (or before its)
+    /// dispatch, or other than one terminal event.
+    CloneConservationBroken {
         /// The offending clone tag.
         tag: usize,
         /// Human-readable description of the lifecycle breach.
@@ -337,9 +327,8 @@ impl Violation {
             Violation::TraceDisordered { .. } => "trace-disordered",
             Violation::AvgUtilizationInfeasible { .. } => "avg-utilization",
             Violation::UtilSeriesMismatch { .. } => "util-series",
-            Violation::ShardRangeBroken { .. } => "shard-range",
-            Violation::ShardSiteOutOfRange { .. } => "shard-site",
-            Violation::ShardConservationBroken { .. } => "shard-conservation",
+            Violation::CloneSiteOutOfRange { .. } => "clone-site",
+            Violation::CloneConservationBroken { .. } => "clone-conservation",
             Violation::ControlTransitionInvalid { .. } => "control-transition",
             Violation::ControlUnjustified { .. } => "control-unjustified",
             Violation::ControlWhileDisabled { .. } => "control-disabled",
@@ -460,21 +449,11 @@ impl fmt::Display for Violation {
                 "site {site} resource {resource} series integrates to {series_total}, \
                  simulator integral is {integral}"
             ),
-            Violation::ShardRangeBroken {
-                shard,
-                claimed,
-                expected_start,
-            } => write!(
+            Violation::CloneSiteOutOfRange { tag, site, sites } => write!(
                 fm,
-                "shard {shard} claims sites [{}, {}) but must start at {expected_start}",
-                claimed.0, claimed.1
+                "clone tag {tag} has an event at site {site}, outside the {sites} sites"
             ),
-            Violation::ShardSiteOutOfRange { shard, site, range } => write!(
-                fm,
-                "shard {shard} recorded an event for site {site} outside [{}, {})",
-                range.0, range.1
-            ),
-            Violation::ShardConservationBroken { tag, detail } => {
+            Violation::CloneConservationBroken { tag, detail } => {
                 write!(fm, "clone tag {tag}: {detail}")
             }
             Violation::ControlTransitionInvalid {

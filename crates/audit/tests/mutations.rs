@@ -380,15 +380,14 @@ fn recovery_and_cache_trace_mutations_are_caught() {
     assert!(kinds(&v).contains(&"cache-digest-mismatch"), "{v:?}");
 }
 
-/// A real run's clone-level segments must audit clean, and losing one
-/// recorded completion from them (what a faulty log encoding would do)
+/// A real run's clone event log must audit clean, and losing one
+/// recorded completion from it (what a faulty log encoding would do)
 /// must be caught as a clone with no terminal event.
 #[test]
 fn a_dropped_completion_is_caught() {
     let sys = SystemSpec::homogeneous(5);
     let cfg = RuntimeConfig {
         f: 0.7,
-        shards: 2,
         ..RuntimeConfig::default()
     };
     let model = OverlapModel::new(0.5).unwrap();
@@ -397,24 +396,17 @@ fn a_dropped_completion_is_caught() {
         rt.submit_at(0.0, client, join_problem());
     }
     rt.run_to_completion().expect("fixture always schedules");
-    let mut segments = rt.shard_segments();
-    let v = audit_shard_segments(&segments, 5);
-    assert!(v.is_empty(), "honest segments must audit clean: {v:?}");
+    let mut events = rt.clone_events();
+    let v = audit_clone_log(&events, 5);
+    assert!(v.is_empty(), "the honest log must audit clean: {v:?}");
 
-    let (seg, i) = segments
+    let i = events
         .iter()
-        .enumerate()
-        .find_map(|(s, seg)| {
-            let i = seg
-                .events
-                .iter()
-                .rposition(|e| e.kind == ShardEventKind::Completed)?;
-            Some((s, i))
-        })
+        .rposition(|e| e.kind == ShardEventKind::Completed)
         .expect("the run completes clones");
-    let dropped = segments[seg].events.remove(i);
-    let v = audit_shard_segments(&segments, 5);
-    assert_eq!(kinds(&v), vec!["shard-conservation"], "{v:?}");
+    let dropped = events.remove(i);
+    let v = audit_clone_log(&events, 5);
+    assert_eq!(kinds(&v), vec!["clone-conservation"], "{v:?}");
     assert!(
         v[0].to_string()
             .contains(&format!("clone tag {}:", dropped.tag)),

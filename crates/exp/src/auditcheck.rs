@@ -35,10 +35,9 @@
 //!   submitted twice), clean and under seeded crashes: every hit must
 //!   replay its insert-time digest and equal a cold plan, including
 //!   hits served after a crash.
-//! * `runtime-shards` — the served stream's clone event log, clean and
-//!   faulty, read as one segment and as an uneven three-way split: the
-//!   slices must tile the site range, name only their own sites, and
-//!   conserve every clone through the canonical merge.
+//! * `runtime-log` — the served stream's clone event log, clean and
+//!   faulty: every event must name a real site, and every clone must be
+//!   dispatched once and end in exactly one terminal event.
 //! * `runtime-controller` — the X15 overload runs (ramp and burst
 //!   arrival processes, shards 1 and 4) with the feedback controller
 //!   on: every recorded control decision must replay (one hysteresis
@@ -62,8 +61,8 @@ use crate::serving::{mixed_stream, Harness, ARRIVALS};
 use crate::tablefmt::Table;
 use mrs_audit::lint::{lint_workspace, workspace_sources, Allowlist};
 use mrs_audit::prelude::{
-    audit_controller, audit_governed_degrees, audit_run, audit_shard_segments, audit_tree,
-    AuditOptions, Violation,
+    audit_clone_log, audit_controller, audit_governed_degrees, audit_run, audit_tree, AuditOptions,
+    Violation,
 };
 use mrs_baseline::prelude::{
     round_robin_tree_schedule, scalar_tree_schedule, synchronous_schedule,
@@ -374,7 +373,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     // runtime-cache: every plan submitted twice — a templated stream
     // must actually hit, and under verify_cache every hit is re-planned
     // cold and must match bit for bit. The faulted cell (the seeded
-    // crashes of runtime-shards) serves hits across crashes.
+    // crashes of runtime-log) serves hits across crashes.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
@@ -420,33 +419,28 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         });
     }
 
-    // runtime-shards: the clone event log's segments. Three segments
-    // split the sites unevenly, so the range-partition check sees
-    // remainder-bearing ranges too.
+    // runtime-log: the clone event log, clean and under seeded crashes.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
-        for n_shards in [1usize, 3] {
-            for faulty in [false, true] {
-                let rt_cfg = RuntimeConfig {
-                    faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
-                    deadline: deadline(faulty),
-                    shards: n_shards,
-                    util_series: true,
-                    ..base.clone()
-                };
-                let mut rt = h.runtime(rt_cfg, &stream, &arrivals);
-                let summary = rt
-                    .run_to_completion()
-                    .expect("stream plans always schedule");
-                violations.extend(audit_run(&summary));
-                violations.extend(audit_shard_segments(&rt.shard_segments(), sites));
-                cells += 1;
-            }
+        for faulty in [false, true] {
+            let rt_cfg = RuntimeConfig {
+                faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
+                deadline: deadline(faulty),
+                util_series: true,
+                ..base.clone()
+            };
+            let mut rt = h.runtime(rt_cfg, &stream, &arrivals);
+            let summary = rt
+                .run_to_completion()
+                .expect("stream plans always schedule");
+            violations.extend(audit_run(&summary));
+            violations.extend(audit_clone_log(&rt.clone_events(), sites));
+            cells += 1;
         }
         families.push(FamilyResult {
-            family: "runtime-shards",
-            covers: "throughput (log segments)",
+            family: "runtime-log",
+            covers: "throughput (clone event log)",
             cells,
             violations,
         });
@@ -623,7 +617,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     notes.push(if total == 0 {
         "all families audit clean: Definition 5.1, CG_f cap, co-location, shelf order, \
          Theorem 5.1 certificates, fluid feasibility, conservation, cache coherence, \
-         shard trace merges, source lint"
+         clone log conservation, source lint"
             .to_owned()
     } else {
         format!("{total} violations — the scheduler broke a paper invariant (see rows above)")

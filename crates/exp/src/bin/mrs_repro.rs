@@ -30,7 +30,7 @@
 //! schedule cache (the printed cache line shows the amortization).
 //! `--adaptive` turns on the feedback overload controller
 //! ([`ControllerConfig::adaptive`]): a backpressure gate defers
-//! admissions while the fabric is saturated and a parallelism governor
+//! admissions while the sites are saturated and a parallelism governor
 //! caps clone degrees under backlog; off (the default) the controller is
 //! never consulted and the output is byte-identical to a build without
 //! it. `--batch W` switches admission to batched (MQO) mode: arrivals

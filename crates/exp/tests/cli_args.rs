@@ -3,7 +3,8 @@
 //! silently truncated run. Likewise a negative or non-finite `--mtbf` or
 //! `--deadline` is a usage error, never a run with the knob silently off,
 //! and an `--mtbf` whose crash schedule would not fit in memory is
-//! rejected before it is drawn.
+//! rejected before it is drawn. A run whose virtual clock stops
+//! advancing fails with a typed error instead of spinning.
 
 use std::process::{Command, Output};
 
@@ -76,6 +77,20 @@ fn an_mtbf_scheduling_too_many_crashes_is_rejected_before_drawing() {
     assert_rejected_with(
         &["serve", "--queries", "8", "--sites", "13", "--mtbf", "1e-6"],
         "use a larger --mtbf",
+    );
+}
+
+#[test]
+fn a_stalled_virtual_clock_fails_the_run() {
+    // At this MTBF compounded rebuild surcharges push a site's clock to
+    // about 2.5e26 s, where a clone's completion rounds to the clock
+    // itself and no iteration can pass it.
+    let out = mrs_repro(&["serve", "--queries", "8", "--sites", "13", "--mtbf", "2"]);
+    assert!(!out.status.success(), "the stalled run must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("runtime failed: virtual clock stalled at t="),
+        "{stderr:?}"
     );
 }
 

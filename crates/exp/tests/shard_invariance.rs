@@ -10,19 +10,19 @@
 //!   including the audit trace and the utilization series),
 //! * equal `Debug` renderings of the whole summary (floats print their
 //!   shortest round-trip form, so equal strings mean equal bits),
-//! * equal canonical merged shard traces ([`merge_segments`]).
+//! * equal clone event logs ([`Runtime::clone_events`]).
 //!
 //! [`RunSummary`]: mrs_runtime::metrics::RunSummary
-//! [`merge_segments`]: mrs_shardexec::segment::merge_segments
+//! [`Runtime::clone_events`]: mrs_runtime::runtime::Runtime::clone_events
 
-use mrs_audit::prelude::{audit_run, audit_shard_segments};
+use mrs_audit::prelude::{audit_clone_log, audit_run};
 use mrs_core::tree::TreeProblem;
 use mrs_cost::prelude::CostModel;
 use mrs_exp::prelude::query_problem;
 use mrs_exp::serving::Harness;
 use mrs_runtime::metrics::RunSummary;
 use mrs_runtime::prelude::{AdmissionPolicy, RuntimeConfig};
-use mrs_shardexec::segment::{merge_segments, EventCounts, ShardEvent};
+use mrs_shardexec::segment::{EventCounts, ShardEvent};
 use mrs_workload::prelude::{generate_query, QueryGenConfig};
 
 /// A small deterministic stream: 10 mixed-size queries over 13 sites
@@ -42,8 +42,8 @@ fn stream() -> Vec<TreeProblem> {
         .collect()
 }
 
-/// Runs the stream at `shards`, returning the summary and the canonical
-/// merged shard trace.
+/// Runs the stream at `shards`, returning the summary and the clone
+/// event log.
 fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
     let problems = stream();
     let h = Harness::calibrate(SITES, &problems);
@@ -72,7 +72,8 @@ fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
         decoded,
         "shards={shards} faulty={faulty}: the counters must count what the segments hold"
     );
-    let violations = audit_shard_segments(&segments, SITES);
+    let events = rt.clone_events();
+    let violations = audit_clone_log(&events, SITES);
     assert!(
         violations.is_empty(),
         "shards={shards} faulty={faulty}: {violations:?}"
@@ -82,7 +83,7 @@ fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
         violations.is_empty(),
         "shards={shards} faulty={faulty}: {violations:?}"
     );
-    (summary, merge_segments(&segments))
+    (summary, events)
 }
 
 fn assert_shard_invariant(faulty: bool) {
@@ -109,7 +110,7 @@ fn assert_shard_invariant(faulty: bool) {
         );
         assert_eq!(
             trace, base_trace,
-            "canonical merged trace diverged at shards={shards} faulty={faulty}"
+            "clone event log diverged at shards={shards} faulty={faulty}"
         );
     }
 }

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`job`] | query identity, work volume, lifecycle records |
 //! | [`admission`] | the wait queue and its policies (FCFS, smallest-volume-first, round-robin fair) |
-//! | [`runtime`] | the deterministic event-driven dispatcher over the `mrs-shardexec` site fabric |
+//! | [`runtime`] | the deterministic event-driven dispatcher over the `mrs-shardexec` site layer |
 //! | [`cache`] | the plan-signature schedule cache (template memoization as a pure memo) |
 //! | [`recovery`] | failure-aware rescheduling: re-packing lost work onto survivors |
 //! | [`control`] | adaptive overload control: the parallelism governor and backpressure admission gate |

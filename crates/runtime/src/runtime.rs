@@ -41,11 +41,20 @@
 //! dispatch, placement, retirement, loss, eviction — neither hashes nor
 //! (for `d ≤ 4`) allocates.
 //!
-//! The site layer itself lives behind an `mrs-shardexec` [`Fabric`],
-//! one calendar and one clone event log over all sites, run inline on
-//! this event loop's thread. [`RuntimeConfig::shards`] plays no part in
-//! the run: it only decides how many site ranges
+//! The site layer is one `mrs-shardexec` [`ShardState`] over all sites,
+//! driven inline on this event loop's thread: one calendar, the
+//! alive-site count and one clone event log
+//! ([`Runtime::clone_events`]). [`RuntimeConfig::shards`] plays no part
+//! in the run: it only decides how many site ranges
 //! [`Runtime::shard_segments`] slices the log into when it is read.
+//!
+//! **Progress.** Virtual time never moves backwards, and every arrival,
+//! fault, retry and deadline at or before `t` is consumed on the first
+//! iteration at `t`. A later iteration at the same `t` whose sites
+//! surface no completion, with no retry due, can only have come from a
+//! site whose next completion rounds to its own clock (`now + dt ==
+//! now`): no iteration can ever pass `t` again. The loop returns
+//! [`RuntimeError::Stalled`] there instead of spinning.
 //!
 //! **Plan-ahead.** Every arrival is submitted before the run starts,
 //! and an uncapped plan depends only on its problem, so the spare core
@@ -82,10 +91,10 @@ use mrs_core::shared::{
 use mrs_core::tree::{tree_schedule_with, PlanOptions, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
 use mrs_shardexec::ahead::{Ahead, WINDOW};
-use mrs_shardexec::fabric::Fabric;
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
 use mrs_shardexec::plan::ShardPlan;
-use mrs_shardexec::segment::{EventCounts, ShardSegment};
+use mrs_shardexec::segment::{EventCounts, ShardEvent, ShardSegment};
+use mrs_shardexec::state::ShardState;
 use mrs_shardexec::sync::available_parallelism;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
@@ -123,6 +132,13 @@ pub enum RuntimeError {
         /// Which admission gate refused it.
         reason: ShedReason,
     },
+    /// Virtual time can no longer advance: a site's next completion
+    /// rounds to its own clock, so the run would revisit `time` forever
+    /// (see the [module docs](self)).
+    Stalled {
+        /// The instant the run is stuck at.
+        time: f64,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -137,6 +153,11 @@ impl fmt::Display for RuntimeError {
             RuntimeError::Shed { query, reason } => {
                 write!(f, "{query} shed at arrival: {}", reason.label())
             }
+            RuntimeError::Stalled { time } => write!(
+                f,
+                "virtual clock stalled at t={time:e}: a site's next completion \
+                 rounds to its own clock"
+            ),
         }
     }
 }
@@ -274,9 +295,9 @@ pub struct Runtime<M: ResponseModel> {
     queue: AdmissionQueue,
     arrivals: Vec<ArrivalEvent>,
     pending: QueryTable<Arc<TreeProblem>>,
-    /// The site layer: simulators, calendar, and clone event log (see
-    /// the [module docs](self)).
-    fabric: Fabric,
+    /// The site layer: simulators, calendar, alive count and clone
+    /// event log (see the [module docs](self)).
+    sites: ShardState,
     /// The site ranges [`Runtime::shard_segments`] slices the log into.
     segments: ShardPlan,
     running: QueryTable<RunningQuery>,
@@ -402,9 +423,9 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             assert!(ev.site < sys.sites, "fault site {} out of range", ev.site);
         }
         let segments = ShardPlan::new(sys.sites, cfg.shards);
-        let mut fabric = Fabric::new(sims, d);
+        let mut sites = ShardState::new(0, 0, sims, d);
         if cfg.util_series {
-            fabric.enable_util_series();
+            sites.enable_util_series();
         }
         let queue = AdmissionQueue::new(cfg.policy);
         let faults = FaultTimeline::new(&cfg.faults);
@@ -418,7 +439,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             queue,
             arrivals: Vec::new(),
             pending: QueryTable::new(),
-            fabric,
+            sites,
             segments,
             running: QueryTable::new(),
             clones: CloneWindow::new(),
@@ -459,8 +480,8 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             time: self.clock,
             queue_depth: self.queue.len() + self.released.len(),
             retries: self.retries.len(),
-            alive: self.fabric.alive_sites(),
-            avg_load: self.fabric.avg_load(),
+            alive: self.sites.alive_sites(),
+            avg_load: self.sites.avg_load(),
         }
     }
 
@@ -472,7 +493,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// Total clones currently resident across all sites (zero once a
     /// run fully drains).
     pub fn total_resident(&self) -> usize {
-        self.fabric.total_resident()
+        self.sites.total_resident()
     }
 
     /// Number of segments [`Runtime::shard_segments`] returns:
@@ -481,21 +502,24 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         self.segments.shards()
     }
 
-    /// The clone event log recorded so far, decoded once and sliced
-    /// into one segment per [`RuntimeConfig::shards`] site range, each
-    /// in log order. `mrs-audit`'s trace-merge checker re-sorts them
-    /// into the canonical global trace and verifies partitioning and
-    /// clone conservation.
-    pub fn shard_segments(&self) -> Vec<ShardSegment> {
-        self.segments.split(self.fabric.events())
+    /// Every clone event the sites recorded so far, decoded in push
+    /// order: the evidence `mrs-audit`'s clone-log checker reads.
+    pub fn clone_events(&self) -> Vec<ShardEvent> {
+        self.sites.events()
     }
 
-    /// The events [`Runtime::shard_segments`] would return, counted by
-    /// kind across all segments, without decoding the logs: one
+    /// [`Runtime::clone_events`] sliced into one segment per
+    /// [`RuntimeConfig::shards`] site range, each in log order.
+    pub fn shard_segments(&self) -> Vec<ShardSegment> {
+        self.segments.split(self.clone_events())
+    }
+
+    /// The events [`Runtime::clone_events`] would return, counted by
+    /// kind, without decoding the log: one
     /// `dispatched` per clone placed on a site, and one terminal
     /// (`completed`, `lost` or `evicted`) per clone that left it.
     pub fn segment_event_counts(&self) -> EventCounts {
-        self.fabric.event_counts()
+        self.sites.event_counts()
     }
 
     /// Submits `problem` from `client`, arriving at virtual time
@@ -590,6 +614,9 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// every submitted query is terminal.
     fn event_loop(&mut self) -> Result<(), RuntimeError> {
         let mut completions: Vec<Completion> = Vec::new();
+        // The previous iteration's instant (see the progress rule in the
+        // module docs).
+        let mut last: Option<f64> = None;
 
         loop {
             let work_left = self.arrivals_next < self.arrivals.len()
@@ -598,7 +625,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                 || !self.running.is_empty()
                 || !self.retries.is_empty();
             let next_arrival = self.arrivals.get(self.arrivals_next).map(|a| a.time);
-            let next_completion = self.fabric.next_time();
+            let next_completion = self.sites.next_time();
             // Fault events only matter while there is work they could
             // affect; once the last query terminates, the remaining
             // schedule is irrelevant and must not stretch the horizon.
@@ -645,14 +672,19 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             //    behind and catches up when next touched. A completion
             //    strictly before t cannot exist: t is the global minimum.
             self.clock = t;
-            completions.clear();
-            self.fabric.advance_due(t, &mut completions);
-            // The fabric surfaces completions in (time, tag)
-            // retirement order.
+            self.sites.advance_due(t);
+            self.sites.take_completions(&mut completions);
+            // The sites surface completions in (time, tag) retirement
+            // order.
             debug_assert!(
                 completions_sorted(&completions),
-                "fabric surfaced completions out of (time, tag) order"
+                "sites surfaced completions out of (time, tag) order"
             );
+            let revisit = last.is_some_and(|last| t <= last);
+            if revisit && completions.is_empty() && next_retry.is_none_or(|r| r > t) {
+                return Err(RuntimeError::Stalled { time: t });
+            }
+            last = Some(t);
 
             // 2. Retire completed clones; queries whose phase drained
             //    (and has no parked lost work) dispatch their next phase
@@ -686,7 +718,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                         ev.problem.take().expect("arrival consumed exactly once"),
                     )
                 };
-                let alive_frac = self.fabric.alive_sites() as f64 / self.sys.sites as f64;
+                let alive_frac = self.sites.alive_sites() as f64 / self.sys.sites as f64;
                 let shed_reason = if alive_frac < self.cfg.recovery.degrade_threshold {
                     Some(ShedReason::AliveCount)
                 } else if self.controller.enabled() {
@@ -781,7 +813,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// their queries observe them as finished, not evicted.
     fn touch_site(&mut self, site: usize) {
         let mut buf = std::mem::take(&mut self.touch_buf);
-        self.fabric.catch_up(site, self.clock, &mut buf);
+        self.sites.catch_up(site, self.clock, &mut buf);
         if !buf.is_empty() {
             // A same-instant cascade inside one catch-up emits in the
             // engine's active-array order, not tag order.
@@ -800,13 +832,13 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     fn apply_fault(&mut self, site: usize, kind: FaultKind) {
         match kind {
             FaultKind::Crash => {
-                if self.fabric.is_down(site) {
+                if self.sites.is_down(site) {
                     return;
                 }
                 self.touch_site(site);
                 // Evicts the residents (zeroing the site's committed
                 // load) and invalidates the calendar entry.
-                let lost = self.fabric.fail_site(site);
+                let lost = self.sites.fail_site(site);
                 self.fault_trace.push(FaultRecord {
                     time: self.clock,
                     kind: FaultRecordKind::SiteDown {
@@ -845,13 +877,13 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                 }
             }
             FaultKind::Recover => {
-                if !self.fabric.is_down(site) {
+                if !self.sites.is_down(site) {
                     return;
                 }
                 // A down site is idle (no completions to sweep), so the
                 // restore needs no catch-up; the site's clock fast-forwards
                 // at its next touch.
-                self.fabric.restore_site(site);
+                self.sites.restore_site(site);
                 self.fault_trace.push(FaultRecord {
                     time: self.clock,
                     kind: FaultRecordKind::SiteUp { site },
@@ -886,7 +918,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// `query`) onto the surviving sites, or parks them on a backoff
     /// retry, or — past the retry cap — aborts the query.
     fn handle_lost(&mut self, query: QueryId, works: Vec<WorkVector>, attempt: u32) {
-        let alive: Vec<SiteId> = self.fabric.alive_list();
+        let alive: Vec<SiteId> = self.sites.alive_list();
         let replanned = if alive.is_empty() {
             None
         } else {
@@ -1041,7 +1073,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             .collect();
         for tag in tags {
             let info = self.clones.remove(tag).expect("tag collected above");
-            let _ = self.fabric.remove_clone(info.site.0, tag);
+            let _ = self.sites.remove_clone(info.site.0, tag);
         }
         self.retries.retain(|r| r.query != id);
         self.running.remove(id);
@@ -1088,7 +1120,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                 work: work.clone(),
                 duration,
             };
-            let done = self.fabric.place_clone(site.0, &clone);
+            let done = self.sites.add_clone(site.0, &clone);
             debug_assert_eq!(
                 done.is_some(),
                 duration <= 0.0,
@@ -1152,7 +1184,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                 for (work, n) in op.clones.runs() {
                     let duration = self.model.t_seq(work);
                     for &site in homes.by_ref().take(n) {
-                        if !self.fabric.is_down(site.0) {
+                        if !self.sites.is_down(site.0) {
                             live.push((site, work.clone(), duration));
                         } else {
                             displaced.push(work.clone());
@@ -1380,7 +1412,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             self.cfg.policy.label(),
             horizon,
             self.records.clone(),
-            self.fabric.busy(),
+            self.sites.busy(),
             self.depth_trace.clone(),
             self.fault_trace.clone(),
         );
@@ -1388,10 +1420,10 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         s.cache.batches_released = self.batches_released;
         s.cache.batch_members = self.batch_members;
         s.trace = self.audit_trace.clone();
-        s.site_peak_util = self.fabric.peak_util();
-        s.site_util_integral = self.fabric.util_integral();
+        s.site_peak_util = self.sites.peak_util();
+        s.site_util_integral = self.sites.util_integral();
         if self.cfg.util_series {
-            s.site_util_series = self.fabric.util_series();
+            s.site_util_series = self.sites.util_series();
         }
         s
     }
@@ -1569,9 +1601,57 @@ mod tests {
             reason: ShedReason::AliveCount,
         };
         assert_eq!(format!("{shed}"), "q7 shed at arrival: alive-count");
+        let stalled = RuntimeError::Stalled { time: 1e18 };
+        assert_eq!(
+            format!("{stalled}"),
+            "virtual clock stalled at t=1e18: a site's next completion rounds to its own clock"
+        );
         // Clone + PartialEq let tests compare whole failure lists.
         assert_eq!(abort.clone(), abort);
         assert_ne!(abort, shed);
+    }
+
+    #[test]
+    fn a_clock_that_cannot_advance_is_a_typed_error() {
+        // At t = 1e18 an ulp is 128 s, so every clone of a 60 s operator
+        // finishes at `now + dt == now`: the site can never retire it
+        // and the loop would revisit t forever.
+        let mut rt = runtime(AdmissionPolicy::Fcfs, 4);
+        rt.submit_at(1e18, 0, one_op_problem(60.0));
+        assert_eq!(
+            rt.run_to_completion().unwrap_err(),
+            RuntimeError::Stalled { time: 1e18 }
+        );
+        // Ten times earlier the clock resolves the clones and the run
+        // completes.
+        let mut rt = runtime(AdmissionPolicy::Fcfs, 4);
+        let id = rt.submit_at(1e17, 0, one_op_problem(60.0));
+        let summary = rt.run_to_completion().unwrap();
+        assert_eq!(summary.queries[id.0].outcome, Some(QueryOutcome::Completed));
+    }
+
+    #[test]
+    fn retries_due_at_a_revisited_instant_are_not_a_stall() {
+        // With no backoff every failed retry re-parks at the clock
+        // itself, so the loop revisits t = 1 with no completion until
+        // the retries run out: progress, not a stall.
+        let cfg = RuntimeConfig {
+            faults: FaultPlan::scripted((0..4).map(|site| crash(1.0, site)).collect()),
+            recovery: RecoveryConfig {
+                max_retries: 3,
+                backoff_base: 0.0,
+                ..RecoveryConfig::default()
+            },
+            ..RuntimeConfig::default()
+        };
+        let mut rt = runtime_with(cfg);
+        let id = rt.submit_at(0.0, 0, one_op_problem(40.0));
+        let summary = rt.run_to_completion().unwrap();
+        assert!(matches!(
+            &summary.queries[id.0].outcome,
+            Some(QueryOutcome::Aborted { reason }) if reason.contains("retries exhausted")
+        ));
+        assert_eq!(summary.horizon, 1.0);
     }
 
     #[test]
@@ -2447,9 +2527,11 @@ mod tests {
             rt.run_to_completion().unwrap();
             rt
         };
-        let whole = run(1).shard_segments();
+        let one = run(1);
+        let whole = one.shard_segments();
         assert_eq!(whole.len(), 1);
         let log = &whole[0].events;
+        assert_eq!(log, &one.clone_events());
         assert!(
             log.iter().any(|e| e.kind == ShardEventKind::Lost),
             "the crashes must hit resident clones"

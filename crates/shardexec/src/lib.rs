@@ -1,4 +1,4 @@
-//! # mrs-shardexec — the site fabric and its audit segments
+//! # mrs-shardexec — the site layer and its clone event log
 //!
 //! The runtime's event loop interleaves two kinds of step:
 //!
@@ -9,29 +9,26 @@
 //!   firing retries, admitting queries — which read and write cross-site
 //!   state (the admission queue, the clone table, the schedule cache).
 //!
-//! This crate owns the site-local steps. The [`Fabric`](fabric::Fabric)
-//! is one [`ShardState`](state::ShardState) over all `P` sites, run on
-//! the event loop's thread: the site simulators (each holding its own
-//! committed load, [`SiteSim::load`](mrs_sim::engine::SiteSim::load)),
-//! one lazy [`EventCalendar`](mrs_sim::calendar::EventCalendar), and one
-//! run-encoded log of every clone dispatch, completion, loss and
-//! eviction. Nothing runs on another thread: one epoch advances about
-//! two dozen clones, a few microseconds of work that no barrier round
-//! pays for.
+//! This crate owns the site-local steps. The runtime drives one
+//! [`ShardState`](state::ShardState) over all `P` sites on its event
+//! loop's thread: the site simulators (each holding its own committed
+//! load, [`SiteSim::load`](mrs_sim::engine::SiteSim::load)), one lazy
+//! [`EventCalendar`](mrs_sim::calendar::EventCalendar), the alive-site
+//! count, and one run-encoded log of every clone dispatch, completion,
+//! loss and eviction. Nothing runs on another thread: one epoch
+//! advances about two dozen clones, a few microseconds of work that no
+//! barrier round pays for.
 //!
-//! ## Audit segments are read-time slices
+//! ## The clone event log
 //!
-//! A [`ShardPlan`](plan::ShardPlan) partitions the site indices into
-//! `N` contiguous, balanced ranges (a pure function of `(P, N)`).
-//! [`ShardPlan::split`](plan::ShardPlan::split) slices the decoded log
-//! into one [`ShardSegment`](segment::ShardSegment) per range, keeping
-//! log order inside each. The run itself never sees `N`, so every
-//! output is the same for any `N`. Each segment holds its sites' events
-//! in the order a log of its own would have recorded them, because the
-//! calendar advances due sites in global index order and every other
-//! record touches one site. `mrs-audit`'s merge checker verifies that
-//! the segments tile the site range, that each names only its own
-//! sites, and that they conserve every dispatched clone.
+//! `mrs-audit` reads the decoded log in push order and checks that
+//! every clone is dispatched once and ends in exactly one terminal
+//! event. A [`ShardPlan`](plan::ShardPlan) partitions the site indices
+//! into `N` contiguous, balanced ranges (a pure function of `(P, N)`),
+//! and [`ShardPlan::split`](plan::ShardPlan::split) slices the decoded
+//! log into one [`ShardSegment`](segment::ShardSegment) per range,
+//! keeping log order inside each. The run itself never sees `N`, so
+//! every output is the same for any `N`.
 //!
 //! ## Threads
 //!
@@ -49,7 +46,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ahead;
-pub mod fabric;
 pub mod merge;
 pub mod plan;
 pub mod pool;
@@ -59,9 +55,8 @@ pub mod sync;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::fabric::Fabric;
     pub use crate::merge::sort_completions;
     pub use crate::plan::ShardPlan;
-    pub use crate::segment::{merge_segments, ShardEvent, ShardEventKind, ShardSegment};
+    pub use crate::segment::{ShardEvent, ShardEventKind, ShardSegment};
     pub use crate::state::ShardState;
 }

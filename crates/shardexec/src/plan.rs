@@ -2,8 +2,8 @@
 //!
 //! Range partitioning (contiguous balanced slices) rather than hashing:
 //! concatenating the segments in shard order reproduces the global
-//! site-index order. The fabric records one event log over all sites;
-//! [`ShardPlan::split`] slices it by these ranges when it is read.
+//! site-index order. The site layer records one event log over all
+//! sites; [`ShardPlan::split`] slices it by these ranges when it is read.
 
 use crate::segment::{ShardEvent, ShardSegment};
 

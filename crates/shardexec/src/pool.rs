@@ -1,7 +1,7 @@
 //! A pinned worker pool: one persistent thread per shard, driven one
 //! round at a time through one [`Mutex`]-guarded round state.
 //!
-//! No runtime path uses it: the [`Fabric`](crate::fabric::Fabric) runs
+//! No runtime path uses it: the runtime drives one [`ShardState`] over
 //! all sites inline on the event-loop thread, because one epoch's site
 //! work (a few microseconds) never paid for a barrier round. The pool
 //! stays for the end-to-end benchmark's barrier-cost probe

@@ -1,13 +1,11 @@
-//! The clone event log, its audit-trace segments, and their canonical
-//! merge.
+//! The clone event log and its read-time segments.
 //!
 //! The site layer records every site-level clone event — dispatch,
 //! completion, crash loss, eviction — into one run-encoded
-//! [`EventLog`], which decodes when asked and is sliced by site range
-//! into [`ShardSegment`]s ([`ShardPlan::split`]). Segments are the
-//! evidence the trace-merge checker audits: they must partition the
-//! site range, conserve every dispatched clone (exactly one terminal
-//! event per tag), and re-sort to a single canonical global trace.
+//! [`EventLog`], which decodes when asked. The decoded log is the
+//! evidence `mrs-audit`'s clone-log checker reads: every dispatched
+//! clone must end in exactly one terminal event. It can also be sliced
+//! by site range into [`ShardSegment`]s ([`ShardPlan::split`]).
 //!
 //! [`ShardPlan::split`]: crate::plan::ShardPlan::split
 
@@ -25,9 +23,8 @@ pub enum ShardEventKind {
 }
 
 impl ShardEventKind {
-    /// Stable rank used by the canonical merge order: a dispatch sorts
-    /// before its own same-instant terminal (a zero-duration clone is
-    /// dispatched and completed at the same time with the same tag).
+    /// Stable rank of the kind: the two bits an `EventLog` cell
+    /// stores it in.
     pub fn rank(self) -> u8 {
         match self {
             ShardEventKind::Dispatched => 0,
@@ -63,11 +60,10 @@ pub struct ShardEvent {
     pub kind: ShardEventKind,
 }
 
-/// Per-kind counts of recorded events: what [`ShardState`] and
-/// [`Fabric`] report without decoding the log.
+/// Per-kind counts of recorded events: what [`ShardState`] reports
+/// without decoding the log.
 ///
 /// [`ShardState`]: crate::state::ShardState
-/// [`Fabric`]: crate::fabric::Fabric
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// [`ShardEventKind::Dispatched`] events.
@@ -305,8 +301,8 @@ impl EventLog {
 /// its sites' events, in the order they were recorded. The log stores
 /// events run-encoded, at about 20 bytes per clone for its dispatch and
 /// terminal event together; a segment holds 32-byte [`ShardEvent`]s,
-/// decoded only when the audit, a shard-invariance check or a traced
-/// benchmark asks for them.
+/// decoded only when a shard-invariance check or a traced benchmark
+/// asks for them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSegment {
     /// The segment's index, in site order.
@@ -317,50 +313,6 @@ pub struct ShardSegment {
     /// globally (lazy catch-up can append an older-stamped completion
     /// after a newer event on another site).
     pub events: Vec<ShardEvent>,
-}
-
-/// The canonical event comparator: `(time, tag, kind rank, site)` with a
-/// total order on time. Tags are unique per dispatch and a tag meets
-/// each kind at most once, so the order is total.
-pub fn event_order(a: &ShardEvent, b: &ShardEvent) -> std::cmp::Ordering {
-    a.time
-        .total_cmp(&b.time)
-        .then(a.tag.cmp(&b.tag))
-        .then(a.kind.rank().cmp(&b.kind.rank()))
-        .then(a.site.cmp(&b.site))
-}
-
-/// The canonical global trace: all segments' events re-sorted into
-/// [`event_order`] — two runs whose merged traces are equal recorded the
-/// same physical events, however they were segmented. Each segment is
-/// sorted independently (segments only guarantee per-site monotone
-/// times), then the pre-sorted runs are k-way merged; because the key is
-/// total this equals the old concatenate-and-sort exactly, while the
-/// cross-segment work drops to a linear merge.
-pub fn merge_segments(segments: &[ShardSegment]) -> Vec<ShardEvent> {
-    let mut runs: Vec<Vec<ShardEvent>> = segments.iter().map(|s| s.events.clone()).collect();
-    for run in &mut runs {
-        run.sort_by(event_order);
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut heads = vec![0usize; runs.len()];
-    for _ in 0..total {
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            let Some(e) = run.get(heads[r]) else { continue };
-            best = match best {
-                Some(b) if event_order(&runs[b][heads[b]], e) != std::cmp::Ordering::Greater => {
-                    Some(b)
-                }
-                _ => Some(r),
-            };
-        }
-        let Some(b) = best else { break };
-        out.push(runs[b][heads[b]]);
-        heads[b] += 1;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -580,48 +532,5 @@ mod tests {
                 bytes(&log)
             );
         }
-    }
-
-    #[test]
-    fn merge_is_partition_invariant() {
-        use ShardEventKind::*;
-        // The same physical events split 1-way and 2-way must merge to
-        // the same canonical trace.
-        let one = vec![ShardSegment {
-            shard: 0,
-            sites: (0, 4),
-            events: vec![
-                ev(0.0, 0, 0, Dispatched),
-                ev(0.0, 3, 1, Dispatched),
-                ev(2.0, 3, 1, Completed),
-                ev(5.0, 0, 0, Completed),
-            ],
-        }];
-        let two = vec![
-            ShardSegment {
-                shard: 0,
-                sites: (0, 2),
-                events: vec![ev(0.0, 0, 0, Dispatched), ev(5.0, 0, 0, Completed)],
-            },
-            ShardSegment {
-                shard: 1,
-                sites: (2, 4),
-                events: vec![ev(0.0, 3, 1, Dispatched), ev(2.0, 3, 1, Completed)],
-            },
-        ];
-        assert_eq!(merge_segments(&one), merge_segments(&two));
-    }
-
-    #[test]
-    fn dispatch_sorts_before_same_instant_completion() {
-        use ShardEventKind::*;
-        let seg = vec![ShardSegment {
-            shard: 0,
-            sites: (0, 1),
-            events: vec![ev(1.0, 0, 7, Completed), ev(1.0, 0, 7, Dispatched)],
-        }];
-        let merged = merge_segments(&seg);
-        assert_eq!(merged[0].kind, Dispatched);
-        assert_eq!(merged[1].kind, Completed);
     }
 }

@@ -1,12 +1,19 @@
-//! A site layer: a run of site simulators, their lazy event calendar,
-//! and the clone event log they record into.
+//! The site layer: a run of site simulators, their lazy event
+//! calendar, and the clone event log they record into.
 //!
 //! A [`ShardState`] answers the two questions of the epoch protocol
 //! (next completion time; advance the due sites) and takes every
-//! per-site mutation. The [`Fabric`](crate::fabric::Fabric) holds one
-//! over all sites (base 0); [`ShardPool`](crate::pool::ShardPool) cells
+//! per-site mutation. The runtime drives one over all sites (base 0) on
+//! its event loop's thread; [`ShardPool`](crate::pool::ShardPool) cells
 //! hold one per contiguous range. All public methods take *global* site
 //! indices; the state translates to its local slice.
+//!
+//! Every record is per site: the calendar advances the due sites in
+//! index order, and dispatch, catch-up, crash and eviction each touch
+//! one site. So a slice of the log by site range
+//! ([`ShardPlan::split`](crate::plan::ShardPlan::split)) holds its
+//! range's events in the order a log of its own would have recorded
+//! them.
 
 use crate::merge::sort_completions;
 use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITES};
@@ -25,10 +32,14 @@ pub struct ShardState {
     calendar: EventCalendar,
     /// Every clone event the sites recorded, in push order.
     events: EventLog,
-    /// Completions surfaced by the latest advance command, sorted by
-    /// `(time, tag)`: the runtime's canonical retirement order.
+    /// Sites in service: crashes decrement it and restores increment
+    /// it, so the admission path's degraded-mode check costs no fold
+    /// over the sites.
+    alive: usize,
+    /// Completions surfaced by the latest [`ShardState::advance_due`],
+    /// sorted by `(time, tag)`: the runtime's canonical retirement order.
     pub(crate) buf: Vec<Completion>,
-    /// Earliest pending completion, refreshed by [`ShardState::compute_next`]
+    /// Earliest pending completion, refreshed by [`ShardState::next_time`]
     /// and — fused — at the end of every [`ShardState::advance_due`].
     pub(crate) next: Option<f64>,
 }
@@ -56,6 +67,7 @@ impl ShardState {
             base,
             calendar: EventCalendar::new(n),
             events: EventLog::default(),
+            alive: sims.iter().filter(|sim| !sim.is_down()).count(),
             sims,
             buf: Vec::new(),
             next: None,
@@ -86,23 +98,31 @@ impl ShardState {
         });
     }
 
-    /// Epoch step 1: computes the earliest pending completion across
-    /// the sites into [`ShardState::next`].
-    pub fn compute_next(&mut self) {
+    /// Epoch step 1: the earliest pending completion across the sites
+    /// (`None` when every site is idle).
+    pub fn next_time(&mut self) -> Option<f64> {
         self.next = self.calendar.next_time(&mut self.sims);
+        self.next
+    }
+
+    /// [`ShardState::next_time`] for a pool round, which reads the
+    /// answer from the `next` field.
+    pub fn compute_next(&mut self) {
+        self.next_time();
     }
 
     /// Epoch step 2: advances every due site to `t` in site order,
-    /// collecting completions into [`ShardState::buf`] (sorted by
-    /// `(time, tag)`, the runtime's retirement order) and recording them
-    /// in the log. Ends by refreshing [`ShardState::next`] while the
-    /// calendar is fresh, so one pool round answers both questions.
+    /// collecting completions (sorted by `(time, tag)`, the runtime's
+    /// retirement order; see [`ShardState::take_completions`]) and
+    /// recording them in the log. Ends by refreshing the `next` field
+    /// while the calendar is fresh, so one pool round answers both
+    /// questions.
     pub fn advance_due(&mut self, t: f64) {
         self.buf.clear();
         let base = self.base;
         let log = &mut self.events;
         self.calendar
-            .advance_due_observed(t, &mut self.sims, &mut self.buf, |site, done| {
+            .advance_due(t, &mut self.sims, &mut self.buf, |site, done| {
                 for c in done {
                     log.push(ShardEvent {
                         time: c.time,
@@ -114,6 +134,14 @@ impl ShardState {
             });
         sort_completions(&mut self.buf);
         self.next = self.calendar.next_time(&mut self.sims);
+    }
+
+    /// Swaps the completions the latest [`ShardState::advance_due`]
+    /// surfaced into `out`, whose old contents are dropped and whose
+    /// buffer the next advance reuses: nothing is copied or allocated.
+    pub fn take_completions(&mut self, out: &mut Vec<Completion>) {
+        out.clear();
+        std::mem::swap(&mut self.buf, out);
     }
 
     /// Catches a lazily advanced site up to `clock`, appending any
@@ -153,9 +181,10 @@ impl ShardState {
 
     /// Crashes `site`: evicts and returns its resident clones (recorded
     /// as lost), zeroing its committed load. The caller must have caught
-    /// the site up to the clock first.
+    /// the site up to the clock first, and the site must be alive.
     pub fn fail_site(&mut self, site: usize) -> Vec<LostClone> {
         let l = self.local(site);
+        self.alive -= 1;
         let lost = self.sims[l].fail();
         self.calendar.invalidate(l);
         let now = self.sims[l].now();
@@ -168,6 +197,7 @@ impl ShardState {
     /// Restores a crashed `site`, empty and idle.
     pub fn restore_site(&mut self, site: usize) {
         let l = self.local(site);
+        self.alive += 1;
         self.sims[l].restore();
         self.calendar.invalidate(l);
     }
@@ -210,6 +240,16 @@ impl ShardState {
             return f64::INFINITY;
         }
         acc / alive as f64
+    }
+
+    /// Number of sites in service (kept as a count, not folded).
+    pub fn alive_sites(&self) -> usize {
+        debug_assert_eq!(
+            self.alive,
+            self.alive_list().len(),
+            "cached alive-site count diverged from the site simulators"
+        );
+        self.alive
     }
 
     /// The alive sites as global ids, in site order.
@@ -345,6 +385,87 @@ mod tests {
     #[should_panic(expected = "at most 2^30 sites")]
     fn sites_past_the_log_encoding_are_rejected() {
         let _ = state(0, MAX_SITES - 1, 2);
+    }
+
+    #[test]
+    fn crashes_and_restores_move_the_alive_mean() {
+        let mut st = state(0, 0, 6);
+        st.add_clone(1, &clone(0, &[0.5, 1.0], 2.0)); // load 0.5
+        st.add_clone(4, &clone(1, &[1.5, 0.0], 2.0)); // load 0.75
+        assert_eq!(st.avg_load(), 1.25 / 6.0);
+        // A crash zeroes the site's load and drops it from the mean's
+        // denominator.
+        assert_eq!(st.fail_site(4).len(), 1);
+        assert!(st.is_down(4));
+        assert_eq!(st.alive_sites(), 5);
+        let alive: Vec<usize> = st.alive_list().iter().map(|s| s.0).collect();
+        assert_eq!(alive, vec![0, 1, 2, 3, 5]);
+        assert_eq!(st.total_resident(), 1);
+        assert_eq!(st.avg_load(), 0.5 / 5.0);
+        // A restore brings the site back empty.
+        st.restore_site(4);
+        assert_eq!(st.alive_sites(), 6);
+        assert_eq!(st.avg_load(), 0.5 / 6.0);
+        // With every site down the mean is +inf.
+        for site in 0..6 {
+            st.fail_site(site);
+        }
+        assert!(st.alive_list().is_empty());
+        assert_eq!(st.alive_sites(), 0);
+        assert_eq!(st.avg_load(), f64::INFINITY);
+        assert_eq!(st.next_time(), None, "the crashes evicted every clone");
+    }
+
+    #[test]
+    fn an_advance_before_the_next_completion_surfaces_nothing() {
+        let mut st = state(0, 0, 4);
+        st.add_clone(0, &clone(0, &[4.0, 0.0], 4.0));
+        assert_eq!(st.next_time(), Some(4.0));
+        let mut out = Vec::new();
+        st.advance_due(1.0);
+        st.take_completions(&mut out);
+        assert!(out.is_empty());
+        st.advance_due(4.0);
+        st.take_completions(&mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(st.next_time(), None);
+    }
+
+    #[test]
+    fn same_instant_completions_on_different_sites_surface_in_tag_order() {
+        use ShardEventKind::*;
+        // Bit-identical clones on three sites complete at one instant,
+        // their tags descending in site order: the calendar advances
+        // the sites in index order, so the log reads [2, 1, 0] while
+        // the surfaced completions are sorted by tag.
+        let mut st = state(0, 0, 6);
+        st.add_clone(0, &clone(2, &[2.0, 0.0], 2.0));
+        st.add_clone(2, &clone(1, &[2.0, 0.0], 2.0));
+        st.add_clone(4, &clone(0, &[2.0, 0.0], 2.0));
+        let t = st.next_time().expect("three clones pending");
+        let mut out = Vec::new();
+        st.advance_due(t);
+        st.take_completions(&mut out);
+        let tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
+        assert_eq!(tags, vec![0, 1, 2], "(time, tag) order");
+        assert_eq!(st.next_time(), None);
+        let logged: Vec<(usize, usize, ShardEventKind)> = st
+            .events()
+            .iter()
+            .map(|e| (e.site, e.tag, e.kind))
+            .collect();
+        assert_eq!(
+            logged,
+            vec![
+                (0, 2, Dispatched),
+                (2, 1, Dispatched),
+                (4, 0, Dispatched),
+                (0, 2, Completed),
+                (2, 1, Completed),
+                (4, 0, Completed),
+            ]
+        );
+        assert_eq!(st.event_counts().total(), 6);
     }
 
     #[test]

@@ -134,18 +134,11 @@ impl EventCalendar {
     /// (in site-index order, matching the old advance-everything loop),
     /// appending their completions to `out` and invalidating them. Sites
     /// with entries beyond `t` — and idle sites — are left untouched.
-    pub fn advance_due(&mut self, t: f64, sims: &mut [SiteSim], out: &mut Vec<Completion>) {
-        self.advance_due_observed(t, sims, out, |_, _| {});
-    }
-
-    /// [`EventCalendar::advance_due`] with an observer: after each due
-    /// site advances, `observe(site, slice)` is invoked with that site's
-    /// newly appended completions. The observed arithmetic is identical
-    /// to the plain variant (which delegates here with a no-op closure);
-    /// the hook exists so the site layer can attribute completions to
-    /// their site in its clone event log without re-deriving the due
-    /// set.
-    pub fn advance_due_observed(
+    /// After each due site advances, `observe(site, slice)` is invoked
+    /// with that site's newly appended completions, so the site layer
+    /// can attribute completions to their site in its clone event log
+    /// without re-deriving the due set.
+    pub fn advance_due(
         &mut self,
         t: f64,
         sims: &mut [SiteSim],
@@ -205,7 +198,7 @@ mod tests {
         let mut cal = EventCalendar::new(3);
         assert_eq!(cal.next_time(&mut sims), None);
         let mut out = Vec::new();
-        cal.advance_due(10.0, &mut sims, &mut out);
+        cal.advance_due(10.0, &mut sims, &mut out, |_, _| {});
         assert!(out.is_empty());
     }
 
@@ -256,7 +249,7 @@ mod tests {
         let t = cal.next_time(&mut sims).unwrap();
         assert_eq!(t, 1.0);
         let mut out = Vec::new();
-        cal.advance_due(t, &mut sims, &mut out);
+        cal.advance_due(t, &mut sims, &mut out, |_, _| {});
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].tag, 0);
         // Site 1 was not due: its local clock lags (lazy advancement).
@@ -278,7 +271,7 @@ mod tests {
         cal.invalidate(1);
         let t = cal.next_time(&mut sims).unwrap();
         let mut out = Vec::new();
-        cal.advance_due(t, &mut sims, &mut out);
+        cal.advance_due(t, &mut sims, &mut out, |_, _| {});
         let mut tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
         tags.sort_unstable();
         assert_eq!(tags, vec![0, 1]);
@@ -286,38 +279,24 @@ mod tests {
     }
 
     #[test]
-    fn observed_advance_matches_plain_and_attributes_sites() {
-        let drive = |observed: bool| {
-            let mut sims = sims(3);
-            let mut cal = EventCalendar::new(3);
-            sims[0].add_clone(&clone(0, &[2.0, 0.0], 2.0));
-            sims[2].add_clone(&clone(1, &[2.0, 0.0], 2.0));
-            cal.invalidate(0);
-            cal.invalidate(2);
-            let t = cal.next_time(&mut sims).unwrap();
-            let mut out = Vec::new();
-            let mut seen: Vec<(usize, usize)> = Vec::new();
-            if observed {
-                cal.advance_due_observed(t, &mut sims, &mut out, |site, done| {
-                    seen.push((site, done.len()));
-                });
-            } else {
-                cal.advance_due(t, &mut sims, &mut out);
-            }
-            (
-                out.iter()
-                    .map(|c| (c.tag, c.time.to_bits()))
-                    .collect::<Vec<_>>(),
-                seen,
-            )
-        };
-        let (plain, no_obs) = drive(false);
-        let (obs, sites) = drive(true);
-        assert_eq!(plain, obs, "observer must not perturb the arithmetic");
-        assert!(no_obs.is_empty());
+    fn the_observer_sees_each_due_site_once_with_its_completions() {
+        let mut sims = sims(3);
+        let mut cal = EventCalendar::new(3);
+        sims[0].add_clone(&clone(0, &[2.0, 0.0], 2.0));
+        sims[2].add_clone(&clone(1, &[2.0, 0.0], 2.0));
+        cal.invalidate(0);
+        cal.invalidate(2);
+        let t = cal.next_time(&mut sims).unwrap();
+        let mut out = Vec::new();
+        let mut seen: Vec<(usize, Vec<usize>)> = Vec::new();
+        cal.advance_due(t, &mut sims, &mut out, |site, done| {
+            seen.push((site, done.iter().map(|c| c.tag).collect()));
+        });
+        let tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
+        assert_eq!(tags, vec![0, 1]);
         // Each due site reported once, in site-index order, with its own
         // completions.
-        assert_eq!(sites, vec![(0, 1), (2, 1)]);
+        assert_eq!(seen, vec![(0, vec![0]), (2, vec![1])]);
     }
 
     #[test]

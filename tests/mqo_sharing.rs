@@ -134,8 +134,9 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
     );
 }
 
-/// `--batch` composes with the sharded fabric: the full summary digest
-/// (trajectories, traces, counters) is invariant in the shard count.
+/// `--batch` composes with any audit-segment count: the full summary
+/// digest (trajectories, traces, counters) is invariant in the shard
+/// count.
 #[test]
 fn batched_sharing_is_byte_identical_across_shards() {
     let cost = CostModel::paper_defaults();
