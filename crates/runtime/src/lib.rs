@@ -73,4 +73,5 @@ pub mod prelude {
     pub use crate::trace::{
         audit_control_transition, audit_placements_valid, audit_repack_conserves, AuditEvent,
     };
+    pub use mrs_shardexec::state::SiteCounters;
 }

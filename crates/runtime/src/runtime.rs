@@ -94,7 +94,7 @@ use mrs_shardexec::ahead::{Ahead, WINDOW};
 use mrs_shardexec::merge::{completions_sorted, sort_completions};
 use mrs_shardexec::plan::ShardPlan;
 use mrs_shardexec::segment::{EventCounts, ShardEvent, ShardSegment};
-use mrs_shardexec::state::ShardState;
+use mrs_shardexec::state::{ShardState, SiteCounters};
 use mrs_shardexec::sync::available_parallelism;
 use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
@@ -520,6 +520,14 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// (`completed`, `lost` or `evicted`) per clone that left it.
     pub fn segment_event_counts(&self) -> EventCounts {
         self.sites.event_counts()
+    }
+
+    /// The site layer's deterministic work counters so far: speed
+    /// solves, fluid steps, clones placed and calendar refreshes. They
+    /// explain a wall-clock difference without host noise, and enter
+    /// neither [`RunSummary::digest`] nor any report.
+    pub fn site_counters(&self) -> SiteCounters {
+        self.sites.counters()
     }
 
     /// Submits `problem` from `client`, arriving at virtual time

@@ -58,5 +58,5 @@ pub mod prelude {
     pub use crate::merge::sort_completions;
     pub use crate::plan::ShardPlan;
     pub use crate::segment::{ShardEvent, ShardEventKind, ShardSegment};
-    pub use crate::state::ShardState;
+    pub use crate::state::{ShardState, SiteCounters};
 }

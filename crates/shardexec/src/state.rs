@@ -21,6 +21,25 @@ use mrs_core::resource::SiteId;
 use mrs_sim::calendar::EventCalendar;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
 
+/// Deterministic work counters of the site layer: how much simulation
+/// work a run did, whatever the host's speed. Equal counters on two
+/// builds mean they simulated the same steps; a wall-clock difference
+/// between them is the cost of each step.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SiteCounters {
+    /// Sharing-policy solves, summed over the sites
+    /// ([`SiteSim::speed_solves`]).
+    pub speed_solves: u64,
+    /// Constant-speed intervals stepped, summed over the sites
+    /// ([`SiteSim::fluid_steps`]).
+    pub fluid_steps: u64,
+    /// Clones inserted on a site, zero-duration ones included.
+    pub clones_placed: u64,
+    /// Sites whose next completion time the calendar recomputed
+    /// ([`EventCalendar::refreshes`]).
+    pub calendar_refreshes: u64,
+}
+
 /// A run of sites and their event log. See the [module docs](self).
 #[derive(Debug)]
 pub struct ShardState {
@@ -36,6 +55,8 @@ pub struct ShardState {
     /// it, so the admission path's degraded-mode check costs no fold
     /// over the sites.
     alive: usize,
+    /// Clones inserted so far (see [`SiteCounters::clones_placed`]).
+    clones_placed: u64,
     /// Completions surfaced by the latest [`ShardState::advance_due`],
     /// sorted by `(time, tag)`: the runtime's canonical retirement order.
     pub(crate) buf: Vec<Completion>,
@@ -68,6 +89,7 @@ impl ShardState {
             calendar: EventCalendar::new(n),
             events: EventLog::default(),
             alive: sims.iter().filter(|sim| !sim.is_down()).count(),
+            clones_placed: 0,
             sims,
             buf: Vec::new(),
             next: None,
@@ -164,6 +186,7 @@ impl ShardState {
     /// completion is returned (and recorded) instead of being tracked.
     pub fn add_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
         let l = self.local(site);
+        self.clones_placed += 1;
         match self.sims[l].add_clone(clone) {
             Some(done) => {
                 self.record(done.time, site, clone.tag, ShardEventKind::Dispatched);
@@ -294,6 +317,16 @@ impl ShardState {
                     .unwrap_or_default()
             })
             .collect()
+    }
+
+    /// The site layer's work counters so far (see [`SiteCounters`]).
+    pub fn counters(&self) -> SiteCounters {
+        SiteCounters {
+            speed_solves: self.sims.iter().map(SiteSim::speed_solves).sum(),
+            fluid_steps: self.sims.iter().map(SiteSim::fluid_steps).sum(),
+            clones_placed: self.clones_placed,
+            calendar_refreshes: self.calendar.refreshes(),
+        }
     }
 
     /// The events recorded so far, counted by kind (no decoding).

@@ -69,6 +69,8 @@ pub struct EventCalendar {
     dirty_list: Vec<usize>,
     /// Scratch for the due-site collection in `advance_due`.
     due_buf: Vec<usize>,
+    /// Sites recomputed so far (see [`EventCalendar::refreshes`]).
+    refreshes: u64,
 }
 
 impl EventCalendar {
@@ -81,7 +83,15 @@ impl EventCalendar {
             dirty: vec![true; sites],
             dirty_list: (0..sites).collect(),
             due_buf: Vec::new(),
+            refreshes: 0,
         }
+    }
+
+    /// How many times a site's next completion time was recomputed: a
+    /// deterministic work counter (each dirty site counts once per
+    /// refresh, however often it was invalidated in between).
+    pub fn refreshes(&self) -> u64 {
+        self.refreshes
     }
 
     /// Marks `site` stale: its generation bumps (so any queued entry is
@@ -103,6 +113,7 @@ impl EventCalendar {
             return;
         }
         self.dirty_list.sort_unstable();
+        self.refreshes += self.dirty_list.len() as u64;
         for site in self.dirty_list.drain(..) {
             self.dirty[site] = false;
             if let Some(time) = sims[site].next_completion_time() {

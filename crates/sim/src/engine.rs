@@ -239,6 +239,10 @@ pub struct SiteSim {
     /// Optional per-step utilization series (see
     /// [`SiteSim::enable_util_series`]); `None` records nothing.
     util_series: Option<Vec<UtilSample>>,
+    /// Sharing-policy solves so far (see [`SiteSim::speed_solves`]).
+    speed_solves: u64,
+    /// Constant-speed steps so far (see [`SiteSim::fluid_steps`]).
+    fluid_steps: u64,
 }
 
 impl SiteSim {
@@ -259,6 +263,8 @@ impl SiteSim {
             peak_util: vec![0.0; d],
             util_integral: vec![0.0; d],
             util_series: None,
+            speed_solves: 0,
+            fluid_steps: 0,
         }
     }
 
@@ -276,6 +282,7 @@ impl SiteSim {
                 &mut self.scratch,
             );
             self.speeds_valid = true;
+            self.speed_solves += 1;
         }
     }
 
@@ -344,6 +351,21 @@ impl SiteSim {
     /// [`SiteSim::enable_util_series`] was never called.
     pub fn util_series(&self) -> Option<&[UtilSample]> {
         self.util_series.as_deref()
+    }
+
+    /// How many times the site has solved its sharing policy: a
+    /// deterministic work counter (one per population change that a
+    /// completion query or an advance then read).
+    #[inline]
+    pub fn speed_solves(&self) -> u64 {
+        self.speed_solves
+    }
+
+    /// How many constant-speed intervals [`SiteSim::advance_to`] has
+    /// stepped through: a deterministic work counter.
+    #[inline]
+    pub fn fluid_steps(&self) -> u64 {
+        self.fluid_steps
     }
 
     /// The site's speed multiplier (see [`SiteSim::set_rate`]).
@@ -483,6 +505,7 @@ impl SiteSim {
             self.now
         );
         while !self.active.is_empty() && self.now < t {
+            self.fluid_steps += 1;
             self.ensure_speeds();
             let mut dt = f64::INFINITY;
             for (a, &sc) in self.active.iter().zip(&self.speeds_buf) {

@@ -177,3 +177,38 @@ fn policies_reorder_backlog() {
     let (fat_svf, thin_svf) = starts(AdmissionPolicy::SmallestVolumeFirst);
     assert!(thin_svf < fat_svf, "SVF must serve the thin query first");
 }
+
+/// The site layer's work counters are a pure function of the run: a
+/// fixed templated stream (12 recurring plans on 64 sites, Poisson
+/// arrivals at ρ = 0.25 and MPL 4) pins them, so a change to how the
+/// sites simulate can show it still does the same steps.
+#[test]
+fn site_counters_of_a_templated_stream_are_pinned() {
+    let cost = CostModel::paper_defaults();
+    let templates: Vec<TreeProblem> = (0..12).map(|i| problem(8, 500 + i, &cost)).collect();
+    let plans = mdrs::exp::serving::cycled(&templates, 48);
+    let harness = mdrs::exp::serving::Harness::calibrate(64, &templates);
+    let arrivals = harness.poisson(harness.rate(0.25, 4), plans.len(), 1996);
+    let cfg = RuntimeConfig {
+        max_in_flight: 4,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = harness.runtime(cfg, &plans, &arrivals);
+    let summary = rt.run_to_completion().unwrap();
+    assert_eq!(summary.completed(), plans.len());
+    let counters = rt.site_counters();
+    assert_eq!(
+        counters,
+        SiteCounters {
+            speed_solves: 9060,
+            fluid_steps: 9060,
+            clones_placed: 49700,
+            calendar_refreshes: 16835,
+        }
+    );
+    // The counters describe the run, not the summary.
+    assert_eq!(
+        counters.clones_placed,
+        rt.segment_event_counts().dispatched as u64
+    );
+}
