@@ -1,6 +1,6 @@
 //! Hot-path micro-benchmarks for the online runtime: admission decisions
-//! (policy-driven queue pops), end-to-end stream and serve runs, and the
-//! overload controller on and off.
+//! (policy-driven queue pops), the site calendar, end-to-end stream and
+//! serve runs, and the overload controller on and off.
 
 use mrs_bench::harness::{Bench, Group};
 use mrs_core::prelude::*;
@@ -8,6 +8,8 @@ use mrs_cost::prelude::CostModel;
 use mrs_exp::prelude::query_problem;
 use mrs_exp::serving::{cycled, spaced, Harness};
 use mrs_runtime::prelude::*;
+use mrs_sim::calendar::EventCalendar;
+use mrs_sim::engine::{SimClone, SimConfig, SiteSim};
 use mrs_workload::prelude::{generate_query, overlap_batch, QueryGenConfig};
 use std::hint::black_box;
 
@@ -38,6 +40,77 @@ fn bench_admission(b: &mut Bench) {
                 }
             },
         );
+    }
+    g.finish();
+}
+
+/// Calendar cycles (`next_time` + `advance_due`) per sample.
+const CYCLES: usize = 512;
+
+/// A clone whose work and duration follow from its tag alone; the
+/// durations are spread over `[1, 100)` so that sites rarely tie.
+fn calendar_clone(tag: usize) -> SimClone {
+    let spread = (tag as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+    let duration = 1.0 + 99.0 * spread as f64 / (1u64 << 53) as f64;
+    let share = |k: usize| duration * ((tag * k % 10) as f64 / 10.0);
+    SimClone {
+        tag,
+        work: WorkVector::from_slice(&[share(3), share(7), share(9)]),
+        duration,
+    }
+}
+
+/// `P` sites holding four clones each and a calendar over them with
+/// every leaf already computed.
+fn calendar_population(p: usize) -> (Vec<SiteSim>, EventCalendar) {
+    let mut sims: Vec<SiteSim> = (0..p)
+        .map(|site| {
+            let mut sim = SiteSim::new(SimConfig::default(), 3);
+            for k in 0..4 {
+                sim.add_clone(&calendar_clone(4 * site + k));
+            }
+            sim
+        })
+        .collect();
+    let mut cal = EventCalendar::new(p);
+    cal.next_time(&mut sims);
+    (sims, cal)
+}
+
+fn bench_calendar(b: &mut Bench) {
+    let mut g = b.group("calendar");
+    g.sample_size(10);
+    // The same number of cycles at both sizes, each replacing the clones
+    // it completed on their site, so the population stays fixed: the
+    // per-cycle cost grows with log P, not with P.
+    for p in [140, 2048] {
+        // Drained populations are kept, so that freeing P sites is not
+        // timed.
+        let mut drained = Vec::new();
+        g.bench_batched(
+            &format!("p{p}_{CYCLES}_cycles"),
+            || calendar_population(p),
+            |(mut sims, mut cal)| {
+                let (mut out, mut due) = (Vec::new(), Vec::new());
+                let mut tag = 4 * p;
+                for _ in 0..CYCLES {
+                    let t = cal.next_time(&mut sims).expect("the population is fixed");
+                    out.clear();
+                    cal.advance_due(t, &mut sims, &mut out, |site, done| {
+                        due.push((site, done.len()));
+                    });
+                    for (site, n) in due.drain(..) {
+                        for _ in 0..n {
+                            sims[site].add_clone(&calendar_clone(tag));
+                            tag += 1;
+                        }
+                        cal.invalidate(site);
+                    }
+                }
+                drained.push((sims, cal, out));
+            },
+        );
+        black_box(drained);
     }
     g.finish();
 }
@@ -183,6 +256,7 @@ fn bench_control(b: &mut Bench) {
 fn main() {
     let mut b = Bench::from_args();
     bench_admission(&mut b);
+    bench_calendar(&mut b);
     bench_stream(&mut b);
     bench_serve_stream(&mut b);
     bench_control(&mut b);

@@ -96,7 +96,7 @@ use mrs_shardexec::plan::ShardPlan;
 use mrs_shardexec::segment::{EventCounts, ShardEvent, ShardSegment};
 use mrs_shardexec::state::{ShardState, SiteCounters};
 use mrs_shardexec::sync::available_parallelism;
-use mrs_sim::engine::{Completion, SimClone, SimConfig, SiteSim};
+use mrs_sim::engine::{Completion, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
 use std::collections::VecDeque;
 use std::fmt;
@@ -262,9 +262,61 @@ struct RunningQuery {
     parked: usize,
 }
 
-/// One clone to dispatch: its site, its work vector and the vector's
-/// `t_seq`, computed once per run of equal clones.
-type Dispatch = (SiteId, WorkVector, f64);
+/// A run of equal clones to dispatch: their shared work vector, its
+/// `t_seq` and its demand rates (each computed once per run), and where
+/// its sites end in the batch's site list.
+struct DispatchRun {
+    work: WorkVector,
+    /// `work.rates(duration)`; a zero-duration run completes inline and
+    /// never reads it.
+    demand: WorkVector,
+    duration: f64,
+    /// One past the run's last site in [`Placements::sites`].
+    end: usize,
+}
+
+/// The clones of one dispatch: runs of equal clones over their sites,
+/// both in placement order.
+#[derive(Default)]
+struct Placements {
+    runs: Vec<DispatchRun>,
+    sites: Vec<SiteId>,
+}
+
+impl Placements {
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.sites.clear();
+    }
+
+    /// Closes a run of `work` over the sites pushed since the previous
+    /// run; with none pushed there is no run.
+    fn close_run(&mut self, work: &WorkVector, duration: f64) {
+        let start = self.runs.last().map_or(0, |run| run.end);
+        if self.sites.len() > start {
+            let demand = if duration > 0.0 {
+                work.rates(duration)
+            } else {
+                work.clone()
+            };
+            self.runs.push(DispatchRun {
+                work: work.clone(),
+                demand,
+                duration,
+                end: self.sites.len(),
+            });
+        }
+    }
+
+    /// Each run with its sites, in placement order.
+    fn runs(&self) -> impl Iterator<Item = (&DispatchRun, &[SiteId])> {
+        let starts = std::iter::once(0).chain(self.runs.iter().map(|run| run.end));
+        self.runs
+            .iter()
+            .zip(starts)
+            .map(|(run, start)| (run, &self.sites[start..run.end]))
+    }
+}
 
 struct CloneInfo {
     query: QueryId,
@@ -305,7 +357,7 @@ pub struct Runtime<M: ResponseModel> {
     clones: CloneWindow<CloneInfo>,
     /// Scratch reused across phases: the live placements of the phase
     /// being dispatched (see [`Runtime::advance_query`]).
-    live_buf: Vec<Dispatch>,
+    live_buf: Placements,
     records: Vec<QueryRecord>,
     depth_trace: Vec<(f64, usize)>,
     faults: FaultTimeline,
@@ -443,7 +495,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             segments,
             running: QueryTable::new(),
             clones: CloneWindow::new(),
-            live_buf: Vec::new(),
+            live_buf: Placements::default(),
             records: Vec::new(),
             depth_trace: Vec::new(),
             faults,
@@ -939,21 +991,22 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             )
             .ok()
         };
-        let replanned = replanned.map(|placements| {
+        // Every re-packed clone is a run of its own.
+        let replanned = replanned.map(|replaced| {
+            let mut placements = Placements::default();
+            for (site, work) in replaced {
+                placements.sites.push(site);
+                placements.close_run(&work, self.model.t_seq(&work));
+            }
             placements
-                .into_iter()
-                .map(|(site, work)| {
-                    let duration = self.model.t_seq(&work);
-                    (site, work, duration)
-                })
-                .collect::<Vec<Dispatch>>()
         });
         match replanned {
             // Compounded rebuild surcharges (see `crate::recovery`).
             Some(placements)
                 if placements
+                    .runs
                     .iter()
-                    .any(|&(_, _, d)| d.is_nan() || d > MAX_REPACKED_DURATION) =>
+                    .any(|run| run.duration.is_nan() || run.duration > MAX_REPACKED_DURATION) =>
             {
                 self.abort_query(query, "recovery work overflowed");
             }
@@ -971,7 +1024,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                             + self.comm.alpha
                     })
                     .sum();
-                let placed_total: f64 = placements.iter().map(|(_, w, _)| w.total()).sum();
+                let placed_total: f64 = placements.runs.iter().map(|run| run.work.total()).sum();
                 debug_assert!(
                     audit_repack_conserves(expected_total, placed_total),
                     "recovery re-pack leaked work for {query}: expected {expected_total}, \
@@ -1004,7 +1057,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                     time: self.clock,
                     kind: FaultRecordKind::Repacked {
                         query,
-                        clones: placements.len(),
+                        clones: placements.sites.len(),
                     },
                 });
             }
@@ -1109,44 +1162,47 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
 
     /// Inserts clones at the given placements; returns how many are
     /// actually executing (zero-duration clones complete inline).
-    fn dispatch_placements(&mut self, id: QueryId, placements: &[Dispatch]) -> usize {
+    fn dispatch_placements(&mut self, id: QueryId, placements: &Placements) -> usize {
         debug_assert!(
             audit_placements_valid(
-                placements.iter().map(|(site, work, _)| (site, work)),
+                placements
+                    .runs()
+                    .flat_map(|(run, sites)| sites.iter().map(move |site| (site, &run.work))),
                 self.sys.sites,
                 self.sys.dim()
             ),
             "dispatch for {id} carries an out-of-range site or malformed work vector"
         );
         let mut dispatched = 0usize;
-        for &(site, ref work, duration) in placements {
-            // Lazy calendar discipline: the site must be at the current
-            // clock before a clone lands on it.
-            self.touch_site(site.0);
-            let clone = SimClone {
-                tag: self.clones.next_tag(),
-                work: work.clone(),
-                duration,
-            };
-            let done = self.sites.add_clone(site.0, &clone);
-            debug_assert_eq!(
-                done.is_some(),
-                duration <= 0.0,
-                "only zero-duration clones complete inline"
-            );
-            if duration <= 0.0 {
-                // The site completed it inline; it commits no load and is
-                // never tracked.
-                self.clones.push(None);
-                continue;
+        for (run, sites) in placements.runs() {
+            // One clone at a time: catching a site up can retire another
+            // query's last clone and dispatch its next phase, which mints
+            // tags between this run's clones.
+            for &site in sites {
+                // Lazy calendar discipline: the site must be at the
+                // current clock before a clone lands on it.
+                self.touch_site(site.0);
+                let tag = self.clones.next_tag();
+                let done = self.sites.insert(site.0, tag, &run.demand, run.duration);
+                debug_assert_eq!(
+                    done.is_some(),
+                    run.duration <= 0.0,
+                    "only zero-duration clones complete inline"
+                );
+                if run.duration <= 0.0 {
+                    // The site completed it inline; it commits no load
+                    // and is never tracked.
+                    self.clones.push(None);
+                    continue;
+                }
+                self.clones.push(Some(CloneInfo {
+                    query: id,
+                    site,
+                    work: run.work.clone(),
+                    duration: run.duration,
+                }));
+                dispatched += 1;
             }
-            self.clones.push(Some(CloneInfo {
-                query: id,
-                site,
-                work: clone.work,
-                duration,
-            }));
-            dispatched += 1;
         }
         dispatched
     }
@@ -1183,21 +1239,21 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             // ones and work displaced from crashed sites (data-placement
             // constraints migrate through the recovery re-pack). Clones
             // in one run share their work vector, so each run is timed
-            // once.
+            // and its demand rates computed once.
             live.clear();
             let mut displaced: Vec<WorkVector> = Vec::new();
             let phase = &rq.schedule.phases[phase_idx].schedule;
             for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
                 let mut homes = homes.iter();
                 for (work, n) in op.clones.runs() {
-                    let duration = self.model.t_seq(work);
                     for &site in homes.by_ref().take(n) {
                         if !self.sites.is_down(site.0) {
-                            live.push((site, work.clone(), duration));
+                            live.sites.push(site);
                         } else {
                             displaced.push(work.clone());
                         }
                     }
+                    live.close_run(work, self.model.t_seq(work));
                 }
             }
 

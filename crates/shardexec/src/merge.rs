@@ -8,10 +8,22 @@
 use mrs_sim::engine::Completion;
 
 /// Sorts `buf` into the canonical `(time, tag)` retirement order.
-/// Cheap no-op for the overwhelmingly common 0/1-element case.
+///
+/// One advance of a serving run's sites surfaces about two dozen
+/// completions, nearly always stamped with the same bits of `t`; then
+/// the order is the tag order alone, and the sort compares plain
+/// integers. A buffer with more than one time falls back to the full
+/// comparator. Tags are unique, so the unstable sorts give the one
+/// `(time, tag)` order.
 pub fn sort_completions(buf: &mut [Completion]) {
-    if buf.len() > 1 {
-        buf.sort_by(completion_order);
+    let Some(first) = buf.first() else {
+        return;
+    };
+    let bits = first.time.to_bits();
+    if buf.iter().all(|c| c.time.to_bits() == bits) {
+        buf.sort_unstable_by_key(|c| c.tag);
+    } else {
+        buf.sort_unstable_by(completion_order);
     }
 }
 
@@ -33,6 +45,43 @@ mod tests {
 
     fn c(time: f64, tag: usize) -> Completion {
         Completion { tag, time }
+    }
+
+    fn keys(buf: &[Completion]) -> Vec<(u64, usize)> {
+        buf.iter().map(|x| (x.time.to_bits(), x.tag)).collect()
+    }
+
+    #[test]
+    fn an_equal_time_buffer_sorts_by_tag_as_the_comparator_does() {
+        let t = 0.1 + 0.2;
+        let tags = [17, 3, 42, 0, 9, 25, 1, 8, 30, 2, 11, 5];
+        let mut buf: Vec<Completion> = tags.iter().map(|&tag| c(t, tag)).collect();
+        let mut reference = buf.clone();
+        reference.sort_by(completion_order);
+        sort_completions(&mut buf);
+        assert_eq!(keys(&buf), keys(&reference));
+        assert!(completions_sorted(&buf));
+    }
+
+    #[test]
+    fn a_mixed_time_buffer_takes_the_comparator_path() {
+        // Tag order alone would put tag 0 (the later time) first: only
+        // the full comparator gets this buffer right.
+        let mut buf = vec![c(2.0, 0), c(1.0, 5), c(2.0, 3), c(1.0, 4)];
+        sort_completions(&mut buf);
+        assert_eq!(
+            keys(&buf),
+            vec![
+                (1.0f64.to_bits(), 4),
+                (1.0f64.to_bits(), 5),
+                (2.0f64.to_bits(), 0),
+                (2.0f64.to_bits(), 3)
+            ]
+        );
+        // Times that compare equal but differ in bits are not one time.
+        let mut zeros = vec![c(0.0, 0), c(-0.0, 1)];
+        sort_completions(&mut zeros);
+        assert_eq!(keys(&zeros), vec![((-0.0f64).to_bits(), 1), (0, 0)]);
     }
 
     #[test]

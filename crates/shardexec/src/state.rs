@@ -18,6 +18,7 @@
 use crate::merge::sort_completions;
 use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITES};
 use mrs_core::resource::SiteId;
+use mrs_core::vector::WorkVector;
 use mrs_sim::calendar::EventCalendar;
 use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
 
@@ -185,18 +186,31 @@ impl ShardState {
     /// the dispatch. A zero-duration clone completes inline: its
     /// completion is returned (and recorded) instead of being tracked.
     pub fn add_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
+        self.insert(site, clone.tag, &clone.demand(), clone.duration)
+    }
+
+    /// [`ShardState::add_clone`] for a clone given by its tag, demand
+    /// rates and duration ([`SiteSim::insert`]): a run of equal clones
+    /// shares one demand vector.
+    pub fn insert(
+        &mut self,
+        site: usize,
+        tag: usize,
+        demand: &WorkVector,
+        duration: f64,
+    ) -> Option<Completion> {
         let l = self.local(site);
         self.clones_placed += 1;
-        match self.sims[l].add_clone(clone) {
+        match self.sims[l].insert(tag, demand, duration) {
             Some(done) => {
-                self.record(done.time, site, clone.tag, ShardEventKind::Dispatched);
-                self.record(done.time, site, clone.tag, ShardEventKind::Completed);
+                self.record(done.time, site, tag, ShardEventKind::Dispatched);
+                self.record(done.time, site, tag, ShardEventKind::Completed);
                 Some(done)
             }
             None => {
                 self.calendar.invalidate(l);
                 let now = self.sims[l].now();
-                self.record(now, site, clone.tag, ShardEventKind::Dispatched);
+                self.record(now, site, tag, ShardEventKind::Dispatched);
                 None
             }
         }
@@ -343,7 +357,6 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrs_core::vector::WorkVector;
     use mrs_sim::engine::SimConfig;
 
     fn state(shard: usize, base: usize, n: usize) -> ShardState {

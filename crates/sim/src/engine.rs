@@ -68,6 +68,19 @@ pub struct SimClone {
     pub duration: f64,
 }
 
+impl SimClone {
+    /// The clone's full-speed demand rates, `work.rates(duration)`. A
+    /// clone without a positive duration gets its work vector back,
+    /// which [`SiteSim::insert`] never reads for it.
+    pub fn demand(&self) -> WorkVector {
+        if self.duration > 0.0 {
+            self.work.rates(self.duration)
+        } else {
+            self.work.clone()
+        }
+    }
+}
+
 /// A completion event.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Completion {
@@ -440,28 +453,41 @@ impl SiteSim {
     /// Panics on dimensionality mismatch, a non-finite/negative duration,
     /// or a crashed site.
     pub fn add_clone(&mut self, clone: &SimClone) -> Option<Completion> {
+        self.insert(clone.tag, &clone.demand(), clone.duration)
+    }
+
+    /// Inserts the clone tagged `tag` with full-speed demand rates
+    /// `demand` (its work vector's [`WorkVector::rates`] over
+    /// `duration`) at the current virtual time: the one insert path,
+    /// so a caller placing a run of equal clones computes the rates
+    /// once. A zero-duration clone completes immediately, as in
+    /// [`SiteSim::add_clone`], and its `demand` is not read.
+    ///
+    /// # Panics
+    /// Panics on dimensionality mismatch, a non-finite/negative duration,
+    /// or a crashed site.
+    pub fn insert(&mut self, tag: usize, demand: &WorkVector, duration: f64) -> Option<Completion> {
         assert!(!self.down, "cannot place a clone on a crashed site");
         assert_eq!(
-            clone.work.dim(),
+            demand.dim(),
             self.d,
             "clone dimensionality must match the site"
         );
         assert!(
-            clone.duration.is_finite() && clone.duration >= 0.0,
+            duration.is_finite() && duration >= 0.0,
             "clone duration must be finite and non-negative"
         );
-        if clone.duration <= 0.0 {
+        if duration <= 0.0 {
             return Some(Completion {
-                tag: clone.tag,
+                tag,
                 time: self.now,
             });
         }
-        let demand = clone.work.rates(clone.duration);
-        self.committed.accumulate(&demand);
+        self.committed.accumulate(demand);
         self.active.push(Active {
-            tag: clone.tag,
-            demand,
-            remaining: clone.duration,
+            tag,
+            demand: demand.clone(),
+            remaining: duration,
         });
         self.speeds_valid = false;
         None
@@ -518,32 +544,38 @@ impl SiteSim {
                 dt.is_finite(),
                 "sharing policy starved every clone (all speeds zero)"
             );
-            // Record the interval's normalized utilization before the
-            // state mutates (the shares are constant across the step).
-            // `scratch` is free here: the solver only uses it inside
-            // `ensure_speeds`, which clears it on entry.
             let cap = capacity_factor(self.config.timeshare_overhead, self.active.len());
+            let full_step = dt <= t - self.now;
+            let step = dt.min(t - self.now);
+            // One pass over the clones steps them and sums the
+            // interval's raw utilization `u` into `scratch` (free here:
+            // the solver only uses it inside `ensure_speeds`, which
+            // clears it on entry). Each sum keeps its clone order.
             self.scratch.clear();
             self.scratch.resize(self.d, 0.0);
-            for (a, &sc) in self.active.iter().zip(&self.speeds_buf) {
-                for (u, dem) in self.scratch.iter_mut().zip(a.demand.components()) {
+            for (a, &sc) in self.active.iter_mut().zip(&self.speeds_buf) {
+                let eff = sc * self.rate;
+                a.remaining -= eff * step;
+                for ((b, u), dem) in (self.busy.iter_mut())
+                    .zip(self.scratch.iter_mut())
+                    .zip(a.demand.components())
+                {
+                    *b += eff * dem * step;
                     *u += sc * dem;
                 }
             }
-            for (p, &u) in self.peak_util.iter_mut().zip(&self.scratch) {
+            // The shares are constant across the step, so `u / cap` is
+            // the interval's normalized utilization: its peak, its exact
+            // integral contribution and the optional series entry.
+            for ((p, acc), &u) in (self.peak_util.iter_mut())
+                .zip(self.util_integral.iter_mut())
+                .zip(&self.scratch)
+            {
                 let norm = u / cap;
                 if norm > *p {
                     *p = norm;
                 }
-            }
-            let full_step = dt <= t - self.now;
-            let step = dt.min(t - self.now);
-            // `scratch` still holds the interval's raw utilization `u`;
-            // the trajectory is constant across the step, so this is the
-            // exact integral contribution, and the optional series entry
-            // is the interval itself.
-            for (acc, &u) in self.util_integral.iter_mut().zip(&self.scratch) {
-                *acc += (u / cap) * step;
+                *acc += norm * step;
             }
             if let Some(series) = &mut self.util_series {
                 if step > 0.0 {
@@ -555,13 +587,6 @@ impl SiteSim {
                 }
             }
             self.now += step;
-            for (a, &sc) in self.active.iter_mut().zip(&self.speeds_buf) {
-                let eff = sc * self.rate;
-                a.remaining -= eff * step;
-                for (b, dem) in self.busy.iter_mut().zip(a.demand.components()) {
-                    *b += eff * dem * step;
-                }
-            }
             // The decrement above stales the cached speed solution.
             self.speeds_valid = false;
             // Sweep completions unconditionally: a partial step that lands
