@@ -26,7 +26,7 @@
 //! produce identical traces.
 //!
 //! The serving hot path is indexed and memoized: the per-event linear
-//! scan over all sites is replaced by a lazy
+//! scan over all sites is replaced by a lazy min-tree
 //! [`EventCalendar`](mrs_sim::calendar::EventCalendar) (sites advance
 //! only at their own events, or on demand when the runtime next touches
 //! them — see [`Runtime::touch_site`]), and admission TreeSchedules are
@@ -39,7 +39,10 @@
 //! in dense slot tables indexed by clone tag and query id (`slots.rs`),
 //! and demand vectors are inline, so a clone's whole lifecycle —
 //! dispatch, placement, retirement, loss, eviction — neither hashes nor
-//! (for `d ≤ 4`) allocates.
+//! (for `d ≤ 4`) allocates. A phase dispatches its clones as runs of
+//! equal clones: each run's `t_seq` and demand rates are computed once
+//! and every clone of the run is inserted with them
+//! ([`ShardState::insert`]).
 //!
 //! The site layer is one `mrs-shardexec` [`ShardState`] over all sites,
 //! driven inline on this event loop's thread: one calendar, the
@@ -96,10 +99,11 @@ use mrs_shardexec::plan::ShardPlan;
 use mrs_shardexec::segment::{EventCounts, ShardEvent, ShardSegment};
 use mrs_shardexec::state::{ShardState, SiteCounters};
 use mrs_shardexec::sync::available_parallelism;
-use mrs_sim::engine::{Completion, SimConfig, SiteSim};
+use mrs_sim::engine::{demand_rates, Completion, SimConfig, SiteSim};
 use mrs_sim::fault::{FaultKind, FaultPlan, FaultTimeline};
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Why a runtime run (or one of its queries) failed.
@@ -264,15 +268,15 @@ struct RunningQuery {
 
 /// A run of equal clones to dispatch: their shared work vector, its
 /// `t_seq` and its demand rates (each computed once per run), and where
-/// its sites end in the batch's site list.
+/// its sites sit in the batch's site list.
 struct DispatchRun {
     work: WorkVector,
     /// `work.rates(duration)`; a zero-duration run completes inline and
     /// never reads it.
     demand: WorkVector,
     duration: f64,
-    /// One past the run's last site in [`Placements::sites`].
-    end: usize,
+    /// The run's sites in [`Placements::sites`].
+    sites: Range<usize>,
 }
 
 /// The clones of one dispatch: runs of equal clones over their sites,
@@ -292,29 +296,15 @@ impl Placements {
     /// Closes a run of `work` over the sites pushed since the previous
     /// run; with none pushed there is no run.
     fn close_run(&mut self, work: &WorkVector, duration: f64) {
-        let start = self.runs.last().map_or(0, |run| run.end);
+        let start = self.runs.last().map_or(0, |run| run.sites.end);
         if self.sites.len() > start {
-            let demand = if duration > 0.0 {
-                work.rates(duration)
-            } else {
-                work.clone()
-            };
             self.runs.push(DispatchRun {
                 work: work.clone(),
-                demand,
+                demand: demand_rates(work, duration),
                 duration,
-                end: self.sites.len(),
+                sites: start..self.sites.len(),
             });
         }
-    }
-
-    /// Each run with its sites, in placement order.
-    fn runs(&self) -> impl Iterator<Item = (&DispatchRun, &[SiteId])> {
-        let starts = std::iter::once(0).chain(self.runs.iter().map(|run| run.end));
-        self.runs
-            .iter()
-            .zip(starts)
-            .map(|(run, start)| (run, &self.sites[start..run.end]))
     }
 }
 
@@ -1165,20 +1155,22 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     fn dispatch_placements(&mut self, id: QueryId, placements: &Placements) -> usize {
         debug_assert!(
             audit_placements_valid(
-                placements
-                    .runs()
-                    .flat_map(|(run, sites)| sites.iter().map(move |site| (site, &run.work))),
+                placements.runs.iter().flat_map(|run| {
+                    placements.sites[run.sites.clone()]
+                        .iter()
+                        .map(move |site| (site, &run.work))
+                }),
                 self.sys.sites,
                 self.sys.dim()
             ),
             "dispatch for {id} carries an out-of-range site or malformed work vector"
         );
         let mut dispatched = 0usize;
-        for (run, sites) in placements.runs() {
+        for run in &placements.runs {
             // One clone at a time: catching a site up can retire another
             // query's last clone and dispatch its next phase, which mints
             // tags between this run's clones.
-            for &site in sites {
+            for &site in &placements.sites[run.sites.clone()] {
                 // Lazy calendar discipline: the site must be at the
                 // current clock before a clone lands on it.
                 self.touch_site(site.0);

@@ -64,28 +64,9 @@ mod tests {
     }
 
     #[test]
-    fn a_mixed_time_buffer_takes_the_comparator_path() {
-        // Tag order alone would put tag 0 (the later time) first: only
-        // the full comparator gets this buffer right.
-        let mut buf = vec![c(2.0, 0), c(1.0, 5), c(2.0, 3), c(1.0, 4)];
-        sort_completions(&mut buf);
-        assert_eq!(
-            keys(&buf),
-            vec![
-                (1.0f64.to_bits(), 4),
-                (1.0f64.to_bits(), 5),
-                (2.0f64.to_bits(), 0),
-                (2.0f64.to_bits(), 3)
-            ]
-        );
-        // Times that compare equal but differ in bits are not one time.
-        let mut zeros = vec![c(0.0, 0), c(-0.0, 1)];
-        sort_completions(&mut zeros);
-        assert_eq!(keys(&zeros), vec![((-0.0f64).to_bits(), 1), (0, 0)]);
-    }
-
-    #[test]
     fn sort_completions_orders_by_time_then_tag() {
+        // Mixed times take the comparator path: tag order alone would
+        // put tag 0 (a later time) first.
         let mut buf = vec![c(2.0, 1), c(1.0, 9), c(2.0, 0)];
         assert!(!completions_sorted(&buf));
         sort_completions(&mut buf);
@@ -100,5 +81,9 @@ mod tests {
                 (2.0f64.to_bits(), 1)
             ]
         );
+        // Times that compare equal but differ in bits are not one time.
+        let mut zeros = vec![c(0.0, 0), c(-0.0, 1)];
+        sort_completions(&mut zeros);
+        assert_eq!(keys(&zeros), vec![((-0.0f64).to_bits(), 1), (0, 0)]);
     }
 }

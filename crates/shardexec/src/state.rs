@@ -20,7 +20,7 @@ use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITE
 use mrs_core::resource::SiteId;
 use mrs_core::vector::WorkVector;
 use mrs_sim::calendar::EventCalendar;
-use mrs_sim::engine::{Completion, LostClone, SimClone, SiteSim, UtilSample};
+use mrs_sim::engine::{demand_rates, Completion, LostClone, SimClone, SiteSim, UtilSample};
 
 /// Deterministic work counters of the site layer: how much simulation
 /// work a run did, whatever the host's speed. Equal counters on two
@@ -186,7 +186,8 @@ impl ShardState {
     /// the dispatch. A zero-duration clone completes inline: its
     /// completion is returned (and recorded) instead of being tracked.
     pub fn add_clone(&mut self, site: usize, clone: &SimClone) -> Option<Completion> {
-        self.insert(site, clone.tag, &clone.demand(), clone.duration)
+        let demand = demand_rates(&clone.work, clone.duration);
+        self.insert(site, clone.tag, &demand, clone.duration)
     }
 
     /// [`ShardState::add_clone`] for a clone given by its tag, demand

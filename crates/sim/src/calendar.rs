@@ -6,17 +6,19 @@
 //! calendar replaces the rescan with a *min-tree* over the sites' cached
 //! next completion times, maintained *lazily*:
 //!
-//! * a leaf per site holds the time the site last reported (idle sites
-//!   hold NaN, which sorts after every time under [`f64::total_cmp`]),
-//!   and each inner node holds the earlier of its two children, so the
-//!   root is the earliest completion anywhere;
+//! * a leaf per site holds the time the site last reported, as an
+//!   integer key in [`f64::total_cmp`] order (an idle site holds a key
+//!   after every time), and each inner node holds the smaller of its two
+//!   children, so the root is the earliest completion anywhere;
 //! * a site is recomputed only when it was marked dirty since the last
 //!   query ([`EventCalendar::invalidate`], O(1)), so an untouched site's
 //!   time is computed once and reused across arbitrarily many global
-//!   events; a recomputed leaf walks its `log₂ P` ancestors.
+//!   events; a recomputed leaf walks up at most `log₂ P` ancestors,
+//!   stopping at the first whose minimum does not change.
 //!
 //! Each site has exactly one leaf, and sites are independent, so the
-//! order in which dirty sites are recomputed changes no value.
+//! order in which dirty sites are recomputed changes no value: the root
+//! is bit for bit the minimum a linear fold over the sites returns.
 //!
 //! Correctness leans on the fluid engine's invariant that a site's next
 //! completion time is exact until its population next changes: the caller
@@ -28,10 +30,10 @@
 //!
 //! Sites advance lazily too: [`EventCalendar::advance_due`] only advances
 //! the sites whose leaves are due at the global event time, in site-index
-//! order (a left-to-right walk of the subtrees whose minimum is due).
-//! Sites whose completions lie in the future keep their (lagging) local
-//! clocks; the runtime catches them up on demand when it next touches
-//! them.
+//! order: it takes the leftmost due leaf from the root, `log₂ P` steps
+//! down and up, until the root is no longer due. Sites whose completions
+//! lie in the future keep their (lagging) local clocks; the runtime
+//! catches them up on demand when it next touches them.
 
 use crate::engine::{Completion, SiteSim};
 
@@ -216,18 +218,9 @@ mod tests {
         cal.invalidate(2);
         sims[0].add_clone(&clone(1, &[9.0, 0.0], 9.0));
         cal.invalidate(0);
-        let fold = {
-            let mut min: Option<f64> = None;
-            for s in sims.iter_mut() {
-                if let Some(t) = s.next_completion_time() {
-                    min = Some(min.map_or(t, |m: f64| m.min(t)));
-                }
-            }
-            min
-        };
         assert_eq!(
             cal.next_time(&mut sims).map(f64::to_bits),
-            fold.map(f64::to_bits)
+            fold_next(&mut sims).map(f64::to_bits)
         );
     }
 

@@ -68,16 +68,15 @@ pub struct SimClone {
     pub duration: f64,
 }
 
-impl SimClone {
-    /// The clone's full-speed demand rates, `work.rates(duration)`. A
-    /// clone without a positive duration gets its work vector back,
-    /// which [`SiteSim::insert`] never reads for it.
-    pub fn demand(&self) -> WorkVector {
-        if self.duration > 0.0 {
-            self.work.rates(self.duration)
-        } else {
-            self.work.clone()
-        }
+/// The full-speed demand rates of a clone with work vector `work` and
+/// intrinsic duration `duration`: `work.rates(duration)`. Without a
+/// positive duration it is `work` itself, which [`SiteSim::insert`]
+/// never reads for such a clone.
+pub fn demand_rates(work: &WorkVector, duration: f64) -> WorkVector {
+    if duration > 0.0 {
+        work.rates(duration)
+    } else {
+        work.clone()
     }
 }
 
@@ -453,7 +452,8 @@ impl SiteSim {
     /// Panics on dimensionality mismatch, a non-finite/negative duration,
     /// or a crashed site.
     pub fn add_clone(&mut self, clone: &SimClone) -> Option<Completion> {
-        self.insert(clone.tag, &clone.demand(), clone.duration)
+        let demand = demand_rates(&clone.work, clone.duration);
+        self.insert(clone.tag, &demand, clone.duration)
     }
 
     /// Inserts the clone tagged `tag` with full-speed demand rates
