@@ -23,9 +23,19 @@
 //! query with [`RuntimeError::Aborted`](crate::runtime::RuntimeError).
 //!
 //! Every loss re-applies the surcharge to the already inflated remnant,
-//! so work that is lost often enough grows without bound. A re-packed
-//! clone longer than [`MAX_REPACKED_DURATION`] aborts its query instead
-//! of reaching a site simulator whose arithmetic it would overflow.
+//! and each re-pack starts a fresh retry count, so work that is lost
+//! often enough grows without bound. Recovery is therefore bounded by
+//! the query's own scale: a re-packed clone longer than
+//! [`MAX_REPACK_STRETCH`] times its query's standalone TreeSchedule
+//! response ([`QueryRecord::standalone_response`]) aborts the query
+//! ([`repack_out_of_bounds`]). Unbounded, such remnants reach 10^26 s
+//! and more, site clocks follow them, and an ordinary clone's
+//! completion then rounds to the clock itself, so the run can no longer
+//! advance. [`MAX_REPACKED_DURATION`] sits in the same predicate and
+//! keeps a remnant from overflowing the site simulator's arithmetic
+//! even for a query whose standalone response is itself huge.
+//!
+//! [`QueryRecord::standalone_response`]: crate::job::QueryRecord::standalone_response
 
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
@@ -76,6 +86,19 @@ impl Default for RecoveryConfig {
 /// resident count a run can reach, and a longer clone would never
 /// finish anyway.
 pub const MAX_REPACKED_DURATION: f64 = 1e150;
+
+/// The longest re-packed clone, as a multiple of its query's standalone
+/// TreeSchedule response: recovery that would run longer than a hundred
+/// undisturbed runs of the whole query gives up instead.
+pub const MAX_REPACK_STRETCH: f64 = 100.0;
+
+/// Whether a re-packed clone of intrinsic `duration` breaks the recovery
+/// bound of a query whose standalone response is `standalone`: it is
+/// NaN, longer than [`MAX_REPACKED_DURATION`], or longer than
+/// [`MAX_REPACK_STRETCH`] × `standalone`. Such a clone aborts its query.
+pub fn repack_out_of_bounds(duration: f64, standalone: f64) -> bool {
+    !(duration <= MAX_REPACKED_DURATION && duration <= MAX_REPACK_STRETCH * standalone)
+}
 
 /// The capped exponential backoff delay before retry `attempt`
 /// (0-based): `min(base · 2^attempt, cap)`.
@@ -173,6 +196,17 @@ mod tests {
         assert_eq!(backoff_delay(&cfg, 2), 2.0);
         assert_eq!(backoff_delay(&cfg, 3), 3.0, "capped");
         assert_eq!(backoff_delay(&cfg, 40), 3.0, "still capped");
+    }
+
+    #[test]
+    fn the_repack_bound_scales_with_the_query() {
+        assert!(!repack_out_of_bounds(100.0, 1.0), "at the bound");
+        assert!(repack_out_of_bounds(100.5, 1.0));
+        assert!(!repack_out_of_bounds(1e6, 1e4));
+        assert!(repack_out_of_bounds(f64::NAN, 1.0));
+        // The overflow guard holds whatever the query's scale.
+        assert!(repack_out_of_bounds(2e150, 1e149));
+        assert!(!repack_out_of_bounds(1e150, 1e149));
     }
 
     #[test]

@@ -53,11 +53,18 @@
 //!
 //! **Progress.** Virtual time never moves backwards, and every arrival,
 //! fault, retry and deadline at or before `t` is consumed on the first
-//! iteration at `t`. A later iteration at the same `t` whose sites
-//! surface no completion, with no retry due, can only have come from a
-//! site whose next completion rounds to its own clock (`now + dt ==
-//! now`): no iteration can ever pass `t` again. The loop returns
-//! [`RuntimeError::Stalled`] there instead of spinning.
+//! iteration at `t`. Each iteration's `t` is at most the sites' next
+//! completion, so the sites advance to `t` and surface completions
+//! stamped `t` alone, retired in tag order; a catch-up surfaces
+//! completions stamped at the clock. A later iteration at the same `t`
+//! whose sites surface no completion, with no retry due, can only have
+//! come from a site whose next completion rounds to its own clock
+//! (`now + dt == now`): no iteration can ever pass `t` again. The loop
+//! returns [`RuntimeError::Stalled`] there instead of spinning. Recovery
+//! cannot drive the clock there (a re-packed clone longer than
+//! [`MAX_REPACK_STRETCH`] standalone responses aborts its query), so
+//! the error is left for inputs that start past what the clock
+//! resolves.
 //!
 //! **Plan-ahead.** Every arrival is submitted before the run starts,
 //! and an uncapped plan depends only on its problem, so the spare core
@@ -79,7 +86,8 @@ use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
 use crate::recovery::{
-    backoff_delay, rebuild_inflated, replan_lost, RecoveryConfig, MAX_REPACKED_DURATION,
+    backoff_delay, rebuild_inflated, repack_out_of_bounds, replan_lost, RecoveryConfig,
+    MAX_REPACK_STRETCH,
 };
 use crate::slots::{CloneWindow, QueryTable};
 use crate::trace::{audit_placements_valid, audit_repack_conserves, AuditEvent};
@@ -94,7 +102,6 @@ use mrs_core::shared::{
 use mrs_core::tree::{tree_schedule_with, PlanOptions, TreeProblem, TreeScheduleResult};
 use mrs_core::vector::WorkVector;
 use mrs_shardexec::ahead::{Ahead, WINDOW};
-use mrs_shardexec::merge::{completions_sorted, sort_completions};
 use mrs_shardexec::plan::ShardPlan;
 use mrs_shardexec::segment::{EventCounts, ShardEvent, ShardSegment};
 use mrs_shardexec::state::{ShardState, SiteCounters};
@@ -722,13 +729,12 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             //    behind and catches up when next touched. A completion
             //    strictly before t cannot exist: t is the global minimum.
             self.clock = t;
-            self.sites.advance_due(t);
-            self.sites.take_completions(&mut completions);
-            // The sites surface completions in (time, tag) retirement
-            // order.
+            self.sites.advance_due(t, &mut completions);
+            // The sites surface completions stamped t in tag order: the
+            // (time, tag) retirement order.
             debug_assert!(
-                completions_sorted(&completions),
-                "sites surfaced completions out of (time, tag) order"
+                completions.iter().all(|c| c.time.to_bits() == t.to_bits()),
+                "the sites surfaced a completion away from t = {t}"
             );
             let revisit = last.is_some_and(|last| t <= last);
             if revisit && completions.is_empty() && next_retry.is_none_or(|r| r > t) {
@@ -859,15 +865,21 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// site *must* route through here first — otherwise the mutation
     /// would apply at a stale local time. Advancing can surface clones
     /// whose residual work rounds to zero at the clock; those retire
-    /// through the normal completion path (in `(time, tag)` order) so
-    /// their queries observe them as finished, not evicted.
+    /// through the normal completion path (in tag order: they are all
+    /// stamped at the clock) so their queries observe them as finished,
+    /// not evicted.
     fn touch_site(&mut self, site: usize) {
         let mut buf = std::mem::take(&mut self.touch_buf);
         self.sites.catch_up(site, self.clock, &mut buf);
         if !buf.is_empty() {
-            // A same-instant cascade inside one catch-up emits in the
-            // engine's active-array order, not tag order.
-            sort_completions(&mut buf);
+            // The engine's sweep emits in active-array order, not tag
+            // order.
+            debug_assert!(
+                buf.iter().all(|c| c.time.to_bits() == self.clock.to_bits()),
+                "a catch-up surfaced a completion away from the clock {}",
+                self.clock
+            );
+            buf.sort_unstable_by_key(|c| c.tag);
             for done in buf.drain(..) {
                 self.retire(done);
             }
@@ -990,15 +1002,20 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             }
             placements
         });
+        let standalone = self.records[query.0].standalone_response;
         match replanned {
             // Compounded rebuild surcharges (see `crate::recovery`).
             Some(placements)
-                if placements
-                    .runs
-                    .iter()
-                    .any(|run| run.duration.is_nan() || run.duration > MAX_REPACKED_DURATION) =>
+                if (placements.runs.iter())
+                    .any(|run| repack_out_of_bounds(run.duration, standalone)) =>
             {
-                self.abort_query(query, "recovery work overflowed");
+                self.abort_query(
+                    query,
+                    &format!(
+                        "re-packed work exceeds {MAX_REPACK_STRETCH}x the query's \
+                         standalone response"
+                    ),
+                );
             }
             Some(placements) => {
                 // Work conservation through recovery (Repacked audit
@@ -1804,44 +1821,51 @@ mod tests {
     #[test]
     fn compounding_rebuild_work_aborts_instead_of_overflowing() {
         // Two sites crashing in turn: each crash loses the remnants the
-        // other site was handed, and every loss multiplies a remnant by
-        // about 1e30. Within a few losses a re-packed clone is longer
-        // than MAX_REPACKED_DURATION; unchecked, it would soon overflow
-        // the site simulator's arithmetic and then `f64::MAX`.
-        let faults = (0..20)
-            .flat_map(|k| {
-                let t = 1.0 + f64::from(k);
-                let site = (k % 2) as usize;
-                [crash(t, site), recover(t + 0.5, site)]
-            })
-            .collect();
-        let cfg = RuntimeConfig {
-            faults: FaultPlan::scripted(faults),
-            recovery: RecoveryConfig {
-                rebuild_factor: 1e30,
-                ..RecoveryConfig::default()
-            },
-            ..RuntimeConfig::default()
-        };
-        let mut rt = Runtime::new(
-            SystemSpec::homogeneous(2),
-            CommModel::paper_defaults(),
-            OverlapModel::new(0.5).unwrap(),
-            cfg,
-        );
-        let id = rt.submit_at(0.0, 0, one_op_problem(40.0));
-        let summary = rt.run_to_completion().unwrap();
-        match &summary.queries[id.0].outcome {
-            Some(QueryOutcome::Aborted { reason }) => {
-                assert_eq!(reason, "recovery work overflowed");
+        // other site was handed, and every loss re-inflates a remnant.
+        // At a rebuild factor of 2 it takes a few re-packs before one
+        // outgrows 100 standalone responses (about 25 s here); at 1e30
+        // the first re-pack already does, long before the remnant could
+        // overflow the site simulator's arithmetic.
+        for (factor, repacks) in [(2.0, 4), (1e30, 0)] {
+            let faults = (0..20)
+                .flat_map(|k| {
+                    let t = 1.0 + f64::from(k);
+                    let site = (k % 2) as usize;
+                    [crash(t, site), recover(t + 0.5, site)]
+                })
+                .collect();
+            let cfg = RuntimeConfig {
+                faults: FaultPlan::scripted(faults),
+                recovery: RecoveryConfig {
+                    rebuild_factor: factor,
+                    ..RecoveryConfig::default()
+                },
+                ..RuntimeConfig::default()
+            };
+            let mut rt = Runtime::new(
+                SystemSpec::homogeneous(2),
+                CommModel::paper_defaults(),
+                OverlapModel::new(0.5).unwrap(),
+                cfg,
+            );
+            let id = rt.submit_at(0.0, 0, one_op_problem(40.0));
+            let summary = rt.run_to_completion().unwrap();
+            match &summary.queries[id.0].outcome {
+                Some(QueryOutcome::Aborted { reason }) => {
+                    assert_eq!(
+                        reason,
+                        "re-packed work exceeds 100x the query's standalone response"
+                    );
+                }
+                other => panic!("factor {factor}: expected a bound abort, got {other:?}"),
             }
-            other => panic!("expected an overflow abort, got {other:?}"),
+            assert_eq!(
+                summary.repacks(),
+                repacks,
+                "factor {factor}: re-packs before the abort"
+            );
+            assert_eq!(rt.total_resident(), 0);
         }
-        assert!(
-            summary.repacks() >= 4,
-            "the remnant was re-packed in between"
-        );
-        assert_eq!(rt.total_resident(), 0);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! count, and one run-encoded log of every clone dispatch, completion,
 //! loss and eviction. Nothing runs on another thread: one epoch
 //! advances about two dozen clones, a few microseconds of work that no
-//! barrier round pays for.
+//! barrier round pays for. Each advance writes its completions straight
+//! into the runtime's buffer, all stamped with the one instant it
+//! advanced to and sorted by tag, so no merge of per-site or per-time
+//! runs is left to do.
 //!
 //! ## The clone event log
 //!
@@ -38,15 +41,15 @@
 //! uses it to plan queued arrivals on the spare core while its event
 //! loop runs; it only moves work between threads and never changes
 //! what the consumer sees. [`pool`] is not used by the runtime; it
-//! stays for the end-to-end benchmark's barrier-cost probe until a
-//! benchmark change retires it. Both are one `std` mutex over their shared state
-//! plus condition variables, imported through [`sync`].
+//! stays for the end-to-end benchmark's barrier-cost probe, which only
+//! broadcasts next-time rounds, until a benchmark change retires it.
+//! Both are one `std` mutex over their shared state plus condition
+//! variables, imported through [`sync`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod ahead;
-pub mod merge;
 pub mod plan;
 pub mod pool;
 pub mod segment;
@@ -55,7 +58,6 @@ pub mod sync;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::merge::sort_completions;
     pub use crate::plan::ShardPlan;
     pub use crate::segment::{ShardEvent, ShardEventKind, ShardSegment};
     pub use crate::state::{ShardState, SiteCounters};

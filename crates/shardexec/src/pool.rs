@@ -8,11 +8,12 @@
 //! (`fabric.barrier_us`) until the next benchmark change retires it,
 //! and the TSan and Miri jobs keep checking it meanwhile.
 //!
-//! The coordinator broadcasts one [`Command`] per round; every worker
-//! executes it against its own [`ShardState`] cell and the coordinator
-//! blocks until all have finished. Between rounds the coordinator is
-//! the only party touching the cells ([`ShardPool::with_cell`] locks
-//! the owning cell uncontended).
+//! The coordinator broadcasts one [`Command`] per round (the probe's
+//! only command computes each cell's next completion time); every
+//! worker executes it against its own [`ShardState`] cell and the
+//! coordinator blocks until all have finished. Between rounds the
+//! coordinator is the only party touching the cells
+//! ([`ShardPool::with_cell`] locks the owning cell uncontended).
 //!
 //! A round is one lock and two condition variables: [`ShardPool::run`]
 //! bumps the round's generation under the lock and wakes every worker
@@ -34,10 +35,6 @@ pub enum Command {
     /// Compute the shard's earliest pending completion into
     /// [`ShardState::next`](crate::state::ShardState).
     NextTime,
-    /// Advance every due site to the epoch time, collecting completions
-    /// into the shard's buffer and refreshing the shard's next-event
-    /// time in the same round (the fused min-fold).
-    AdvanceDue(f64),
 }
 
 /// The barrier state, guarded by [`Shared::round`].
@@ -135,7 +132,6 @@ fn worker(shared: &Shared, shard: usize) {
             .expect("shard cell poisoned: a worker panicked");
         match cmd {
             Command::NextTime => cell.compute_next(),
-            Command::AdvanceDue(t) => cell.advance_due(t),
         }
     }
 }
@@ -272,14 +268,21 @@ mod tests {
                 );
             });
         }
+        let nexts =
+            || -> Vec<Option<f64>> { (0..4).map(|s| pool.with_cell(s, |st| st.next)).collect() };
         pool.run(Command::NextTime);
-        let nexts: Vec<Option<f64>> = (0..4).map(|s| pool.with_cell(s, |st| st.next)).collect();
-        assert_eq!(nexts, vec![Some(2.0), None, None, Some(2.0)]);
-        pool.run(Command::AdvanceDue(2.0));
-        let done: Vec<usize> = (0..4)
-            .map(|s| pool.with_cell(s, |st| st.buf.len()))
-            .collect();
-        assert_eq!(done, vec![1, 0, 0, 1]);
+        assert_eq!(nexts(), vec![Some(2.0), None, None, Some(2.0)]);
+        // Drain shard 0 between rounds: the next round refreshes every
+        // cell again.
+        let drained = pool.with_cell(0, |st| {
+            let mut out = Vec::new();
+            st.advance_due(2.0, &mut out);
+            out.len()
+        });
+        assert_eq!(drained, 1);
+        assert_eq!(nexts()[0], Some(2.0), "no round has run since");
+        pool.run(Command::NextTime);
+        assert_eq!(nexts(), vec![None, None, None, Some(2.0)]);
     }
 
     #[test]
@@ -292,45 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn advance_due_fuses_the_next_time_refresh() {
-        // One broadcast must both drain the due sites and leave each
-        // shard's `next` refreshed — no separate NextTime round needed.
-        let pool = pool(2, 2);
-        pool.with_cell(0, |st| {
-            st.add_clone(
-                0,
-                &SimClone {
-                    tag: 0,
-                    work: WorkVector::from_slice(&[1.0]),
-                    duration: 1.0,
-                },
-            );
-            st.add_clone(
-                1,
-                &SimClone {
-                    tag: 1,
-                    work: WorkVector::from_slice(&[3.0]),
-                    duration: 3.0,
-                },
-            );
-        });
-        pool.run(Command::AdvanceDue(1.5));
-        let (buf_len, next) = pool.with_cell(0, |st| (st.buf.len(), st.next));
-        assert_eq!(buf_len, 1, "only the due clone completes");
-        // Remaining work of the second clone at its own pace.
-        assert!(next.is_some(), "fused refresh must leave next populated");
-        assert_eq!(pool.with_cell(1, |st| st.next), None);
-    }
-
-    #[test]
     fn many_rounds_with_mixed_commands_stay_consistent() {
+        // Broadcast rounds alternate with coordinator-side cell work.
         let pool = pool(5, 2);
         for round in 0..repeats(200) {
-            if round % 2 == 0 {
-                pool.run(Command::NextTime);
-            } else {
-                pool.run(Command::AdvanceDue(round as f64));
-            }
+            pool.run(Command::NextTime);
+            pool.with_cell(round % 5, |st| {
+                st.advance_due(round as f64, &mut Vec::new())
+            });
         }
         assert_eq!(pool.shards(), 5);
     }
@@ -385,7 +357,9 @@ mod tests {
         assert_eq!(pool.shards(), n);
         for round in 0..repeats(50) {
             pool.run(Command::NextTime);
-            pool.run(Command::AdvanceDue(round as f64));
+            pool.with_cell(round % n, |st| {
+                st.advance_due(round as f64, &mut Vec::new())
+            });
         }
     }
 
@@ -399,9 +373,9 @@ mod tests {
             let fresh = pool(3, 1);
             drop(fresh);
         }
-        for round in 0..repeats(30) {
+        for _ in 0..repeats(30) {
             let busy = pool(3, 1);
-            busy.run(Command::AdvanceDue(round as f64));
+            busy.run(Command::NextTime);
             drop(busy);
         }
     }

@@ -1,12 +1,20 @@
 //! The site layer: a run of site simulators, their lazy event
 //! calendar, and the clone event log they record into.
 //!
-//! A [`ShardState`] answers the two questions of the epoch protocol
-//! (next completion time; advance the due sites) and takes every
-//! per-site mutation. The runtime drives one over all sites (base 0) on
-//! its event loop's thread; [`ShardPool`](crate::pool::ShardPool) cells
-//! hold one per contiguous range. All public methods take *global* site
-//! indices; the state translates to its local slice.
+//! A [`ShardState`] answers the two questions of the event loop (next
+//! completion time; advance the due sites) and takes every per-site
+//! mutation. The runtime drives one over all sites (base 0) on its
+//! event loop's thread; [`ShardPool`](crate::pool::ShardPool) cells hold
+//! one per contiguous range and only ask the first question. All public
+//! methods take *global* site indices; the state translates to its
+//! local slice.
+//!
+//! Every completion buffer the runtime sees carries one instant, the
+//! clock: [`ShardState::advance_due`] only advances the sites whose next
+//! completion is the calendar's next time, and a catch-up only moves a
+//! site whose next completion lies at or after the clock, so just the
+//! engine's epsilon sweep retires clones there, stamped at the clock.
+//! The retirement order is therefore the tag order alone.
 //!
 //! Every record is per site: the calendar advances the due sites in
 //! index order, and dispatch, catch-up, crash and eviction each touch
@@ -15,7 +23,6 @@
 //! range's events in the order a log of its own would have recorded
 //! them.
 
-use crate::merge::sort_completions;
 use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITES};
 use mrs_core::resource::SiteId;
 use mrs_core::vector::WorkVector;
@@ -58,11 +65,8 @@ pub struct ShardState {
     alive: usize,
     /// Clones inserted so far (see [`SiteCounters::clones_placed`]).
     clones_placed: u64,
-    /// Completions surfaced by the latest [`ShardState::advance_due`],
-    /// sorted by `(time, tag)`: the runtime's canonical retirement order.
-    pub(crate) buf: Vec<Completion>,
-    /// Earliest pending completion, refreshed by [`ShardState::next_time`]
-    /// and — fused — at the end of every [`ShardState::advance_due`].
+    /// Earliest pending completion as of the latest
+    /// [`ShardState::next_time`]: a pool round's answer.
     pub(crate) next: Option<f64>,
 }
 
@@ -92,7 +96,6 @@ impl ShardState {
             alive: sims.iter().filter(|sim| !sim.is_down()).count(),
             clones_placed: 0,
             sims,
-            buf: Vec::new(),
             next: None,
         }
     }
@@ -121,8 +124,8 @@ impl ShardState {
         });
     }
 
-    /// Epoch step 1: the earliest pending completion across the sites
-    /// (`None` when every site is idle).
+    /// The earliest pending completion across the sites (`None` when
+    /// every site is idle).
     pub fn next_time(&mut self) -> Option<f64> {
         self.next = self.calendar.next_time(&mut self.sims);
         self.next
@@ -134,18 +137,20 @@ impl ShardState {
         self.next_time();
     }
 
-    /// Epoch step 2: advances every due site to `t` in site order,
-    /// collecting completions (sorted by `(time, tag)`, the runtime's
-    /// retirement order; see [`ShardState::take_completions`]) and
-    /// recording them in the log. Ends by refreshing the `next` field
-    /// while the calendar is fresh, so one pool round answers both
-    /// questions.
-    pub fn advance_due(&mut self, t: f64) {
-        self.buf.clear();
+    /// Advances every site whose next completion is due at `t` to `t`,
+    /// in site order, appending their completions to `out` in tag order
+    /// (the runtime's retirement order) and recording them in the log.
+    ///
+    /// `t` is the calendar's next time, or an earlier instant at which
+    /// nothing is due: the due sites are then exactly those whose next
+    /// completion is `t`, and every completion they surface is stamped
+    /// `t`, so sorting by tag alone is the `(time, tag)` order.
+    pub fn advance_due(&mut self, t: f64, out: &mut Vec<Completion>) {
+        let start = out.len();
         let base = self.base;
         let log = &mut self.events;
         self.calendar
-            .advance_due(t, &mut self.sims, &mut self.buf, |site, done| {
+            .advance_due(t, &mut self.sims, out, |site, done| {
                 for c in done {
                     log.push(ShardEvent {
                         time: c.time,
@@ -155,21 +160,20 @@ impl ShardState {
                     });
                 }
             });
-        sort_completions(&mut self.buf);
-        self.next = self.calendar.next_time(&mut self.sims);
-    }
-
-    /// Swaps the completions the latest [`ShardState::advance_due`]
-    /// surfaced into `out`, whose old contents are dropped and whose
-    /// buffer the next advance reuses: nothing is copied or allocated.
-    pub fn take_completions(&mut self, out: &mut Vec<Completion>) {
-        out.clear();
-        std::mem::swap(&mut self.buf, out);
+        let done = &mut out[start..];
+        debug_assert!(
+            done.iter().all(|c| c.time.to_bits() == t.to_bits()),
+            "a due site surfaced a completion away from t = {t}"
+        );
+        done.sort_unstable_by_key(|c| c.tag);
     }
 
     /// Catches a lazily advanced site up to `clock`, appending any
-    /// surfaced completions to `out` (and the log). A site already at
-    /// or past the clock is left untouched.
+    /// surfaced completions to `out` (and the log) in the engine's
+    /// active-array order. A site already at or past the clock is left
+    /// untouched. When `clock` is the runtime's clock, the site's next
+    /// completion lies at or after it, so only the engine's epsilon
+    /// sweep retires clones here, each stamped `clock`.
     pub fn catch_up(&mut self, site: usize, clock: f64, out: &mut Vec<Completion>) {
         let l = self.local(site);
         if self.sims[l].now() < clock {
@@ -382,8 +386,9 @@ mod tests {
         assert!(st.add_clone(5, &clone(0, &[2.0, 0.0], 2.0)).is_none());
         st.compute_next();
         let t = st.next.expect("one clone pending");
-        st.advance_due(t);
-        assert_eq!(st.buf.len(), 1);
+        let mut out = Vec::new();
+        st.advance_due(t, &mut out);
+        assert_eq!(out.len(), 1);
         let kinds: Vec<(usize, ShardEventKind)> =
             st.events().iter().map(|e| (e.site, e.kind)).collect();
         assert_eq!(kinds, vec![(5, Dispatched), (5, Completed)]);
@@ -469,11 +474,9 @@ mod tests {
         st.add_clone(0, &clone(0, &[4.0, 0.0], 4.0));
         assert_eq!(st.next_time(), Some(4.0));
         let mut out = Vec::new();
-        st.advance_due(1.0);
-        st.take_completions(&mut out);
+        st.advance_due(1.0, &mut out);
         assert!(out.is_empty());
-        st.advance_due(4.0);
-        st.take_completions(&mut out);
+        st.advance_due(4.0, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(st.next_time(), None);
     }
@@ -491,8 +494,7 @@ mod tests {
         st.add_clone(4, &clone(0, &[2.0, 0.0], 2.0));
         let t = st.next_time().expect("three clones pending");
         let mut out = Vec::new();
-        st.advance_due(t);
-        st.take_completions(&mut out);
+        st.advance_due(t, &mut out);
         let tags: Vec<usize> = out.iter().map(|c| c.tag).collect();
         assert_eq!(tags, vec![0, 1, 2], "(time, tag) order");
         assert_eq!(st.next_time(), None);
@@ -513,6 +515,30 @@ mod tests {
             ]
         );
         assert_eq!(st.event_counts().total(), 6);
+    }
+
+    #[test]
+    fn an_equal_time_advance_surfaces_one_instant_in_tag_order() {
+        // Equal clones under scrambled tags on twelve sites finish at
+        // one instant that is not a round number: the buffer holds that
+        // instant alone, appended after what the caller already held,
+        // with the tags ascending.
+        let tags = [17, 3, 42, 0, 9, 25, 1, 8, 30, 2, 11, 5];
+        let mut st = state(0, 0, tags.len());
+        let t = 0.1 + 0.2;
+        for (site, &tag) in tags.iter().enumerate() {
+            st.add_clone(site, &clone(tag, &[t, 0.0], t));
+        }
+        assert_eq!(st.next_time().map(f64::to_bits), Some(t.to_bits()));
+        let held = Completion { tag: 99, time: 0.0 };
+        let mut out = vec![held];
+        st.advance_due(t, &mut out);
+        assert_eq!(out[0], held, "the caller's completions stay first");
+        assert!(out[1..].iter().all(|c| c.time.to_bits() == t.to_bits()));
+        let mut sorted = tags.to_vec();
+        sorted.sort_unstable();
+        let surfaced: Vec<usize> = out[1..].iter().map(|c| c.tag).collect();
+        assert_eq!(surfaced, sorted);
     }
 
     #[test]

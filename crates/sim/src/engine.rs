@@ -105,13 +105,14 @@ pub struct UtilSample {
     pub util: Vec<f64>,
 }
 
+/// One clone resident at a site, as the sharing solver reads it.
 #[derive(Clone, Debug)]
-struct Active {
-    tag: usize,
+pub(crate) struct Active {
+    pub(crate) tag: usize,
     /// Demand rates per resource at full speed (`W[i]/duration`).
-    demand: WorkVector,
+    pub(crate) demand: WorkVector,
     /// Remaining intrinsic time.
-    remaining: f64,
+    pub(crate) remaining: f64,
 }
 
 /// A clone evicted from a failed site, carrying the state the recovery
@@ -139,7 +140,7 @@ fn capacity_factor(overhead: f64, resident: usize) -> f64 {
 /// solver reuses (load for EqualFinish, utilization for FairShare). The
 /// arithmetic — accumulation order included — is bit-identical to the
 /// original allocating solver, so cached results equal recomputed ones.
-fn speeds_into(
+pub(crate) fn speeds_into(
     active: &[Active],
     config: &SimConfig,
     d: usize,
@@ -502,6 +503,17 @@ impl SiteSim {
         if self.active.is_empty() {
             return None;
         }
+        Some(self.now + self.next_dt())
+    }
+
+    /// The length of the constant-speed interval until the next resident
+    /// clone completes, solving the sharing policy first if the cached
+    /// speeds are stale. The one step kernel: the completion query and
+    /// the advance read the same bits.
+    ///
+    /// # Panics
+    /// Panics if the policy starved every clone (no positive speed).
+    fn next_dt(&mut self) -> f64 {
         self.ensure_speeds();
         let mut dt = f64::INFINITY;
         for (a, &sc) in self.active.iter().zip(&self.speeds_buf) {
@@ -514,7 +526,7 @@ impl SiteSim {
             dt.is_finite(),
             "sharing policy starved every clone (all speeds zero)"
         );
-        Some(self.now + dt)
+        dt
     }
 
     /// Advances the site to virtual time `t`, appending any completions
@@ -532,18 +544,7 @@ impl SiteSim {
         );
         while !self.active.is_empty() && self.now < t {
             self.fluid_steps += 1;
-            self.ensure_speeds();
-            let mut dt = f64::INFINITY;
-            for (a, &sc) in self.active.iter().zip(&self.speeds_buf) {
-                let eff = sc * self.rate;
-                if eff > 0.0 {
-                    dt = dt.min(a.remaining / eff);
-                }
-            }
-            assert!(
-                dt.is_finite(),
-                "sharing policy starved every clone (all speeds zero)"
-            );
+            let dt = self.next_dt();
             let cap = capacity_factor(self.config.timeshare_overhead, self.active.len());
             let full_step = dt <= t - self.now;
             let step = dt.min(t - self.now);

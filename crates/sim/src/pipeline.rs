@@ -10,8 +10,9 @@
 //! analytic model (free-running, optimistic) and lockstep execution
 //! (pessimistic).
 //!
-//! Mechanics: clones get *base* speeds from the per-site sharing policy
-//! (see [`crate::engine`]); a global pass in topological producer→consumer
+//! Mechanics: clones get *base* speeds from the per-site sharing policy,
+//! solved by the engine's own solver over each site's live clones (see
+//! [`crate::engine`]); a global pass in topological producer→consumer
 //! order then caps each consumer clone's speed so the operator's
 //! *fractional* progress rate (`speed / duration`, taken as the minimum
 //! over the operator's clones — the slowest clone gates the stream) does
@@ -24,7 +25,7 @@
 //! consumers is not redistributed to other clones on the same site, so
 //! reported makespans are upper bounds for the coupled discipline.
 
-use crate::engine::{SharingPolicy, SimConfig};
+use crate::engine::{speeds_into, Active, SimConfig};
 use mrs_core::model::ResponseModel;
 use mrs_core::operator::OperatorId;
 use mrs_core::resource::SystemSpec;
@@ -129,74 +130,29 @@ pub fn simulate_phase_pipelined<M: ResponseModel>(
 
     let mut now = 0.0f64;
     let mut events = 0usize;
+    let (mut resident, mut site_speeds, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
     while clones.iter().any(|c| c.remaining > 0.0) {
         events += 1;
-        // --- base speeds per site (policy) ---
-        let cap = |site: usize| -> f64 {
-            let n = clones
-                .iter()
-                .filter(|c| c.site == site && c.remaining > 0.0)
-                .count();
-            if n <= 1 {
-                1.0
-            } else {
-                1.0 / (1.0 + config.timeshare_overhead * (n as f64 - 1.0))
-            }
-        };
+        // --- base speeds per site: the engine's sharing solve over the
+        //     site's live clones, in clone-index order ---
         let mut speed: Vec<f64> = vec![0.0; clones.len()];
         for site in 0..sys.sites {
-            let members: Vec<usize> = (0..clones.len())
-                .filter(|&ci| clones[ci].site == site && clones[ci].remaining > 0.0)
-                .collect();
-            if members.is_empty() {
+            resident.clear();
+            resident.extend(
+                (clones.iter().enumerate())
+                    .filter(|(_, c)| c.site == site && c.remaining > 0.0)
+                    .map(|(ci, c)| Active {
+                        tag: ci,
+                        demand: c.demand.clone(),
+                        remaining: c.remaining,
+                    }),
+            );
+            if resident.is_empty() {
                 continue;
             }
-            let site_cap = cap(site);
-            match config.policy {
-                SharingPolicy::EqualFinish => {
-                    let max_remaining = members
-                        .iter()
-                        .map(|&ci| clones[ci].remaining)
-                        .fold(0.0, f64::max);
-                    let mut load = vec![0.0f64; d];
-                    for &ci in &members {
-                        for (l, dem) in load.iter_mut().zip(clones[ci].demand.components()) {
-                            *l += clones[ci].remaining * dem;
-                        }
-                    }
-                    let congested = load.iter().copied().fold(0.0, f64::max) / site_cap;
-                    let horizon = max_remaining.max(congested).max(1e-300);
-                    for &ci in &members {
-                        speed[ci] = (clones[ci].remaining / horizon).min(1.0);
-                    }
-                }
-                SharingPolicy::FairShare => {
-                    for &ci in &members {
-                        speed[ci] = 1.0;
-                    }
-                    for _ in 0..=d {
-                        let mut util = vec![0.0f64; d];
-                        for &ci in &members {
-                            for (u, dem) in util.iter_mut().zip(clones[ci].demand.components()) {
-                                *u += speed[ci] * dem;
-                            }
-                        }
-                        let Some((b, &u_max)) =
-                            util.iter().enumerate().max_by(|x, y| x.1.total_cmp(y.1))
-                        else {
-                            break;
-                        };
-                        if u_max <= site_cap * (1.0 + 1e-12) {
-                            break;
-                        }
-                        let scale = site_cap / u_max;
-                        for &ci in &members {
-                            if clones[ci].demand[b] > 0.0 {
-                                speed[ci] *= scale;
-                            }
-                        }
-                    }
-                }
+            speeds_into(&resident, config, d, &mut site_speeds, &mut scratch);
+            for (a, &sc) in resident.iter().zip(&site_speeds) {
+                speed[a.tag] = sc;
             }
         }
 

@@ -203,7 +203,7 @@ fn site_counters_of_a_templated_stream_are_pinned() {
             speed_solves: 9060,
             fluid_steps: 9060,
             clones_placed: 49700,
-            calendar_refreshes: 16835,
+            calendar_refreshes: 16589,
         }
     );
     // The counters describe the run, not the summary.
