@@ -83,33 +83,6 @@ pub fn audit_run(summary: &RunSummary) -> Vec<Violation> {
         }
     }
 
-    // Series/integral cross-check: when the per-step series was
-    // recorded, its piecewise-constant integral must reproduce the
-    // simulator's always-on integral (the series is the evidence the
-    // integral claims to summarize).
-    for (site, series) in summary.site_util_series.iter().enumerate() {
-        if series.is_empty() {
-            continue;
-        }
-        let dim = summary
-            .site_util_integral
-            .get(site)
-            .map_or(0, |integrals| integrals.len());
-        for resource in 0..dim {
-            let series_total: f64 = series.iter().map(|s| s.len * s.util[resource]).sum();
-            let integral = summary.site_util_integral[site][resource];
-            let scale = series_total.abs().max(integral.abs()).max(1.0);
-            if (series_total - integral).abs() > BUSY_REL_TOL * scale {
-                out.push(Violation::UtilSeriesMismatch {
-                    site,
-                    resource,
-                    series_total,
-                    integral,
-                });
-            }
-        }
-    }
-
     // Trace-level checks: time monotonicity, per-query phase order,
     // conservation, memo coherence.
     let mut last_time = f64::NEG_INFINITY;
@@ -312,7 +285,6 @@ mod tests {
             ],
             site_peak_util: vec![vec![0.9, 1.0, 0.3]],
             site_util_integral: vec![vec![1.0, 2.0, 0.0]],
-            site_util_series: vec![vec![]],
         };
         assert!(audit_run(&s).is_empty(), "clean synthetic run");
 
@@ -343,19 +315,6 @@ mod tests {
         let v = audit_run(&s);
         assert!(v.iter().any(|x| x.kind() == "avg-utilization"), "{v:?}");
         s.site_util_integral[0][0] = 1.0;
-
-        // Series that does not integrate to the recorded integral.
-        s.site_util_series[0] = vec![mrs_sim::engine::UtilSample {
-            start: 0.0,
-            len: 10.0,
-            util: vec![0.5, 0.2, 0.0],
-        }];
-        let v = audit_run(&s);
-        assert!(v.iter().any(|x| x.kind() == "util-series"), "{v:?}");
-
-        // A series that matches exactly is clean again.
-        s.site_util_integral = vec![vec![5.0, 2.0, 0.0]];
-        assert!(audit_run(&s).is_empty(), "consistent series passes");
     }
 
     fn decision(
@@ -393,7 +352,6 @@ mod tests {
             trace,
             site_peak_util: vec![],
             site_util_integral: vec![],
-            site_util_series: vec![],
         }
     }
 

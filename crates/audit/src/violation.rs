@@ -9,6 +9,7 @@
 use mrs_core::operator::OperatorId;
 use mrs_core::resource::SiteId;
 use mrs_runtime::job::QueryId;
+use mrs_runtime::runtime::UnreproducedHit;
 use std::fmt;
 
 /// One invariant breach found by an audit pass.
@@ -202,19 +203,6 @@ pub enum Violation {
         /// The time-averaged utilization (must stay ≤ 1).
         avg: f64,
     },
-    /// A site's recorded per-step utilization series does not integrate
-    /// to its always-on utilization integral — the series and the
-    /// integral disagree about what the site did.
-    UtilSeriesMismatch {
-        /// The offending site.
-        site: usize,
-        /// The disagreeing resource dimension.
-        resource: usize,
-        /// `Σ len · util` over the recorded series.
-        series_total: f64,
-        /// The exact integral the simulator accumulated.
-        integral: f64,
-    },
     /// The clone event log names a site outside `0..P`.
     CloneSiteOutOfRange {
         /// The clone the event belongs to.
@@ -298,6 +286,13 @@ pub enum Violation {
         /// Digest observed at hit time.
         served: u64,
     },
+    /// A whole-plan cache hit's recorded digest differs from a cold
+    /// re-plan of its query at the governed cap in force
+    /// ([`Runtime::replay_cache_hits`]) — the cache served a plan that
+    /// a fresh computation does not produce.
+    ///
+    /// [`Runtime::replay_cache_hits`]: mrs_runtime::runtime::Runtime::replay_cache_hits
+    CacheHitNotReproduced(UnreproducedHit),
 }
 
 impl Violation {
@@ -326,7 +321,6 @@ impl Violation {
             Violation::OutcomeMissing { .. } => "outcome-missing",
             Violation::TraceDisordered { .. } => "trace-disordered",
             Violation::AvgUtilizationInfeasible { .. } => "avg-utilization",
-            Violation::UtilSeriesMismatch { .. } => "util-series",
             Violation::CloneSiteOutOfRange { .. } => "clone-site",
             Violation::CloneConservationBroken { .. } => "clone-conservation",
             Violation::ControlTransitionInvalid { .. } => "control-transition",
@@ -335,6 +329,7 @@ impl Violation {
             Violation::GovernedDegreeExceeded { .. } => "governed-degree",
             Violation::FragmentDigestMismatch { .. } => "fragment-digest",
             Violation::CacheDigestMismatch { .. } => "cache-digest-mismatch",
+            Violation::CacheHitNotReproduced(_) => "cache-replay",
         }
     }
 }
@@ -439,16 +434,6 @@ impl fmt::Display for Violation {
                 fm,
                 "site {site} resource {resource} averaged utilization {avg} > 1 over the run"
             ),
-            Violation::UtilSeriesMismatch {
-                site,
-                resource,
-                series_total,
-                integral,
-            } => write!(
-                fm,
-                "site {site} resource {resource} series integrates to {series_total}, \
-                 simulator integral is {integral}"
-            ),
             Violation::CloneSiteOutOfRange { tag, site, sites } => write!(
                 fm,
                 "clone tag {tag} has an event at site {site}, outside the {sites} sites"
@@ -498,6 +483,11 @@ impl fmt::Display for Violation {
                 "{query} was served plan {sig_hash:#018x} with digest {served:#018x}, \
                  inserted as {inserted:#018x}"
             ),
+            Violation::CacheHitNotReproduced(hit) => write!(
+                fm,
+                "{} was served digest {:#018x}; a cold plan at cap {:?} digests to {:x?}",
+                hit.query, hit.recorded, hit.cap, hit.cold
+            ),
         }
     }
 }
@@ -518,5 +508,13 @@ mod tests {
         };
         assert_eq!(v.kind(), "conservation");
         assert!(v.to_string().contains("re-pack"));
+        let v = Violation::CacheHitNotReproduced(UnreproducedHit {
+            query: QueryId(2),
+            cap: Some(4),
+            recorded: 1,
+            cold: None,
+        });
+        assert_eq!(v.kind(), "cache-replay");
+        assert!(v.to_string().contains("at cap Some(4) digests to None"));
     }
 }

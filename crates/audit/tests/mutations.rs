@@ -380,6 +380,70 @@ fn recovery_and_cache_trace_mutations_are_caught() {
     assert!(kinds(&v).contains(&"cache-digest-mismatch"), "{v:?}");
 }
 
+/// A cache that memoized a wrong plan and served it consistently: one
+/// insert and all of its hits carry the same wrong digest. The trace
+/// audit cannot see it (insert and hits agree), but the cold replay of
+/// the hits must flag every one of them.
+#[test]
+fn a_consistently_wrong_cache_digest_is_caught_by_the_replay() {
+    let sys = SystemSpec::homogeneous(4);
+    let model = OverlapModel::new(0.5).unwrap();
+    let mut rt = Runtime::new(
+        sys,
+        CommModel::paper_defaults(),
+        model,
+        RuntimeConfig::default(),
+    );
+    let problems = vec![join_problem(); 3];
+    for (client, problem) in problems.iter().enumerate() {
+        rt.submit_at(0.0, client, problem.clone());
+    }
+    let mut summary = rt.run_to_completion().expect("fixture always schedules");
+    assert!(
+        summary.cache.hits > 0,
+        "templated stream must hit the cache"
+    );
+    assert_eq!(rt.replay_cache_hits(&summary, &problems), vec![]);
+
+    let (sig, wrong) = summary
+        .trace
+        .iter()
+        .find_map(|ev| match ev {
+            AuditEvent::CacheInsert {
+                sig_hash, digest, ..
+            } => Some((*sig_hash, *digest ^ 1)),
+            _ => None,
+        })
+        .expect("the first admission inserts");
+    let mut tampered = Vec::new();
+    for ev in &mut summary.trace {
+        match ev {
+            AuditEvent::CacheInsert {
+                sig_hash, digest, ..
+            } if *sig_hash == sig => *digest = wrong,
+            AuditEvent::CacheHit {
+                sig_hash,
+                digest,
+                query,
+                ..
+            } if *sig_hash == sig => {
+                *digest = wrong;
+                tampered.push(*query);
+            }
+            _ => {}
+        }
+    }
+    assert!(!tampered.is_empty(), "the inserted plan must be hit");
+    let v = audit_run(&summary);
+    assert!(v.is_empty(), "insert and hits still agree: {v:?}");
+    let flagged: Vec<_> = rt
+        .replay_cache_hits(&summary, &problems)
+        .iter()
+        .map(|hit| hit.query)
+        .collect();
+    assert_eq!(flagged, tampered);
+}
+
 /// A real run's clone event log must audit clean, and losing one
 /// recorded completion from it (what a faulty log encoding would do)
 /// must be caught as a clone with no terminal event.

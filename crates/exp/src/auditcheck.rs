@@ -8,9 +8,10 @@
 //! everywhere: a non-zero count means a scheduler path emitted something
 //! that breaks Definition 5.1, the `CG_f` cap, placement propagation,
 //! the Theorem 5.1 certificate, fluid feasibility, work conservation
-//! through recovery, or memo coherence. Every `runtime-*` family runs
-//! with `verify_cache`, so each cache hit is also re-planned cold and
-//! must match the served plan bit for bit.
+//! through recovery, or memo coherence. Every `runtime-*` family also
+//! replays its run's cache hits ([`Runtime::replay_cache_hits`]): each
+//! hit is re-planned cold at the governed cap in force and must match
+//! its recorded digest bit for bit.
 //!
 //! Family → experiment-id coverage:
 //!
@@ -46,7 +47,8 @@
 //!   caps.
 //! * `runtime-mqo` — the X16 batched-admission runs (overlap-templated
 //!   batches, sharing on, clean and faulty): every fragment splice must
-//!   reproduce its insert-time digest bit-for-bit.
+//!   reproduce its insert-time digest bit-for-bit, and every whole-plan
+//!   hit must equal a cold shared plan.
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
@@ -76,7 +78,8 @@ use mrs_core::tree::{
 };
 use mrs_cost::prelude::CostModel;
 use mrs_runtime::prelude::{
-    AdmissionPolicy, AuditEvent, ControllerConfig, FaultRecordKind, RuntimeConfig,
+    AdmissionPolicy, AuditEvent, ControllerConfig, FaultRecordKind, RunSummary, Runtime,
+    RuntimeConfig,
 };
 use mrs_workload::prelude::{
     burst_arrivals, generate_query, overlap_batch, ramp_arrivals, QueryGenConfig,
@@ -88,6 +91,26 @@ struct FamilyResult {
     covers: &'static str,
     cells: usize,
     violations: Vec<Violation>,
+}
+
+/// Serves `plans` (query `i` at `arrivals[i]`) and audits the run into
+/// `violations`: the trace audit plus the cold replay of every cache
+/// hit. Returns the finished runtime and its summary.
+fn serve_audited(
+    h: &Harness,
+    rt_cfg: RuntimeConfig,
+    plans: &[TreeProblem],
+    arrivals: &[f64],
+    violations: &mut Vec<Violation>,
+) -> (Runtime<OverlapModel>, RunSummary) {
+    let mut rt = h.runtime(rt_cfg, plans, arrivals);
+    let summary = rt
+        .run_to_completion()
+        .expect("stream plans always schedule");
+    violations.extend(audit_run(&summary));
+    let replay = rt.replay_cache_hits(&summary, plans);
+    violations.extend(replay.into_iter().map(Violation::CacheHitNotReproduced));
+    (rt, summary)
 }
 
 /// The paper workload at the experiment sweep densities.
@@ -318,13 +341,11 @@ pub fn audit(cfg: &ExpConfig) -> Report {
         )
     };
     let deadline = |faulty: bool| faulty.then_some(60.0 * mean_standalone);
-    // Every runtime cell: MPL 4, R̄-scaled recovery, shadow-verified
-    // cache hits.
+    // Every runtime cell: MPL 4, R̄-scaled recovery.
     let base = RuntimeConfig {
         f,
         max_in_flight: 4,
         recovery: h.recovery(4),
-        verify_cache: true,
         ..RuntimeConfig::default()
     };
 
@@ -336,7 +357,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 policy,
                 ..base.clone()
             };
-            violations.extend(audit_run(&h.serve(rt_cfg, &stream, &arrivals)));
+            serve_audited(&h, rt_cfg, &stream, &arrivals, &mut violations);
         }
         families.push(FamilyResult {
             family: "runtime-clean",
@@ -358,7 +379,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     deadline: deadline(true),
                     ..base.clone()
                 };
-                violations.extend(audit_run(&h.serve(rt_cfg, &stream, &arrivals)));
+                serve_audited(&h, rt_cfg, &stream, &arrivals, &mut violations);
                 cells += 1;
             }
         }
@@ -371,9 +392,9 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     }
 
     // runtime-cache: every plan submitted twice — a templated stream
-    // must actually hit, and under verify_cache every hit is re-planned
-    // cold and must match bit for bit. The faulted cell (the seeded
-    // crashes of runtime-log) serves hits across crashes.
+    // must actually hit, and the replay re-plans every hit cold. The
+    // faulted cell (the seeded crashes of runtime-log) serves hits
+    // across crashes.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
@@ -386,7 +407,8 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 deadline: deadline(faulty),
                 ..base.clone()
             };
-            let summary = h.serve(rt_cfg, &doubled, &doubled_arrivals);
+            let (_, summary) =
+                serve_audited(&h, rt_cfg, &doubled, &doubled_arrivals, &mut violations);
             if summary.cache.hits == 0 {
                 violations.push(Violation::ShapeMismatch {
                     detail: "templated stream produced no cache hits".to_owned(),
@@ -408,7 +430,6 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     detail: "faulted cache cell served no hit after a crash".to_owned(),
                 });
             }
-            violations.extend(audit_run(&summary));
             cells += 1;
         }
         families.push(FamilyResult {
@@ -427,14 +448,9 @@ pub fn audit(cfg: &ExpConfig) -> Report {
             let rt_cfg = RuntimeConfig {
                 faults: seeded_faults(if faulty { 4.0 } else { 0.0 }),
                 deadline: deadline(faulty),
-                util_series: true,
                 ..base.clone()
             };
-            let mut rt = h.runtime(rt_cfg, &stream, &arrivals);
-            let summary = rt
-                .run_to_completion()
-                .expect("stream plans always schedule");
-            violations.extend(audit_run(&summary));
+            let (rt, _) = serve_audited(&h, rt_cfg, &stream, &arrivals, &mut violations);
             violations.extend(audit_clone_log(&rt.clone_events(), sites));
             cells += 1;
         }
@@ -480,7 +496,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     shards: n_shards,
                     ..base.clone()
                 };
-                let summary = h.serve(rt_cfg, &stream, arrivals);
+                let (_, summary) = serve_audited(&h, rt_cfg, &stream, arrivals, &mut violations);
                 if !summary
                     .trace
                     .iter()
@@ -490,7 +506,6 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                         detail: "overload stream never engaged the controller".to_owned(),
                     });
                 }
-                violations.extend(audit_run(&summary));
                 violations.extend(audit_controller(&summary, &ctl));
                 cells += 1;
             }
@@ -552,7 +567,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     plan_sharing: true,
                     ..base.clone()
                 };
-                let summary = h.serve(rt_cfg, &batch, &arrivals);
+                let (_, summary) = serve_audited(&h, rt_cfg, &batch, &arrivals, &mut violations);
                 if !faulty
                     && !summary
                         .trace
@@ -563,7 +578,6 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                         detail: format!("overlap-{overlap} batch produced no fragment splices"),
                     });
                 }
-                violations.extend(audit_run(&summary));
                 cells += 1;
             }
         }

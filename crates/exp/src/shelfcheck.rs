@@ -1,5 +1,5 @@
 //! X11 — shelf policy: the paper's ALAP/MinShelf phase assignment
-//! ([TL93]'s "phase closest to the root") vs an ASAP alternative (each
+//! (\[TL93\]'s "phase closest to the root") vs an ASAP alternative (each
 //! task runs as early as its blocking predecessors allow).
 //!
 //! On balanced bushy trees the two coincide; on unbalanced trees they

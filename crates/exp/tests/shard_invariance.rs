@@ -58,7 +58,6 @@ fn run(shards: usize, faulty: bool) -> (RunSummary, Vec<ShardEvent>) {
         deadline: faulty.then_some(60.0 * r),
         recovery: h.recovery(4),
         shards,
-        util_series: true,
         ..RuntimeConfig::default()
     };
     let mut rt = h.runtime(cfg, &problems, &arrivals);

@@ -19,10 +19,11 @@
 //!   graph, bindings). Signature equality therefore implies the fresh
 //!   computation would be *bit-identical*, never merely similar: a lossy
 //!   signature could collide two nearby problems and serve one of them a
-//!   wrong schedule. The shadow-compute test
-//!   ([`RuntimeConfig::verify_cache`](crate::runtime::RuntimeConfig::verify_cache))
-//!   enforces this by re-planning on hits and comparing
-//!   [`schedule_digest`]s.
+//!   wrong schedule. The cold replay
+//!   ([`Runtime::replay_cache_hits`](crate::runtime::Runtime::replay_cache_hits))
+//!   checks this from the audit trace: it re-plans every recorded hit
+//!   at the governed cap in force and compares its [`plan_digest`]
+//!   with the hit's.
 //! * **Purity.** A cold plan depends only on `(problem, f, system,
 //!   comm, model, cap)`. `tree_schedule` plans against the full site
 //!   set, never against the sites that happen to be up, and the
@@ -165,7 +166,7 @@ impl PlanSignature {
         PlanSignature(w)
     }
 
-    /// A [`WordFold`] of the signature's words: the key the audit trace
+    /// A `WordFold` of the signature's words: the key the audit trace
     /// records for a whole-plan insert or hit.
     pub fn hash64(&self) -> u64 {
         let mut h = WordFold::new();
@@ -324,15 +325,15 @@ fn schedule_words(schedule: &TreeScheduleResult, mut emit: impl FnMut(u64)) {
     }
 }
 
-/// A canonical bit-level digest of a schedule, used by the shadow-compute
-/// verification to prove a cache hit byte-identical to a fresh plan.
+/// A canonical bit-level digest of a schedule: equal digests mean
+/// byte-identical plans.
 pub fn schedule_digest(schedule: &TreeScheduleResult) -> Vec<u64> {
     let mut w = Vec::new();
     schedule_words(schedule, |x| w.push(x));
     w
 }
 
-/// A [`WordFold`] of [`schedule_digest`]'s words: the plan digest a
+/// A `WordFold` of [`schedule_digest`]'s words: the plan digest a
 /// [`CachedPlan`] stores and the audit trace records on every whole-plan
 /// insert and hit.
 pub fn plan_digest(schedule: &TreeScheduleResult) -> u64 {

@@ -118,6 +118,18 @@ impl ControllerConfig {
         assert!(self.min_cap >= 1, "min_cap must be at least 1");
     }
 
+    /// The governed clone-degree cap over `sites` sites at governor
+    /// `level`: `None` when disabled or at level 0 (paper-optimal
+    /// degrees), otherwise `max(min_cap, sites >> level)`. The governor
+    /// only ever *lowers* degrees, so the paper's coarse-grain caps stay
+    /// satisfied.
+    pub fn degree_cap(&self, level: u32, sites: usize) -> Option<usize> {
+        if !self.enabled || level == 0 {
+            return None;
+        }
+        Some((sites >> level.min(63)).max(self.min_cap))
+    }
+
     /// True when `action`, taken from replayed state `prev_level`, is
     /// justified by the recorded `sample` under these thresholds — the
     /// config-aware half of the trace replay (`mrs-audit`'s
@@ -267,16 +279,10 @@ impl Controller {
         self.gate
     }
 
-    /// The governed clone-degree cap over `sites` sites: `None` at level
-    /// 0 (paper-optimal degrees), otherwise
-    /// `max(min_cap, sites >> level)`. The governor only ever *lowers*
-    /// degrees, so the paper's coarse-grain caps stay satisfied.
+    /// The governed clone-degree cap over `sites` sites at the current
+    /// level ([`ControllerConfig::degree_cap`]).
     pub fn degree_cap(&self, sites: usize) -> Option<usize> {
-        if !self.cfg.enabled || self.level == 0 {
-            return None;
-        }
-        let shifted = sites >> self.level.min(63);
-        Some(shifted.max(self.cfg.min_cap))
+        self.cfg.degree_cap(self.level, sites)
     }
 
     /// Feeds one pressure observation through the hysteresis rules and

@@ -8,7 +8,6 @@ use crate::cache::CacheStats;
 use crate::job::{QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::runtime::RuntimeError;
 use crate::trace::AuditEvent;
-use mrs_sim::engine::UtilSample;
 
 /// One entry of the run's fault/recovery event trace. Records derive
 /// `PartialEq` so determinism tests can compare whole traces.
@@ -106,12 +105,6 @@ pub struct RunSummary {
     /// utilization. Always recorded; lets `mrs-audit` bound average (not
     /// just peak) over-commitment.
     pub site_util_integral: Vec<Vec<f64>>,
-    /// Per-site per-step utilization time series (piecewise-constant
-    /// intervals), recorded only when
-    /// [`RuntimeConfig::util_series`](crate::runtime::RuntimeConfig) is
-    /// set; empty inner vectors otherwise. The integral of site `j`'s
-    /// series equals `site_util_integral[j]` exactly.
-    pub site_util_series: Vec<Vec<UtilSample>>,
 }
 
 impl RunSummary {
@@ -134,7 +127,6 @@ impl RunSummary {
             trace: Vec::new(),
             site_peak_util: Vec::new(),
             site_util_integral: Vec::new(),
-            site_util_series: Vec::new(),
         }
     }
 
@@ -460,17 +452,8 @@ impl RunSummary {
         }
         h.mat(&self.site_peak_util);
         h.mat(&self.site_util_integral);
-        h.usize(self.site_util_series.len());
-        for series in &self.site_util_series {
-            h.usize(series.len());
-            for s in series {
-                h.f64(s.start);
-                h.f64(s.len);
-                for u in &s.util {
-                    h.f64(*u);
-                }
-            }
-        }
+        // The retired utilization series' empty length keeps old digests.
+        h.usize(0);
         h.finish()
     }
 }
@@ -710,13 +693,6 @@ mod tests {
         let mut util = summary();
         util.site_util_integral = vec![vec![1.0]];
         assert_ne!(a.digest(), util.digest());
-        let mut series = summary();
-        series.site_util_series = vec![vec![UtilSample {
-            start: 0.0,
-            len: 1.0,
-            util: vec![0.5],
-        }]];
-        assert_ne!(a.digest(), series.digest());
         let mut outcome = summary();
         outcome.queries[0].outcome = Some(QueryOutcome::Shed {
             reason: ShedReason::AliveCount,

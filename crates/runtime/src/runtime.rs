@@ -29,7 +29,7 @@
 //! scan over all sites is replaced by a lazy min-tree
 //! [`EventCalendar`](mrs_sim::calendar::EventCalendar) (sites advance
 //! only at their own events, or on demand when the runtime next touches
-//! them — see [`Runtime::touch_site`]), and admission TreeSchedules are
+//! them — see `Runtime::touch_site`), and admission TreeSchedules are
 //! memoized by plan signature in a [`ScheduleCache`](crate::cache), a
 //! pure memo that no fault invalidates (a plan depends on neither the
 //! sites that are up nor the clock). Retries stay
@@ -81,7 +81,7 @@
 //! output depends on its fragment memo's order) or on a one-core host.
 
 use crate::admission::AdmissionQueue;
-use crate::cache::{number_signatures, schedule_digest, PlanSignature, ScheduleCache};
+use crate::cache::{number_signatures, plan_digest, PlanSignature, ScheduleCache};
 use crate::control::{Controller, ControllerConfig, PressureSample};
 use crate::job::{work_volume, QueryId, QueryOutcome, QueryRecord, ShedReason};
 use crate::metrics::{FaultRecord, FaultRecordKind, RunSummary};
@@ -195,20 +195,10 @@ pub struct RuntimeConfig {
     pub deadline: Option<f64>,
     /// Recovery-loop knobs (rebuild surcharge, retry backoff, shedding).
     pub recovery: RecoveryConfig,
-    /// Re-plan every hit of the admission schedule cache (see
-    /// [`crate::cache`]) from scratch and panic if the served schedule is
-    /// not bit-identical — the cache's correctness harness. Default
-    /// `false` (it defeats the cache's purpose).
-    pub verify_cache: bool,
     /// Retired: the run never reads it. It only sets how many contiguous
     /// site ranges [`Runtime::shard_segments`] slices the clone event log
     /// into (clamped to `1..=sites`; `1` is the default).
     pub shards: usize,
-    /// Record each site's full per-step utilization time series on the
-    /// summary ([`RunSummary::site_util_series`]). Bit-exact but
-    /// memory-proportional to the event count; the exact utilization
-    /// *integral* is always recorded regardless. Default `false`.
-    pub util_series: bool,
     /// Adaptive overload controller (see [`crate::control`]). Disabled
     /// by default: the controller is then never consulted and the run is
     /// byte-identical to the pre-controller runtime.
@@ -242,9 +232,7 @@ impl Default for RuntimeConfig {
             faults: FaultPlan::none(),
             deadline: None,
             recovery: RecoveryConfig::default(),
-            verify_cache: false,
             shards: 1,
-            util_series: false,
             controller: ControllerConfig::default(),
             batch_window: 0,
             plan_sharing: false,
@@ -472,10 +460,7 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
             assert!(ev.site < sys.sites, "fault site {} out of range", ev.site);
         }
         let segments = ShardPlan::new(sys.sites, cfg.shards);
-        let mut sites = ShardState::new(0, 0, sims, d);
-        if cfg.util_series {
-            sites.enable_util_series();
-        }
+        let sites = ShardState::new(0, 0, sims, d);
         let queue = AdmissionQueue::new(cfg.policy);
         let faults = FaultTimeline::new(&cfg.faults);
         let controller = Controller::new(cfg.controller.clone());
@@ -1400,9 +1385,8 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
     /// Produces the admission TreeSchedule for `problem`: a hit from the
     /// plan-signature cache, or a [`cold_plan`] that is then memoized.
     /// An uncapped miss takes the plan-ahead worker's plan, waiting for
-    /// it if need be; it counts as the miss it replaces. With
-    /// `verify_cache` set, every hit is re-planned cold against an
-    /// empty fragment memo and compared bit-for-bit.
+    /// it if need be; it counts as the miss it replaces.
+    /// [`Runtime::replay_cache_hits`] re-plans every recorded hit cold.
     ///
     /// The controller's governed degree cap is part of the plan's
     /// identity: signatures key on the cap, so a template planned at
@@ -1423,23 +1407,6 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
                 sig_hash: hit.sig_hash,
                 digest: hit.digest,
             });
-            if self.cfg.verify_cache {
-                let (fresh, _) = cold_plan(
-                    problem,
-                    &self.cfg,
-                    &self.sys,
-                    &self.comm,
-                    &self.model,
-                    cap,
-                    &mut MapFragmentCache::new(),
-                )
-                .map_err(schedule_error)?;
-                assert_eq!(
-                    schedule_digest(&hit.schedule),
-                    schedule_digest(&fresh),
-                    "schedule cache served a non-identical plan for {id}"
-                );
-            }
             return Ok(hit.schedule);
         }
         let prefetched = match (&self.ahead, cap) {
@@ -1495,11 +1462,74 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         s.trace = self.audit_trace.clone();
         s.site_peak_util = self.sites.peak_util();
         s.site_util_integral = self.sites.util_integral();
-        if self.cfg.util_series {
-            s.site_util_series = self.sites.util_series();
-        }
         s
     }
+
+    /// Replays the schedule cache's hits in `summary` (a run of this
+    /// runtime) from recorded evidence. Walking the trace, it tracks the
+    /// governor level from each [`AuditEvent::ControlDecision`] and
+    /// re-plans each [`AuditEvent::CacheHit`]'s query cold, from
+    /// `problems` (indexed by [`QueryId`]), at that level's
+    /// [`ControllerConfig::degree_cap`] against an empty fragment memo.
+    /// It returns every hit whose recorded digest differs from the cold
+    /// plan's [`plan_digest`]: empty when the cache served each hit the
+    /// bytes a fresh plan would have (see [`crate::cache`]).
+    ///
+    /// # Panics
+    /// If a hit's query has no entry in `problems`.
+    pub fn replay_cache_hits(
+        &self,
+        summary: &RunSummary,
+        problems: &[TreeProblem],
+    ) -> Vec<UnreproducedHit> {
+        let mut level = 0;
+        let mut out = Vec::new();
+        for ev in &summary.trace {
+            let (query, recorded) = match *ev {
+                AuditEvent::ControlDecision { level: l, .. } => {
+                    level = l;
+                    continue;
+                }
+                AuditEvent::CacheHit { query, digest, .. } => (query, digest),
+                _ => continue,
+            };
+            let cap = self.cfg.controller.degree_cap(level, self.sys.sites);
+            let cold = cold_plan(
+                &problems[query.0],
+                &self.cfg,
+                &self.sys,
+                &self.comm,
+                &self.model,
+                cap,
+                &mut MapFragmentCache::new(),
+            )
+            .ok()
+            .map(|(plan, _)| plan_digest(&plan));
+            if cold != Some(recorded) {
+                out.push(UnreproducedHit {
+                    query,
+                    cap,
+                    recorded,
+                    cold,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// A whole-plan cache hit that a cold re-plan does not reproduce (see
+/// [`Runtime::replay_cache_hits`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnreproducedHit {
+    /// The query the hit served.
+    pub query: QueryId,
+    /// The governed degree cap the hit was re-planned at.
+    pub cap: Option<usize>,
+    /// The digest the trace recorded for the hit.
+    pub recorded: u64,
+    /// The cold plan's digest; `None` when cold planning failed.
+    pub cold: Option<u64>,
 }
 
 /// Plans `problem` from scratch under the governed degree `cap`: the
@@ -1551,6 +1581,7 @@ fn unshared_stats(problem: &TreeProblem) -> SharedStats {
 mod tests {
     use super::*;
     use crate::admission::AdmissionPolicy;
+    use crate::cache::schedule_digest;
     use mrs_core::operator::{OperatorId, OperatorKind, OperatorSpec};
     use mrs_core::prelude::OverlapModel;
     use mrs_core::tasks::TaskGraph;
@@ -2343,30 +2374,38 @@ mod tests {
         // at a governed level, while their uncapped slots are still
         // untaken. A capped miss must plan inline at its own cap;
         // serving it the worker's uncapped plan would memoize a wrong
-        // plan, which verify_cache re-plans on the next hit, and would
+        // plan, which the cold replay of its next hit flags, and would
         // move the trace off the run without a worker.
+        let problems: Vec<TreeProblem> = (0..16)
+            .map(|q| one_op_problem(20.0 + (q / 4) as f64))
+            .collect();
         let run = |shards, plan_ahead| {
             let mut rt = runtime_with(RuntimeConfig {
                 shards,
                 max_in_flight: 2,
                 controller: overload_controller(),
-                verify_cache: true,
                 ..RuntimeConfig::default()
             });
-            for q in 0..16 {
-                rt.submit_at(q as f64 * 0.2, q % 3, one_op_problem(20.0 + (q / 4) as f64));
+            for (q, problem) in problems.iter().enumerate() {
+                rt.submit_at(q as f64 * 0.2, q % 3, problem.clone());
             }
-            rt.run(plan_ahead).unwrap()
+            let summary = rt.run(plan_ahead).unwrap();
+            assert_eq!(rt.replay_cache_hits(&summary, &problems), vec![]);
+            summary
         };
         for shards in [1, 2] {
             let (ahead, inline) = (run(shards, true), run(shards, false));
-            assert!(
-                ahead.trace.iter().any(|ev| matches!(
-                    ev,
-                    AuditEvent::ControlDecision { level, .. } if *level > 0
-                )),
-                "the governor never raised a level"
-            );
+            // At least one hit is replayed at a governed cap.
+            let mut level = 0;
+            let capped_hits = ahead.trace.iter().filter(|ev| match ev {
+                AuditEvent::ControlDecision { level: l, .. } => {
+                    level = *l;
+                    false
+                }
+                AuditEvent::CacheHit { .. } => overload_controller().degree_cap(level, 4).is_some(),
+                _ => false,
+            });
+            assert!(capped_hits.count() > 0, "no hit replays at a governed cap");
             assert_eq!(ahead.digest(), inline.digest(), "shards = {shards}");
             assert_eq!(ahead.trace, inline.trace, "shards = {shards}");
         }
@@ -2485,21 +2524,28 @@ mod tests {
         assert!((summary.cache_hit_rate() - 5.0 / 6.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn cache_hits_are_bit_identical_to_fresh_plans() {
-        // verify_cache shadow-computes every hit and panics on any
-        // digest mismatch, so a clean run *is* the assertion.
-        let cfg = RuntimeConfig {
-            verify_cache: true,
-            ..RuntimeConfig::default()
-        };
-        let mut rt = runtime_with(cfg);
-        for q in 0..5 {
-            rt.submit_at(q as f64 * 3.0, 0, one_op_problem(8.0));
+    /// Runs `(arrival, problem)` pairs as client 0 to completion and
+    /// asserts that the run hit the schedule cache and that a cold
+    /// re-plan reproduces every hit's recorded digest.
+    fn run_replayed(
+        mut rt: Runtime<OverlapModel>,
+        arrivals: Vec<(f64, TreeProblem)>,
+    ) -> RunSummary {
+        let (times, problems): (Vec<f64>, Vec<TreeProblem>) = arrivals.into_iter().unzip();
+        for (&t, problem) in times.iter().zip(&problems) {
+            rt.submit_at(t, 0, problem.clone());
         }
         let summary = rt.run_to_completion().unwrap();
+        assert!(summary.cache.hits >= 1, "the replay needs hits to check");
+        assert_eq!(rt.replay_cache_hits(&summary, &problems), vec![]);
+        summary
+    }
+
+    #[test]
+    fn cache_hits_are_bit_identical_to_fresh_plans() {
+        let arrivals = (0..5).map(|q| (q as f64 * 3.0, one_op_problem(8.0)));
+        let summary = run_replayed(runtime_with(RuntimeConfig::default()), arrivals.collect());
         assert_eq!(summary.completed(), 5);
-        assert!(summary.cache.hits >= 1, "shadow check needs hits to check");
     }
 
     #[test]
@@ -2507,18 +2553,15 @@ mod tests {
         // Same template before and after a crash of a site in the plan's
         // footprint (the floating plan spreads over every site, so site
         // 3 is in it). The plan depends on neither the live site set nor
-        // the clock, so the post-crash admission hits, and verify_cache
-        // proves the served plan equal to a cold one.
+        // the clock, so the post-crash admission hits, and its cold
+        // replay proves the served plan equal to a fresh one.
         let cfg = RuntimeConfig {
             max_in_flight: 1,
             faults: FaultPlan::scripted(vec![crash(1.0, 3)]),
-            verify_cache: true,
             ..RuntimeConfig::default()
         };
-        let mut rt = runtime_with(cfg);
-        rt.submit_at(0.0, 0, one_op_problem(10.0));
-        rt.submit_at(0.5, 0, one_op_problem(10.0));
-        let summary = rt.run_to_completion().unwrap();
+        let arrivals = vec![(0.0, one_op_problem(10.0)), (0.5, one_op_problem(10.0))];
+        let summary = run_replayed(runtime_with(cfg), arrivals);
         assert_eq!(summary.sites_failed(), 1);
         assert_eq!(summary.completed(), 2);
         // The second query was queued behind MPL=1 and only admitted
@@ -2544,13 +2587,12 @@ mod tests {
         let cfg = RuntimeConfig {
             max_in_flight: 1,
             faults: FaultPlan::scripted(vec![crash(1.0, 0)]),
-            verify_cache: true,
             ..RuntimeConfig::default()
         };
-        let mut rt = runtime_with(cfg);
-        rt.submit_at(0.0, 0, rooted(10.0));
-        rt.submit_at(0.5, 0, rooted(10.0));
-        let summary = rt.run_to_completion().unwrap();
+        let summary = run_replayed(
+            runtime_with(cfg),
+            vec![(0.0, rooted(10.0)), (0.5, rooted(10.0))],
+        );
         assert_eq!(summary.sites_failed(), 1);
         assert_eq!(summary.completed(), 2);
         assert!(summary.queries[1].start.unwrap() > 1.0);
@@ -2807,24 +2849,19 @@ mod tests {
 
     #[test]
     fn shared_plans_are_bit_identical_warm_or_cold() {
-        // verify_cache shadow-replans every whole-plan hit with a cold
-        // fragment cache; a clean run asserts warm == cold bit-for-bit.
+        // The replay re-plans every whole-plan hit with a cold fragment
+        // cache, so an empty replay asserts warm == cold bit-for-bit.
         let cfg = RuntimeConfig {
             batch_window: 3,
             plan_sharing: true,
-            verify_cache: true,
             max_in_flight: 8,
             ..RuntimeConfig::default()
         };
-        let mut rt = runtime_with(cfg);
-        for q in 0..6u64 {
-            // Two whole-plan templates, so the second batch hits the
-            // whole-plan cache and exercises the shared-mode shadow.
-            rt.submit_at(q as f64, 0, chain_problem(7, 50 + q % 2));
-        }
-        let summary = rt.run_to_completion().unwrap();
+        // Two whole-plan templates, so the second batch hits the
+        // whole-plan cache and exercises the shared-mode replay.
+        let arrivals = (0..6u64).map(|q| (q as f64, chain_problem(7, 50 + q % 2)));
+        let summary = run_replayed(runtime_with(cfg), arrivals.collect());
         assert_eq!(summary.completed(), 6);
-        assert!(summary.cache.hits >= 1, "shadow check needs hits to check");
         assert!(summary.cache.subtree_hits >= 1);
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The site layer records every site-level clone event — dispatch,
 //! completion, crash loss, eviction — into one run-encoded
-//! [`EventLog`], which decodes when asked. The decoded log is the
+//! `EventLog`, which decodes when asked. The decoded log is the
 //! evidence `mrs-audit`'s clone-log checker reads: every dispatched
 //! clone must end in exactly one terminal event. It can also be sliced
 //! by site range into [`ShardSegment`]s ([`ShardPlan::split`]).
@@ -117,7 +117,7 @@ impl std::iter::Sum for EventCounts {
 /// the event kind's [`ShardEventKind::rank`].
 const SITE_BITS: u32 = 30;
 
-/// Sites an [`EventLog`] can name: global site indices must be below
+/// Sites an `EventLog` can name: global site indices must be below
 /// this.
 pub const MAX_SITES: usize = 1 << SITE_BITS;
 

@@ -27,7 +27,7 @@ use crate::segment::{EventCounts, EventLog, ShardEvent, ShardEventKind, MAX_SITE
 use mrs_core::resource::SiteId;
 use mrs_core::vector::WorkVector;
 use mrs_sim::calendar::EventCalendar;
-use mrs_sim::engine::{demand_rates, Completion, LostClone, SimClone, SiteSim, UtilSample};
+use mrs_sim::engine::{demand_rates, Completion, LostClone, SimClone, SiteSim};
 
 /// Deterministic work counters of the site layer: how much simulation
 /// work a run did, whatever the host's speed. Equal counters on two
@@ -263,13 +263,6 @@ impl ShardState {
         self.sims[self.local(site)].is_down()
     }
 
-    /// Enables per-step utilization series recording on every site.
-    pub fn enable_util_series(&mut self) {
-        for sim in &mut self.sims {
-            sim.enable_util_series();
-        }
-    }
-
     /// Mean [`SiteSim::load`] over the alive sites, summed in site
     /// order (`+∞` with none alive).
     pub fn avg_load(&self) -> f64 {
@@ -322,19 +315,6 @@ impl ShardState {
         self.sims
             .iter()
             .map(|s| s.util_integral().to_vec())
-            .collect()
-    }
-
-    /// Every site's recorded utilization series, in site order (empty
-    /// vectors when recording was never enabled).
-    pub fn util_series(&self) -> Vec<Vec<UtilSample>> {
-        self.sims
-            .iter()
-            .map(|s| {
-                s.util_series()
-                    .map(<[UtilSample]>::to_vec)
-                    .unwrap_or_default()
-            })
             .collect()
     }
 

@@ -89,22 +89,6 @@ pub struct Completion {
     pub time: f64,
 }
 
-/// One interval of a site's piecewise-constant utilization trajectory:
-/// for `len` virtual seconds starting at `start`, resource `i` ran at
-/// normalized utilization `util[i]` (realized demand over effective
-/// capacity). Recorded only when the per-step series is enabled
-/// ([`SiteSim::enable_util_series`]); the always-on
-/// [`SiteSim::util_integral`] is the exact integral of this series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct UtilSample {
-    /// Interval start (the site's clock before the step).
-    pub start: f64,
-    /// Interval length (zero-length steps are not recorded).
-    pub len: f64,
-    /// Normalized utilization per resource, constant across the interval.
-    pub util: Vec<f64>,
-}
-
 /// One clone resident at a site, as the sharing solver reads it.
 #[derive(Clone, Debug)]
 pub(crate) struct Active {
@@ -249,9 +233,6 @@ pub struct SiteSim {
     /// dividing by the horizon bounds *average* over-commitment the same
     /// way `peak_util` bounds the instantaneous kind.
     util_integral: Vec<f64>,
-    /// Optional per-step utilization series (see
-    /// [`SiteSim::enable_util_series`]); `None` records nothing.
-    util_series: Option<Vec<UtilSample>>,
     /// Sharing-policy solves so far (see [`SiteSim::speed_solves`]).
     speed_solves: u64,
     /// Constant-speed steps so far (see [`SiteSim::fluid_steps`]).
@@ -275,7 +256,6 @@ impl SiteSim {
             speeds_valid: false,
             peak_util: vec![0.0; d],
             util_integral: vec![0.0; d],
-            util_series: None,
             speed_solves: 0,
             fluid_steps: 0,
         }
@@ -347,23 +327,6 @@ impl SiteSim {
     #[inline]
     pub fn util_integral(&self) -> &[f64] {
         &self.util_integral
-    }
-
-    /// Starts recording the per-step utilization series (one
-    /// [`UtilSample`] per constant-speed interval). Off by default: the
-    /// series costs memory proportional to the event count, while the
-    /// always-on [`SiteSim::util_integral`] is `d` floats. Enabling it
-    /// changes no simulation arithmetic.
-    pub fn enable_util_series(&mut self) {
-        if self.util_series.is_none() {
-            self.util_series = Some(Vec::new());
-        }
-    }
-
-    /// The recorded per-step utilization series, or `None` when
-    /// [`SiteSim::enable_util_series`] was never called.
-    pub fn util_series(&self) -> Option<&[UtilSample]> {
-        self.util_series.as_deref()
     }
 
     /// How many times the site has solved its sharing policy: a
@@ -566,8 +529,8 @@ impl SiteSim {
                 }
             }
             // The shares are constant across the step, so `u / cap` is
-            // the interval's normalized utilization: its peak, its exact
-            // integral contribution and the optional series entry.
+            // the interval's normalized utilization: its peak and its
+            // exact integral contribution.
             for ((p, acc), &u) in (self.peak_util.iter_mut())
                 .zip(self.util_integral.iter_mut())
                 .zip(&self.scratch)
@@ -577,15 +540,6 @@ impl SiteSim {
                     *p = norm;
                 }
                 *acc += norm * step;
-            }
-            if let Some(series) = &mut self.util_series {
-                if step > 0.0 {
-                    series.push(UtilSample {
-                        start: self.now,
-                        len: step,
-                        util: self.scratch.iter().map(|u| u / cap).collect(),
-                    });
-                }
             }
             self.now += step;
             // The decrement above stales the cached speed solution.
@@ -835,50 +789,30 @@ mod tests {
     }
 
     #[test]
-    fn util_integral_is_exact_series_integral() {
-        // A lone CPU clone: utilization 1.0 on r0 for its 8s lifetime,
-        // so the integral is exactly 8 and the series has one interval.
-        let mut sim = SiteSim::new(SimConfig::default(), 2);
-        sim.enable_util_series();
-        sim.add_clone(&clone(0, &[8.0, 0.0], 8.0));
-        let mut out = Vec::new();
-        let t = sim.next_completion_time().unwrap();
-        sim.advance_to(t, &mut out);
-        assert!((sim.util_integral()[0] - 8.0).abs() < 1e-9);
-        assert_eq!(sim.util_integral()[1], 0.0);
-        let series = sim.util_series().expect("series enabled above");
-        assert_eq!(series.len(), 1);
-        assert_eq!(series[0].start, 0.0);
-        // The integral equals Σ len·util over the recorded series, bit
-        // for bit — the cross-check mrs-audit applies when the series is
-        // exported.
-        let from_series: f64 = series.iter().map(|s| s.len * s.util[0]).sum();
-        assert_eq!(from_series.to_bits(), sim.util_integral()[0].to_bits());
-    }
-
-    #[test]
-    fn util_series_recording_changes_no_arithmetic() {
-        let drive = |record: bool| {
-            let mut sim = SiteSim::new(SimConfig::default(), 2);
-            if record {
-                sim.enable_util_series();
-            }
-            sim.add_clone(&clone(0, &[10.0, 15.0], 22.0));
-            sim.add_clone(&clone(1, &[10.0, 5.0], 10.0));
-            let mut out = Vec::new();
-            while let Some(t) = sim.next_completion_time() {
-                sim.advance_to(t, &mut out);
-            }
-            (
-                out.iter().map(|c| c.time.to_bits()).collect::<Vec<_>>(),
-                sim.busy().iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
-                sim.util_integral()
-                    .iter()
-                    .map(|u| u.to_bits())
-                    .collect::<Vec<_>>(),
-            )
+    fn util_integral_is_the_hand_computed_normalized_integral() {
+        // Two clones share the CPU at timeshare overhead 0.5, so the
+        // site's capacity is 1 / 1.5. Clone 0 also reads r1 at rate 0.5.
+        // EqualFinish stretches both to 16 / (1 / 1.5) = 24 s at speed
+        // 1/3: the CPU runs at u = 2/3 = cap (normalized 1) and r1 at
+        // u = 1/6 (normalized 1/4), so the integrals are 24 and 6. Without
+        // the division by `cap` they would read 16 and 4.
+        let cfg = SimConfig {
+            timeshare_overhead: 0.5,
+            ..SimConfig::default()
         };
-        assert_eq!(drive(false), drive(true));
+        let mut sim = SiteSim::new(cfg, 2);
+        sim.add_clone(&clone(0, &[8.0, 4.0], 8.0));
+        sim.add_clone(&clone(1, &[8.0, 0.0], 8.0));
+        let mut out = Vec::new();
+        while let Some(t) = sim.next_completion_time() {
+            sim.advance_to(t, &mut out);
+        }
+        assert_eq!(out.len(), 2);
+        assert!((sim.now() - 24.0).abs() < 1e-9, "horizon {}", sim.now());
+        for (r, want) in [24.0, 6.0].into_iter().enumerate() {
+            let got = sim.util_integral()[r];
+            assert!((got - want).abs() < 1e-9, "r{r} integral {got}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! the batched runtime must stay shard-invariant and `--jobs`-invariant
 //! with sharing on.
 
-use mdrs::exp::serving::{overlap_stream, spaced, submit};
+use mdrs::exp::serving::{cycled, overlap_stream, spaced, submit};
 use mdrs::prelude::*;
 
 /// The sharing soundness property, swept over seeds and overlaps:
@@ -77,20 +77,23 @@ fn overlap_batches_share_canonical_signatures() {
     );
 }
 
-/// The batched runtime under `verify_cache`: every whole-plan hit is
-/// shadow-replanned with the *shared* planner against a cold memo and
-/// must digest-match, even while a site crashes and recovers
-/// mid-stream. The memo keeps splicing across the fault pair, and
-/// completing the run is the assertion.
+/// The batched runtime's whole-plan hits, replayed with the *shared*
+/// planner against a cold memo, must digest-match, even while a site
+/// crashes and recovers mid-stream. The memo keeps splicing across the
+/// fault pair.
 #[test]
 fn batched_sharing_survives_shadow_verification_under_faults() {
     let cost = CostModel::paper_defaults();
     let comm = cost.params().comm_model();
     let sys = SystemSpec::homogeneous(16);
     let model = OverlapModel::new(0.5).unwrap();
-    let stream = overlap_stream(9, 0.8, 4, 3, 1996);
-    // All twelve queries arrive up front; at MPL 3 the run lasts about
-    // four standalone times, so a crash at 1.5x lands mid-stream.
+    // Twelve overlapped queries, then the same twelve again: the second
+    // round is served from the whole-plan cache.
+    let round = overlap_stream(9, 0.8, 4, 3, 1996);
+    let stream = cycled(&round, 2 * round.len());
+    // All 24 queries arrive up front; at MPL 3 the first round alone
+    // lasts about four standalone times, so a crash at 1.5x lands
+    // mid-stream.
     let standalone = tree_schedule(&stream[0], 0.7, &sys, &comm, &model)
         .unwrap()
         .response_time;
@@ -99,7 +102,6 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         max_in_flight: 3,
         batch_window: 4,
         plan_sharing: true,
-        verify_cache: true,
         faults: FaultPlan::scripted(vec![
             FaultEvent {
                 time: crash_at,
@@ -115,13 +117,14 @@ fn batched_sharing_survives_shadow_verification_under_faults() {
         ..RuntimeConfig::default()
     };
     let rt = Runtime::new(sys.clone(), comm, model, cfg);
-    let summary = submit(rt, &stream, &spaced(stream.len(), 1e-3))
-        .run_to_completion()
-        .unwrap();
+    let mut rt = submit(rt, &stream, &spaced(stream.len(), 1e-3));
+    let summary = rt.run_to_completion().unwrap();
     assert!(
         summary.cache.subtree_hits > 0,
         "the overlapped stream never spliced"
     );
+    assert!(summary.cache.hits > 0, "nothing was replayed");
+    assert_eq!(rt.replay_cache_hits(&summary, &stream), vec![]);
     assert_eq!(summary.sites_failed(), 1);
     // No fault invalidates the memo: fragments memoized before the
     // crash are still spliced after it.

@@ -1,5 +1,5 @@
 //! Cross-crate serving-hot-path tests: the schedule cache must be an
-//! invisible optimization (shadow-verified hits, balanced plan
+//! invisible optimization (hits that replay to cold plans, balanced plan
 //! accounting) that keeps serving its plans across site failures.
 
 use mdrs::exp::serving::{cycled, spaced, submit};
@@ -22,10 +22,10 @@ fn templated_stream(n: usize, cost: &CostModel) -> Vec<TreeProblem> {
     cycled(&templates, n)
 }
 
-/// `verify_cache` shadow-computes every hit and panics on a digest
-/// mismatch, so completing a hit-heavy faulted run under it proves each
-/// served schedule byte-identical to a fresh computation. Every
-/// admission is either a hit or a miss, and only misses plan.
+/// The cold replay of a hit-heavy faulted run's cache hits finds none
+/// that differs from a fresh computation, so each served schedule is
+/// byte-identical to it. Every admission is either a hit or a miss, and
+/// only misses plan.
 #[test]
 fn cache_hits_survive_shadow_verification() {
     let cost = CostModel::paper_defaults();
@@ -34,7 +34,6 @@ fn cache_hits_survive_shadow_verification() {
     let model = OverlapModel::new(0.5).unwrap();
     let cfg = RuntimeConfig {
         max_in_flight: 3,
-        verify_cache: true,
         faults: FaultPlan::scripted(vec![FaultEvent {
             time: 250.0,
             site: 7,
@@ -42,11 +41,12 @@ fn cache_hits_survive_shadow_verification() {
         }]),
         ..RuntimeConfig::default()
     };
+    let stream = templated_stream(12, &cost);
     let rt = Runtime::new(sys.clone(), comm, model, cfg);
-    let summary = submit(rt, &templated_stream(12, &cost), &spaced(12, 6.0))
-        .run_to_completion()
-        .unwrap();
-    assert!(summary.cache.hits > 0, "nothing was shadow-verified");
+    let mut rt = submit(rt, &stream, &spaced(12, 6.0));
+    let summary = rt.run_to_completion().unwrap();
+    assert!(summary.cache.hits > 0, "nothing was replayed");
+    assert_eq!(rt.replay_cache_hits(&summary, &stream), vec![]);
     let admissions = summary.queries.iter().filter(|q| q.start.is_some()).count();
     assert_eq!(
         summary.cache.hits + summary.cache.misses,
@@ -58,7 +58,7 @@ fn cache_hits_survive_shadow_verification() {
 
 /// A crash mid-stream inside the plan's footprint leaves the cached
 /// plan servable: the post-crash arrival of an already-cached template
-/// hits, and `verify_cache` proves it equal to a cold plan.
+/// hits, and its cold replay proves it equal to a fresh plan.
 #[test]
 fn crash_mid_stream_keeps_cached_plans_servable() {
     let cost = CostModel::paper_defaults();
@@ -81,7 +81,6 @@ fn crash_mid_stream_keeps_cached_plans_servable() {
     );
     let cfg = RuntimeConfig {
         max_in_flight: 1,
-        verify_cache: true,
         faults: FaultPlan::scripted(vec![FaultEvent {
             time: crash_at,
             site: crashed,
@@ -89,10 +88,10 @@ fn crash_mid_stream_keeps_cached_plans_servable() {
         }]),
         ..RuntimeConfig::default()
     };
+    let stream = vec![p; 3];
     let rt = Runtime::new(sys.clone(), comm, model, cfg);
-    let summary = submit(rt, &[p.clone(), p.clone(), p], &spaced(3, 1e-3))
-        .run_to_completion()
-        .unwrap();
+    let mut rt = submit(rt, &stream, &spaced(3, 1e-3));
+    let summary = rt.run_to_completion().unwrap();
     assert_eq!(summary.sites_failed(), 1);
     assert_eq!(summary.completed(), 3);
     assert!(
@@ -103,4 +102,5 @@ fn crash_mid_stream_keeps_cached_plans_servable() {
     // (one of them after the crash) hit.
     assert_eq!(summary.cache.misses, 1, "misses = distinct templates");
     assert_eq!(summary.cache.hits, 2, "the post-crash admission hits");
+    assert_eq!(rt.replay_cache_hits(&summary, &stream), vec![]);
 }
