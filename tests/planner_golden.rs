@@ -77,3 +77,47 @@ fn cold_tree_schedules_match_the_golden_digest() {
         h.0
     );
 }
+
+/// Three `mqo_overload`-shaped windows (six 10-join queries sharing a
+/// 9-join core, overlap 0.9) planned by the shared planner through one
+/// fragment memo, uncapped and at the governed cap 17, at P = 140,
+/// f = 0.7, ε = 0.5. The digest folds every plan, every call's sharing
+/// counters and every canonical subtree-signature word, so it pins the
+/// splice/insert pattern and the signature encoding as well as the
+/// schedules themselves.
+#[test]
+fn shared_window_plans_match_the_golden_digest() {
+    let cost = CostModel::paper_defaults();
+    let comm = cost.params().comm_model();
+    let model = OverlapModel::new(0.5).unwrap();
+    let sys = SystemSpec::homogeneous(140);
+    let mut memo = MapFragmentCache::new();
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for cap in [None, Some(17)] {
+        let mut hits = 0;
+        for seed in [1996u64, 7, 40_971] {
+            for q in overlap_batch(&QueryGenConfig::paper(10), 0.9, 6, seed) {
+                let problem = query_problem(&q, &cost);
+                for sig in subtree_signatures(&problem, 0.7, cap).unwrap() {
+                    h.usize(sig.words().len());
+                    sig.words().iter().for_each(|&w| h.u64(w));
+                }
+                let (result, stats) =
+                    tree_schedule_shared(&problem, 0.7, &sys, &comm, &model, cap, &mut memo)
+                        .unwrap();
+                digest(&result, &mut h);
+                h.u64(stats.subtree_hits);
+                h.u64(stats.subtree_misses);
+                h.u64(stats.fragments_spliced);
+                h.u64(stats.tasks_planned);
+                hits += stats.subtree_hits;
+            }
+        }
+        assert!(hits > 0, "cap {cap:?}: the windows never spliced");
+    }
+    assert_eq!(
+        h.0, 0xc8d6_953a_ec45_d911,
+        "shared planner output changed: digest {:#018x}",
+        h.0
+    );
+}
