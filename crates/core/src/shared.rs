@@ -206,8 +206,14 @@ fn push_op(out: &mut Vec<u64>, problem: &TreeProblem, op: OperatorId) {
     }
 }
 
+/// Marks an operator or task outside the subtree being serialized in
+/// [`SubtreeIndex::build`]'s position tables.
+const OUTSIDE: u64 = u64::MAX;
+
 impl SubtreeIndex {
-    /// Builds signatures bottom-up. `problem` must already validate.
+    /// Builds signatures bottom-up. `problem` must already validate, so
+    /// its operator table is dense and every binding end lies in a task:
+    /// the tables below index by operator and task id.
     fn build(problem: &TreeProblem, f: f64, cap: Option<usize>) -> Self {
         let n = problem.tasks.len();
         let nodes = problem.tasks.nodes();
@@ -217,18 +223,35 @@ impl SubtreeIndex {
                 children[p.0].push(t);
             }
         }
-        // Task owning each operator (validated problems are dense).
-        let mut task_of: BTreeMap<OperatorId, usize> = BTreeMap::new();
+        // Task owning each operator.
+        let mut task_of = vec![usize::MAX; problem.ops.len()];
         for (t, node) in nodes.iter().enumerate() {
             for op in &node.ops {
-                task_of.insert(*op, t);
+                task_of[op.0] = t;
             }
         }
+        // Each binding's (dependent task, source task), computed once.
+        let binding_tasks: Vec<(usize, usize)> = problem
+            .bindings
+            .iter()
+            .map(|b| (task_of[b.dependent.0], task_of[b.source.0]))
+            .collect();
 
         let mut sigs: Vec<Option<SubtreeSig>> = vec![None; n];
         let mut fragmentable = vec![true; n];
         let mut canon_children: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut canon_ops: Vec<Vec<OperatorId>> = vec![Vec::new(); n];
+        // Per-subtree scratch: each task's and operator's canonical
+        // position in the subtree being serialized, `OUTSIDE` for the
+        // rest; reset after every subtree.
+        let mut task_pos = vec![OUTSIDE; n];
+        let mut op_pos = vec![OUTSIDE; problem.ops.len()];
+        let mut tasks_pre: Vec<usize> = Vec::new();
+        let mut stack: Vec<usize> = Vec::new();
+        let mut out: Vec<u64> = Vec::new();
+        let mut internal: Vec<(u64, u64)> = Vec::new();
+        let mut escaping: Vec<(u64, OperatorId)> = Vec::new();
+        let mut inbound: Vec<u64> = Vec::new();
         // Deepest tasks first so every child is resolved before its
         // parent sorts them.
         let mut order: Vec<usize> = (0..n).collect();
@@ -251,28 +274,21 @@ impl SubtreeIndex {
                 ops.extend_from_slice(&canon_ops[c]);
             }
             // Canonical preorder of tasks, for parent pointers.
-            let mut tasks_pre: Vec<usize> = vec![t];
-            {
-                let mut stack: Vec<usize> = kids.iter().rev().copied().collect();
-                while let Some(u) = stack.pop() {
-                    tasks_pre.push(u);
-                    for &c in canon_children[u].iter().rev() {
-                        stack.push(c);
-                    }
-                }
+            tasks_pre.clear();
+            tasks_pre.push(t);
+            stack.extend(kids.iter().rev());
+            while let Some(u) = stack.pop() {
+                tasks_pre.push(u);
+                stack.extend(canon_children[u].iter().rev());
             }
-            let task_pos: BTreeMap<usize, u64> = tasks_pre
-                .iter()
-                .enumerate()
-                .map(|(i, &u)| (u, i as u64))
-                .collect();
-            let op_pos: BTreeMap<OperatorId, u64> = ops
-                .iter()
-                .enumerate()
-                .map(|(i, &o)| (o, i as u64))
-                .collect();
+            for (i, &u) in tasks_pre.iter().enumerate() {
+                task_pos[u] = i as u64;
+            }
+            for (i, o) in ops.iter().enumerate() {
+                op_pos[o.0] = i as u64;
+            }
 
-            let mut out: Vec<u64> = Vec::new();
+            out.clear();
             out.push(f.to_bits());
             out.push(cap.map_or(0, |c| c as u64 + 1));
             out.push(tasks_pre.len() as u64);
@@ -280,7 +296,7 @@ impl SubtreeIndex {
                 out.push(if u == t {
                     u64::MAX
                 } else {
-                    task_pos[&nodes[u]
+                    task_pos[nodes[u]
                         .parent
                         .expect("non-root subtree task has a parent")
                         .0]
@@ -293,19 +309,13 @@ impl SubtreeIndex {
 
             // Bindings relative to this subtree. Inside = the operator's
             // task appears in the canonical preorder.
-            let mut internal: Vec<(u64, u64)> = Vec::new();
-            let mut escaping: Vec<(u64, OperatorId)> = Vec::new();
-            let mut inbound: Vec<u64> = Vec::new();
-            for b in &problem.bindings {
-                let dep_in = task_of
-                    .get(&b.dependent)
-                    .is_some_and(|dt| task_pos.contains_key(dt));
-                let src_in = task_of
-                    .get(&b.source)
-                    .is_some_and(|st| task_pos.contains_key(st));
-                match (dep_in, src_in) {
-                    (true, true) => internal.push((op_pos[&b.dependent], op_pos[&b.source])),
-                    (false, true) => escaping.push((op_pos[&b.source], b.dependent)),
+            internal.clear();
+            escaping.clear();
+            inbound.clear();
+            for (b, &(dt, st)) in problem.bindings.iter().zip(&binding_tasks) {
+                match (task_pos[dt] != OUTSIDE, task_pos[st] != OUTSIDE) {
+                    (true, true) => internal.push((op_pos[b.dependent.0], op_pos[b.source.0])),
+                    (false, true) => escaping.push((op_pos[b.source.0], b.dependent)),
                     (true, false) => {
                         // The dependent's placement is dictated by an
                         // operator outside the subtree: its content
@@ -314,14 +324,14 @@ impl SubtreeIndex {
                         // the serialization deterministic for the
                         // canonical child sort.
                         fragmentable[t] = false;
-                        inbound.push(op_pos[&b.dependent]);
+                        inbound.push(op_pos[b.dependent.0]);
                     }
                     (false, false) => {}
                 }
             }
             internal.sort_unstable();
             out.push(internal.len() as u64);
-            for (d, s) in internal {
+            for &(d, s) in &internal {
                 out.push(d);
                 out.push(s);
             }
@@ -331,7 +341,7 @@ impl SubtreeIndex {
             // subtree's scheduling content.
             escaping.sort_unstable_by_key(|(s, dep)| (*s, dep.0));
             out.push(escaping.len() as u64);
-            for (s, dep) in escaping {
+            for &(s, dep) in &escaping {
                 out.push(s);
                 push_op(&mut out, problem, dep);
             }
@@ -339,11 +349,17 @@ impl SubtreeIndex {
             out.push(inbound.len() as u64);
             out.extend_from_slice(&inbound);
 
+            for &u in &tasks_pre {
+                task_pos[u] = OUTSIDE;
+            }
+            for o in &ops {
+                op_pos[o.0] = OUTSIDE;
+            }
             // A subtree containing a non-fragmentable subtree is itself
             // only fragmentable if the offending binding closed inside
             // it — which the (true, false) scan above already decided,
             // so nothing to inherit.
-            sigs[t] = Some(SubtreeSig(out));
+            sigs[t] = Some(SubtreeSig(out.clone()));
             canon_children[t] = kids;
             canon_ops[t] = ops;
         }
@@ -423,15 +439,29 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
     let n = nodes.len();
     let index = SubtreeIndex::build(problem, f, cap);
 
-    let mut binding_of: BTreeMap<OperatorId, OperatorId> = BTreeMap::new();
-    let mut dependent_of: BTreeMap<OperatorId, OperatorId> = BTreeMap::new();
+    // Dense per-operator tables (a validated operator table is dense):
+    // each dependent's source and each source's dependent, the last
+    // binding winning, and the homes of placed binding sources, the
+    // only homes a later task reads.
+    let mut binding_of: Vec<Option<OperatorId>> = vec![None; problem.ops.len()];
+    let mut dependent_of: Vec<Option<OperatorId>> = vec![None; problem.ops.len()];
     for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
+        binding_of[b.dependent.0] = Some(b.source);
+        dependent_of[b.source.0] = Some(b.dependent);
     }
+    let mut homes: Vec<Option<Vec<SiteId>>> = vec![None; problem.ops.len()];
+    let record_homes = |homes: &mut [Option<Vec<SiteId>>], ph: &PhaseSchedule| {
+        for (sop, h) in ph.ops.iter().zip(&ph.assignment.homes) {
+            if dependent_of[sop.spec.id.0].is_some() {
+                homes[sop.spec.id.0] = Some(h.clone());
+            }
+        }
+    };
+    // Canonical position of each operator of the subtree being
+    // memoized; entries outside it are stale and never read.
+    let mut canon_pos: Vec<usize> = vec![0; problem.ops.len()];
 
     let mut stats = SharedStats::default();
-    let mut homes: BTreeMap<OperatorId, Vec<SiteId>> = BTreeMap::new();
     let mut frags: Vec<Option<Vec<PhaseSchedule>>> = (0..n).map(|_| None).collect();
     let mut scratch = PackScratch::new();
 
@@ -460,9 +490,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                             }
                         }
                         for ph in &levels {
-                            for (i, sop) in ph.ops.iter().enumerate() {
-                                homes.insert(sop.spec.id, ph.assignment.homes[i].clone());
-                            }
+                            record_homes(&mut homes, ph);
                         }
                         stats.subtree_hits += 1;
                         stats.fragments_spliced += levels.len() as u64;
@@ -484,8 +512,8 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                     let mut specs = Vec::with_capacity(nodes[t].ops.len());
                     for id in &nodes[t].ops {
                         let mut spec = problem.ops[id.0].clone();
-                        if let Some(source) = binding_of.get(id) {
-                            let placed = homes.get(source).ok_or_else(|| {
+                        if let Some(source) = binding_of[id.0] {
+                            let placed = homes[source.0].as_ref().ok_or_else(|| {
                                 ScheduleError::MalformedTaskGraph {
                                     detail: format!(
                                         "shared planning: binding source {source} for {id} \
@@ -498,7 +526,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                         let degree = match &spec.placement {
                             Placement::Rooted(h) => h.len(),
                             Placement::Floating => {
-                                let dependent = dependent_of.get(id).map(|dep| &problem.ops[dep.0]);
+                                let dependent = dependent_of[id.0].map(|dep| &problem.ops[dep.0]);
                                 let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
                                 match cap {
                                     Some(c) => chosen.min(c.max(1)),
@@ -515,9 +543,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                         comm,
                         ListOrder::LongestFirst,
                     )?;
-                    for (i, sop) in ph.ops.iter().enumerate() {
-                        homes.insert(sop.spec.id, ph.assignment.homes[i].clone());
-                    }
+                    record_homes(&mut homes, &ph);
                     stats.tasks_planned += 1;
                     ph
                 };
@@ -537,15 +563,13 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                 if index.fragmentable[t] {
                     // Canonicalize ids (actual -> preorder position) and
                     // memoize for the next query.
-                    let pos: BTreeMap<OperatorId, usize> = index.canon_ops[t]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &o)| (o, i))
-                        .collect();
+                    for (i, o) in index.canon_ops[t].iter().enumerate() {
+                        canon_pos[o.0] = i;
+                    }
                     let mut canon = levels.clone();
                     for ph in &mut canon {
                         for sop in &mut ph.ops {
-                            sop.spec.id = OperatorId(pos[&sop.spec.id]);
+                            sop.spec.id = OperatorId(canon_pos[sop.spec.id.0]);
                         }
                     }
                     cache.insert_fragment(
