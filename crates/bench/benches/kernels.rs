@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the scheduling kernels: the vector-packing list
 //! rule, degree selection, the cold TreeSchedule of generated plans, the
-//! malleable GF sweep, plan expansion and decomposition, the fluid
+//! shared planner over one MQO overlap window, the malleable GF sweep, plan expansion and decomposition, the fluid
 //! simulator, the crash-recovery re-pack, and the exact branch-and-bound
 //! solver.
 
@@ -120,11 +120,28 @@ fn bench_tree_schedule(bench: &mut Bench) {
             mrs_exp::prelude::query_problem(&q, &cost)
         })
         .collect();
+    // The shared planner behind `mqo_overload`'s cold plans: one window
+    // of six 10-join queries sharing a 9-join core (overlap 0.9),
+    // planned at the governed cap 17 through a fresh fragment memo, so
+    // later members splice what earlier ones memoized.
+    let window: Vec<TreeProblem> = overlap_batch(&QueryGenConfig::paper(10), 0.9, 6, 1996)
+        .iter()
+        .map(|q| mrs_exp::prelude::query_problem(q, &cost))
+        .collect();
     let mut g = bench.group("tree_schedule");
     g.sample_size(20);
     g.bench_function("cold_p140", || {
         for problem in &problems {
             black_box(tree_schedule(problem, 0.7, &sys, &comm, &model).unwrap());
+        }
+    });
+    g.bench_function("shared_window_p140", || {
+        let mut memo = MapFragmentCache::new();
+        for problem in &window {
+            black_box(
+                tree_schedule_shared(problem, 0.7, &sys, &comm, &model, Some(17), &mut memo)
+                    .unwrap(),
+            );
         }
     });
     g.finish();

@@ -35,7 +35,9 @@
 //! which only forbids two clones of *one* operator from sharing a site.
 //! The guarantee that matters for correctness is internal consistency:
 //! equal signatures yield bit-identical fragments, so a warm cache
-//! produces exactly the schedule a cold cache would (property-tested).
+//! produces exactly the schedule a cold cache would (swept in
+//! `tests/mqo_sharing.rs::warm_splices_reproduce_cold_plans_bit_for_bit`
+//! and this module's `warm_cache_splices_and_reproduces_the_cold_schedule`).
 //!
 //! Signatures deliberately exclude the system spec, communication
 //! model, and response model — a [`FragmentCache`] is scoped to one
@@ -53,7 +55,67 @@ use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::{Assignment, PhaseSchedule};
 use crate::tree::{coupled_degree, PhaseResult, TreeProblem, TreeScheduleResult};
 use std::collections::BTreeMap;
+use std::hash::Hasher;
 use std::sync::Arc;
+
+/// A 64-bit fold of a word sequence, one multiply per word: rotate,
+/// xor the word in, multiply by an odd constant (the FxHash step). A
+/// byte-wise FNV-1a fold takes eight dependent multiplies per word,
+/// which for a cold plan's several thousand words costs a fifth of the
+/// planning itself; this costs a few percent. Any single-word change
+/// changes the result, since each step is a bijection of the state.
+///
+/// It folds [`SubtreeSig`]s and the runtime's plan signatures, plan
+/// digests and fragment digests, and keys the runtime's memo tables.
+/// As a [`Hasher`] it folds bytes in native-endian 8-byte words, the
+/// layout `Hash` gives a `u64` slice.
+#[derive(Clone, Copy, Debug)]
+pub struct WordFold(u64);
+
+impl WordFold {
+    /// The empty fold.
+    pub fn new() -> Self {
+        WordFold(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds one word in.
+    #[inline]
+    pub fn push(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    /// The fold of `words`.
+    pub fn of(words: &[u64]) -> u64 {
+        let mut h = WordFold::new();
+        words.iter().for_each(|&w| h.push(w));
+        h.0
+    }
+}
+
+impl Default for WordFold {
+    fn default() -> Self {
+        WordFold::new()
+    }
+}
+
+impl Hasher for WordFold {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.push(u64::from_ne_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.push(u64::from_ne_bytes(w));
+        }
+    }
+}
 
 /// Exact-bits canonical signature of one task subtree (see module docs).
 ///
@@ -70,18 +132,12 @@ impl SubtreeSig {
         &self.0
     }
 
-    /// FNV-1a fold of the signature words: a compact 64-bit tag for
-    /// audit-trace events. Collisions only weaken the audit check, never
-    /// the cache itself (the cache keys on the full signature).
+    /// The [`WordFold`] of the signature words: a compact 64-bit tag for
+    /// audit-trace events, one multiply per word. Collisions only weaken
+    /// the audit check, never the cache itself (the cache keys on the
+    /// full signature).
     pub fn hash64(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in &self.0 {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        WordFold::of(&self.0)
     }
 }
 
@@ -416,7 +472,9 @@ fn empty_phase() -> PhaseSchedule {
 /// Determinism: for a fixed problem, environment, and cache *state*,
 /// the result is bit-exact; and because signature equality implies
 /// bit-identical fragments, the result is the same for ANY cache state
-/// — a warm cache only skips work (property-tested).
+/// — a warm cache only skips work (see the [module docs](crate::shared)). The
+/// memo's state moves only what the cache records: which subtrees are
+/// spliced or inserted, and the returned [`SharedStats`].
 ///
 /// # Errors
 /// Propagates structural problems from [`TreeProblem::validate`] and
@@ -884,6 +942,25 @@ mod tests {
             "shared {} vs governed {}",
             shared.response_time,
             governed.response_time
+        );
+    }
+
+    #[test]
+    fn every_word_moves_the_fold() {
+        let base = WordFold::of(&[1, 2, 3]);
+        assert_eq!(base, WordFold::of(&[1, 2, 3]));
+        assert_ne!(base, WordFold::of(&[1, 2, 4]));
+        assert_ne!(base, WordFold::of(&[2, 1, 3]));
+        assert_ne!(base, WordFold::of(&[1, 2, 3, 0]));
+    }
+
+    #[test]
+    fn a_short_tail_is_zero_padded_into_one_word() {
+        let mut tail = WordFold::new();
+        tail.write(&[1, 2, 3]);
+        assert_eq!(
+            tail.finish(),
+            WordFold::of(&[u64::from_ne_bytes([1, 2, 3, 0, 0, 0, 0, 0])])
         );
     }
 

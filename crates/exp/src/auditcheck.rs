@@ -46,9 +46,10 @@
 //!   must respect both the controller's cap and the paper's `CG_f`
 //!   caps.
 //! * `runtime-mqo` — the X16 batched-admission runs (overlap-templated
-//!   batches, sharing on, clean and faulty): every fragment splice must
-//!   reproduce its insert-time digest bit-for-bit, and every whole-plan
-//!   hit must equal a cold shared plan.
+//!   batches, sharing on, clean and faulty, each batch served twice):
+//!   every fragment splice must reproduce its insert-time digest
+//!   bit-for-bit, and every whole-plan hit must equal a cold shared
+//!   plan; a clean cell must both splice and hit.
 //! * `source-lint` — the `mrs-lint` scanner over the committed tree
 //!   itself: the determinism rules plus the `atomics` family (raw
 //!   primitives, ordering tokens, and thread spawns are confined to the
@@ -59,7 +60,7 @@
 use crate::config::ExpConfig;
 use crate::report::Report;
 use crate::runner::query_problem;
-use crate::serving::{mixed_stream, Harness, ARRIVALS};
+use crate::serving::{cycled, mixed_stream, Harness, ARRIVALS};
 use crate::tablefmt::Table;
 use mrs_audit::lint::{lint_workspace, workspace_sources, Allowlist};
 use mrs_audit::prelude::{
@@ -544,11 +545,15 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     // Overlap-templated batches planned under a batch window with
     // sharing on must actually splice subtree fragments (guard), and
     // every recorded splice must replay digest-identical against its
-    // FragmentInsert.
+    // FragmentInsert. Each batch is served twice, its second round
+    // arriving after the first: the clean cell must then serve
+    // whole-plan hits (guard), which the cold replay re-plans through
+    // the shared planner.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
         let (joins, n_batch) = if cfg.fast { (8, 6) } else { (12, 10) };
+        let twice_arrivals = h.poisson(h.rate(1.5, 4), 2 * n_batch, cfg.seed);
         for (w, &overlap) in [0.5, 0.9].iter().enumerate() {
             let batch: Vec<TreeProblem> = overlap_batch(
                 &QueryGenConfig::paper(joins),
@@ -567,15 +572,22 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     plan_sharing: true,
                     ..base.clone()
                 };
-                let (_, summary) = serve_audited(&h, rt_cfg, &batch, &arrivals, &mut violations);
-                if !faulty
-                    && !summary
-                        .trace
-                        .iter()
-                        .any(|ev| matches!(ev, AuditEvent::FragmentSpliced { .. }))
-                {
+                let (_, summary) = serve_audited(
+                    &h,
+                    rt_cfg,
+                    &cycled(&batch, 2 * n_batch),
+                    &twice_arrivals,
+                    &mut violations,
+                );
+                let traced = |hit: fn(&AuditEvent) -> bool| summary.trace.iter().any(hit);
+                if !faulty && !traced(|ev| matches!(ev, AuditEvent::FragmentSpliced { .. })) {
                     violations.push(Violation::ShapeMismatch {
                         detail: format!("overlap-{overlap} batch produced no fragment splices"),
+                    });
+                }
+                if !faulty && !traced(|ev| matches!(ev, AuditEvent::CacheHit { .. })) {
+                    violations.push(Violation::ShapeMismatch {
+                        detail: format!("overlap-{overlap} batch served twice hit no whole plan"),
                     });
                 }
                 cells += 1;

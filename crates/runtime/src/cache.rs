@@ -37,7 +37,12 @@
 //!   `mrs-audit` can replay that every hit served exactly the bytes its
 //!   signature was memoized with.
 //!
-//! Both tables hash with a fixed-key `WordFold` instead of std's
+//! Every 64-bit word the trace records for the memo is one fold,
+//! [`WordFold`]: [`PlanSignature::hash64`], [`plan_digest`],
+//! [`fragment_digest`] and [`SubtreeSig::hash64`] alike, one multiply
+//! per word.
+//!
+//! Both tables hash with the same fixed-key `WordFold` instead of std's
 //! randomly seeded `RandomState`. Nothing iterates them, so no output
 //! depends on the hasher either way; a fixed one makes their drop
 //! order, and with it the heap layout they leave behind, the same in
@@ -45,9 +50,8 @@
 //! bimodal). The keys are injective encodings, so a collision can only
 //! cost a probe, never serve a wrong plan.
 
-use crate::metrics::Fnv;
 use mrs_core::operator::Placement;
-use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig};
+use mrs_core::shared::{ScheduleFragment, SharedStats, SubtreeSig, WordFold};
 use mrs_core::tree::{TreeProblem, TreeScheduleResult};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -169,9 +173,7 @@ impl PlanSignature {
     /// A `WordFold` of the signature's words: the key the audit trace
     /// records for a whole-plan insert or hit.
     pub fn hash64(&self) -> u64 {
-        let mut h = WordFold::new();
-        self.0.iter().for_each(|&w| h.push(w));
-        h.0
+        WordFold::of(&self.0)
     }
 }
 
@@ -339,7 +341,7 @@ pub fn schedule_digest(schedule: &TreeScheduleResult) -> Vec<u64> {
 pub fn plan_digest(schedule: &TreeScheduleResult) -> u64 {
     let mut h = WordFold::new();
     schedule_words(schedule, |w| h.push(w));
-    h.0
+    h.finish()
 }
 
 /// Numbers the distinct uncapped [`PlanSignature`]s of `problems` in
@@ -366,72 +368,26 @@ pub(crate) fn number_signatures<'a>(
     (numbers, firsts)
 }
 
-/// A 64-bit fold of a word sequence, one multiply per word: rotate,
-/// xor the word in, multiply by an odd constant (the FxHash step). A
-/// byte-wise FNV-1a fold takes eight dependent multiplies per word,
-/// which for a cold plan's several thousand words costs a fifth of the
-/// planning itself; this costs a few percent. Any single-word change
-/// changes the result, since each step is a bijection of the state.
-/// As a [`Hasher`] it folds bytes in native-endian 8-byte words, the
-/// layout `Hash` gives a `u64` slice.
-struct WordFold(u64);
-
-impl Default for WordFold {
-    fn default() -> Self {
-        WordFold::new()
-    }
-}
-
-impl Hasher for WordFold {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.push(u64::from_ne_bytes(w.try_into().expect("an 8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut w = [0u8; 8];
-            w[..rest.len()].copy_from_slice(rest);
-            self.push(u64::from_ne_bytes(w));
-        }
-    }
-}
-
-impl WordFold {
-    fn new() -> Self {
-        WordFold(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-/// A 64-bit FNV-1a fold over a subtree fragment's complete numeric
-/// content — per-level operator ids, degrees, clone work vectors (exact
-/// bit patterns), and clone homes. The sharing-coherence audit replays
+/// A `WordFold` over a subtree fragment's complete numeric content:
+/// the level count, then per level its operator count and, per
+/// operator, its id, degree, clone work vectors (exact bit patterns)
+/// and clone homes, one word each. The sharing-coherence audit replays
 /// these digests: every splice of a signature must carry the digest its
 /// insertion recorded, proving the spliced bytes are the memoized bytes.
 pub fn fragment_digest(frag: &ScheduleFragment) -> u64 {
-    let mut h = Fnv::new();
-    h.usize(frag.levels.len());
+    let mut h = WordFold::new();
+    h.push(frag.levels.len() as u64);
     for phase in &frag.levels {
-        h.usize(phase.ops.len());
+        h.push(phase.ops.len() as u64);
         for (op, homes) in phase.ops.iter().zip(&phase.assignment.homes) {
-            h.usize(op.spec.id.0);
-            h.usize(op.degree);
-            for clone in &op.clones {
-                for i in 0..clone.dim() {
-                    h.f64(clone[i]);
+            h.push(op.spec.id.0 as u64);
+            h.push(op.degree as u64);
+            for (clone, count) in op.clones.runs() {
+                for _ in 0..count {
+                    clone.components().iter().for_each(|c| h.push(c.to_bits()));
                 }
             }
-            for s in homes {
-                h.usize(s.0);
-            }
+            homes.iter().for_each(|s| h.push(s.0 as u64));
         }
     }
     h.finish()
@@ -552,9 +508,7 @@ mod tests {
             phases: vec![],
             response_time: 2.0,
         };
-        let mut h = WordFold::new();
-        schedule_digest(&a).into_iter().for_each(|w| h.push(w));
-        assert_eq!(plan_digest(&a), h.0);
+        assert_eq!(plan_digest(&a), WordFold::of(&schedule_digest(&a)));
         let mut b = a.clone();
         b.response_time = f64::from_bits(2.0f64.to_bits() + 1);
         assert_ne!(plan_digest(&a), plan_digest(&b));
@@ -577,13 +531,7 @@ mod tests {
         let mut direct = WordFold::new();
         direct.push(sig.0.len() as u64);
         sig.0.iter().for_each(|&w| direct.push(w));
-        assert_eq!(FoldState::default().hash_one(&sig), direct.0);
-        // A short tail is zero-padded into one last word.
-        let mut tail = WordFold::new();
-        tail.write(&[1, 2, 3]);
-        let mut padded = WordFold::new();
-        padded.push(u64::from_ne_bytes([1, 2, 3, 0, 0, 0, 0, 0]));
-        assert_eq!(tail.0, padded.0);
+        assert_eq!(FoldState::default().hash_one(&sig), direct.finish());
     }
 
     #[test]

@@ -468,13 +468,15 @@ fn memo_event(h: &mut Fnv, tag: u8, time: f64, query: QueryId, sig_hash: u64, di
     h.u64(digest);
 }
 
-/// Minimal FNV-1a accumulator for [`RunSummary::digest`] and the cache
-/// digests. Not a general hasher: field framing (length prefixes, enum
-/// discriminants) is the caller's job.
-pub(crate) struct Fnv(u64);
+/// Minimal FNV-1a accumulator for [`RunSummary::digest`], whose bits
+/// the committed digests pin; every plan signature and plan digest
+/// folds with `mrs_core::shared::WordFold` instead. Not a general hasher:
+/// field framing (length prefixes, enum discriminants) is the caller's
+/// job.
+struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
@@ -482,17 +484,17 @@ impl Fnv {
         self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.u8(b);
         }
     }
 
-    pub(crate) fn usize(&mut self, v: usize) {
+    fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
-    pub(crate) fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -523,7 +525,7 @@ impl Fnv {
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }

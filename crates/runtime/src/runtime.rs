@@ -77,8 +77,11 @@
 //! capped miss plans inline as before. Cache lookups and inserts, the
 //! audit trace and every counter stay on the loop in the same order,
 //! so the worker changes which thread computed a plan and nothing
-//! else. It is not started with plan sharing on (the shared planner's
-//! output depends on its fragment memo's order) or on a one-core host.
+//! else. It is not started on a one-core host, nor with plan sharing
+//! on: a shared plan is the same whatever the fragment memo holds, but
+//! the splices and inserts it records on the trace, and the sharing
+//! counters, depend on what the memo holds when it plans, so planning
+//! ahead of the loop would move them.
 
 use crate::admission::AdmissionQueue;
 use crate::cache::{number_signatures, plan_digest, PlanSignature, ScheduleCache};
