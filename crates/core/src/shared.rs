@@ -472,9 +472,10 @@ fn empty_phase() -> PhaseSchedule {
 /// Determinism: for a fixed problem, environment, and cache *state*,
 /// the result is bit-exact; and because signature equality implies
 /// bit-identical fragments, the result is the same for ANY cache state
-/// — a warm cache only skips work (see the [module docs](crate::shared)). The
-/// memo's state moves only what the cache records: which subtrees are
-/// spliced or inserted, and the returned [`SharedStats`].
+/// — a warm cache only skips work (see the [module
+/// docs](crate::shared)). The memo's state moves only what the cache
+/// records: which subtrees are spliced or inserted, and the returned
+/// [`SharedStats`].
 ///
 /// # Errors
 /// Propagates structural problems from [`TreeProblem::validate`] and

@@ -610,6 +610,21 @@ mod tests {
     }
 
     #[test]
+    fn fragment_digest_folds_one_word_per_field() {
+        // Levels, ops, then the op's id, degree, each clone's three
+        // components and its homes.
+        let clone = [1.0f64, 0.5, 0.0].map(f64::to_bits);
+        let mut words = vec![1, 1, 0, 2];
+        words.extend(clone);
+        words.extend(clone);
+        words.extend([1, 3]);
+        assert_eq!(
+            fragment_digest(&fragment_for(&[1, 3])),
+            WordFold::of(&words)
+        );
+    }
+
+    #[test]
     fn fragment_digest_is_content_sensitive() {
         let a = fragment_for(&[0, 1]);
         let b = fragment_for(&[0, 2]);
