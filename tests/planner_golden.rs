@@ -121,3 +121,65 @@ fn shared_window_plans_match_the_golden_digest() {
         h.0
     );
 }
+
+/// Every phased planner over one set of 16 generated plans of 6–14
+/// joins at P = 140, f = 0.7, ε = 0.5 with the paper's cost constants,
+/// each folded into its own digest: `tree_schedule_with` at three
+/// option sets (list order, shelf policy, governed cap), the malleable
+/// TreeSchedule, the scalar-load and round-robin baselines and
+/// SYNCHRONOUS. They share the shelf loop, the probe ← build bindings
+/// and the coarse degree rule, so this pins each one's plans through
+/// any change to that shared machinery.
+#[test]
+fn phased_planners_match_the_golden_digests() {
+    const PLANS: usize = 16;
+    let cost = CostModel::paper_defaults();
+    let comm = cost.params().comm_model();
+    let model = OverlapModel::new(0.5).unwrap();
+    let sys = SystemSpec::homogeneous(140);
+    let mut rng = DetRng::seed_from_u64(1996);
+    let problems: Vec<TreeProblem> = (0..PLANS)
+        .map(|k| {
+            let joins = 6 + k * 9 / PLANS;
+            let q = generate_query(&QueryGenConfig::paper(joins), rng.next_u64());
+            query_problem(&q, &cost)
+        })
+        .collect();
+    let fold = |plan: &dyn Fn(&TreeProblem) -> TreeScheduleResult| {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for problem in &problems {
+            digest(&plan(problem), &mut h);
+        }
+        h.0
+    };
+    let with = |order, policy, cap| {
+        let opts = PlanOptions { order, policy, cap };
+        fold(&|p| tree_schedule_with(p, 0.7, &sys, &comm, &model, opts).unwrap())
+    };
+    let digests = [
+        with(ListOrder::Arbitrary, PhasePolicy::Alap, None),
+        with(ListOrder::LongestFirst, PhasePolicy::Asap, None),
+        with(ListOrder::LongestFirst, PhasePolicy::Alap, Some(17)),
+        fold(&|p| malleable_tree_schedule(p, &sys, &comm, &model).unwrap()),
+        fold(&|p| scalar_tree_schedule(p, 0.7, &sys, &comm, &model).unwrap()),
+        fold(&|p| round_robin_tree_schedule(p, 0.7, &sys, &comm, &model).unwrap()),
+        fold(&|p| {
+            synchronous_schedule(p, &sys, &comm, &model)
+                .unwrap()
+                .to_tree_result()
+        }),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0x8a1f_6757_b8ed_9b05,
+            0x8039_c4ed_2c55_8937,
+            0xd334_bbf9_1301_d6b4,
+            0xf53e_9af3_b766_68dc,
+            0xbb83_76d2_7bc1_ee03,
+            0x6a76_8041_758c_9a17,
+            0xf8db_e668_05c5_3a99,
+        ],
+        "a phased planner's output changed: digests {digests:#018x?}"
+    );
+}
