@@ -6,7 +6,8 @@
 //! against the rules in `mrs_audit::lint`, waiving findings listed in
 //! the committed allowlist (default: `ROOT/lint-allow.txt`). Prints each
 //! finding, optionally writes the full report to `--out`, and exits
-//! non-zero when any unwaived finding remains.
+//! non-zero when any unwaived finding remains or an allowlist entry
+//! waives no finding.
 
 use mrs_audit::lint::{lint_workspace, Allowlist};
 use std::path::PathBuf;
@@ -50,9 +51,17 @@ fn main() -> ExitCode {
         report.push_str(&f.to_string());
         report.push('\n');
     }
+    let stale = allow.unused(&findings);
+    for (rule, prefix, _) in &stale {
+        let line = format!("{}: unused waiver: {rule} {prefix}", allow_path.display());
+        println!("{line}");
+        report.push_str(&line);
+        report.push('\n');
+    }
     report.push_str(&format!(
-        "total {} findings: {unwaived} unwaived, {waived} waived\n",
-        findings.len()
+        "total {} findings: {unwaived} unwaived, {waived} waived; {} unused waivers\n",
+        findings.len(),
+        stale.len()
     ));
     if let Some(path) = out_path {
         if let Err(e) = std::fs::write(&path, &report) {
@@ -61,11 +70,12 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "mrs-lint: {} findings ({unwaived} unwaived, {waived} waived by {})",
+        "mrs-lint: {} findings ({unwaived} unwaived, {waived} waived by {}), {} unused waivers",
         findings.len(),
-        allow_path.display()
+        allow_path.display(),
+        stale.len()
     );
-    if unwaived > 0 {
+    if unwaived > 0 || !stale.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

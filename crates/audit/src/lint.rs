@@ -201,9 +201,18 @@ impl Allowlist {
             .any(|(r, prefix, _)| r == rule && path.starts_with(prefix.as_str()))
     }
 
-    /// The parsed entries (for reporting unused waivers).
-    pub fn entries(&self) -> &[(String, String, String)] {
-        &self.entries
+    /// The entries that waive none of `findings` — stale waivers, left
+    /// behind when the code they excused went away. `mrs-lint` fails on
+    /// them, so the allowlist only ever names live exceptions.
+    pub fn unused<'a>(&'a self, findings: &[LintFinding]) -> Vec<&'a (String, String, String)> {
+        self.entries
+            .iter()
+            .filter(|(rule, prefix, _)| {
+                !findings
+                    .iter()
+                    .any(|f| f.rule == rule && f.path.starts_with(prefix.as_str()))
+            })
+            .collect()
     }
 }
 
@@ -872,7 +881,19 @@ mod tests {
         assert!(allow.waives("wall-clock", "crates/bench/src/harness.rs"));
         assert!(!allow.waives("wall-clock", "crates/core/src/lib.rs"));
         assert!(!allow.waives("unwrap", "crates/bench/src/harness.rs"));
-        assert_eq!(allow.entries().len(), 1);
+    }
+
+    #[test]
+    fn a_waiver_that_matches_no_finding_is_unused() {
+        let allow = Allowlist::parse(
+            "wall-clock crates/bench/src/ benches measure wall time\n\
+             hash-map crates/gone/src/a.rs the file was deleted\n",
+        );
+        let found = findings("crates/bench/src/harness.rs", "let t = Instant::now();\n");
+        assert_eq!(found.len(), 1);
+        let unused: Vec<&str> = allow.unused(&found).iter().map(|e| e.1.as_str()).collect();
+        assert_eq!(unused, vec!["crates/gone/src/a.rs"]);
+        assert_eq!(allow.unused(&[]).len(), 2);
     }
 
     #[test]
@@ -1017,14 +1038,14 @@ mod tests {
     #[test]
     fn workspace_lints_clean_with_committed_allowlist() {
         // The committed tree + committed waivers = zero unwaived
-        // findings, so any new violation (or stale waiver path) fails
-        // tier-1 here, not just in CI.
+        // findings and zero unused waivers, so any new violation (or
+        // stale waiver) fails tier-1 here, not just in CI.
         let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
         let allow = Allowlist::load(&root.join("lint-allow.txt"));
-        let unwaived: Vec<LintFinding> = lint_workspace(root, &allow)
-            .into_iter()
-            .filter(|f| !f.waived)
-            .collect();
+        let found = lint_workspace(root, &allow);
+        let stale = allow.unused(&found);
+        assert!(stale.is_empty(), "unused waivers: {stale:?}");
+        let unwaived: Vec<LintFinding> = found.into_iter().filter(|f| !f.waived).collect();
         assert!(
             unwaived.is_empty(),
             "unwaived lint findings:\n{}",

@@ -12,6 +12,14 @@
 //! * [`roundrobin`] — TREESCHEDULE with round-robin placement (isolates
 //!   the value of load-aware packing altogether).
 //!
+//! The two TREESCHEDULE variants are per-phase packers run by
+//! [`mrs_core::tree::phased_schedule`] at the degrees of
+//! [`mrs_core::tree::coarse_degrees`], so they share TREESCHEDULE's
+//! shelves, probe ← build home bindings and degree rule exactly and
+//! differ only in how a phase's clones are placed. SYNCHRONOUS runs its
+//! own wave loop but resolves bindings through the same
+//! [`mrs_core::tree::HomeBindings`].
+//!
 //! All baselines are evaluated with the same multi-dimensional response
 //! time model (Equation 3) as TREESCHEDULE.
 
@@ -22,7 +30,6 @@ pub mod alloc;
 pub mod roundrobin;
 pub mod scalar_list;
 pub mod synchronous;
-pub(crate) mod util;
 
 /// One-stop imports.
 pub mod prelude {
@@ -32,6 +39,6 @@ pub mod prelude {
     pub use crate::roundrobin::round_robin_tree_schedule;
     pub use crate::scalar_list::scalar_tree_schedule;
     pub use crate::synchronous::{
-        believed_time, scalar_work, synchronous_schedule, BaselinePhase, BaselineResult,
+        scalar_work, synchronous_schedule, BaselinePhase, BaselineResult,
     };
 }

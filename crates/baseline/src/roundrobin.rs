@@ -11,7 +11,9 @@ use mrs_core::model::ResponseModel;
 use mrs_core::operator::Placement;
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
-use mrs_core::tree::{TreeProblem, TreeScheduleResult};
+use mrs_core::tree::{
+    coarse_degrees, phased_schedule, PhasePolicy, TreeProblem, TreeScheduleResult,
+};
 
 /// TREESCHEDULE with round-robin clone placement.
 pub fn round_robin_tree_schedule<M: ResponseModel>(
@@ -21,9 +23,9 @@ pub fn round_robin_tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    crate::util::phased_schedule(problem, f, sys, comm, model, |specs| {
+    phased_schedule(problem, sys, model, PhasePolicy::Alap, |phase| {
         let p = sys.sites;
-        let scheduled: Vec<ScheduledOperator> = specs
+        let scheduled: Vec<ScheduledOperator> = coarse_degrees(phase, f, sys, comm, model, None)
             .into_iter()
             .map(|(spec, degree)| ScheduledOperator::even(spec, degree, comm, &sys.site))
             .collect();
@@ -48,10 +50,12 @@ pub fn round_robin_tree_schedule<M: ResponseModel>(
                 }
             }
         }
-        Ok(PhaseSchedule {
+        let schedule = PhaseSchedule {
             ops: scheduled,
             assignment,
-        })
+        };
+        schedule.validate(sys)?;
+        Ok(schedule)
     })
 }
 

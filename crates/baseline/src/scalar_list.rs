@@ -15,8 +15,9 @@ use mrs_core::model::ResponseModel;
 use mrs_core::operator::Placement;
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
-use mrs_core::tree::{TreeProblem, TreeScheduleResult};
-use mrs_core::vector::WorkVector;
+use mrs_core::tree::{
+    coarse_degrees, phased_schedule, PhasePolicy, TreeProblem, TreeScheduleResult,
+};
 
 /// Packs clones choosing the site with the minimum *scalar* load among
 /// allowable sites (LPT order on clone scalar totals).
@@ -94,22 +95,19 @@ pub fn scalar_tree_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    crate::util::phased_schedule(problem, f, sys, comm, model, |specs| {
-        let scheduled: Vec<ScheduledOperator> = specs
+    phased_schedule(problem, sys, model, PhasePolicy::Alap, |phase| {
+        let scheduled: Vec<ScheduledOperator> = coarse_degrees(phase, f, sys, comm, model, None)
             .into_iter()
             .map(|(spec, degree)| ScheduledOperator::even(spec, degree, comm, &sys.site))
             .collect();
         let assignment = pack_clones_scalar(&scheduled, sys)?;
-        Ok(PhaseSchedule {
+        let schedule = PhaseSchedule {
             ops: scheduled,
             assignment,
-        })
+        };
+        schedule.validate(sys)?;
+        Ok(schedule)
     })
-}
-
-/// The scalar total of one clone — exposed for tests.
-pub fn clone_scalar(w: &WorkVector) -> f64 {
-    w.total()
 }
 
 #[cfg(test)]
@@ -119,6 +117,7 @@ mod tests {
     use mrs_core::operator::{OperatorId, OperatorKind, OperatorSpec};
     use mrs_core::tasks::TaskGraph;
     use mrs_core::tree::tree_schedule;
+    use mrs_core::vector::WorkVector;
 
     fn op(id: usize, w: &[f64], data: f64) -> OperatorSpec {
         OperatorSpec::floating(

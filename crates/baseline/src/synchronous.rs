@@ -24,14 +24,14 @@
 //! than exist, tasks are serialized into waves (\[HCY94\]'s serialization
 //! point).
 
-use crate::alloc::{minimax_alloc, proportional_alloc, scalar_time, waves_by_demand};
+use crate::alloc::{minimax_alloc, proportional_alloc, waves_by_demand};
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
 use mrs_core::model::ResponseModel;
 use mrs_core::operator::{OperatorId, OperatorSpec, Placement};
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
-use mrs_core::tree::{PhaseResult, TreeProblem, TreeScheduleResult};
+use mrs_core::tree::{HomeBindings, PhaseResult, TreeProblem, TreeScheduleResult};
 use std::collections::HashMap;
 
 /// One executed wave of one phase.
@@ -111,31 +111,22 @@ pub fn synchronous_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<BaselineResult, ScheduleError> {
-    problem.validate()?;
+    let mut bindings = HomeBindings::new(problem)?;
     let p = sys.sites;
-
-    let mut binding_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    // Reverse direction: build → probe that will inherit its home.
-    let mut dependent_of: HashMap<OperatorId, OperatorId> = HashMap::new();
-    for b in &problem.bindings {
-        binding_of.insert(b.dependent, b.source);
-        dependent_of.insert(b.source, b.dependent);
-    }
 
     // Lo et al.'s two-phase minimax allocates processors to *joins*: the
     // processors that build a hash table are the ones that later probe
     // it. A build's effective stage work therefore includes its probe's
     // work — otherwise the cheap build phase would get almost no sites
     // and doom the expensive probe phase that inherits its home.
-    let effective_work = |spec: &OperatorSpec, comm: &CommModel| -> f64 {
+    let effective_work = |bindings: &HomeBindings, spec: &OperatorSpec| -> f64 {
         let own = scalar_work(spec, comm);
-        match dependent_of.get(&spec.id) {
-            Some(probe) => own + scalar_work(&problem.ops[probe.0], comm),
+        match bindings.dependent(spec.id) {
+            Some(probe) => own + scalar_work(probe, comm),
             None => own,
         }
     };
 
-    let mut placed: HashMap<OperatorId, Vec<SiteId>> = HashMap::new();
     let mut phases: Vec<BaselinePhase> = Vec::new();
     let mut response_time = 0.0;
 
@@ -148,19 +139,8 @@ pub fn synchronous_schedule<M: ResponseModel>(
                 continue;
             }
             let mut specs = Vec::with_capacity(node.ops.len());
-            for id in &node.ops {
-                let mut spec = problem.ops[id.0].clone();
-                if let Some(source) = binding_of.get(id) {
-                    let homes = placed.get(source).ok_or_else(|| {
-                        ScheduleError::MalformedTaskGraph {
-                            detail: format!(
-                                "binding source {source} for {id} not scheduled before level {level}"
-                            ),
-                        }
-                    })?;
-                    spec.placement = Placement::Rooted(homes.clone());
-                }
-                specs.push(spec);
+            for &id in &node.ops {
+                specs.push(bindings.spec(id)?);
             }
             tasks.push(specs);
         }
@@ -175,7 +155,7 @@ pub fn synchronous_schedule<M: ResponseModel>(
             .map(|ops| {
                 ops.iter()
                     .filter(|o| o.is_floating())
-                    .map(|o| effective_work(o, comm))
+                    .map(|o| effective_work(&bindings, o))
                     .sum()
             })
             .collect();
@@ -208,7 +188,7 @@ pub fn synchronous_schedule<M: ResponseModel>(
                 } else if alloc >= floating.len() {
                     let stage_works: Vec<f64> = floating
                         .iter()
-                        .map(|&i| effective_work(&ops[i], comm))
+                        .map(|&i| effective_work(&bindings, &ops[i]))
                         .collect();
                     minimax_alloc(&stage_works, comm.alpha, alloc, p)
                         .expect("alloc >= stage count by construction")
@@ -251,14 +231,12 @@ pub fn synchronous_schedule<M: ResponseModel>(
                 }
             }
 
-            for (sop, op_homes) in scheduled.iter().zip(&homes) {
-                placed.insert(sop.spec.id, op_homes.clone());
-            }
             let schedule = PhaseSchedule {
                 ops: scheduled,
                 assignment: Assignment { homes },
             };
             schedule.validate(sys)?;
+            bindings.place(&schedule);
             let makespan = schedule.makespan(sys, model);
             response_time += makespan;
             phases.push(BaselinePhase {
@@ -274,12 +252,6 @@ pub fn synchronous_schedule<M: ResponseModel>(
         phases,
         response_time,
     })
-}
-
-/// Sanity estimate used in tests: the 1-D time SYNCHRONOUS believes a
-/// lone operator takes at the degree it would pick.
-pub fn believed_time(op: &OperatorSpec, comm: &CommModel, degree: usize) -> f64 {
-    scalar_time(scalar_work(op, comm), comm.alpha, degree)
 }
 
 #[cfg(test)]

@@ -85,12 +85,10 @@ pub mod prelude {
     pub use crate::comm::CommModel;
     pub use crate::error::ScheduleError;
     pub use crate::list::{
-        operator_schedule, operator_schedule_with_order, pack_clones, pack_clones_in,
-        schedule_with_degrees, schedule_with_degrees_in, ListOrder, PackScratch,
+        operator_schedule, pack_clones, pack_clones_in, schedule_with_degrees,
+        schedule_with_degrees_in, ListOrder, PackScratch,
     };
-    pub use crate::malleable::{
-        lb_for_parallelization, malleable_schedule, malleable_schedule_in, MalleableOutcome,
-    };
+    pub use crate::malleable::{lb_for_parallelization, malleable_schedule, MalleableOutcome};
     pub use crate::memory::{
         operator_schedule_with_memory, MemoryDemand, MemoryError, MemorySchedule, MemorySpec,
     };
@@ -109,8 +107,9 @@ pub mod prelude {
     };
     pub use crate::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
     pub use crate::tree::{
-        coupled_degree, malleable_tree_schedule, tree_schedule, tree_schedule_with, PhasePolicy,
-        PhaseResult, PlanOptions, TreeProblem, TreeScheduleResult,
+        coarse_degrees, coupled_degree, malleable_tree_schedule, phased_schedule, tree_schedule,
+        tree_schedule_with, HomeBindings, PhasePolicy, PhaseResult, PlanOptions, TreeProblem,
+        TreeScheduleResult,
     };
     pub use crate::vector::WorkVector;
 }

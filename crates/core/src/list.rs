@@ -420,21 +420,7 @@ pub fn operator_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<PhaseSchedule, ScheduleError> {
-    operator_schedule_with_order(ops, f, sys, comm, model, ListOrder::LongestFirst)
-}
-
-/// [`operator_schedule`] with an explicit clone-consideration order — the
-/// `Arbitrary` variant quantifies what the LPT ordering contributes
-/// (ablation experiment X2).
-pub fn operator_schedule_with_order<M: ResponseModel>(
-    ops: Vec<OperatorSpec>,
-    f: f64,
-    sys: &SystemSpec,
-    comm: &CommModel,
-    model: &M,
-    order: ListOrder,
-) -> Result<PhaseSchedule, ScheduleError> {
-    let scheduled = ops
+    let ops = ops
         .into_iter()
         .map(|spec| {
             let degree = match &spec.placement {
@@ -443,16 +429,10 @@ pub fn operator_schedule_with_order<M: ResponseModel>(
                     choose_degree(&spec, f, sys.sites, comm, &sys.site, model).degree
                 }
             };
-            ScheduledOperator::even(spec, degree, comm, &sys.site)
+            (spec, degree)
         })
-        .collect::<Vec<_>>();
-    let assignment = pack_clones(&scheduled, sys, order)?;
-    let schedule = PhaseSchedule {
-        ops: scheduled,
-        assignment,
-    };
-    debug_assert!(schedule.validate(sys).is_ok());
-    Ok(schedule)
+        .collect();
+    schedule_with_degrees(ops, sys, comm, ListOrder::LongestFirst)
 }
 
 /// List-schedules operators whose degrees were fixed externally (used by

@@ -21,7 +21,7 @@
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
-use crate::list::{schedule_with_degrees_in, ListOrder, PackScratch};
+use crate::list::{schedule_with_degrees, ListOrder};
 use crate::model::ResponseModel;
 use crate::operator::{OperatorSpec, Placement};
 use crate::partition::{t_par, total_work_vector};
@@ -78,32 +78,35 @@ pub fn malleable_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<MalleableOutcome, ScheduleError> {
-    let mut scratch = PackScratch::new();
-    malleable_schedule_in(&mut scratch, ops, sys, comm, model)
+    let (degrees, lower_bound, candidates) = gf_sweep(&ops, sys, comm, model);
+    let schedule = schedule_with_degrees(
+        ops.into_iter().zip(degrees.iter().copied()).collect(),
+        sys,
+        comm,
+        ListOrder::LongestFirst,
+    )?;
+    Ok(MalleableOutcome {
+        degrees,
+        lower_bound,
+        candidates,
+        schedule,
+    })
 }
 
-/// [`malleable_schedule`] reusing the packing buffers of `scratch` (see
-/// [`PackScratch`]) — the allocation-light path for repeated phases, used
-/// by `malleable_tree_schedule`. Produces exactly the same outcome.
-pub fn malleable_schedule_in<M: ResponseModel>(
-    scratch: &mut PackScratch,
-    ops: Vec<OperatorSpec>,
+/// The GF sweep of [`malleable_schedule`] without the packing: the
+/// selected parallelization (one degree per operator of `ops`), its
+/// `LB(N)` and the number of candidates examined. The malleable
+/// TreeSchedule sizes each phase with it.
+pub(crate) fn gf_sweep<M: ResponseModel>(
+    ops: &[OperatorSpec],
     sys: &SystemSpec,
     comm: &CommModel,
     model: &M,
-) -> Result<MalleableOutcome, ScheduleError> {
+) -> (Vec<usize>, f64, usize) {
     let m = ops.len();
     let p = sys.sites;
     if m == 0 {
-        return Ok(MalleableOutcome {
-            degrees: vec![],
-            lower_bound: 0.0,
-            candidates: 1,
-            schedule: PhaseSchedule {
-                ops: vec![],
-                assignment: crate::schedule::Assignment::with_capacity(0),
-            },
-        });
+        return (vec![], 0.0, 1);
     }
 
     let fixed: Vec<Option<usize>> = ops
@@ -176,19 +179,7 @@ pub fn malleable_schedule_in<M: ResponseModel>(
         }
     }
 
-    let schedule = schedule_with_degrees_in(
-        scratch,
-        ops.into_iter().zip(best_degrees.iter().copied()).collect(),
-        sys,
-        comm,
-        ListOrder::LongestFirst,
-    )?;
-    Ok(MalleableOutcome {
-        degrees: best_degrees,
-        lower_bound: best_lb,
-        candidates,
-        schedule,
-    })
+    (best_degrees, best_lb, candidates)
 }
 
 #[cfg(test)]

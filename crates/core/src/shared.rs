@@ -51,9 +51,9 @@ use crate::error::ScheduleError;
 use crate::list::{schedule_with_degrees_in, ListOrder, PackScratch};
 use crate::model::ResponseModel;
 use crate::operator::{OperatorId, Placement};
-use crate::resource::{SiteId, SystemSpec};
+use crate::resource::SystemSpec;
 use crate::schedule::{Assignment, PhaseSchedule};
-use crate::tree::{coupled_degree, PhaseResult, TreeProblem, TreeScheduleResult};
+use crate::tree::{coarse_degrees, HomeBindings, TreeProblem, TreeScheduleResult};
 use std::collections::BTreeMap;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -214,16 +214,6 @@ pub struct SharedStats {
     /// Task pipelines actually packed by this call — the unit of
     /// planning work sharing avoids (an unshared plan packs every task).
     pub tasks_planned: u64,
-}
-
-impl SharedStats {
-    /// Accumulates another call's counters.
-    pub fn absorb(&mut self, other: &SharedStats) {
-        self.subtree_hits += other.subtree_hits;
-        self.subtree_misses += other.subtree_misses;
-        self.fragments_spliced += other.fragments_spliced;
-        self.tasks_planned += other.tasks_planned;
-    }
 }
 
 /// Per-task canonical metadata computed once per problem.
@@ -445,10 +435,14 @@ pub fn subtree_signatures(
     Ok(SubtreeIndex::build(problem, f, cap).sigs)
 }
 
-/// Appends `src`'s operators and homes onto `dst`.
-fn concat_phase(dst: &mut PhaseSchedule, src: PhaseSchedule) {
-    dst.ops.extend(src.ops);
-    dst.assignment.homes.extend(src.assignment.homes);
+/// Appends `src`'s operators and homes onto level `k` of `levels`,
+/// growing it with empty phases as needed.
+fn concat_at(levels: &mut Vec<PhaseSchedule>, k: usize, src: PhaseSchedule) {
+    while levels.len() <= k {
+        levels.push(empty_phase());
+    }
+    levels[k].ops.extend(src.ops);
+    levels[k].assignment.homes.extend(src.assignment.homes);
 }
 
 /// An empty packed phase.
@@ -493,29 +487,11 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
     cap: Option<usize>,
     cache: &mut C,
 ) -> Result<(TreeScheduleResult, SharedStats), ScheduleError> {
-    problem.validate()?;
+    let mut bindings = HomeBindings::new(problem)?;
     let nodes = problem.tasks.nodes();
     let n = nodes.len();
     let index = SubtreeIndex::build(problem, f, cap);
 
-    // Dense per-operator tables (a validated operator table is dense):
-    // each dependent's source and each source's dependent, the last
-    // binding winning, and the homes of placed binding sources, the
-    // only homes a later task reads.
-    let mut binding_of: Vec<Option<OperatorId>> = vec![None; problem.ops.len()];
-    let mut dependent_of: Vec<Option<OperatorId>> = vec![None; problem.ops.len()];
-    for b in &problem.bindings {
-        binding_of[b.dependent.0] = Some(b.source);
-        dependent_of[b.source.0] = Some(b.dependent);
-    }
-    let mut homes: Vec<Option<Vec<SiteId>>> = vec![None; problem.ops.len()];
-    let record_homes = |homes: &mut [Option<Vec<SiteId>>], ph: &PhaseSchedule| {
-        for (sop, h) in ph.ops.iter().zip(&ph.assignment.homes) {
-            if dependent_of[sop.spec.id.0].is_some() {
-                homes[sop.spec.id.0] = Some(h.clone());
-            }
-        }
-    };
     // Canonical position of each operator of the subtree being
     // memoized; entries outside it are stale and never read.
     let mut canon_pos: Vec<usize> = vec![0; problem.ops.len()];
@@ -549,7 +525,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                             }
                         }
                         for ph in &levels {
-                            record_homes(&mut homes, ph);
+                            bindings.place(ph);
                         }
                         stats.subtree_hits += 1;
                         stats.fragments_spliced += levels.len() as u64;
@@ -568,41 +544,18 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                 let own = if nodes[t].ops.is_empty() {
                     empty_phase()
                 } else {
-                    let mut specs = Vec::with_capacity(nodes[t].ops.len());
-                    for id in &nodes[t].ops {
-                        let mut spec = problem.ops[id.0].clone();
-                        if let Some(source) = binding_of[id.0] {
-                            let placed = homes[source.0].as_ref().ok_or_else(|| {
-                                ScheduleError::MalformedTaskGraph {
-                                    detail: format!(
-                                        "shared planning: binding source {source} for {id} \
-                                         not placed before its dependent's task"
-                                    ),
-                                }
-                            })?;
-                            spec.placement = Placement::Rooted(placed.clone());
-                        }
-                        let degree = match &spec.placement {
-                            Placement::Rooted(h) => h.len(),
-                            Placement::Floating => {
-                                let dependent = dependent_of[id.0].map(|dep| &problem.ops[dep.0]);
-                                let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
-                                match cap {
-                                    Some(c) => chosen.min(c.max(1)),
-                                    None => chosen,
-                                }
-                            }
-                        };
-                        specs.push((spec, degree));
+                    let mut phase = Vec::with_capacity(nodes[t].ops.len());
+                    for &id in &nodes[t].ops {
+                        phase.push((bindings.spec(id)?, bindings.dependent(id)));
                     }
                     let ph = schedule_with_degrees_in(
                         &mut scratch,
-                        specs,
+                        coarse_degrees(phase, f, sys, comm, model, cap),
                         sys,
                         comm,
                         ListOrder::LongestFirst,
                     )?;
-                    record_homes(&mut homes, &ph);
+                    bindings.place(&ph);
                     stats.tasks_planned += 1;
                     ph
                 };
@@ -612,10 +565,7 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
                 for &c in &index.canon_children[t] {
                     let child = frags[c].take().expect("children exit before parents");
                     for (k, ph) in child.into_iter().enumerate() {
-                        while levels.len() <= k + 1 {
-                            levels.push(empty_phase());
-                        }
-                        concat_phase(&mut levels[k + 1], ph);
+                        concat_at(&mut levels, k + 1, ph);
                     }
                 }
 
@@ -647,41 +597,17 @@ pub fn tree_schedule_shared<M: ResponseModel, C: FragmentCache>(
     for &r in &roots {
         let levels = frags[r].take().expect("roots are processed");
         for (k, ph) in levels.into_iter().enumerate() {
-            while by_level.len() <= k {
-                by_level.push(empty_phase());
-            }
-            concat_phase(&mut by_level[k], ph);
+            concat_at(&mut by_level, k, ph);
         }
     }
 
-    let mut phases = Vec::new();
-    let mut response_time = 0.0;
-    for level in (0..by_level.len()).rev() {
-        let schedule = std::mem::replace(&mut by_level[level], empty_phase());
-        if schedule.ops.is_empty() {
-            continue;
+    let mut result = TreeScheduleResult::default();
+    for (level, schedule) in by_level.into_iter().enumerate().rev() {
+        if !schedule.ops.is_empty() {
+            result.push_phase(level, schedule, sys, model);
         }
-        debug_assert!(
-            schedule.validate(sys).is_ok(),
-            "shared phase {level} left the pack path invalid: {:?}",
-            schedule.validate(sys)
-        );
-        let makespan = schedule.makespan(sys, model);
-        response_time += makespan;
-        phases.push(PhaseResult {
-            level,
-            schedule,
-            makespan,
-        });
     }
-
-    Ok((
-        TreeScheduleResult {
-            phases,
-            response_time,
-        },
-        stats,
-    ))
+    Ok((result, stats))
 }
 
 #[cfg(test)]

@@ -4,8 +4,12 @@
 //! A query task tree is split into *shelves*: each task executes in the
 //! phase equal to its depth from the root (MinShelf \[TL93\]); phases run
 //! deepest first, and phase `i` starts only after phase `i+1` completes.
-//! Within each phase the independent tasks' operators are scheduled with
-//! [`operator_schedule`](crate::list::operator_schedule).
+//! Every phased planner runs the one shelf loop [`phased_schedule`] and
+//! supplies only how each phase is packed: [`tree_schedule_with`] packs
+//! with the list rule at the coarse-grain degrees of [`coarse_degrees`]
+//! (OPERATORSCHEDULE, Figure 3), [`malleable_tree_schedule`] at the
+//! degrees of the Section 7 GF sweep, and the `mrs-baseline` comparators
+//! with their own packers.
 //!
 //! Scheduling decisions made in earlier (deeper) phases impose data
 //! placement constraints on later phases (Section 5.5): a hash-join probe
@@ -16,7 +20,7 @@
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
-use crate::list::ListOrder;
+use crate::list::{schedule_with_degrees_in, ListOrder, PackScratch};
 use crate::model::ResponseModel;
 use crate::operator::{OperatorId, OperatorSpec, Placement};
 
@@ -96,7 +100,7 @@ pub struct PhaseResult {
 }
 
 /// The result of scheduling a full query task tree.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct TreeScheduleResult {
     /// Phases in execution order (deepest level first).
     pub phases: Vec<PhaseResult>,
@@ -121,21 +125,51 @@ impl TreeScheduleResult {
     pub fn degree_of(&self, op: OperatorId) -> Option<usize> {
         self.homes_of(op).map(<[SiteId]>::len)
     }
+
+    /// Appends `schedule` as the next phase to run, at task-tree `level`,
+    /// and adds its makespan under `model` to the response time.
+    pub(crate) fn push_phase<M: ResponseModel>(
+        &mut self,
+        level: usize,
+        schedule: PhaseSchedule,
+        sys: &SystemSpec,
+        model: &M,
+    ) {
+        debug_assert!(
+            schedule.validate(sys).is_ok(),
+            "phase {level} left the pack path invalid: {:?}",
+            schedule.validate(sys)
+        );
+        let makespan = schedule.makespan(sys, model);
+        self.response_time += makespan;
+        self.phases.push(PhaseResult {
+            level,
+            schedule,
+            makespan,
+        });
+    }
 }
 
-/// The placement state both planners thread through the phases, in
-/// dense tables indexed by `OperatorId.0` ([`TreeProblem::validate`]
-/// guarantees dense ids): each operator's binding source and dependent,
-/// and the homes of every operator placed so far.
-struct Placements {
+/// The probe ← build bindings of a [`TreeProblem`] (Section 5.5) and the
+/// homes of every binding source placed so far, in dense tables indexed
+/// by `OperatorId.0` ([`TreeProblem::validate`] guarantees dense ids).
+/// Every phased planner threads one of these through its phases: a
+/// bound probe is rooted at its build's homes, and a build is sized
+/// together with the probe that will inherit its homes.
+pub struct HomeBindings<'p> {
+    problem: &'p TreeProblem,
     source_of: Vec<Option<OperatorId>>,
     dependent_of: Vec<Option<OperatorId>>,
     homes: Vec<Option<Vec<SiteId>>>,
 }
 
-impl Placements {
-    /// Validates `problem` and indexes its bindings.
-    fn new(problem: &TreeProblem) -> Result<Self, ScheduleError> {
+impl<'p> HomeBindings<'p> {
+    /// Validates `problem` and indexes its bindings (the last binding of
+    /// an operator wins).
+    ///
+    /// # Errors
+    /// Structural problems from [`TreeProblem::validate`].
+    pub fn new(problem: &'p TreeProblem) -> Result<Self, ScheduleError> {
         problem.validate()?;
         let n = problem.ops.len();
         let mut source_of = vec![None; n];
@@ -144,7 +178,8 @@ impl Placements {
             source_of[b.dependent.0] = Some(b.source);
             dependent_of[b.source.0] = Some(b.dependent);
         }
-        Ok(Placements {
+        Ok(HomeBindings {
+            problem,
             source_of,
             dependent_of,
             homes: vec![None; n],
@@ -152,15 +187,16 @@ impl Placements {
     }
 
     /// `id`'s spec, rooted at its binding source's homes if it has one.
-    fn spec(&self, problem: &TreeProblem, id: OperatorId) -> Result<OperatorSpec, ScheduleError> {
-        let mut spec = problem.ops[id.0].clone();
+    ///
+    /// # Errors
+    /// [`ScheduleError::MalformedTaskGraph`] when `id`'s binding source
+    /// has not been placed yet.
+    pub fn spec(&self, id: OperatorId) -> Result<OperatorSpec, ScheduleError> {
+        let mut spec = self.problem.ops[id.0].clone();
         if let Some(source) = self.source_of[id.0] {
             let Some(homes) = &self.homes[source.0] else {
                 return Err(ScheduleError::MalformedTaskGraph {
-                    detail: format!(
-                        "binding source {source} for {id} was not scheduled in an \
-                         earlier phase"
-                    ),
+                    detail: format!("binding source {source} for {id} was not placed before it"),
                 });
             };
             spec.placement = Placement::Rooted(homes.clone());
@@ -169,21 +205,25 @@ impl Placements {
     }
 
     /// The operator bound to `id`'s homes, if any.
-    fn dependent<'p>(&self, problem: &'p TreeProblem, id: OperatorId) -> Option<&'p OperatorSpec> {
-        self.dependent_of[id.0].map(|dep| &problem.ops[dep.0])
+    pub fn dependent(&self, id: OperatorId) -> Option<&'p OperatorSpec> {
+        self.dependent_of[id.0].map(|dep| &self.problem.ops[dep.0])
     }
 
-    /// Records the homes `schedule` assigned.
-    fn place(&mut self, schedule: &PhaseSchedule) {
+    /// Records the homes `schedule` assigned to binding sources, the
+    /// only homes a later phase reads.
+    pub fn place(&mut self, schedule: &PhaseSchedule) {
         for (sop, homes) in schedule.ops.iter().zip(&schedule.assignment.homes) {
-            self.homes[sop.spec.id.0] = Some(homes.clone());
+            if self.dependent_of[sop.spec.id.0].is_some() {
+                self.homes[sop.spec.id.0] = Some(homes.clone());
+            }
         }
     }
 }
 
-/// Runs TREESCHEDULE: phases from `height(T)` down to `0`, each scheduled
-/// with OPERATORSCHEDULE; probes bound to already-placed builds become
-/// rooted (inheriting home and degree) before their phase is packed.
+/// Runs TREESCHEDULE: phases from `height(T)` down to `0`, each packed
+/// with the list rule at OPERATORSCHEDULE's coarse-grain degrees; probes
+/// bound to already-placed builds become rooted (inheriting home and
+/// degree) before their phase is packed.
 ///
 /// # Errors
 /// Propagates structural problems from [`TreeProblem::validate`] and
@@ -196,6 +236,17 @@ pub fn tree_schedule<M: ResponseModel>(
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
     tree_schedule_with(problem, f, sys, comm, model, PlanOptions::default())
+}
+
+/// The build+probe operator a binding source is sized as: summed
+/// processing vectors and data volumes, floating.
+fn coupled_spec(spec: &OperatorSpec, dependent: &OperatorSpec) -> OperatorSpec {
+    OperatorSpec::floating(
+        spec.id,
+        spec.kind,
+        &spec.processing + &dependent.processing,
+        spec.data_volume + dependent.data_volume,
+    )
 }
 
 /// Degree of parallelism for a floating operator within a task tree.
@@ -217,18 +268,37 @@ pub fn coupled_degree<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> usize {
-    match dependent {
-        None => crate::partition::choose_degree(spec, f, sys.sites, comm, &sys.site, model).degree,
-        Some(dep) => {
-            let combined = OperatorSpec::floating(
-                spec.id,
-                spec.kind,
-                &spec.processing + &dep.processing,
-                spec.data_volume + dep.data_volume,
-            );
-            crate::partition::choose_degree(&combined, f, sys.sites, comm, &sys.site, model).degree
-        }
-    }
+    let coupled = dependent.map(|dep| coupled_spec(spec, dep));
+    let sized = coupled.as_ref().unwrap_or(spec);
+    crate::partition::choose_degree(sized, f, sys.sites, comm, &sys.site, model).degree
+}
+
+/// The coarse-grain degree of every operator of one phase, given as
+/// `(spec, dependent)` pairs from [`phased_schedule`]: a rooted operator
+/// keeps its homes' count, a floating one gets its [`coupled_degree`]
+/// lowered to the governed `cap` (clamped to at least 1). The cap only
+/// ever lowers degrees, so `CG_f` stays satisfied.
+pub fn coarse_degrees<M: ResponseModel>(
+    phase: Vec<(OperatorSpec, Option<&OperatorSpec>)>,
+    f: f64,
+    sys: &SystemSpec,
+    comm: &CommModel,
+    model: &M,
+    cap: Option<usize>,
+) -> Vec<(OperatorSpec, usize)> {
+    phase
+        .into_iter()
+        .map(|(spec, dependent)| {
+            let degree = match &spec.placement {
+                Placement::Rooted(homes) => homes.len(),
+                Placement::Floating => {
+                    let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
+                    cap.map_or(chosen, |c| chosen.min(c.max(1)))
+                }
+            };
+            (spec, degree)
+        })
+        .collect()
 }
 
 /// How tasks are grouped into synchronized phases (shelves).
@@ -278,6 +348,60 @@ impl Default for PlanOptions {
     }
 }
 
+/// The TREESCHEDULE shelf loop that every phased planner shares: groups
+/// the tasks into shelves under `policy`, resolves each shelf's
+/// operators into `(spec, dependent)` pairs through [`HomeBindings`]
+/// (a bound probe rooted at its build's homes; a binding source paired
+/// with the probe it will host), packs them with `pack_phase`, records
+/// the homes for later shelves and sums the phases' makespans under
+/// `model`. Phases run deepest first under ALAP and leaves first under
+/// ASAP; either way a task's blocking predecessors land in strictly
+/// earlier phases.
+///
+/// # Errors
+/// Propagates structural problems from [`TreeProblem::validate`] and
+/// whatever `pack_phase` returns.
+pub fn phased_schedule<'p, M, F>(
+    problem: &'p TreeProblem,
+    sys: &SystemSpec,
+    model: &M,
+    policy: PhasePolicy,
+    mut pack_phase: F,
+) -> Result<TreeScheduleResult, ScheduleError>
+where
+    M: ResponseModel,
+    F: FnMut(Vec<(OperatorSpec, Option<&'p OperatorSpec>)>) -> Result<PhaseSchedule, ScheduleError>,
+{
+    let mut bindings = HomeBindings::new(problem)?;
+    let shelf_of: Vec<usize> = match policy {
+        PhasePolicy::Alap => (0..problem.tasks.len())
+            .map(|t| problem.tasks.depth(crate::tasks::TaskId(t)))
+            .collect(),
+        PhasePolicy::Asap => problem.tasks.heights_from_leaves(),
+    };
+    let max_shelf = shelf_of.iter().copied().max().unwrap_or(0);
+    let shelf_order: Vec<usize> = match policy {
+        PhasePolicy::Alap => (0..=max_shelf).rev().collect(),
+        PhasePolicy::Asap => (0..=max_shelf).collect(),
+    };
+
+    let mut result = TreeScheduleResult::default();
+    for level in shelf_order {
+        let phase = (problem.tasks.nodes().iter().zip(&shelf_of))
+            .filter(|&(_, &s)| s == level)
+            .flat_map(|(node, _)| &node.ops)
+            .map(|&id| Ok((bindings.spec(id)?, bindings.dependent(id))))
+            .collect::<Result<Vec<_>, ScheduleError>>()?;
+        if phase.is_empty() {
+            continue;
+        }
+        let schedule = pack_phase(phase)?;
+        bindings.place(&schedule);
+        result.push_phase(level, schedule, sys, model);
+    }
+    Ok(result)
+}
+
 /// [`tree_schedule`] with explicit [`PlanOptions`]: list order, shelf
 /// policy and governed degree cap.
 ///
@@ -292,76 +416,12 @@ pub fn tree_schedule_with<M: ResponseModel>(
     opts: PlanOptions,
 ) -> Result<TreeScheduleResult, ScheduleError> {
     let PlanOptions { order, policy, cap } = opts;
-    let mut placed = Placements::new(problem)?;
-    let mut phases = Vec::new();
-    let mut response_time = 0.0;
-
-    // Shelf index per task, and the order phases execute in. ALAP runs
-    // depth high->low; ASAP runs height low->high. Either way a task's
-    // blocking predecessors land in strictly earlier phases.
-    let shelf_of: Vec<usize> = match policy {
-        PhasePolicy::Alap => (0..problem.tasks.len())
-            .map(|t| problem.tasks.depth(crate::tasks::TaskId(t)))
-            .collect(),
-        PhasePolicy::Asap => problem.tasks.heights_from_leaves(),
-    };
-    let max_shelf = shelf_of.iter().copied().max().unwrap_or(0);
-    let shelf_order: Vec<usize> = match policy {
-        PhasePolicy::Alap => (0..=max_shelf).rev().collect(),
-        PhasePolicy::Asap => (0..=max_shelf).collect(),
-    };
-
     // One packing scratch reused by every phase (allocation-free after
     // the first shelf).
-    let mut scratch = crate::list::PackScratch::new();
-    for level in shelf_order {
-        let mut op_ids: Vec<OperatorId> = Vec::new();
-        for (t, node) in problem.tasks.nodes().iter().enumerate() {
-            if shelf_of[t] == level {
-                op_ids.extend_from_slice(&node.ops);
-            }
-        }
-        if op_ids.is_empty() {
-            continue;
-        }
-        let mut specs = Vec::with_capacity(op_ids.len());
-        for &id in &op_ids {
-            let spec = placed.spec(problem, id)?;
-            let degree = match &spec.placement {
-                Placement::Rooted(homes) => homes.len(),
-                Placement::Floating => {
-                    let dependent = placed.dependent(problem, id);
-                    let chosen = coupled_degree(&spec, dependent, f, sys, comm, model);
-                    // The governed cap only ever lowers degrees (CG_f
-                    // stays satisfied); rooted placements are exempt.
-                    match cap {
-                        Some(c) => chosen.min(c.max(1)),
-                        None => chosen,
-                    }
-                }
-            };
-            specs.push((spec, degree));
-        }
-        let schedule =
-            crate::list::schedule_with_degrees_in(&mut scratch, specs, sys, comm, order)?;
-        placed.place(&schedule);
-        let makespan = schedule.makespan(sys, model);
-        debug_assert!(
-            schedule.validate(sys).is_ok(),
-            "phase {level} left the pack path invalid: {:?}",
-            schedule.validate(sys)
-        );
-        response_time += makespan;
-        phases.push(PhaseResult {
-            level,
-            schedule,
-            makespan,
-        });
-    }
-
-    Ok(TreeScheduleResult {
-        phases,
-        response_time,
+    let mut scratch = PackScratch::new();
+    phased_schedule(problem, sys, model, policy, |phase| {
+        let ops = coarse_degrees(phase, f, sys, comm, model, cap);
+        schedule_with_degrees_in(&mut scratch, ops, sys, comm, order)
     })
 }
 
@@ -376,77 +436,31 @@ pub fn tree_schedule_with<M: ResponseModel>(
 /// [`coupled_degree`] does for the coarse-grain path) and keeps the
 /// parallelization minimizing `LB(N)`; the real operators are then
 /// list-packed at those degrees. Rooted operators keep their homes.
+///
+/// # Errors
+/// As [`tree_schedule`].
 pub fn malleable_tree_schedule<M: ResponseModel>(
     problem: &TreeProblem,
     sys: &SystemSpec,
     comm: &CommModel,
     model: &M,
 ) -> Result<TreeScheduleResult, ScheduleError> {
-    let mut placed = Placements::new(problem)?;
-    let mut phases = Vec::new();
-    let mut response_time = 0.0;
-
-    let height = problem.tasks.height();
-    // One packing scratch shared by the GF sweep's candidate packing and
-    // the final per-phase packing, reused across phases.
-    let mut scratch = crate::list::PackScratch::new();
-    for level in (0..=height).rev() {
-        let op_ids = problem.tasks.ops_at_level(level);
-        if op_ids.is_empty() {
-            continue;
-        }
-        // Real specs (scheduled) and sizing specs (drive the GF sweep).
-        let mut specs = Vec::with_capacity(op_ids.len());
-        let mut sizing = Vec::with_capacity(op_ids.len());
-        for &id in &op_ids {
-            let spec = placed.spec(problem, id)?;
-            let size_spec = match placed.dependent(problem, id) {
-                Some(dep_op) if spec.placement.is_floating() => {
-                    let mut combined = OperatorSpec::floating(
-                        spec.id,
-                        spec.kind,
-                        &spec.processing + &dep_op.processing,
-                        spec.data_volume + dep_op.data_volume,
-                    );
-                    combined.placement = spec.placement.clone();
-                    combined
-                }
+    let mut scratch = PackScratch::new();
+    phased_schedule(problem, sys, model, PhasePolicy::Alap, |phase| {
+        let sizing: Vec<OperatorSpec> = phase
+            .iter()
+            .map(|(spec, dependent)| match dependent {
+                Some(dep) if spec.placement.is_floating() => coupled_spec(spec, dep),
                 _ => spec.clone(),
-            };
-            specs.push(spec);
-            sizing.push(size_spec);
-        }
-        let outcome =
-            crate::malleable::malleable_schedule_in(&mut scratch, sizing, sys, comm, model)?;
-        let with_degrees: Vec<(OperatorSpec, usize)> = specs
-            .into_iter()
-            .zip(outcome.degrees.iter().copied())
+            })
             .collect();
-        let schedule = crate::list::schedule_with_degrees_in(
-            &mut scratch,
-            with_degrees,
-            sys,
-            comm,
-            crate::list::ListOrder::LongestFirst,
-        )?;
-        placed.place(&schedule);
-        let makespan = schedule.makespan(sys, model);
-        debug_assert!(
-            schedule.validate(sys).is_ok(),
-            "malleable phase {level} left the pack path invalid: {:?}",
-            schedule.validate(sys)
-        );
-        response_time += makespan;
-        phases.push(PhaseResult {
-            level,
-            schedule,
-            makespan,
-        });
-    }
-
-    Ok(TreeScheduleResult {
-        phases,
-        response_time,
+        let (degrees, ..) = crate::malleable::gf_sweep(&sizing, sys, comm, model);
+        let ops = phase
+            .into_iter()
+            .map(|(spec, _)| spec)
+            .zip(degrees)
+            .collect();
+        schedule_with_degrees_in(&mut scratch, ops, sys, comm, ListOrder::LongestFirst)
     })
 }
 

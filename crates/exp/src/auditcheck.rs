@@ -41,10 +41,11 @@
 //!   dispatched once and end in exactly one terminal event.
 //! * `runtime-controller` — the X15 overload runs (ramp and burst
 //!   arrival processes, shards 1 and 4) with the feedback controller
-//!   on: every recorded control decision must replay (one hysteresis
-//!   step, justified by its own pressure snapshot), and governed plans
-//!   must respect both the controller's cap and the paper's `CG_f`
-//!   caps.
+//!   on, the stream served twice): every recorded control decision
+//!   must replay (one hysteresis step, justified by its own pressure
+//!   snapshot), governed plans must respect both the controller's cap
+//!   and the paper's `CG_f` caps, and each cell must hit a whole plan
+//!   at a governed level, which the cold replay re-plans at that cap.
 //! * `runtime-mqo` — the X16 batched-admission runs (overlap-templated
 //!   batches, sharing on, clean and faulty, each batch served twice):
 //!   every fragment splice must reproduce its insert-time digest
@@ -467,18 +468,21 @@ pub fn audit(cfg: &ExpConfig) -> Report {
     // processes push the stream well past the knee so the controller
     // actually moves; every decision it records must then replay against
     // the config, and capped offline plans must satisfy both the
-    // governed cap and the paper caps.
+    // governed cap and the paper caps. The stream is served twice, so
+    // its second round hits whole plans while the governor is engaged
+    // (guard), and the cold replay re-plans them at the governed cap.
     {
         let mut violations = Vec::new();
         let mut cells = 0;
         let ctl = ControllerConfig::adaptive();
         let peak = h.rate(4.0, 4);
+        let twice = cycled(&stream, 2 * n_queries);
         let arrival_sets = [
             ramp_arrivals(
                 0.25 * peak,
                 peak,
                 8.0 * mean_standalone,
-                n_queries,
+                2 * n_queries,
                 cfg.seed ^ ARRIVALS,
             ),
             burst_arrivals(
@@ -486,7 +490,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 peak,
                 4.0 * mean_standalone,
                 0.25,
-                n_queries,
+                2 * n_queries,
                 cfg.seed ^ ARRIVALS,
             ),
         ];
@@ -497,7 +501,7 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                     shards: n_shards,
                     ..base.clone()
                 };
-                let (_, summary) = serve_audited(&h, rt_cfg, &stream, arrivals, &mut violations);
+                let (_, summary) = serve_audited(&h, rt_cfg, &twice, arrivals, &mut violations);
                 if !summary
                     .trace
                     .iter()
@@ -505,6 +509,19 @@ pub fn audit(cfg: &ExpConfig) -> Report {
                 {
                     violations.push(Violation::ShapeMismatch {
                         detail: "overload stream never engaged the controller".to_owned(),
+                    });
+                }
+                let mut level = 0;
+                let governed_hit = summary.trace.iter().any(|ev| {
+                    if let AuditEvent::ControlDecision { level: l, .. } = *ev {
+                        level = l;
+                    }
+                    matches!(ev, AuditEvent::CacheHit { .. }) && level > 0
+                });
+                if !governed_hit {
+                    violations.push(Violation::ShapeMismatch {
+                        detail: "overload stream served twice hit no plan at a governed level"
+                            .to_owned(),
                     });
                 }
                 violations.extend(audit_controller(&summary, &ctl));
