@@ -183,3 +183,107 @@ fn phased_planners_match_the_golden_digests() {
         "a phased planner's output changed: digests {digests:#018x?}"
     );
 }
+
+/// Every task-tree level of 20 generated 10-join queries as one phase
+/// (106 phases), with its operators renumbered densely and each hash
+/// table build demanding `in_tuples × tuple_bytes` of memory, under the
+/// paper's cost constants.
+fn level_phases() -> Vec<(Vec<OperatorSpec>, Vec<MemoryDemand>)> {
+    let cost = CostModel::paper_defaults();
+    let mut phases = Vec::new();
+    for q in &suite(10, 20, 1996).queries {
+        let optree = OperatorTree::expand(&q.plan.annotate(&q.catalog, &KeyJoinMax));
+        let problem = query_problem(q, &cost);
+        for level in 0..=problem.tasks.height() {
+            let (specs, demands) = problem
+                .tasks
+                .ops_at_level(level)
+                .into_iter()
+                .enumerate()
+                .map(|(dense, id)| {
+                    let mut spec = problem.ops[id.0].clone();
+                    spec.id = OperatorId(dense);
+                    let demand = match &optree.node(id).detail {
+                        OpDetail::Build { in_tuples, .. } => {
+                            MemoryDemand::bytes(in_tuples * cost.params().tuple_bytes)
+                        }
+                        _ => MemoryDemand::ZERO,
+                    };
+                    (spec, demand)
+                })
+                .unzip();
+            phases.push((specs, demands));
+        }
+    }
+    phases
+}
+
+/// OPERATORSCHEDULE on its own and under per-site memory capacities:
+/// every level phase of [`level_phases`] at P = 13 and P = 40 (212
+/// phase plans), f = 0.7,
+/// ε = 0.5, through `operator_schedule` (fold A) and through
+/// `operator_schedule_with_memory` at 4, 1, 0.25 and 0.1 MB per site
+/// (fold B, which also folds each failure's message). Pins both packers'
+/// degrees, homes and residual memory bit for bit, and the split of the
+/// memory planner's outcomes.
+#[test]
+fn operator_schedules_match_the_golden_digests() {
+    let cost = CostModel::paper_defaults();
+    let comm = cost.params().comm_model();
+    let model = OverlapModel::new(0.5).unwrap();
+    let phases = level_phases();
+    assert_eq!(phases.len(), 106);
+    let mut a = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut b = Fnv(0xcbf2_9ce4_8422_2325);
+    let (mut ok, mut packing_failed, mut too_large) = (0, 0, 0);
+    for sites in [13, 40] {
+        let sys = SystemSpec::homogeneous(sites);
+        for (specs, _) in &phases {
+            let s = operator_schedule(specs.clone(), 0.7, &sys, &comm, &model).unwrap();
+            a.f64(s.makespan(&sys, &model));
+            for (op, homes) in s.ops.iter().zip(&s.assignment.homes) {
+                a.usize(op.degree);
+                homes.iter().for_each(|site| a.usize(site.0));
+            }
+        }
+        for mb in [4.0, 1.0, 0.25, 0.1] {
+            let memory = MemorySpec::new(mb * 1e6).unwrap();
+            for (specs, demands) in &phases {
+                match operator_schedule_with_memory(
+                    specs.clone(),
+                    demands,
+                    memory,
+                    0.7,
+                    &sys,
+                    &comm,
+                    &model,
+                ) {
+                    Ok(r) => {
+                        ok += 1;
+                        b.f64(r.schedule.makespan(&sys, &model));
+                        for homes in &r.schedule.assignment.homes {
+                            homes.iter().for_each(|site| b.usize(site.0));
+                        }
+                        r.degrees.iter().for_each(|&n| b.usize(n));
+                        r.free_bytes.iter().for_each(|&free| b.f64(free));
+                    }
+                    Err(e) => {
+                        match e {
+                            MemoryError::PackingFailed { .. } => packing_failed += 1,
+                            MemoryError::OperatorTooLarge { .. } => too_large += 1,
+                            MemoryError::Schedule(e) => panic!("unexpected failure: {e}"),
+                        }
+                        e.to_string().bytes().for_each(|c| b.u64(u64::from(c)));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        (a.0, b.0),
+        (0xfe21_bed9_c031_9805, 0xf191_a6c3_66e3_f6d0),
+        "an OPERATORSCHEDULE planner's output changed: digests {:#018x?}",
+        (a.0, b.0)
+    );
+    assert_eq!((ok, packing_failed, too_large), (557, 51, 240));
+}
