@@ -8,82 +8,53 @@
 //! `l(work(s))`. Comparing the two isolates exactly what the paper's
 //! multi-dimensionality buys: balancing each resource dimension rather
 //! than total work.
+//!
+//! The packing is the core list rule ([`pack_clones`]) run on a
+//! projection: each clone `W` is replaced by the unit vector
+//! `total(W)·e₀`, with the same run counts, and the returned assignment
+//! is kept with the original operators. The projection is exact, not an
+//! approximation. The length of a unit vector is its one lane, so L is
+//! sorted by clone total and a site's length is its lane. That lane is
+//! the same left-to-right sum of clone totals a scalar scan keeps: rooted
+//! clones first in operator order, then L's order. L's key order (value
+//! descending, then operator, then clone) and the site tie-break (lowest
+//! index) are the list rule's own. So the scheme's difference from
+//! TREESCHEDULE is its packing criterion by construction.
 
 use mrs_core::comm::CommModel;
 use mrs_core::error::ScheduleError;
+use mrs_core::list::{pack_clones, ListOrder};
 use mrs_core::model::ResponseModel;
-use mrs_core::operator::Placement;
-use mrs_core::resource::{SiteId, SystemSpec};
+use mrs_core::partition::CloneWork;
+use mrs_core::resource::SystemSpec;
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
 use mrs_core::tree::{
     coarse_degrees, phased_schedule, PhasePolicy, TreeProblem, TreeScheduleResult,
 };
+use mrs_core::vector::WorkVector;
 
 /// Packs clones choosing the site with the minimum *scalar* load among
-/// allowable sites (LPT order on clone scalar totals).
+/// allowable sites (LPT order on clone scalar totals): the list rule on
+/// the scalar projection of the clones (see the module docs).
 fn pack_clones_scalar(
     ops: &[ScheduledOperator],
     sys: &SystemSpec,
 ) -> Result<Assignment, ScheduleError> {
-    let p = sys.sites;
-    let mut assignment = Assignment::with_capacity(ops.len());
-    let mut load = vec![0.0f64; p];
-    let mut occupied: Vec<Vec<bool>> = vec![vec![false; p]; ops.len()];
-
-    // Rooted pre-placement.
-    for (i, op) in ops.iter().enumerate() {
-        if op.degree > p {
-            return Err(ScheduleError::DegreeExceedsSites {
-                op: op.spec.id,
-                degree: op.degree,
-                sites: p,
-            });
-        }
-        if let Placement::Rooted(homes) = &op.spec.placement {
-            for (k, &site) in homes.iter().enumerate() {
-                if site.0 >= p {
-                    return Err(ScheduleError::SiteOutOfRange {
-                        op: op.spec.id,
-                        site,
-                        sites: p,
-                    });
-                }
-                load[site.0] += op.clones[k].total();
-                occupied[i][site.0] = true;
-            }
-            assignment.homes[i] = homes.clone();
-        } else {
-            assignment.homes[i] = vec![SiteId(usize::MAX); op.degree];
-        }
-    }
-
-    // LPT on scalar clone size.
-    let mut list: Vec<(usize, usize, f64)> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        if op.spec.placement.is_floating() {
-            for (k, w) in op.clones.iter().enumerate() {
-                list.push((i, k, w.total()));
-            }
-        }
-    }
-    list.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-
-    for (i, k, total) in list {
-        let mut best: Option<usize> = None;
-        for s in 0..p {
-            if occupied[i][s] {
-                continue;
-            }
-            if best.is_none_or(|b| load[s] < load[b]) {
-                best = Some(s);
-            }
-        }
-        let s = best.expect("degree <= P guarantees a free site");
-        load[s] += total;
-        occupied[i][s] = true;
-        assignment.homes[i][k] = SiteId(s);
-    }
-    Ok(assignment)
+    let d = sys.dim();
+    let projected: Vec<ScheduledOperator> = ops
+        .iter()
+        .map(|op| ScheduledOperator {
+            spec: op.spec.clone(),
+            degree: op.degree,
+            clones: CloneWork::from_runs(
+                op.clones
+                    .runs()
+                    .map(|(w, n)| (WorkVector::unit(d, 0, w.total()), n))
+                    .collect(),
+            ),
+        })
+        .collect();
+    pack_clones(&projected, sys, ListOrder::LongestFirst)
 }
 
 /// TREESCHEDULE with scalar-load packing (see module docs). Same

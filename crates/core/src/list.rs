@@ -36,14 +36,23 @@
 //! groups expand to exactly the per-clone list sorted by
 //! `(length desc, op, clone)`. And "this site already holds a clone of the
 //! operator" is a per-site run stamp, one comparison per popped site.
+//!
+//! The run sweep is the only code that decides where a clone goes, and
+//! [`coarse_degrees`] the only code that decides a degree; the other
+//! packers supply only what makes them different. The scalar-load
+//! ablation X1 (`mrs-baseline`'s `scalar_list`) packs a projection of
+//! its clones onto unit vectors of their totals, and the memory planner
+//! X9 ([`crate::memory`]) forbids, before each run, the sites short of
+//! the run's per-clone memory share.
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
 use crate::model::ResponseModel;
 use crate::operator::{OperatorSpec, Placement};
-use crate::partition::{choose_degree, CloneWork};
+use crate::partition::CloneWork;
 use crate::resource::{SiteId, SystemSpec};
 use crate::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
+use crate::tree::coarse_degrees;
 use crate::vector::WorkVector;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -87,10 +96,10 @@ impl Ord for HeapKey {
 /// two groups (the coordinator and the rest, or one when their lengths
 /// tie), so L sorts a few entries per operator rather than one per clone.
 #[derive(Clone, Copy, Debug)]
-struct CloneGroup {
-    op: usize,
-    start: usize,
-    end: usize,
+pub(crate) struct CloneGroup {
+    pub(crate) op: usize,
+    pub(crate) start: usize,
+    pub(crate) end: usize,
     length: f64,
 }
 
@@ -147,7 +156,7 @@ impl PackScratch {
 
     /// Prepares the scratch for packing `nops` operators onto `sys`,
     /// clearing state while retaining allocations.
-    fn reset(&mut self, sys: &SystemSpec, nops: usize) {
+    pub(crate) fn reset(&mut self, sys: &SystemSpec, nops: usize) {
         let d = sys.dim();
         self.loads.truncate(sys.sites);
         for load in &mut self.loads {
@@ -227,7 +236,7 @@ impl PackScratch {
     /// stash with the already-occupied sites' entries, since the site is
     /// forbidden for the rest of the run; the stash returns to the heap at
     /// the end.
-    fn place_run(
+    pub(crate) fn place_run(
         &mut self,
         run: &[CloneGroup],
         clones: &CloneWork,
@@ -325,6 +334,29 @@ fn pack_clones_impl(
     occupancy: &mut [Vec<usize>],
     list: &mut Vec<CloneGroup>,
 ) -> Result<Assignment, ScheduleError> {
+    let mut assignment = prepare_pack(scratch, ops, sys, order, list)?;
+    for run in list.chunk_by(|a, b| a.op == b.op) {
+        let i = run[0].op;
+        scratch.place_run(
+            run,
+            &ops[i].clones,
+            &mut occupancy[i],
+            &mut assignment.homes[i],
+        );
+    }
+    Ok(assignment)
+}
+
+/// The list rule up to its run sweep, on a freshly reset scratch: checks
+/// `ops`, pre-places the rooted clones and builds L into `list`, sorted
+/// for `order`. The floating homes are left `usize::MAX` for the sweep.
+pub(crate) fn prepare_pack(
+    scratch: &mut PackScratch,
+    ops: &[ScheduledOperator],
+    sys: &SystemSpec,
+    order: ListOrder,
+    list: &mut Vec<CloneGroup>,
+) -> Result<Assignment, ScheduleError> {
     let mut assignment = Assignment::with_capacity(ops.len());
 
     for (i, op) in ops.iter().enumerate() {
@@ -392,22 +424,11 @@ fn pack_clones_impl(
                 .then(a.start.cmp(&b.start))
         });
     }
-
-    for run in list.chunk_by(|a, b| a.op == b.op) {
-        let i = run[0].op;
-        scratch.place_run(
-            run,
-            &ops[i].clones,
-            &mut occupancy[i],
-            &mut assignment.homes[i],
-        );
-    }
-
     Ok(assignment)
 }
 
 /// The full OPERATORSCHEDULE algorithm of Figure 3: chooses each floating
-/// operator's degree of coarse-grain parallelism
+/// operator's degree of coarse-grain parallelism with [`coarse_degrees`]
 /// (`N_i = min(N_max(op_i, f), P)`, additionally capped at the speed-down
 /// point per A4), clones every operator, and packs the clones with the
 /// list rule.
@@ -420,18 +441,8 @@ pub fn operator_schedule<M: ResponseModel>(
     comm: &CommModel,
     model: &M,
 ) -> Result<PhaseSchedule, ScheduleError> {
-    let ops = ops
-        .into_iter()
-        .map(|spec| {
-            let degree = match &spec.placement {
-                Placement::Rooted(homes) => homes.len(),
-                Placement::Floating => {
-                    choose_degree(&spec, f, sys.sites, comm, &sys.site, model).degree
-                }
-            };
-            (spec, degree)
-        })
-        .collect();
+    let phase = ops.into_iter().map(|spec| (spec, None)).collect();
+    let ops = coarse_degrees(phase, f, sys, comm, model, None);
     schedule_with_degrees(ops, sys, comm, ListOrder::LongestFirst)
 }
 

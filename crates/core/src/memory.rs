@@ -18,16 +18,27 @@
 //! Packing with hard capacities can fail even when total memory suffices
 //! (this is bin packing); the scheduler reports that explicitly rather
 //! than producing an invalid schedule.
+//!
+//! Both steps are OPERATORSCHEDULE's own code: the degrees are
+//! [`coarse_degrees`] raised to the memory lower bound, and the packing
+//! is the list rule's run sweep with, before each run of L, every site
+//! short of the operator's per-clone share forbidden; the run fails with
+//! [`MemoryError::PackingFailed`] when fewer allowable sites remain than
+//! it has clones. Free memory only shrinks during packing, so a site
+//! short of one operator's share stays short for every later run of that
+//! operator; within a run only the picked sites change, and each is then
+//! forbidden to the rest of the run. Hence the sweep picks the same
+//! sites as a per-clone scan of the feasible sites, and fails exactly
+//! where that scan would first find no site.
 
 use crate::comm::CommModel;
 use crate::error::ScheduleError;
+use crate::list::{prepare_pack, ListOrder, PackScratch};
 use crate::model::ResponseModel;
 use crate::operator::{OperatorId, OperatorSpec, Placement};
-use crate::partition::choose_degree;
-#[cfg(test)]
-use crate::partition::t_par;
-use crate::resource::{SiteId, SystemSpec};
-use crate::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
+use crate::resource::SystemSpec;
+use crate::schedule::{PhaseSchedule, ScheduledOperator};
+use crate::tree::coarse_degrees;
 use std::fmt;
 
 /// Per-site memory capacity in bytes.
@@ -150,9 +161,10 @@ pub struct MemorySchedule {
 
 /// OPERATORSCHEDULE under per-site memory capacities.
 ///
-/// `demands[i]` pairs with `ops[i]`. Floating degrees are
-/// `max(min_degree, CG/A4 choice)` capped at `P`; rooted operators keep
-/// their homes (their memory still counts and may cause
+/// `demands[i]` pairs with `ops[i]`. Floating degrees are the
+/// [`coarse_degrees`] choice raised to `min_degree` (at most `P`, else
+/// [`MemoryError::OperatorTooLarge`]); rooted operators keep their homes
+/// (their memory still counts and may cause
 /// [`MemoryError::PackingFailed`]).
 ///
 /// # Errors
@@ -170,103 +182,74 @@ pub fn operator_schedule_with_memory<M: ResponseModel>(
     let p = sys.sites;
     let capacity = memory.bytes_per_site;
 
-    // Degrees: memory lower bound composed with the CG/A4 choice.
-    let mut scheduled: Vec<ScheduledOperator> = Vec::with_capacity(ops.len());
-    let mut degrees = Vec::with_capacity(ops.len());
-    for (spec, demand) in ops.into_iter().zip(demands) {
-        let degree = match &spec.placement {
-            Placement::Rooted(homes) => homes.len(),
-            Placement::Floating => {
-                let min_n = demand.min_degree(capacity);
-                if min_n > p {
-                    return Err(MemoryError::OperatorTooLarge {
-                        op: spec.id,
-                        demand: demand.total_bytes,
-                        system_capacity: capacity * p as f64,
-                    });
-                }
-                let chosen = choose_degree(&spec, f, p, comm, &sys.site, model).degree;
-                chosen.max(min_n)
+    // Degrees: OPERATORSCHEDULE's coarse-grain choice raised to the memory
+    // lower bound.
+    let phase = ops.into_iter().map(|spec| (spec, None)).collect();
+    let mut scheduled: Vec<ScheduledOperator> = Vec::with_capacity(demands.len());
+    let mut degrees = Vec::with_capacity(demands.len());
+    for ((spec, chosen), demand) in coarse_degrees(phase, f, sys, comm, model, None)
+        .into_iter()
+        .zip(demands)
+    {
+        let mut degree = chosen;
+        if spec.placement.is_floating() {
+            let min_n = demand.min_degree(capacity);
+            if min_n > p {
+                return Err(MemoryError::OperatorTooLarge {
+                    op: spec.id,
+                    demand: demand.total_bytes,
+                    system_capacity: capacity * p as f64,
+                });
             }
-        };
+            degree = degree.max(min_n);
+        }
         degrees.push(degree);
         scheduled.push(ScheduledOperator::even(spec, degree, comm, &sys.site));
     }
 
-    // Memory-aware list packing: LPT on clone length, least-loaded
-    // feasible site (enough residual memory, no clone collision).
-    let mut assignment = Assignment::with_capacity(scheduled.len());
-    let mut free = vec![capacity; p];
-    let mut load_len = vec![0.0f64; p];
-    let mut loads = vec![crate::vector::WorkVector::zeros(sys.dim()); p];
-    let mut occupied: Vec<Vec<bool>> = vec![vec![false; p]; scheduled.len()];
+    let mut scratch = PackScratch::new();
+    scratch.reset(sys, scheduled.len());
+    let (mut list, mut occupied) = (Vec::new(), Vec::new());
+    let mut assignment = prepare_pack(
+        &mut scratch,
+        &scheduled,
+        sys,
+        ListOrder::LongestFirst,
+        &mut list,
+    )?;
 
-    // Rooted pre-placement.
-    for (i, op) in scheduled.iter().enumerate() {
+    // The rooted clones sit at their homes; their memory must fit there.
+    let mut free = vec![capacity; p];
+    for (op, demand) in scheduled.iter().zip(demands) {
         if let Placement::Rooted(homes) = &op.spec.placement {
-            let share = demands[i].per_clone(op.degree);
-            for (k, &site) in homes.iter().enumerate() {
-                if site.0 >= p {
-                    return Err(ScheduleError::SiteOutOfRange {
-                        op: op.spec.id,
-                        site,
-                        sites: p,
-                    }
-                    .into());
-                }
+            let share = demand.per_clone(op.degree);
+            for site in homes {
                 if free[site.0] < share - 1e-9 {
                     return Err(MemoryError::PackingFailed { op: op.spec.id });
                 }
                 free[site.0] -= share;
-                loads[site.0].accumulate(&op.clones[k]);
-                load_len[site.0] = loads[site.0].length();
-                occupied[i][site.0] = true;
-            }
-            assignment.homes[i] = homes.clone();
-        } else {
-            assignment.homes[i] = vec![SiteId(usize::MAX); op.degree];
-        }
-    }
-
-    let mut list: Vec<(usize, usize, f64)> = Vec::new();
-    for (i, op) in scheduled.iter().enumerate() {
-        if op.spec.placement.is_floating() {
-            if op.degree > p {
-                return Err(ScheduleError::DegreeExceedsSites {
-                    op: op.spec.id,
-                    degree: op.degree,
-                    sites: p,
-                }
-                .into());
-            }
-            for (k, w) in op.clones.iter().enumerate() {
-                list.push((i, k, w.length()));
             }
         }
     }
-    list.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
 
-    for (i, k, _) in list {
-        let share = demands[i].per_clone(scheduled[i].degree);
-        let mut best: Option<usize> = None;
-        for s in 0..p {
-            if occupied[i][s] || free[s] < share - 1e-9 {
-                continue;
-            }
-            if best.is_none_or(|b| load_len[s] < load_len[b]) {
-                best = Some(s);
-            }
+    // The list rule's run sweep, forbidding each run the sites that hold
+    // a clone of its operator or are short of its share (module docs).
+    for run in list.chunk_by(|a, b| a.op == b.op) {
+        let i = run[0].op;
+        let op = &scheduled[i];
+        let share = demands[i].per_clone(op.degree);
+        let short = |s: usize| free[s] < share - 1e-9;
+        occupied.clear();
+        occupied.extend((0..p).filter(|&s| short(s)));
+        let placed = assignment.homes[i].iter().map(|h| h.0).filter(|&s| s < p);
+        occupied.extend(placed.filter(|&s| !short(s)));
+        let clones: usize = run.iter().map(|g| g.end - g.start).sum();
+        if p - occupied.len() < clones {
+            return Err(MemoryError::PackingFailed { op: op.spec.id });
         }
-        let Some(s) = best else {
-            return Err(MemoryError::PackingFailed {
-                op: scheduled[i].spec.id,
-            });
-        };
-        free[s] -= share;
-        loads[s].accumulate(&scheduled[i].clones[k]);
-        load_len[s] = loads[s].length();
-        occupied[i][s] = true;
-        assignment.homes[i][k] = SiteId(s);
+        let picked = occupied.len();
+        scratch.place_run(run, &op.clones, &mut occupied, &mut assignment.homes[i]);
+        occupied[picked..].iter().for_each(|&s| free[s] -= share);
     }
 
     let schedule = PhaseSchedule {
@@ -286,6 +269,8 @@ mod tests {
     use super::*;
     use crate::model::OverlapModel;
     use crate::operator::OperatorKind;
+    use crate::partition::{choose_degree, t_par};
+    use crate::resource::SiteId;
     use crate::vector::WorkVector;
 
     fn op(id: usize, w: &[f64], data: f64) -> OperatorSpec {
