@@ -8,12 +8,14 @@
 //!   code: experiment results must be functions of their seeds, never of
 //!   the host clock. (The bench harness measures wall time by design —
 //!   it carries an allowlist entry.)
-//! * `hash-map` — no `std::collections::HashMap` import in result-path
+//! * `hash-map` — no `HashMap` or `HashSet` identifier in result-path
 //!   code without an allowlist entry documenting why its iteration
-//!   order never reaches an output (HashMap iteration order is
-//!   nondeterministic across runs in general; this workspace's
-//!   `HashMap`s are grouped-by-key scratch whose outputs are re-sorted,
-//!   and each use site must say so).
+//!   order never reaches an output (the std hash collections are
+//!   randomly seeded, so their iteration order differs between runs;
+//!   this workspace's `HashMap`s are grouped-by-key scratch whose
+//!   outputs are re-sorted, and each use site must say so). Matching
+//!   identifiers rather than an import path also catches brace imports
+//!   and fully qualified uses.
 //! * `unwrap` — no `.unwrap()` / `panic!` in library crates outside
 //!   tests; fallible paths return `Result`, infallible ones use
 //!   `expect` with a proof-of-invariant message (the repo convention).
@@ -68,12 +70,14 @@ use std::path::{Path, PathBuf};
 // splits are kept on the line-oriented legacy patterns so the raw
 // (pre-mask) waiver scan stays self-clean too.
 const WALL_CLOCK_WORDS: [&str; 2] = [concat!("Sys", "temTime"), concat!("Ins", "tant")];
-const HASH_MAP_IMPORT: &str = concat!("collections::", "HashMap");
 const UNWRAP_CALL: &str = concat!(".unw", "rap()");
 const PANIC_CALL: &str = concat!("pan", "ic!(");
 const INLINE_WAIVER: &str = concat!("lint:", "allow(");
 const FORBID_UNSAFE: &str = concat!("#![forbid(unsafe", "_code)]");
 const WARN_MISSING_DOCS: &str = concat!("#![warn(missing", "_docs)]");
+
+/// The randomly seeded std hash collections the `hash-map` rule flags.
+const HASH_IDENTS: [&str; 2] = ["HashMap", "HashSet"];
 
 /// The five memory-ordering variants; `cmp::Ordering`'s variants are
 /// deliberately absent.
@@ -684,7 +688,7 @@ pub fn lint_file(rel: &str, text: &str, allow: &Allowlist) -> Vec<LintFinding> {
         if WALL_CLOCK_WORDS.iter().any(|w| contains_word(line, w)) {
             push("wall-clock");
         }
-        if line.contains(HASH_MAP_IMPORT) {
+        if idents(line).any(|id| HASH_IDENTS.contains(&id)) {
             push("hash-map");
         }
         if class == FileClass::Lib && (line.contains(UNWRAP_CALL) || line.contains(PANIC_CALL)) {
@@ -853,6 +857,20 @@ mod tests {
         let v = findings("crates/x/src/a.rs", text);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "hash-map");
+    }
+
+    #[test]
+    fn hash_collections_are_flagged_in_any_form() {
+        // A brace import and a fully qualified `HashSet` never contain
+        // the plain `collections::HashMap` path.
+        for text in [
+            "use std::collections::{BTreeMap, HashMap};\n",
+            "let mut seen = std::collections::HashSet::new();\n",
+        ] {
+            assert_eq!(rules("crates/x/src/a.rs", text), vec!["hash-map"], "{text}");
+        }
+        // A longer identifier is not the std collection.
+        assert!(rules("crates/x/src/a.rs", "let m = FxHashMap::default();\n").is_empty());
     }
 
     #[test]

@@ -32,7 +32,6 @@ use mrs_core::operator::{OperatorId, OperatorSpec, Placement};
 use mrs_core::resource::{SiteId, SystemSpec};
 use mrs_core::schedule::{Assignment, PhaseSchedule, ScheduledOperator};
 use mrs_core::tree::{HomeBindings, PhaseResult, TreeProblem, TreeScheduleResult};
-use std::collections::HashMap;
 
 /// One executed wave of one phase.
 #[derive(Clone, Debug)]
@@ -200,7 +199,7 @@ pub fn synchronous_schedule<M: ResponseModel>(
                 // Concrete sites: consecutive blocks within the task's
                 // allocation, wrapping round-robin when sharing is forced.
                 // Tasks without floating operators consume no pool sites.
-                let mut per_op_homes: HashMap<usize, Vec<SiteId>> = HashMap::new();
+                let mut per_op_homes: Vec<Option<Vec<SiteId>>> = vec![None; ops.len()];
                 if !floating.is_empty() {
                     let block_start = cursor;
                     let block_len = alloc.min(p).max(1);
@@ -211,7 +210,7 @@ pub fn synchronous_schedule<M: ResponseModel>(
                             .map(|k| SiteId((block_start + (offset + k) % block_len) % p))
                             .collect();
                         offset += n;
-                        per_op_homes.insert(i, sites);
+                        per_op_homes[i] = Some(sites);
                     }
                     cursor = (cursor + block_len).min(p);
                 }
@@ -219,9 +218,8 @@ pub fn synchronous_schedule<M: ResponseModel>(
                 for (i, spec) in ops.iter().enumerate() {
                     let op_homes = match &spec.placement {
                         Placement::Rooted(h) => h.clone(),
-                        Placement::Floating => per_op_homes
-                            .get(&i)
-                            .cloned()
+                        Placement::Floating => per_op_homes[i]
+                            .take()
                             .expect("every floating op received sites"),
                     };
                     let sop =

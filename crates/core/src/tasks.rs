@@ -107,7 +107,7 @@ impl TaskGraph {
         }
 
         // No operator may belong to two tasks.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (i, node) in nodes.iter().enumerate() {
             for op in &node.ops {
                 if !seen.insert(*op) {
