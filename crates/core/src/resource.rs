@@ -169,11 +169,6 @@ impl SystemSpec {
     pub fn dim(&self) -> usize {
         self.site.dim()
     }
-
-    /// Iterates over all site ids `s_0 .. s_{P-1}`.
-    pub fn site_ids(&self) -> impl Iterator<Item = SiteId> {
-        (0..self.sites).map(SiteId)
-    }
 }
 
 #[cfg(test)]
@@ -217,13 +212,6 @@ mod tests {
     #[test]
     fn system_spec_rejects_zero_sites() {
         assert!(SystemSpec::new(0, SiteSpec::cpu_disk_net()).is_err());
-    }
-
-    #[test]
-    fn site_ids_enumerate_all() {
-        let sys = SystemSpec::homogeneous(4);
-        let ids: Vec<_> = sys.site_ids().collect();
-        assert_eq!(ids, vec![SiteId(0), SiteId(1), SiteId(2), SiteId(3)]);
     }
 
     #[test]

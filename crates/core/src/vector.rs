@@ -28,7 +28,7 @@ const INLINE_DIM: usize = 4;
 /// Invariant: the unused lanes `data[len..]` of an `Inline` vector are
 /// always `0.0`. Combined with the non-negativity of components, this
 /// lets the hot kernels (`length`, `total`, `accumulate`, `remove`,
-/// `max_with`) operate on all `INLINE_DIM` lanes unconditionally — a
+/// `scaled`) operate on all `INLINE_DIM` lanes unconditionally — a
 /// fixed-width, branch-free loop the compiler can unroll and vectorize —
 /// because zero lanes are absorbing for `+`, `max`, and `*`.
 #[derive(Clone)]
@@ -320,26 +320,6 @@ impl WorkVector {
         }
     }
 
-    /// Componentwise maximum of two vectors.
-    #[inline]
-    pub fn max_with(&self, other: &WorkVector) -> WorkVector {
-        self.assert_same_dim(other);
-        let mut out = self.clone();
-        if let (Repr::Inline { data, .. }, Repr::Inline { data: o, .. }) =
-            (&mut out.repr, &other.repr)
-        {
-            // All lanes: max(0, 0) = 0 keeps the unused-lane invariant.
-            for i in 0..INLINE_DIM {
-                data[i] = data[i].max(o[i]);
-            }
-            return out;
-        }
-        for (a, b) in out.components_mut().iter_mut().zip(other.components()) {
-            *a = a.max(*b);
-        }
-        out
-    }
-
     /// Sum of a set of vectors; `l(S)` is `vector_sum(S).length()`.
     ///
     /// Returns `None` for an empty iterator (dimensionality unknown).
@@ -550,7 +530,6 @@ mod tests {
         assert_eq!((&a + &b).components(), &[4.0, 6.0]);
         assert_eq!((&b - &a).components(), &[2.0, 2.0]);
         assert_eq!((&a * 2.0).components(), &[2.0, 4.0]);
-        assert_eq!(a.max_with(&b).components(), &[3.0, 4.0]);
     }
 
     #[test]
@@ -584,7 +563,6 @@ mod tests {
             v.remove(&w);
             assert!(v.inline_padding_is_zero(), "remove at d={d}");
             assert!(v.scaled(3.0).inline_padding_is_zero(), "scaled at d={d}");
-            assert!(v.max_with(&w).inline_padding_is_zero(), "max_with at d={d}");
             v[d - 1] = 7.0;
             assert!(v.inline_padding_is_zero(), "index_mut at d={d}");
             v.set_zero();

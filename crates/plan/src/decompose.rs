@@ -9,7 +9,7 @@
 //! data-placement constraint is emitted as a
 //! [`HomeBinding`].
 
-use crate::optree::{EdgeKind, OpDetail, OperatorTree};
+use crate::optree::{OpDetail, OperatorTree};
 use mrs_core::error::ScheduleError;
 use mrs_core::operator::OperatorId;
 use mrs_core::tasks::{HomeBinding, TaskGraph, TaskId, TaskNode};
@@ -140,19 +140,6 @@ pub fn decompose(tree: &OperatorTree) -> Result<Decomposition, ScheduleError> {
         bindings,
         task_of,
     })
-}
-
-/// Counts the edges of each kind — a cheap structural fingerprint used in
-/// tests and reports.
-pub fn edge_census(tree: &OperatorTree) -> (usize, usize) {
-    (
-        tree.pipeline_edges().count(),
-        tree.nodes()
-            .iter()
-            .flat_map(|n| n.inputs.iter())
-            .filter(|(_, k)| *k == EdgeKind::Blocking)
-            .count(),
-    )
 }
 
 #[cfg(test)]
@@ -308,11 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn edge_census_matches_structure() {
+    fn edges_per_join_match_structure() {
         let t = left_deep_tree(4);
-        let (pipe, block) = edge_census(&t);
-        assert_eq!(pipe, 6); // 2 per join
-        assert_eq!(block, 3); // 1 per join
+        assert_eq!(t.pipeline_edges().count(), 6); // 2 per join
+        assert_eq!(t.blocking_edges().count(), 3); // 1 per join
     }
 
     #[test]

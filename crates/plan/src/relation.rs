@@ -70,11 +70,6 @@ impl Catalog {
         &self.relations[id.0]
     }
 
-    /// Checked lookup.
-    pub fn try_get(&self, id: RelationId) -> Option<&Relation> {
-        self.relations.get(id.0)
-    }
-
     /// Number of relations.
     pub fn len(&self) -> usize {
         self.relations.len()
@@ -109,13 +104,6 @@ mod tests {
         assert_eq!(c.get(b).tuples, 60_000.0);
         assert_eq!(c.len(), 2);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn try_get_misses_gracefully() {
-        let c = Catalog::new();
-        assert!(c.try_get(RelationId(0)).is_none());
-        assert!(c.is_empty());
     }
 
     #[test]

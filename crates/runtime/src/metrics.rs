@@ -130,17 +130,6 @@ impl RunSummary {
         }
     }
 
-    /// Average (time-mean) normalized utilization of resource `i` at
-    /// site `j`: the exact utilization integral over the horizon. Zero
-    /// for a zero-length run.
-    pub fn avg_site_utilization(&self, site: usize, resource: usize) -> f64 {
-        if self.horizon > 0.0 {
-            self.site_util_integral[site][resource] / self.horizon
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of admissions whose schedule came from the cache.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
@@ -706,16 +695,6 @@ mod tests {
             reason: ShedReason::MeanLoad,
         });
         assert_ne!(outcome.digest(), other_reason.digest());
-    }
-
-    #[test]
-    fn avg_site_utilization_reads_the_integral() {
-        let mut s = summary();
-        s.site_util_integral = vec![vec![5.0, 2.5, 0.0], vec![10.0, 0.0, 0.0]];
-        assert!((s.avg_site_utilization(0, 0) - 0.5).abs() < 1e-12);
-        assert!((s.avg_site_utilization(1, 0) - 1.0).abs() < 1e-12);
-        s.horizon = 0.0;
-        assert_eq!(s.avg_site_utilization(0, 0), 0.0);
     }
 
     #[test]

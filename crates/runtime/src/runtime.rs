@@ -499,12 +499,6 @@ impl<M: ResponseModel + Clone + Send + 'static> Runtime<M> {
         }
     }
 
-    /// The overload controller's current governor level (0 = paper-
-    /// optimal parallelism).
-    pub fn governor_level(&self) -> u32 {
-        self.controller.level()
-    }
-
     /// Whether the backpressure gate is currently deferring admissions.
     pub fn gate_engaged(&self) -> bool {
         self.controller.gate_engaged()
